@@ -45,8 +45,8 @@ use crate::job::{JobExpiry, JobOutcome, ScanJob, ServedBy};
 use crate::queue::BoundedQueue;
 use crate::report::{percentile, BatchBucket, PoolStatsReport, ServeReport};
 use crate::sim::{
-    lease_batch_buffers, rate, record_gpu_outcomes, run_cpu_batch, shed, tally, PendingReadback,
-    ServeConfig, ServeRun,
+    lease_batch_buffers, rate, record_gpu_outcomes, run_cpu_batch, shed, take_ready_readbacks,
+    tally, PendingReadback, ServeConfig, ServeRun,
 };
 use crate::slo::AdmissionController;
 use crate::telemetry::ServeTelemetry;
@@ -416,21 +416,12 @@ impl FleetState {
         );
     }
 
-    /// Drain every held readback, in kernel-completion order (matching
-    /// the single-device drain exactly at `devices = 1`).
-    fn drain_pendings(&mut self, streams_per_device: u32) {
-        let mut leftovers: Vec<(usize, PendingReadback)> = Vec::new();
-        for (d, pending) in self.pendings.iter_mut().enumerate() {
-            for p in pending.iter_mut().filter_map(Option::take) {
-                leftovers.push((d, p));
-            }
-        }
-        leftovers.sort_by(|a, b| {
-            let ra = self.engines[a.0].stream_ready(a.1.stream);
-            let rb = self.engines[b.0].stream_ready(b.1.stream);
-            ra.partial_cmp(&rb).expect("sim times are finite")
-        });
-        for (d, p) in leftovers {
+    /// Flush every held readback, on any device, whose kernel has
+    /// finished by `now` ([`take_ready_readbacks`]; `f64::INFINITY` is
+    /// the drain). At `devices = 1` this is exactly the single-device
+    /// server's flush.
+    fn flush_ready(&mut self, now: f64, streams_per_device: u32) {
+        for (d, p) in take_ready_readbacks(&self.engines, &mut self.pendings, now) {
             self.flush_pending(d, streams_per_device, p);
         }
     }
@@ -530,16 +521,17 @@ pub fn serve_fleet(
                 &router,
                 models,
                 &matcher_for,
-            );
+            )?;
             (rej, exp, tiers, final_models)
         }
         _ => {
-            let (rej, exp) = run_parity(&mut st, &jobs, dcfg, gap, clock_hz, devices, &matcher_for);
+            let (rej, exp) =
+                run_parity(&mut st, &jobs, dcfg, gap, clock_hz, devices, &matcher_for)?;
             (rej, exp, Vec::new(), Vec::new())
         }
     };
 
-    st.drain_pendings(streams_per_device);
+    st.flush_ready(f64::INFINITY, streams_per_device);
 
     // Drain every device's pool: all leases were released with their
     // readbacks, so a live block here is a dispatcher leak (panics).
@@ -751,7 +743,7 @@ fn run_parity<'a>(
     clock_hz: f64,
     devices: usize,
     matcher_for: &dyn Fn(usize) -> &'a GpuAcMatcher,
-) -> (Vec<crate::queue::Overloaded>, Vec<JobExpiry>) {
+) -> Result<(Vec<crate::queue::Overloaded>, Vec<JobExpiry>), GpuError> {
     let base_max_jobs = dcfg.limits.max_jobs.max(1);
     let streams_per_device = dcfg.streams.max(1);
     let mut queue = BoundedQueue::new(dcfg.queue_capacity);
@@ -790,10 +782,11 @@ fn run_parity<'a>(
             Route::Gpu => gpu_dispatch,
             Route::Cpu => st.cpu_free.max(head),
         };
+        // Before the new upload, flush every device's finished readbacks
+        // (the reused stream's included) through the bus arbiter.
         if route == Route::Gpu {
-            if let Some(p) = st.pendings[dev][stream as usize].take() {
-                st.flush_pending(dev, streams_per_device, p);
-            }
+            st.flush_ready(dispatch, streams_per_device);
+            debug_assert!(st.pendings[dev][stream as usize].is_none());
         }
         // Aggregate fleet drain rate: completions across *every* device
         // divided by elapsed time — the whole-fleet `retry_after_us`
@@ -900,18 +893,20 @@ fn run_parity<'a>(
                     label,
                     dispatch,
                     None,
-                );
+                )?;
             }
         }
     }
-    (rejections, expiries)
+    Ok((rejections, expiries))
 }
 
 /// Dispatch one assembled batch on `dev`'s GPU under supervision: charge
 /// the `h2d` through the bus, charge the kernel (plus retry penalty),
 /// stage the readback, or fail over to the shared CPU executor. When
 /// `refine` is set the tier's cost model observes the realised service
-/// time. Returns the device's per-batch bookkeeping via `st`.
+/// time. Returns the device's per-batch bookkeeping via `st`; a device
+/// pool too small for the batch is a fatal [`GpuError::Device`], exactly
+/// as under [`crate::serve`].
 #[allow(clippy::too_many_arguments)]
 fn dispatch_gpu_batch(
     st: &mut FleetState,
@@ -925,7 +920,7 @@ fn dispatch_gpu_batch(
     label: String,
     dispatch: f64,
     refine: Option<(&mut CostModel, f64)>,
-) {
+) -> Result<(), GpuError> {
     use crate::batch::demux_matches;
     st.per_dev_batches[dev] += 1;
     let pcie = dcfg.effective_pcie();
@@ -944,8 +939,7 @@ fn dispatch_gpu_batch(
                 assembled.data.len() as u64,
                 Some(rb_bytes),
                 clock_hz,
-            )
-            .expect("fleet device pool sized for its batches");
+            )?;
             st.submit_copy(
                 dev,
                 stream,
@@ -993,8 +987,7 @@ fn dispatch_gpu_batch(
                 assembled.data.len() as u64,
                 None,
                 clock_hz,
-            )
-            .expect("fleet device pool sized for its batches");
+            )?;
             st.submit_copy(
                 dev,
                 stream,
@@ -1030,6 +1023,7 @@ fn dispatch_gpu_batch(
             st.cpu_fallback_batches += 1;
         }
     }
+    Ok(())
 }
 
 /// Routed mode: per-device GPU queues plus one CPU-ladder queue, each
@@ -1046,12 +1040,15 @@ fn run_routed<'a>(
     router: &RouterConfig,
     mut models: Vec<CostModel>,
     matcher_for: &dyn Fn(usize) -> &'a GpuAcMatcher,
-) -> (
-    Vec<crate::queue::Overloaded>,
-    Vec<JobExpiry>,
-    Vec<TierCounts>,
-    Vec<CostModelSnapshot>,
-) {
+) -> Result<
+    (
+        Vec<crate::queue::Overloaded>,
+        Vec<JobExpiry>,
+        Vec<TierCounts>,
+        Vec<CostModelSnapshot>,
+    ),
+    GpuError,
+> {
     let dcfg = &cfg.device;
     let devices = st.engines.len();
     let cpu_tier = devices; // tier index of the CPU ladder
@@ -1184,9 +1181,8 @@ fn run_routed<'a>(
             route = st.breakers[tier].route_at(dispatch);
             match route {
                 Route::Gpu => {
-                    if let Some(p) = st.pendings[tier][stream as usize].take() {
-                        st.flush_pending(tier, streams_per_device, p);
-                    }
+                    st.flush_ready(dispatch, streams_per_device);
+                    debug_assert!(st.pendings[tier][stream as usize].is_none());
                     gpu_arm = Some((tier, stream));
                 }
                 Route::Cpu => {
@@ -1254,7 +1250,7 @@ fn run_routed<'a>(
                     dcfg,
                     streams_per_device,
                     matcher_for,
-                );
+                )?;
                 continue;
             }
         }
@@ -1297,7 +1293,7 @@ fn run_routed<'a>(
                     label,
                     dispatch,
                     Some((&mut models[dev], router.refine_alpha)),
-                );
+                )?;
             }
             None => {
                 let start = dispatch;
@@ -1331,14 +1327,15 @@ fn run_routed<'a>(
             bytes_per_sec: m.bytes_per_sec,
         })
         .collect();
-    (rejections, expiries, tiers, cost_models)
+    Ok((rejections, expiries, tiers, cost_models))
 }
 
 /// Serve one oversized job by sharding it across every device: each
 /// segment's `h2d`/kernel/`d2h` chain runs on its device's next free
 /// stream (transfers arbitrated on the shared bus), and the job completes
 /// when the slowest segment does. Any segment failure fails the whole job
-/// over to the CPU ladder — shard results are all-or-nothing.
+/// over to the CPU ladder — shard results are all-or-nothing. A device
+/// pool too small for a shard is a fatal [`GpuError::Device`].
 #[allow(clippy::too_many_arguments)]
 fn scatter_job<'a>(
     st: &mut FleetState,
@@ -1349,7 +1346,7 @@ fn scatter_job<'a>(
     dcfg: &ServeConfig,
     streams_per_device: u32,
     matcher_for: &dyn Fn(usize) -> &'a GpuAcMatcher,
-) {
+) -> Result<(), GpuError> {
     let devices = st.engines.len();
     let segments = plan_shards(job.payload.len(), devices as u32, gap);
     let label_base = format!("scatter{}", st.batches);
@@ -1395,7 +1392,7 @@ fn scatter_job<'a>(
                     rep.retries as u64,
                 );
                 st.cpu_fallback_batches += 1;
-                return;
+                return Ok(());
             }
         }
     }
@@ -1426,8 +1423,7 @@ fn scatter_job<'a>(
             bytes as u64,
             Some(rb_bytes),
             clock_hz,
-        )
-        .expect("fleet device pool sized for its shards");
+        )?;
         st.submit_copy(
             d,
             stream,
@@ -1485,6 +1481,7 @@ fn scatter_job<'a>(
     }
     st.outcomes.push(outcome);
     st.scattered_jobs += 1;
+    Ok(())
 }
 
 #[cfg(test)]
@@ -1758,6 +1755,40 @@ mod tests {
         assert_eq!(big.matches, expect, "sharded matches must equal serial");
         // Every device launched a segment.
         assert!(fleet.report.per_device.iter().all(|d| d.batches > 0));
+    }
+
+    #[test]
+    fn pool_too_small_surfaces_a_fatal_device_error() {
+        let m = matcher();
+        // A pool smaller than one batch's corpus cannot satisfy a lease:
+        // every fleet path must return the typed OOM `serve()` returns,
+        // not panic.
+        let dev = ServeConfig::new(1).with_pool(crate::ServePoolConfig::pooled(1024));
+        let large = |n: u64| -> Vec<ScanJob> {
+            (0..n)
+                .map(|i| ScanJob::new(i, vec![b't'; 256 * 1024], i as f64 * 50.0e-6))
+                .collect()
+        };
+        let mut sharded = FleetConfig::new(2, dev);
+        sharded.shard_bytes = Some(64 * 1024);
+        let cases = [
+            ("parity d1", FleetConfig::new(1, dev).parity(), workload(8)),
+            ("parity d2", FleetConfig::new(2, dev).parity(), workload(8)),
+            ("routed", FleetConfig::new(2, dev), large(4)),
+            ("routed scatter", sharded, large(1)),
+        ];
+        for (name, cfg, jobs) in cases {
+            match serve_fleet(&m, jobs, &cfg) {
+                Err(GpuError::Device(e)) => {
+                    assert!(
+                        e.to_string().contains("out of device memory"),
+                        "{name}: {e}"
+                    )
+                }
+                Err(other) => panic!("{name}: expected device OOM, got {other:?}"),
+                Ok(_) => panic!("{name}: served through a 1 KiB pool"),
+            }
+        }
     }
 
     #[test]

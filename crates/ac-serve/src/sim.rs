@@ -12,11 +12,18 @@
 //! a FIFO, so enqueueing a batch's `d2h` right behind its kernel would
 //! park the engine until that kernel finishes and block the *next*
 //! batch's `h2d` (the classic GT200 false-serialisation). The loop
-//! therefore issues staged: each stream's `d2h` is held back and only
-//! enqueued when that stream is next reused (or at drain), so uploads
-//! for other streams slot into the gap and copies genuinely overlap
-//! compute. With one stream the flush lands immediately before the next
-//! upload, reproducing the strictly serial order.
+//! therefore issues staged: a batch's `d2h` is held only while its kernel
+//! is still running at the next dispatch. Before every new upload,
+//! [`take_ready_readbacks`] releases each held readback whose kernel has
+//! finished by the dispatch instant, in kernel-completion order — what a
+//! host woken by kernel-end callbacks would have issued — so a finished
+//! batch never waits for the next arrival's upload, while uploads for
+//! other streams still slot in ahead of readbacks whose kernels are
+//! running and copies genuinely overlap compute. The reused stream is
+//! always among the released (its kernel ended by the time it is free),
+//! and the drain releases the rest. With one stream the flush lands
+//! immediately before the next upload, reproducing the strictly serial
+//! order.
 //!
 //! # Resilience
 //!
@@ -306,12 +313,18 @@ pub fn serve(
             Route::Gpu => gpu_dispatch,
             Route::Cpu => cpu_free.max(head),
         };
-        // Reusing this stream: its held readback goes first, so the new
-        // upload queues behind it on both the stream and the copy engine.
+        // Before the new upload, every readback whose kernel has finished
+        // goes first — the reused stream's included, since it is free by
+        // `dispatch` — so the upload queues behind them on the copy engine.
         if route == Route::Gpu {
-            if let Some(p) = pending[stream as usize].take() {
+            for (_, p) in take_ready_readbacks(
+                std::slice::from_ref(&engine),
+                std::slice::from_mut(&mut pending),
+                dispatch,
+            ) {
                 flush_readback(&mut engine, &mut outcomes, &mut slo, &mut tel, p);
             }
+            debug_assert!(pending[stream as usize].is_none());
         }
         // Everything that arrived while the tier was busy is admitted
         // now (shed under SLO pressure, or bounced off the full queue
@@ -511,14 +524,11 @@ pub fn serve(
 
     // Drain: no more uploads will fill the copy-engine gaps, so flush the
     // held readbacks in the order their kernels finish.
-    let mut leftovers: Vec<PendingReadback> = pending.iter_mut().filter_map(Option::take).collect();
-    leftovers.sort_by(|a, b| {
-        engine
-            .stream_ready(a.stream)
-            .partial_cmp(&engine.stream_ready(b.stream))
-            .expect("sim times are finite")
-    });
-    for p in leftovers {
+    for (_, p) in take_ready_readbacks(
+        std::slice::from_ref(&engine),
+        std::slice::from_mut(&mut pending),
+        f64::INFINITY,
+    ) {
         flush_readback(&mut engine, &mut outcomes, &mut slo, &mut tel, p);
     }
 
@@ -661,10 +671,11 @@ pub(crate) fn run_cpu_batch(
     done
 }
 
-/// A batch whose kernel has been issued but whose readback is held
-/// until its stream is reused (staged issue, see module docs). Crate
-/// visibility: the fleet dispatcher ([`crate::fleet`]) holds the same
-/// structure per device, flushing through the shared bus arbiter.
+/// A batch whose kernel has been issued but whose readback is held only
+/// while its kernel is still running at the next dispatch (staged issue,
+/// see module docs). Crate visibility: the fleet dispatcher
+/// ([`crate::fleet`]) holds the same structure per device, flushing
+/// through the shared bus arbiter.
 pub(crate) struct PendingReadback {
     pub(crate) stream: u32,
     pub(crate) label: String,
@@ -684,6 +695,38 @@ pub(crate) struct PendingReadback {
     /// The batch's pooled device buffers, held only to keep the blocks
     /// leased; dropping the readback returns them to the pool.
     pub(crate) _lease: Option<BatchLease>,
+}
+
+/// Take every held readback whose kernel has finished by `now`
+/// (`stream_ready <= now`; `f64::INFINITY` takes them all, the drain),
+/// ordered by kernel completion with ties broken by (device, stream).
+/// `pendings[d][s]` is device `d`'s held readback for stream `s`, and
+/// `engines[d]` the device's stream engine. This is the one place the
+/// staged-issue rule lives: the single-device server, both fleet loops
+/// and both drains flush exactly what this returns, in this order.
+pub(crate) fn take_ready_readbacks(
+    engines: &[StreamEngine],
+    pendings: &mut [Vec<Option<PendingReadback>>],
+    now: f64,
+) -> Vec<(usize, PendingReadback)> {
+    let mut ready = Vec::new();
+    for (d, (engine, held)) in engines.iter().zip(pendings.iter_mut()).enumerate() {
+        for slot in held.iter_mut() {
+            if slot
+                .as_ref()
+                .is_some_and(|p| engine.stream_ready(p.stream) <= now)
+            {
+                ready.extend(slot.take().map(|p| (d, p)));
+            }
+        }
+    }
+    // Stable: equal completion times keep (device, stream) order.
+    ready.sort_by(|a, b| {
+        let ra = engines[a.0].stream_ready(a.1.stream);
+        let rb = engines[b.0].stream_ready(b.1.stream);
+        ra.partial_cmp(&rb).expect("sim times are finite")
+    });
+    ready
 }
 
 /// One GPU batch's pooled device buffers (corpus in, results out),
@@ -1159,6 +1202,111 @@ mod tests {
         let pevents =
             trace::parse_chrome_json(&prun.telemetry.unwrap().chrome_json(), 1.0).unwrap();
         assert!(!render_slo_report(&pevents).contains("device pool:"));
+    }
+
+    fn workload_at(rate: u64) -> Vec<ScanJob> {
+        synthetic_workload(&WorkloadConfig {
+            jobs: 12,
+            arrival_rate_per_sec: rate,
+            job_bytes: 4096,
+            ..WorkloadConfig::defaults()
+        })
+    }
+
+    #[test]
+    fn finished_readbacks_issue_at_kernel_end_under_sparse_arrivals() {
+        let m = matcher();
+        let cfg = ServeConfig::new(2);
+        let light = serve(&m, workload_at(4_000), &cfg).unwrap();
+        assert!(light.outcomes.iter().all(|o| o.batch_jobs == 1));
+        // Arrivals are far apart, so no later upload may sit between a
+        // kernel and its readback: every `d2h` starts as its kernel ends,
+        // and the job completes when that `d2h` does.
+        let op = |label: &str, kind: StreamOpKind| {
+            light
+                .timeline
+                .ops
+                .iter()
+                .find(|o| o.label == label && o.kind == kind)
+                .unwrap_or_else(|| panic!("{label} has no {kind:?}"))
+                .clone()
+        };
+        for b in 0..light.report.batches {
+            let label = format!("batch{b}");
+            let kernel = op(&label, StreamOpKind::Kernel);
+            let d2h = op(&label, StreamOpKind::CopyD2H);
+            assert_eq!(d2h.start, kernel.end, "{label} readback waited");
+        }
+        for o in &light.outcomes {
+            let d2h = light
+                .timeline
+                .ops
+                .iter()
+                .filter(|op| op.kind == StreamOpKind::CopyD2H)
+                .find(|op| op.end == o.completed_seconds);
+            assert!(d2h.is_some(), "job {} completed off a readback", o.id);
+        }
+        // Fewer arrivals must not make a job wait longer: the same
+        // payloads at a third of the rate see no higher latency.
+        let busier = serve(&m, workload_at(12_000), &cfg).unwrap();
+        assert!(
+            light.report.p50_latency_us <= busier.report.p50_latency_us + 1e-9,
+            "p50 {}us at 4k jobs/s vs {}us at 12k",
+            light.report.p50_latency_us,
+            busier.report.p50_latency_us
+        );
+        assert!(light.report.mean_latency_us <= busier.report.mean_latency_us + 1e-9);
+        assert_oracle_matches(&m, &workload_at(4_000), &light);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(16))]
+
+        #[test]
+        fn staged_issue_answers_every_job_once_and_releases_the_pool(
+            arrivals in proptest::collection::vec((0u32..400, 1usize..1500), 1..8),
+            streams in 1u32..=4,
+            pooled in proptest::prelude::any::<bool>(),
+        ) {
+            let m = matcher();
+            let text: Vec<u8> = b"the king and her mother were singing a motion "
+                .iter()
+                .cycle()
+                .take(4096)
+                .copied()
+                .collect();
+            let mut clock = 0.0;
+            let jobs: Vec<ScanJob> = arrivals
+                .iter()
+                .enumerate()
+                .map(|(id, &(gap_us, len))| {
+                    clock += gap_us as f64 * 1.0e-6;
+                    let skip = id * 7;
+                    ScanJob::new(id as u64, text[skip..skip + len].to_vec(), clock)
+                })
+                .collect();
+            let mut cfg = ServeConfig::new(streams);
+            if pooled {
+                cfg = cfg.with_pool(ServePoolConfig::pooled(DEFAULT_POOL_CAPACITY));
+            }
+            // A leaked lease would panic in the pool drain inside serve.
+            let run = serve(&m, jobs.clone(), &cfg).unwrap();
+
+            // One terminal event per job: every id answered exactly once.
+            let mut ids: Vec<u64> = run.outcomes.iter().map(|o| o.id).collect();
+            ids.extend(run.rejections.iter().map(|r| r.job_id));
+            ids.extend(run.expiries.iter().map(|e| e.job_id));
+            ids.extend(run.sheds.iter().map(|s| s.job_id));
+            ids.sort_unstable();
+            proptest::prop_assert_eq!(ids, (0..jobs.len() as u64).collect::<Vec<_>>());
+            assert_oracle_matches(&m, &jobs, &run);
+            if let Some(pool) = run.report.pool {
+                proptest::prop_assert_eq!(pool.acquires, 2 * run.report.batches);
+                proptest::prop_assert_eq!(pool.releases, pool.acquires);
+            } else {
+                proptest::prop_assert!(!pooled);
+            }
+        }
     }
 
     #[test]

@@ -43,9 +43,9 @@ pub use layout_sweep::{
 pub use measure::{Engine, EngineConfig, Measurement, Measurements};
 pub use report::{row_config_hash, BenchReport, BenchRow, Provenance};
 pub use serving::{
-    check_steady_pool, check_steady_pool_report, serve_chaos_measurements,
+    check_light_load_report, check_steady_pool, check_steady_pool_report, serve_chaos_measurements,
     serve_steady_measurements, serving_measurements, serving_measurements_with, CHAOS_SEED,
-    SERVING_SCENARIOS,
+    LIGHT_LOAD_RATE, LIGHT_LOAD_ROW, SERVING_SCENARIOS,
 };
 pub use verdict::{evaluate, render, Outcome, Verdict};
 pub use whatif::{explain, explain_label, Knob, WhatIfReport, WhatIfRow};

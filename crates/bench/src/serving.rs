@@ -2,18 +2,21 @@
 //!
 //! Replays the default [`ac_serve`] workload through three server
 //! configurations — per-job launches on one stream, batched on one
-//! stream, batched on four streams — and flattens each [`ServeReport`]
-//! into a [`Measurement`] row. The rows land in `BENCH_<grid>.json`
-//! next to the kernel grid points, so the perf-regression gate
-//! (`acsim bench diff`) guards serving throughput (as `gbps`) and
-//! makespan (as `cycles`) exactly like it guards the kernels; the
-//! batching-vs-per-job p99 delta and the stream scaling are readable
-//! straight off the committed report via the `p99_latency_us` and
-//! `jobs_per_sec` columns.
+//! stream, batched on four streams — plus the same payloads offered at
+//! light load on two streams, and flattens each [`ServeReport`] into a
+//! [`Measurement`] row. The rows land in `BENCH_<grid>.json` next to the
+//! kernel grid points, so the perf-regression gate (`acsim bench diff`)
+//! guards serving throughput (as `gbps`) and makespan (as `cycles`)
+//! exactly like it guards the kernels; the batching-vs-per-job p99 delta
+//! and the stream scaling are readable straight off the committed report
+//! via the `p99_latency_us` and `jobs_per_sec` columns, and the
+//! light-load row's p99 is re-derived as a gate
+//! ([`check_light_load_report`]).
 //!
 //! [`ServeReport`]: ac_serve::ServeReport
 
 use crate::measure::{Measurement, Measurements};
+use crate::report::BenchReport;
 use ac_gpu::{GpuAcMatcher, KernelParams};
 use ac_serve::{
     chaos_soak, serve, serve_automaton, synthetic_workload, ChaosConfig, ServeConfig,
@@ -21,12 +24,23 @@ use ac_serve::{
 };
 use gpu_sim::GpuConfig;
 
-/// The scenarios measured, as `(row label, streams, batched)`.
-pub const SERVING_SCENARIOS: [(&str, u32, bool); 3] = [
-    ("serve-perjob-s1", 1, false),
-    ("serve-batched-s1", 1, true),
-    ("serve-batched-s4", 4, true),
+/// The scenarios measured, as `(row label, streams, batched, offered
+/// load)`. `None` keeps the default workload's arrival rate; `Some(r)`
+/// replays the same payloads offered at `r` jobs/s.
+pub const SERVING_SCENARIOS: [(&str, u32, bool, Option<u64>); 4] = [
+    ("serve-perjob-s1", 1, false, None),
+    ("serve-batched-s1", 1, true, None),
+    ("serve-batched-s4", 4, true, None),
+    (LIGHT_LOAD_ROW, 2, true, Some(LIGHT_LOAD_RATE)),
 ];
+
+/// Label of the light-load row.
+pub const LIGHT_LOAD_ROW: &str = "serve-light-s2";
+
+/// Offered load of the light-load row, jobs/s: arrivals about 250 µs
+/// apart, far wider than one ~2 KiB batch's `h2d + kernel + d2h`, so
+/// every job is served alone and its latency is its service time.
+pub const LIGHT_LOAD_RATE: u64 = 4_000;
 
 /// Run every serving scenario over the default workload and return one
 /// measurement row per scenario. Fully deterministic: same tree, same
@@ -48,16 +62,18 @@ pub fn serving_measurements_with(
     let ac = serve_automaton(ac_serve::DEFAULT_PATTERNS, workload.seed);
     let matcher =
         GpuAcMatcher::new(gpu, KernelParams::defaults_for(&gpu), ac).map_err(|e| e.to_string())?;
-    let jobs = synthetic_workload(&workload);
-
     let mut out = Measurements::default();
-    for (label, streams, batched) in SERVING_SCENARIOS {
+    for (label, streams, batched, rate) in SERVING_SCENARIOS {
         let mut cfg = ServeConfig::new(streams);
         if !batched {
             cfg = cfg.per_job();
         }
         cfg.telemetry = telemetry;
-        let run = serve(&matcher, jobs.clone(), &cfg).map_err(|e| e.to_string())?;
+        let jobs = synthetic_workload(&WorkloadConfig {
+            arrival_rate_per_sec: rate.unwrap_or(workload.arrival_rate_per_sec),
+            ..workload
+        });
+        let run = serve(&matcher, jobs, &cfg).map_err(|e| e.to_string())?;
         let r = &run.report;
         out.rows.push(Measurement {
             size: r.payload_bytes as usize,
@@ -191,6 +207,25 @@ pub fn check_steady_pool_report(r: &crate::report::BenchReport) -> Option<Result
     Some(check_steady_pool(&m))
 }
 
+/// The light-load criterion re-derived from a report: at
+/// [`LIGHT_LOAD_RATE`] a job's p99 latency must stay below one mean
+/// inter-arrival gap. A server that holds a finished batch's readback
+/// until the next arrival's upload charges every job about one gap, so
+/// this fails exactly when readbacks wait for traffic instead of kernels.
+/// Returns `(p99, gap)` in µs; `None` when the report predates the row.
+pub fn check_light_load_report(r: &BenchReport) -> Option<Result<(f64, f64), String>> {
+    let row = r.rows.iter().find(|row| row.approach == LIGHT_LOAD_ROW)?;
+    let gap_us = 1.0e6 / LIGHT_LOAD_RATE as f64;
+    Some(if row.p99_latency_us < gap_us {
+        Ok((row.p99_latency_us, gap_us))
+    } else {
+        Err(format!(
+            "{LIGHT_LOAD_ROW} p99 {:.1}us !< one arrival gap {gap_us:.1}us",
+            row.p99_latency_us
+        ))
+    })
+}
+
 /// The fixed seed of the committed chaos rows (and the CI smoke soak):
 /// one storm, replayed bit-identically everywhere.
 pub const CHAOS_SEED: u64 = 42;
@@ -266,6 +301,29 @@ mod tests {
             streamed.jobs_per_sec,
             batched.jobs_per_sec
         );
+    }
+
+    #[test]
+    fn light_load_row_passes_its_gate_and_the_gate_bites() {
+        let m = serving_measurements().unwrap();
+        let report = crate::report::BenchReport::from_measurements("new", &m);
+        let (p99, gap) = check_light_load_report(&report)
+            .expect("light row present")
+            .unwrap();
+        assert!(p99 < gap / 2.0, "p99 {p99}us vs gap {gap}us");
+        // One arrival gap of extra wait per job (readbacks held for the
+        // next upload) trips the gate; a report without the row skips it.
+        let mut held = report.clone();
+        for row in held
+            .rows
+            .iter_mut()
+            .filter(|r| r.approach == LIGHT_LOAD_ROW)
+        {
+            row.p99_latency_us += gap;
+        }
+        assert!(check_light_load_report(&held).unwrap().is_err());
+        let legacy = crate::report::BenchReport::from_measurements("old", &Measurements::default());
+        assert!(check_light_load_report(&legacy).is_none());
     }
 
     #[test]

@@ -410,12 +410,28 @@ fn bench_diff_text(opts: &Options) -> Result<String, String> {
         }
         None => {}
     }
+    // And at light load: a finished batch's readback must not wait for
+    // the next arrival, so p99 stays below one inter-arrival gap.
+    let mut light_broken = false;
+    match bench::check_light_load_report(&new) {
+        Some(Ok((p99, gap))) => {
+            let _ = writeln!(
+                out,
+                "light-load latency holds: p99 {p99:.1}us < one arrival gap {gap:.1}us"
+            );
+        }
+        Some(Err(why)) => {
+            light_broken = true;
+            let _ = writeln!(out, "LIGHT-LOAD LATENCY BROKEN: {why}");
+        }
+        None => {}
+    }
     if let Some(path) = &opts.report_out {
         std::fs::write(path, diff.to_json())
             .map_err(|e| format!("writing {}: {e}", path.display()))?;
         let _ = writeln!(out, "report written: {}", path.display());
     }
-    if diff.has_regressions() || crossover_broken || fleet_broken || steady_broken {
+    if diff.has_regressions() || crossover_broken || fleet_broken || steady_broken || light_broken {
         Err(out)
     } else {
         Ok(out)
