@@ -1,9 +1,66 @@
-//! Multi-device fleet dispatch: sharding, cost routing, scaled-out serving.
+//! The serve loop, on one device or many: admit → batch → dispatch on a
+//! stream → staged readback → demux, plus sharding, cost routing and the
+//! shared host bus for fleets.
 //!
 //! One host drives `N` independent simulated GPUs, each with its own
 //! [`StreamEngine`], supervised execution, circuit breaker and telemetry
-//! pid plane, behind a single [`serve_fleet`] entry point. Three
-//! mechanisms make the fleet more than N copies of [`crate::serve`]:
+//! pid plane, behind a single [`serve_fleet`] entry point.
+//! [`crate::serve`] is the fleet of one in parity mode, so this module
+//! holds the crate's only serve loop.
+//!
+//! # The parity loop
+//!
+//! Parity mode (`routing: None`) is a greedy open-loop server over one
+//! shared queue: whenever a stream frees up on any device (lowest device
+//! on ties), every job that has arrived by then is admitted (or rejected
+//! by backpressure), the queue's head run is coalesced up to the batch
+//! limits, and the batch's `h2d → kernel → d2h` chain is dispatched on
+//! that stream. Batch size therefore adapts to backlog — an idle server
+//! launches singleton batches immediately, a busy one amortises launches
+//! over whatever queued up — which is the whole p99 argument for batching.
+//!
+//! Issue order matters on a single-DMA-engine device: the copy engine is
+//! a FIFO, so enqueueing a batch's `d2h` right behind its kernel would
+//! park the engine until that kernel finishes and block the *next*
+//! batch's `h2d` (the classic GT200 false-serialisation). The loop
+//! therefore issues staged: a batch's `d2h` is held only while its kernel
+//! is still running at the next dispatch. Before every new upload,
+//! `take_ready_readbacks` releases each held readback whose kernel has
+//! finished by the dispatch instant, in kernel-completion order — what a
+//! host woken by kernel-end callbacks would have issued — so a finished
+//! batch never waits for the next arrival's upload, while uploads for
+//! other streams still slot in ahead of readbacks whose kernels are
+//! running and copies genuinely overlap compute. The drain releases the
+//! rest. With one stream the flush lands immediately before the next
+//! upload, reproducing the strictly serial order.
+//!
+//! Every batch executes under the supervisor ([`run_supervised`]):
+//! transient launch failures and corrupted readbacks are retried with
+//! deterministic backoff, hung kernels are watchdog-killed, and the retry
+//! cost ([`ac_gpu::supervise::SuperviseReport::penalty_cycles`]) is
+//! charged to the stream's simulated clock so faults are never free. A
+//! batch that exhausts its retry budget is *not* lost: it fails over to
+//! the CPU ladder ([`integration::cpu_ladder_scan`] — parallel CPU, then
+//! the serial oracle) on a separate simulated CPU clock, and feeds the
+//! device's [`CircuitBreaker`]. While the breaker is open, subsequent
+//! batches skip the GPU and run on the CPU tier until a cooldown elapses
+//! and half-open probes re-earn trust.
+//!
+//! Admitted jobs whose deadline passes while still queued are expired
+//! with a typed [`JobExpiry`] — an answer distinct from backpressure
+//! ([`crate::Overloaded`]) — instead of wasting a batch slot. When an SLO
+//! target is configured ([`crate::SloConfig`]), an
+//! [`AdmissionController`] tracks sliding-window p99 against it, sheds
+//! the lowest-priority arrivals while over target, and grows the batch
+//! window to drain the backlog faster. With no faults armed, no deadlines
+//! and no SLO config, every one of these paths is quiescent.
+//!
+//! Rejections carry a `retry_after_us` hint from the aggregate drain rate:
+//! completions across every device divided by elapsed time.
+//!
+//! # Scaling out
+//!
+//! Three mechanisms make a fleet more than N copies of one device:
 //!
 //! * **Sharded dispatch** ([`plan_shards`]) — a job whose payload is at
 //!   least `shard_bytes` is split into overlap-padded segments, one per
@@ -26,37 +83,33 @@
 //! * **Shared-bus contention** ([`PcieBusArbiter`]) — every `h2d`/`d2h`
 //!   issued by any device first acquires the host's PCIe bus arbiter, so
 //!   concurrent transfers serialise against the aggregate host bandwidth
-//!   and device scaling is realistically sublinear. With one device the
-//!   arbiter provably never delays anything (its aggregate bandwidth is
-//!   at least the per-device link bandwidth, and it charges no setup), so
-//!   a 1-device fleet in parity mode is bit-identical to [`crate::serve`].
+//!   and device scaling is realistically sublinear. The arbiter is
+//!   charged the bus traffic (twice the copy under pageable staging);
+//!   the stream op records the logical bytes. With one device the arbiter
+//!   never delays anything (its aggregate bandwidth covers the link and it
+//!   charges no setup), so the single-device server pays nothing for it.
 //!
-//! **Parity mode** (`routing: None`) disables the router entirely: one
-//! shared queue, the exact [`crate::serve`] loop replayed against
-//! whichever device frees up first. At `devices = 1` every schedule,
-//! outcome, rejection (including the aggregate drain-rate
-//! `retry_after_us` hint, which degenerates to the single-device rate)
-//! and timeline is bit-identical to `serve()` — the fleet layer is a
-//! zero-cost hook, pinned in `tests/zero_cost_hook.rs`.
+//! Telemetry tags job, control and breaker events with a `device=` arg
+//! only when the fleet has more than one device: a one-device trace is
+//! the plain single-device trace.
 
-use crate::batch::assemble_batch;
+use crate::batch::{assemble_batch, demux_matches, AssembledBatch};
 use crate::breaker::{BreakerState, BreakerTransition, CircuitBreaker, Route};
 use crate::job::{JobExpiry, JobOutcome, ScanJob, ServedBy};
-use crate::queue::BoundedQueue;
+use crate::queue::{BoundedQueue, Overloaded};
 use crate::report::{percentile, BatchBucket, PoolStatsReport, ServeReport};
-use crate::sim::{
-    lease_batch_buffers, rate, record_gpu_outcomes, run_cpu_batch, shed, take_ready_readbacks,
-    tally, PendingReadback, ServeConfig, ServeRun,
-};
-use crate::slo::AdmissionController;
+use crate::sim::{ServeConfig, ServeRun};
+use crate::slo::{AdmissionController, SheddedJob};
 use crate::telemetry::ServeTelemetry;
 use ac_core::Match;
 use ac_gpu::multistream::readback_bytes;
-use ac_gpu::{run_supervised, DevicePool, GpuAcMatcher, GpuError};
+use ac_gpu::supervise::SuperviseReport;
+use ac_gpu::{run_supervised, DevicePool, GpuAcMatcher, GpuError, PcieConfig, PooledBuffer};
 use cpu_sim::simulate_multicore;
 use gpu_sim::{
     BusConfig, BusStats, EngineKind, PcieBusArbiter, StreamEngine, StreamOpKind, StreamTimeline,
 };
+use integration::cpu_ladder_scan;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
@@ -338,6 +391,9 @@ pub struct FleetRun {
 
 /// Mutable per-fleet state shared by the parity and routed loops.
 struct FleetState {
+    /// The link model every copy is priced with
+    /// ([`ServeConfig::effective_pcie`]).
+    pcie: PcieConfig,
     engines: Vec<StreamEngine>,
     breakers: Vec<CircuitBreaker>,
     pendings: Vec<Vec<Option<PendingReadback>>>,
@@ -364,47 +420,56 @@ struct FleetState {
 }
 
 impl FleetState {
-    /// Submit an `h2d`/`d2h` through the shared bus: the transfer starts
-    /// no earlier than the bus grants it. With one device the grant is
-    /// always the engine's own earliest start (the arbiter's aggregate
-    /// bandwidth covers the link and it charges no setup), so the
-    /// schedule is bit-identical to an un-arbitrated submit.
-    #[allow(clippy::too_many_arguments)]
+    /// Submit a `bytes`-long `h2d`/`d2h` through the shared bus: the
+    /// transfer starts no earlier than the bus grants it. The arbiter is
+    /// charged the bus traffic ([`PcieConfig::bus_bytes`]); the stream op
+    /// records the logical bytes. With one device the grant is always the
+    /// engine's own earliest start (the arbiter's aggregate bandwidth
+    /// covers the link and it charges no setup), so the bus never moves a
+    /// single-device schedule.
     fn submit_copy(
         &mut self,
         device: usize,
         stream: u32,
         kind: StreamOpKind,
         label: &str,
-        seconds: f64,
         bytes: u64,
         not_before: f64,
     ) {
+        let seconds = self.pcie.copy_seconds(bytes as usize);
         let earliest = self.engines[device].earliest_start(stream, kind, not_before);
-        let release = self.arbiter.acquire(earliest, bytes);
+        let release = self.arbiter.acquire(earliest, self.pcie.bus_bytes(bytes));
         self.engines[device].submit_at(stream, kind, label, seconds, bytes, release);
+    }
+
+    /// Tag subsequent telemetry events with `device`. Only a multi-device
+    /// fleet tags, so a one-device trace is the plain single-device trace.
+    fn tag_device(&mut self, device: Option<usize>) {
+        if self.engines.len() > 1 {
+            if let Some(t) = self.tel.as_mut() {
+                t.set_device(device.map(|d| d as u32));
+            }
+        }
     }
 
     /// Flush one held readback through the bus and record its outcomes
     /// under the fleet-global stream id.
     fn flush_pending(&mut self, device: usize, streams_per_device: u32, p: PendingReadback) {
-        if let Some(t) = self.tel.as_mut() {
-            t.set_device(Some(device as u32));
-        }
+        self.tag_device(Some(device));
         let local = p.stream;
         self.submit_copy(
             device,
             local,
             StreamOpKind::CopyD2H,
             &p.label,
-            p.d2h_seconds,
-            p.bus_rb_bytes,
+            p.rb_bytes,
             0.0,
         );
         let done = self.engines[device].stream_ready(local);
         self.per_dev_jobs[device] += p.batch.len() as u64;
-        record_gpu_outcomes(
+        record_outcomes(
             done,
+            ServedBy::Gpu,
             device as u32 * streams_per_device + local,
             p.batch,
             p.per_job,
@@ -418,8 +483,7 @@ impl FleetState {
 
     /// Flush every held readback, on any device, whose kernel has
     /// finished by `now` ([`take_ready_readbacks`]; `f64::INFINITY` is
-    /// the drain). At `devices = 1` this is exactly the single-device
-    /// server's flush.
+    /// the drain).
     fn flush_ready(&mut self, now: f64, streams_per_device: u32) {
         for (d, p) in take_ready_readbacks(&self.engines, &mut self.pendings, now) {
             self.flush_pending(d, streams_per_device, p);
@@ -443,18 +507,28 @@ impl FleetState {
 
 /// Serve `jobs` through a fleet of `cfg.devices` simulated GPUs plus the
 /// CPU ladder. Device 0 runs on `matcher` itself (so armed fault plans
-/// behave exactly as under [`crate::serve`]); devices 1.. run on
+/// fire on the caller's matcher); devices 1.. run on
 /// [`GpuAcMatcher::replicate`] clones with independent fault state.
+///
+/// # Errors
+/// An invalid link model, a job whose arrival time is not finite
+/// ([`GpuError::InvalidParams`]), or a device pool too small for a batch.
 pub fn serve_fleet(
     matcher: &GpuAcMatcher,
     mut jobs: Vec<ScanJob>,
     cfg: &FleetConfig,
 ) -> Result<FleetRun, GpuError> {
-    cfg.device.effective_pcie().validate()?;
+    let pcie = cfg.device.effective_pcie();
+    pcie.validate()?;
+    if let Some(job) = jobs.iter().find(|j| !j.arrival_seconds.is_finite()) {
+        return Err(GpuError::InvalidParams(format!(
+            "job {} has a non-finite arrival time ({})",
+            job.id, job.arrival_seconds
+        )));
+    }
     jobs.sort_by(|a, b| {
         a.arrival_seconds
-            .partial_cmp(&b.arrival_seconds)
-            .expect("arrival times are finite")
+            .total_cmp(&b.arrival_seconds)
             .then(a.id.cmp(&b.id))
     });
     let devices = cfg.devices.max(1) as usize;
@@ -481,6 +555,7 @@ pub fn serve_fleet(
     };
 
     let mut st = FleetState {
+        pcie,
         engines: (0..devices)
             .map(|_| StreamEngine::new(dcfg.streams))
             .collect(),
@@ -587,15 +662,14 @@ pub fn serve_fleet(
         .map(|c| c.batch_jobs())
         .unwrap_or(base_max_jobs);
     let telemetry = st.tel.take().map(|mut t| {
-        t.set_device(None);
         t.tick(makespan, 0, batch_window, worst_state);
-        let per_device: Vec<(Vec<BreakerTransition>, StreamTimeline)> = st
+        let per_device: Vec<(&[BreakerTransition], &StreamTimeline)> = st
             .breakers
             .iter()
+            .map(|b| b.transitions())
             .zip(&timelines)
-            .map(|(b, tl)| (b.transitions().to_vec(), tl.clone()))
             .collect();
-        let mut run = t.finish_fleet(&per_device);
+        let mut run = t.finish(&per_device);
         run.attribute_pattern_costs(matcher, dcfg.approach, makespan);
         if let Some(ps) = pool_report {
             run.record_pool_stats(&ps, makespan);
@@ -732,9 +806,9 @@ fn fit_tier_models(
     models
 }
 
-/// Parity mode: the exact [`crate::serve`] loop over one shared queue,
-/// dispatching each turn on whichever device frees up first. At
-/// `devices = 1` this is bit-identical to `serve()`.
+/// Parity mode (see the module docs): one shared queue, each turn
+/// dispatched on whichever device frees up first. With one device this is
+/// [`crate::serve`].
 fn run_parity<'a>(
     st: &mut FleetState,
     jobs: &[ScanJob],
@@ -743,7 +817,7 @@ fn run_parity<'a>(
     clock_hz: f64,
     devices: usize,
     matcher_for: &dyn Fn(usize) -> &'a GpuAcMatcher,
-) -> Result<(Vec<crate::queue::Overloaded>, Vec<JobExpiry>), GpuError> {
+) -> Result<(Vec<Overloaded>, Vec<JobExpiry>), GpuError> {
     let base_max_jobs = dcfg.limits.max_jobs.max(1);
     let streams_per_device = dcfg.streams.max(1);
     let mut queue = BoundedQueue::new(dcfg.queue_capacity);
@@ -788,9 +862,9 @@ fn run_parity<'a>(
             st.flush_ready(dispatch, streams_per_device);
             debug_assert!(st.pendings[dev][stream as usize].is_none());
         }
-        // Aggregate fleet drain rate: completions across *every* device
-        // divided by elapsed time — the whole-fleet `retry_after_us`
-        // basis (identical to the per-device rate when devices == 1).
+        // Everything that arrived while the tier was busy is admitted now
+        // (shed under SLO pressure, or bounced off the full queue with a
+        // retry hint from the aggregate fleet drain rate).
         let drain_rate = if dispatch > 0.0 {
             st.outcomes.len() as f64 / dispatch
         } else {
@@ -816,6 +890,8 @@ fn run_parity<'a>(
                 rejections.push(e);
             }
         }
+        // Overdue jobs get a typed expiry instead of a batch slot. Any
+        // expiry may have changed the head, so re-plan from the top.
         let newly_expired = queue.expire_overdue(dispatch);
         if !newly_expired.is_empty() {
             if let Some(t) = st.tel.as_mut() {
@@ -827,13 +903,15 @@ fn run_parity<'a>(
             continue;
         }
 
+        // Coalesce the backlog head into one launch. Under SLO pressure
+        // the controller widens the window beyond the configured base.
         let max_jobs_now = st
             .slo
             .as_ref()
             .map(|c| c.batch_jobs())
             .unwrap_or(base_max_jobs);
+        st.tag_device(Some(dev));
         if let Some(t) = st.tel.as_mut() {
-            t.set_device(Some(dev as u32));
             t.tick(
                 dispatch,
                 queue.len(),
@@ -905,8 +983,7 @@ fn run_parity<'a>(
 /// stage the readback, or fail over to the shared CPU executor. When
 /// `refine` is set the tier's cost model observes the realised service
 /// time. Returns the device's per-batch bookkeeping via `st`; a device
-/// pool too small for the batch is a fatal [`GpuError::Device`], exactly
-/// as under [`crate::serve`].
+/// pool too small for the batch is a fatal [`GpuError::Device`].
 #[allow(clippy::too_many_arguments)]
 fn dispatch_gpu_batch(
     st: &mut FleetState,
@@ -915,28 +992,25 @@ fn dispatch_gpu_batch(
     matcher: &GpuAcMatcher,
     dcfg: &ServeConfig,
     clock_hz: f64,
-    assembled: crate::batch::AssembledBatch,
+    assembled: AssembledBatch,
     batch: Vec<ScanJob>,
     label: String,
     dispatch: f64,
     refine: Option<(&mut CostModel, f64)>,
 ) -> Result<(), GpuError> {
-    use crate::batch::demux_matches;
     st.per_dev_batches[dev] += 1;
-    let pcie = dcfg.effective_pcie();
+    let corpus_bytes = assembled.data.len() as u64;
     match run_supervised(matcher, &assembled.data, dcfg.approach, &dcfg.supervise) {
         Ok(sup) => {
             tally(&sup.report, &mut st.gpu_retries, &mut st.faults_fired);
             let penalty =
                 sup.report.penalty_cycles(dcfg.supervise.watchdog_cycles) as f64 / clock_hz;
             let per_job = demux_matches(&sup.run.matches, &assembled.spans);
-            let h2d = pcie.copy_seconds(assembled.data.len());
             let rb_bytes = readback_bytes(sup.run.match_events);
-            let d2h = pcie.copy_seconds(rb_bytes as usize);
             let (lease, setup) = lease_batch_buffers(
                 st.pools[dev].as_ref(),
                 &mut st.pool_charged[dev],
-                assembled.data.len() as u64,
+                corpus_bytes,
                 Some(rb_bytes),
                 clock_hz,
             )?;
@@ -945,10 +1019,11 @@ fn dispatch_gpu_batch(
                 stream,
                 StreamOpKind::CopyH2D,
                 &label,
-                h2d,
-                pcie.bus_bytes(assembled.data.len() as u64),
+                corpus_bytes,
                 dispatch + setup,
             );
+            // Retry penalty (backoff + watchdog-burned budgets) is charged
+            // to the stream: faults cost real time.
             st.engines[dev].submit(
                 stream,
                 StreamOpKind::Kernel,
@@ -958,6 +1033,8 @@ fn dispatch_gpu_batch(
             );
             st.breakers[dev].record_success(st.engines[dev].stream_ready(stream));
             if let Some((model, alpha)) = refine {
+                let h2d = st.pcie.copy_seconds(assembled.data.len());
+                let d2h = st.pcie.copy_seconds(rb_bytes as usize);
                 model.observe(
                     assembled.data.len(),
                     h2d + sup.run.seconds() + penalty + d2h,
@@ -967,9 +1044,7 @@ fn dispatch_gpu_batch(
             st.pendings[dev][stream as usize] = Some(PendingReadback {
                 stream,
                 label,
-                d2h_seconds: d2h,
                 rb_bytes,
-                bus_rb_bytes: pcie.bus_bytes(rb_bytes),
                 batch,
                 per_job,
                 dispatch_seconds: dispatch,
@@ -979,12 +1054,16 @@ fn dispatch_gpu_batch(
         }
         Err((err, rep)) => {
             tally(&rep, &mut st.gpu_retries, &mut st.faults_fired);
+            // The failed attempts still burned stream time: the upload
+            // happened, and backoff/watchdog budgets elapsed before the
+            // supervisor gave up.
             let penalty = rep.penalty_cycles(dcfg.supervise.watchdog_cycles) as f64 / clock_hz;
-            let h2d = pcie.copy_seconds(assembled.data.len());
+            // They also leased (and release) the corpus buffer: churn is
+            // charged either way.
             let (lease, setup) = lease_batch_buffers(
                 st.pools[dev].as_ref(),
                 &mut st.pool_charged[dev],
-                assembled.data.len() as u64,
+                corpus_bytes,
                 None,
                 clock_hz,
             )?;
@@ -993,8 +1072,7 @@ fn dispatch_gpu_batch(
                 stream,
                 StreamOpKind::CopyH2D,
                 &format!("{label}-failed"),
-                h2d,
-                pcie.bus_bytes(assembled.data.len() as u64),
+                corpus_bytes,
                 dispatch + setup,
             );
             drop(lease);
@@ -1009,6 +1087,8 @@ fn dispatch_gpu_batch(
             }
             let failed_at = st.engines[dev].stream_ready(stream);
             st.breakers[dev].record_failure(failed_at, &err.to_string());
+            // The batch is admitted work: it fails over to the CPU ladder
+            // rather than being dropped.
             st.cpu_free = run_cpu_batch(
                 matcher,
                 dcfg,
@@ -1042,7 +1122,7 @@ fn run_routed<'a>(
     matcher_for: &dyn Fn(usize) -> &'a GpuAcMatcher,
 ) -> Result<
     (
-        Vec<crate::queue::Overloaded>,
+        Vec<Overloaded>,
         Vec<JobExpiry>,
         Vec<TierCounts>,
         Vec<CostModelSnapshot>,
@@ -1229,8 +1309,8 @@ fn run_routed<'a>(
             Some((d, _)) => st.breakers[d].state(),
             None => st.worst_breaker_state(),
         };
+        st.tag_device(gpu_arm.map(|(d, _)| d));
         if let Some(t) = st.tel.as_mut() {
-            t.set_device(gpu_arm.map(|(d, _)| d as u32));
             t.tick(dispatch, queued_total, max_jobs_now, tick_state);
         }
 
@@ -1353,8 +1433,8 @@ fn scatter_job<'a>(
     st.batches += 1;
     st.payload_bytes += job.payload.len() as u64;
     *st.histogram.entry(1).or_insert(0) += 1;
+    st.tag_device(None);
     if let Some(t) = st.tel.as_mut() {
-        t.set_device(None);
         t.batch_formed(&label_base, std::slice::from_ref(&job), dispatch, "scatter");
     }
 
@@ -1409,13 +1489,10 @@ fn scatter_job<'a>(
         if let Some(p) = st.pendings[d][stream as usize].take() {
             st.flush_pending(d, streams_per_device, p);
         }
-        if let Some(t) = st.tel.as_mut() {
-            t.set_device(Some(d as u32));
-        }
+        st.tag_device(Some(d));
         let label = format!("{label_base}-d{d}");
         let bytes = seg.scan_end - seg.scan_start;
         let penalty = sup.report.penalty_cycles(dcfg.supervise.watchdog_cycles) as f64 / clock_hz;
-        let pcie = dcfg.effective_pcie();
         let rb_bytes = readback_bytes(sup.run.match_events);
         let (lease, setup) = lease_batch_buffers(
             st.pools[d].as_ref(),
@@ -1429,8 +1506,7 @@ fn scatter_job<'a>(
             stream,
             StreamOpKind::CopyH2D,
             &label,
-            pcie.copy_seconds(bytes),
-            pcie.bus_bytes(bytes as u64),
+            bytes as u64,
             dispatch + setup,
         );
         st.engines[d].submit(
@@ -1442,15 +1518,7 @@ fn scatter_job<'a>(
         );
         // Scatter readbacks are not staged: the job is latency-bound on
         // its slowest segment, so the `d2h` goes straight onto the bus.
-        st.submit_copy(
-            d,
-            stream,
-            StreamOpKind::CopyD2H,
-            &label,
-            pcie.copy_seconds(rb_bytes as usize),
-            pcie.bus_bytes(rb_bytes),
-            0.0,
-        );
+        st.submit_copy(d, stream, StreamOpKind::CopyD2H, &label, rb_bytes, 0.0);
         drop(lease);
         let done = st.engines[d].stream_ready(stream);
         st.breakers[d].record_success(done);
@@ -1475,13 +1543,206 @@ fn scatter_job<'a>(
     if !segments.is_empty() {
         st.per_dev_jobs[segments[0].device as usize] += 1;
     }
+    st.tag_device(None);
     if let Some(t) = st.tel.as_mut() {
-        t.set_device(None);
         t.job_completed(&job, &outcome, dispatch, 0);
     }
     st.outcomes.push(outcome);
     st.scattered_jobs += 1;
     Ok(())
+}
+
+/// Ask the admission controller about an arrival; `Some` = turned away.
+fn shed(slo: &mut Option<AdmissionController>, job: &ScanJob) -> Option<SheddedJob> {
+    slo.as_mut()
+        .and_then(|c| c.admit(job.id, job.priority, job.arrival_seconds))
+}
+
+fn tally(rep: &SuperviseReport, gpu_retries: &mut u64, faults_fired: &mut u64) {
+    *gpu_retries += rep.retries as u64;
+    *faults_fired += rep.faults.len() as u64;
+}
+
+/// Run one batch on the CPU ladder: matches from
+/// [`integration::cpu_ladder_scan`] (parallel rung, serial-oracle floor),
+/// wall time from the multicore model on a fixed core count. Outcomes are
+/// recorded immediately — the CPU tier has no deferred readback. Returns
+/// the completion time (the executor's next free instant).
+#[allow(clippy::too_many_arguments)]
+fn run_cpu_batch(
+    matcher: &GpuAcMatcher,
+    cfg: &ServeConfig,
+    assembled: &AssembledBatch,
+    batch: Vec<ScanJob>,
+    start: f64,
+    outcomes: &mut Vec<JobOutcome>,
+    slo: &mut Option<AdmissionController>,
+    tel: &mut Option<ServeTelemetry>,
+    gpu_retries: u64,
+) -> f64 {
+    let ac = matcher.automaton();
+    let ladder = cpu_ladder_scan(ac, &assembled.data, &cfg.parallel);
+    let per_job = demux_matches(&ladder.matches, &assembled.spans);
+    let timing = simulate_multicore(
+        &cfg.cpu,
+        ac.stt(),
+        &assembled.data,
+        cfg.cpu_cores.max(1),
+        ac.required_overlap(),
+    );
+    let done = start + timing.seconds(&cfg.cpu);
+    record_outcomes(
+        done,
+        ServedBy::CpuLadder,
+        0,
+        batch,
+        per_job,
+        start,
+        gpu_retries,
+        outcomes,
+        slo,
+        tel,
+    );
+    done
+}
+
+/// A batch whose kernel has been issued but whose readback is held only
+/// while its kernel is still running at the next dispatch (staged issue,
+/// see module docs). Each device holds one slot per stream.
+struct PendingReadback {
+    stream: u32,
+    label: String,
+    /// Logical readback bytes (the `d2h` is priced and recorded at this
+    /// size; the bus arbiter derives its own traffic from it).
+    rb_bytes: u64,
+    batch: Vec<ScanJob>,
+    per_job: Vec<Vec<Match>>,
+    /// When the batch was dispatched (host bookkeeping for the service
+    /// span; never fed back into timing).
+    dispatch_seconds: f64,
+    /// Supervised retries the batch absorbed.
+    retries: u64,
+    /// The batch's pooled device buffers, held only to keep the blocks
+    /// leased; dropping the readback returns them to the pool.
+    _lease: Option<BatchLease>,
+}
+
+/// Take every held readback whose kernel has finished by `now`
+/// (`stream_ready <= now`; `f64::INFINITY` takes them all, the drain),
+/// ordered by kernel completion with ties broken by (device, stream).
+/// `pendings[d][s]` is device `d`'s held readback for stream `s`, and
+/// `engines[d]` the device's stream engine. This is the one place the
+/// staged-issue rule lives: both loops, the scatter path and the drain
+/// flush exactly what this returns, in this order.
+fn take_ready_readbacks(
+    engines: &[StreamEngine],
+    pendings: &mut [Vec<Option<PendingReadback>>],
+    now: f64,
+) -> Vec<(usize, PendingReadback)> {
+    let mut ready = Vec::new();
+    for (d, (engine, held)) in engines.iter().zip(pendings.iter_mut()).enumerate() {
+        for slot in held.iter_mut() {
+            if slot
+                .as_ref()
+                .is_some_and(|p| engine.stream_ready(p.stream) <= now)
+            {
+                ready.extend(slot.take().map(|p| (d, p)));
+            }
+        }
+    }
+    // Stable: equal completion times keep (device, stream) order.
+    ready.sort_by(|a, b| {
+        let ra = engines[a.0].stream_ready(a.1.stream);
+        let rb = engines[b.0].stream_ready(b.1.stream);
+        ra.partial_cmp(&rb).expect("sim times are finite")
+    });
+    ready
+}
+
+/// One GPU batch's pooled device buffers (corpus in, results out),
+/// released back to the pool when the batch's readback flushes.
+#[derive(Debug)]
+struct BatchLease {
+    _corpus: PooledBuffer,
+    _result: Option<PooledBuffer>,
+}
+
+/// Lease a batch's device buffers from the pool (when armed) and convert
+/// every driver cycle accumulated since the last lease — frees from
+/// handles released in between, plus these acquires — into seconds of
+/// upload setup delay. Pool hits charge nothing, which is the whole
+/// steady-state argument the bench rows measure.
+fn lease_batch_buffers(
+    pool: Option<&DevicePool>,
+    charged_cycles: &mut u64,
+    corpus_bytes: u64,
+    result_bytes: Option<u64>,
+    clock_hz: f64,
+) -> Result<(Option<BatchLease>, f64), GpuError> {
+    let Some(pool) = pool else {
+        return Ok((None, 0.0));
+    };
+    let corpus = pool.acquire(corpus_bytes.max(1))?;
+    let result = match result_bytes {
+        Some(b) => Some(pool.acquire(b.max(1))?),
+        None => None,
+    };
+    let total = pool.host_cycles();
+    let setup = total.saturating_sub(*charged_cycles) as f64 / clock_hz;
+    *charged_cycles = total;
+    Ok((
+        Some(BatchLease {
+            _corpus: corpus,
+            _result: result,
+        }),
+        setup,
+    ))
+}
+
+/// Record the per-job outcomes of a batch completed at `done` by the
+/// given tier (on the fleet-global stream for a GPU batch, 0 for the CPU
+/// ladder).
+#[allow(clippy::too_many_arguments)]
+fn record_outcomes(
+    done: f64,
+    served_by: ServedBy,
+    stream: u32,
+    batch: Vec<ScanJob>,
+    per_job: Vec<Vec<Match>>,
+    dispatch_seconds: f64,
+    retries: u64,
+    outcomes: &mut Vec<JobOutcome>,
+    slo: &mut Option<AdmissionController>,
+    tel: &mut Option<ServeTelemetry>,
+) {
+    let batch_jobs = batch.len();
+    for (job, matches) in batch.into_iter().zip(per_job) {
+        let latency = done - job.arrival_seconds;
+        if let Some(c) = slo.as_mut() {
+            c.observe(latency);
+        }
+        let outcome = JobOutcome {
+            id: job.id,
+            matches,
+            completed_seconds: done,
+            latency_seconds: latency,
+            batch_jobs,
+            stream,
+            served_by,
+        };
+        if let Some(t) = tel.as_mut() {
+            t.job_completed(&job, &outcome, dispatch_seconds, retries);
+        }
+        outcomes.push(outcome);
+    }
+}
+
+fn rate(amount: f64, seconds: f64) -> f64 {
+    if seconds <= 0.0 {
+        0.0
+    } else {
+        amount / seconds
+    }
 }
 
 #[cfg(test)]
@@ -1573,46 +1834,6 @@ mod tests {
     }
 
     #[test]
-    fn parity_fleet_of_one_matches_serve_exactly() {
-        let m = matcher();
-        let jobs = workload(48);
-        let scfg = ServeConfig::new(2);
-        let single = serve(&m, jobs.clone(), &scfg).unwrap();
-        let fleet = serve_fleet(&m, jobs, &FleetConfig::new(1, scfg).parity()).unwrap();
-        assert_eq!(fleet.report.devices, 1);
-        assert_eq!(fleet.serve.report, single.report);
-        assert_eq!(fleet.serve.outcomes.len(), single.outcomes.len());
-        for (a, b) in fleet.serve.outcomes.iter().zip(&single.outcomes) {
-            assert_eq!(a.id, b.id);
-            assert_eq!(a.matches, b.matches);
-            assert_eq!(a.completed_seconds, b.completed_seconds);
-            assert_eq!(a.stream, b.stream);
-        }
-        assert_eq!(fleet.serve.timeline, single.timeline);
-        assert!(fleet.report.routing.is_empty());
-        assert!(fleet.report.cost_models.is_empty());
-    }
-
-    #[test]
-    fn pooled_parity_fleet_of_one_matches_pooled_serve() {
-        // The parity contract survives arming the device pool: a pinned
-        // pool leases the same buffer sequence on both paths, so the
-        // reports — pool stats included — stay identical.
-        let m = matcher();
-        let jobs = workload(48);
-        let scfg =
-            ServeConfig::new(2).with_pool(crate::ServePoolConfig::pooled(DEFAULT_POOL_CAPACITY));
-        let single = serve(&m, jobs.clone(), &scfg).unwrap();
-        let fleet = serve_fleet(&m, jobs, &FleetConfig::new(1, scfg).parity()).unwrap();
-        assert_eq!(fleet.serve.report, single.report);
-        assert!(fleet.serve.report.pool.is_some());
-        for (a, b) in fleet.serve.outcomes.iter().zip(&single.outcomes) {
-            assert_eq!(a.id, b.id);
-            assert_eq!(a.completed_seconds, b.completed_seconds);
-        }
-    }
-
-    #[test]
     fn pooled_fleet_merges_per_device_stats_and_stays_correct() {
         let m = matcher();
         let jobs = workload(64);
@@ -1639,6 +1860,67 @@ mod tests {
             let mut got = out.matches.clone();
             got.sort();
             assert_eq!(got, expect, "job {}", job.id);
+        }
+    }
+
+    #[test]
+    fn copy_ops_record_logical_bytes_and_the_bus_carries_the_staging() {
+        // Pageable staging doubles a copy's traffic on the shared host bus,
+        // but the stream op itself moves, and is priced on, the logical
+        // bytes.
+        let m = matcher();
+        let dev =
+            ServeConfig::new(1).with_pool(crate::ServePoolConfig::churn(DEFAULT_POOL_CAPACITY));
+        let pcie = dev.effective_pcie();
+        let fleet = serve_fleet(&m, workload(32), &FleetConfig::new(2, dev).parity()).unwrap();
+        let copies: Vec<_> = fleet
+            .timelines
+            .iter()
+            .flat_map(|t| &t.ops)
+            .filter(|op| op.kind != StreamOpKind::Kernel)
+            .collect();
+        assert!(!copies.is_empty());
+        for op in &copies {
+            let priced = pcie.copy_seconds(op.bytes as usize);
+            assert!(
+                (op.seconds() - priced).abs() <= 1e-9 * priced,
+                "{:?} {} records {} bytes but took {}s, not {priced}s",
+                op.kind,
+                op.label,
+                op.bytes,
+                op.seconds()
+            );
+        }
+        let logical: u64 = copies.iter().map(|op| op.bytes).sum();
+        assert_eq!(fleet.report.bus.bytes, 2 * logical);
+    }
+
+    #[test]
+    fn non_finite_arrivals_are_a_typed_error() {
+        let m = matcher();
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut jobs = workload(4);
+            jobs[2].arrival_seconds = bad;
+            let results = [
+                (
+                    "serve",
+                    serve(&m, jobs.clone(), &ServeConfig::new(1)).map(|_| ()),
+                ),
+                (
+                    "routed",
+                    serve_fleet(&m, jobs, &FleetConfig::new(2, ServeConfig::new(1))).map(|_| ()),
+                ),
+            ];
+            for (name, result) in results {
+                match result {
+                    Err(GpuError::InvalidParams(msg)) => {
+                        assert!(msg.contains("job 2"), "{name}: {msg}")
+                    }
+                    other => {
+                        panic!("{name} with arrival {bad}: expected InvalidParams, got {other:?}")
+                    }
+                }
+            }
         }
     }
 

@@ -10,7 +10,8 @@
 //!   launch by concatenating payloads with `required_overlap()`-byte
 //!   padding gaps (so no match can straddle two jobs), then demux device
 //!   matches back to per-job results with offsets re-based;
-//! * **streams** ([`sim`]) — dispatch batches round-robin across N
+//! * **streams** ([`fleet`], the one serve loop behind [`serve`] and
+//!   [`serve_fleet`]) — dispatch batches across N
 //!   in-order streams on the [`gpu_sim::StreamEngine`] so one batch's
 //!   PCIe copies overlap another's kernel, subject to the GT200's single
 //!   DMA engine.

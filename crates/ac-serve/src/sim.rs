@@ -1,81 +1,35 @@
-//! The serve loop: admit → batch → dispatch on a stream → demux.
+//! The serving API: server policy ([`ServeConfig`]), device-pool policy
+//! ([`ServePoolConfig`]), and [`serve`], the single-device entry point.
 //!
-//! A greedy open-loop server: whenever a stream frees up, every job that
-//! has arrived by then is admitted (or rejected by backpressure), the
-//! queue's head run is coalesced up to the batch limits, and the batch's
-//! `h2d → kernel → d2h` chain is dispatched on that stream. Batch size
-//! therefore adapts to backlog — an idle server launches singleton
-//! batches immediately, a busy one amortises launches over whatever
-//! queued up — which is the whole p99 argument for batching.
-//!
-//! Issue order matters on a single-DMA-engine device: the copy engine is
-//! a FIFO, so enqueueing a batch's `d2h` right behind its kernel would
-//! park the engine until that kernel finishes and block the *next*
-//! batch's `h2d` (the classic GT200 false-serialisation). The loop
-//! therefore issues staged: a batch's `d2h` is held only while its kernel
-//! is still running at the next dispatch. Before every new upload,
-//! [`take_ready_readbacks`] releases each held readback whose kernel has
-//! finished by the dispatch instant, in kernel-completion order — what a
-//! host woken by kernel-end callbacks would have issued — so a finished
-//! batch never waits for the next arrival's upload, while uploads for
-//! other streams still slot in ahead of readbacks whose kernels are
-//! running and copies genuinely overlap compute. The reused stream is
-//! always among the released (its kernel ended by the time it is free),
-//! and the drain releases the rest. With one stream the flush lands
-//! immediately before the next upload, reproducing the strictly serial
-//! order.
-//!
-//! # Resilience
-//!
-//! Every batch executes under the PR-1 supervisor ([`run_supervised`]):
-//! transient launch failures and corrupted readbacks are retried with
-//! deterministic backoff, hung kernels are watchdog-killed, and the
-//! retry cost ([`SuperviseReport::penalty_cycles`]) is charged to the
-//! stream's simulated clock so faults are never free. A batch that
-//! exhausts its retry budget is *not* lost: it fails over to the CPU
-//! ladder ([`integration::cpu_ladder_scan`] — parallel CPU, then the
-//! serial oracle) on a separate simulated CPU clock, and feeds the
-//! per-GPU-tier [`CircuitBreaker`]. While the breaker is open,
-//! subsequent batches skip the GPU entirely and run on the CPU tier
-//! until a cooldown elapses and half-open probes re-earn trust.
-//!
-//! Admitted jobs whose deadline passes while still queued are expired
-//! with a typed [`JobExpiry`] — an answer distinct from backpressure
-//! ([`crate::Overloaded`]) — instead of wasting a batch slot. When an
-//! SLO target is configured ([`SloConfig`]), an [`AdmissionController`]
-//! tracks sliding-window p99 against it, sheds the lowest-priority
-//! arrivals while over target, and grows the batcher's window to drain
-//! the backlog faster.
-//!
-//! With no faults armed, no deadlines, and no SLO config, every one of
-//! these paths is quiescent and the schedule is bit-identical to the
-//! plain batched server.
+//! [`serve`] *is* the one-device parity fleet: it calls
+//! [`crate::serve_fleet`] with one device and routing off, so there is
+//! exactly one admit → batch → dispatch → staged-readback loop in the
+//! crate, and it lives in [`crate::fleet`]. The module docs there describe
+//! it: the staged readback issue that keeps one DMA engine from
+//! false-serialising uploads behind running kernels, supervised execution
+//! with CPU-ladder failover behind a circuit breaker, deadline expiry, and
+//! SLO admission control.
 
-use crate::batch::{assemble_batch, demux_matches, AssembledBatch, BatchLimits};
-use crate::breaker::{BreakerConfig, BreakerTransition, CircuitBreaker, Route};
-use crate::job::{JobExpiry, JobOutcome, ScanJob, ServedBy};
-use crate::queue::{BoundedQueue, Overloaded};
-use crate::report::{percentile, BatchBucket, PoolStatsReport, ServeReport};
-use crate::slo::{AdmissionController, SheddedJob, SloConfig};
-use crate::telemetry::{ServeTelemetry, TelemetryConfig, TelemetryRun};
+use crate::batch::BatchLimits;
+use crate::breaker::{BreakerConfig, BreakerTransition};
+use crate::fleet::{serve_fleet, FleetConfig};
+use crate::job::{JobExpiry, JobOutcome, ScanJob};
+use crate::queue::Overloaded;
+use crate::report::ServeReport;
+use crate::slo::{SheddedJob, SloConfig};
+use crate::telemetry::{TelemetryConfig, TelemetryRun};
 use ac_cpu::ParallelConfig;
-use ac_gpu::multistream::readback_bytes;
-use ac_gpu::supervise::SuperviseReport;
-use ac_gpu::{
-    run_supervised, Approach, DevicePool, DevicePoolConfig, GpuAcMatcher, GpuError, PcieConfig,
-    PooledBuffer, SuperviseConfig,
-};
-use cpu_sim::{simulate_multicore, CpuConfig};
-use gpu_sim::{EngineKind, HostMemory, StreamEngine, StreamOpKind, StreamTimeline};
-use integration::cpu_ladder_scan;
-use std::collections::BTreeMap;
+use ac_gpu::{Approach, DevicePoolConfig, GpuAcMatcher, GpuError, PcieConfig, SuperviseConfig};
+use cpu_sim::CpuConfig;
+use gpu_sim::{HostMemory, StreamTimeline};
 
 /// Device-memory pool policy for the serving path.
 ///
 /// Armed (`ServeConfig::pool = Some(..)`), every GPU batch leases its
-/// corpus and result buffers from a per-device [`DevicePool`] instead of
-/// the legacy untracked scratch space, and the allocator's driver cycles
-/// (misses and churn frees — hits are free) delay that batch's upload.
+/// corpus and result buffers from a per-device [`ac_gpu::DevicePool`]
+/// instead of the legacy untracked scratch space, and the allocator's
+/// driver cycles (misses and churn frees — hits are free) delay that
+/// batch's upload.
 /// `pinned_host` additionally selects the host-memory model: pinned pages
 /// transfer at full link speed, pageable ones pay a staging copy at
 /// reduced bandwidth ([`HostMemory`]). Disarmed (`None`) the serve loop
@@ -116,7 +70,7 @@ impl ServePoolConfig {
         }
     }
 
-    /// The underlying [`DevicePool`] configuration.
+    /// The underlying [`ac_gpu::DevicePool`] configuration.
     pub fn device_pool_config(&self) -> DevicePoolConfig {
         if self.reuse {
             DevicePoolConfig::new(self.capacity_bytes)
@@ -245,611 +199,28 @@ pub struct ServeRun {
     pub telemetry: Option<TelemetryRun>,
 }
 
-/// Serve `jobs` (an open-loop arrival sequence) through `matcher`.
+/// Serve `jobs` (an open-loop arrival sequence) through `matcher` on one
+/// device: the parity fleet of one ([`serve_fleet`] with routing off).
+///
+/// # Errors
+/// An invalid link model, a non-finite arrival time, or a device pool too
+/// small for a batch ([`GpuError`]).
 pub fn serve(
     matcher: &GpuAcMatcher,
-    mut jobs: Vec<ScanJob>,
+    jobs: Vec<ScanJob>,
     cfg: &ServeConfig,
 ) -> Result<ServeRun, GpuError> {
-    let pcie = cfg.effective_pcie();
-    pcie.validate()?;
-    jobs.sort_by(|a, b| {
-        a.arrival_seconds
-            .partial_cmp(&b.arrival_seconds)
-            .expect("arrival times are finite")
-            .then(a.id.cmp(&b.id))
-    });
-    let submitted = jobs.len() as u64;
-    let gap = matcher.automaton().required_overlap();
-    let base_max_jobs = cfg.limits.max_jobs.max(1);
-    let clock_hz = matcher.config().clock_hz;
-
-    let mut engine = StreamEngine::new(cfg.streams);
-    let mut queue = BoundedQueue::new(cfg.queue_capacity);
-    let mut breaker = CircuitBreaker::new(cfg.breaker);
-    // Armed pool: per-batch corpus/result buffers lease from here, and
-    // the allocator's driver cycles delay the leasing batch's upload.
-    let pool = cfg.pool.map(|p| DevicePool::new(p.device_pool_config()));
-    let mut pool_charged = 0u64;
-    let mut slo = cfg.slo.map(|s| AdmissionController::new(s, base_max_jobs));
-    // The telemetry recorder only ever *reads* values the loop already
-    // computed; disarmed (`None`) the loop is bit-identical.
-    let mut tel = cfg.telemetry.map(|t| ServeTelemetry::new(t, clock_hz));
-    let mut outcomes: Vec<JobOutcome> = Vec::with_capacity(jobs.len());
-    let mut rejections = Vec::new();
-    let mut expiries: Vec<JobExpiry> = Vec::new();
-    let mut histogram: BTreeMap<usize, u64> = BTreeMap::new();
-    let mut batches = 0u64;
-    let mut payload_bytes = 0u64;
-    let mut next = 0usize;
-    let mut pending: Vec<Option<PendingReadback>> = (0..cfg.streams.max(1)).map(|_| None).collect();
-    // The CPU failover executor's own in-order clock: failover batches
-    // queue behind each other here, not on a GPU stream.
-    let mut cpu_free = 0.0f64;
-    let mut gpu_retries = 0u64;
-    let mut cpu_fallback_batches = 0u64;
-    let mut faults_fired = 0u64;
-
-    loop {
-        if queue.is_empty() {
-            if next >= jobs.len() {
-                break;
-            }
-            let job = jobs[next].clone();
-            next += 1;
-            if let Some(s) = shed(&mut slo, &job) {
-                if let Some(t) = tel.as_mut() {
-                    t.job_shed(&s);
-                }
-                continue;
-            }
-            queue.push(job).expect("empty queue admits one job");
-        }
-        let (stream, gpu_free) = engine.next_free_stream();
-        let head = queue.head_arrival().expect("queue is non-empty");
-        let gpu_dispatch = gpu_free.max(head);
-        let route = breaker.route_at(gpu_dispatch);
-        let dispatch = match route {
-            Route::Gpu => gpu_dispatch,
-            Route::Cpu => cpu_free.max(head),
-        };
-        // Before the new upload, every readback whose kernel has finished
-        // goes first — the reused stream's included, since it is free by
-        // `dispatch` — so the upload queues behind them on the copy engine.
-        if route == Route::Gpu {
-            for (_, p) in take_ready_readbacks(
-                std::slice::from_ref(&engine),
-                std::slice::from_mut(&mut pending),
-                dispatch,
-            ) {
-                flush_readback(&mut engine, &mut outcomes, &mut slo, &mut tel, p);
-            }
-            debug_assert!(pending[stream as usize].is_none());
-        }
-        // Everything that arrived while the tier was busy is admitted
-        // now (shed under SLO pressure, or bounced off the full queue
-        // with a drain-rate retry hint).
-        let drain_rate = if dispatch > 0.0 {
-            outcomes.len() as f64 / dispatch
-        } else {
-            0.0
-        };
-        while next < jobs.len() && jobs[next].arrival_seconds <= dispatch {
-            let job = jobs[next].clone();
-            next += 1;
-            if let Some(s) = shed(&mut slo, &job) {
-                if let Some(t) = tel.as_mut() {
-                    t.job_shed(&s);
-                }
-                continue;
-            }
-            let (priority, arrival) = (job.priority, job.arrival_seconds);
-            if let Err(mut e) = queue.push(job) {
-                if drain_rate > 0.0 {
-                    e.retry_after_us = e.capacity as f64 / drain_rate * 1.0e6;
-                }
-                if let Some(t) = tel.as_mut() {
-                    t.job_rejected(&e, priority, arrival);
-                }
-                rejections.push(e);
-            }
-        }
-        // Overdue jobs get a typed expiry instead of a batch slot. Any
-        // expiry may have changed the head, so re-plan from the top.
-        let newly_expired = queue.expire_overdue(dispatch);
-        if !newly_expired.is_empty() {
-            if let Some(t) = tel.as_mut() {
-                for e in &newly_expired {
-                    t.job_expired(e);
-                }
-            }
-            expiries.extend(newly_expired);
-            continue;
-        }
-
-        // Coalesce the backlog head into one launch. Under SLO pressure
-        // the controller widens the window beyond the configured base.
-        let max_jobs_now = slo
-            .as_ref()
-            .map(|c| c.batch_jobs())
-            .unwrap_or(base_max_jobs);
-        if let Some(t) = tel.as_mut() {
-            t.tick(dispatch, queue.len(), max_jobs_now, breaker.state());
-        }
-        let mut batch = vec![queue.pop().expect("queue is non-empty")];
-        let mut batch_bytes = batch[0].payload.len();
-        while batch.len() < max_jobs_now {
-            match queue.head_payload_len() {
-                Some(len) if batch_bytes + len <= cfg.limits.max_bytes => {
-                    batch_bytes += len;
-                    batch.push(queue.pop().expect("head exists"));
-                }
-                _ => break,
-            }
-        }
-
-        let assembled = assemble_batch(&batch, gap);
-        let label = format!("batch{batches}");
-        batches += 1;
-        payload_bytes += batch_bytes as u64;
-        *histogram.entry(batch.len()).or_insert(0) += 1;
-        if let Some(t) = tel.as_mut() {
-            let route_label = match route {
-                Route::Gpu => "gpu",
-                Route::Cpu => "cpu",
-            };
-            t.batch_formed(&label, &batch, dispatch, route_label);
-        }
-
-        match route {
-            Route::Cpu => {
-                cpu_free = run_cpu_batch(
-                    matcher,
-                    cfg,
-                    &assembled,
-                    batch,
-                    dispatch,
-                    &mut outcomes,
-                    &mut slo,
-                    &mut tel,
-                    0,
-                );
-                cpu_fallback_batches += 1;
-            }
-            Route::Gpu => {
-                match run_supervised(matcher, &assembled.data, cfg.approach, &cfg.supervise) {
-                    Ok(sup) => {
-                        tally(&sup.report, &mut gpu_retries, &mut faults_fired);
-                        let penalty = sup.report.penalty_cycles(cfg.supervise.watchdog_cycles)
-                            as f64
-                            / clock_hz;
-                        let per_job = demux_matches(&sup.run.matches, &assembled.spans);
-                        let h2d = pcie.copy_seconds(assembled.data.len());
-                        let rb_bytes = readback_bytes(sup.run.match_events);
-                        let d2h = pcie.copy_seconds(rb_bytes as usize);
-                        let (lease, setup) = lease_batch_buffers(
-                            pool.as_ref(),
-                            &mut pool_charged,
-                            assembled.data.len() as u64,
-                            Some(rb_bytes),
-                            clock_hz,
-                        )?;
-                        engine.submit_at(
-                            stream,
-                            StreamOpKind::CopyH2D,
-                            &label,
-                            h2d,
-                            assembled.data.len() as u64,
-                            dispatch + setup,
-                        );
-                        // Retry penalty (backoff + watchdog-burned budgets)
-                        // is charged to the stream: faults cost real time.
-                        engine.submit(
-                            stream,
-                            StreamOpKind::Kernel,
-                            &label,
-                            sup.run.seconds() + penalty,
-                            0,
-                        );
-                        breaker.record_success(engine.stream_ready(stream));
-                        pending[stream as usize] = Some(PendingReadback {
-                            stream,
-                            label,
-                            d2h_seconds: d2h,
-                            rb_bytes,
-                            bus_rb_bytes: pcie.bus_bytes(rb_bytes),
-                            batch,
-                            per_job,
-                            dispatch_seconds: dispatch,
-                            retries: sup.report.retries as u64,
-                            _lease: lease,
-                        });
-                    }
-                    Err((err, rep)) => {
-                        tally(&rep, &mut gpu_retries, &mut faults_fired);
-                        // The failed attempts still burned stream time: the
-                        // upload happened, and backoff/watchdog budgets
-                        // elapsed before the supervisor gave up.
-                        let penalty =
-                            rep.penalty_cycles(cfg.supervise.watchdog_cycles) as f64 / clock_hz;
-                        let h2d = pcie.copy_seconds(assembled.data.len());
-                        // The failed attempts still leased (and release)
-                        // the corpus buffer: churn is charged either way.
-                        let (lease, setup) = lease_batch_buffers(
-                            pool.as_ref(),
-                            &mut pool_charged,
-                            assembled.data.len() as u64,
-                            None,
-                            clock_hz,
-                        )?;
-                        engine.submit_at(
-                            stream,
-                            StreamOpKind::CopyH2D,
-                            &format!("{label}-failed"),
-                            h2d,
-                            assembled.data.len() as u64,
-                            dispatch + setup,
-                        );
-                        drop(lease);
-                        if penalty > 0.0 {
-                            engine.submit(
-                                stream,
-                                StreamOpKind::Kernel,
-                                &format!("{label}-failed"),
-                                penalty,
-                                0,
-                            );
-                        }
-                        let failed_at = engine.stream_ready(stream);
-                        breaker.record_failure(failed_at, &err.to_string());
-                        // The batch is admitted work: it fails over to the
-                        // CPU ladder rather than being dropped.
-                        cpu_free = run_cpu_batch(
-                            matcher,
-                            cfg,
-                            &assembled,
-                            batch,
-                            cpu_free.max(failed_at),
-                            &mut outcomes,
-                            &mut slo,
-                            &mut tel,
-                            rep.retries as u64,
-                        );
-                        cpu_fallback_batches += 1;
-                    }
-                }
-            }
-        }
-    }
-
-    // Drain: no more uploads will fill the copy-engine gaps, so flush the
-    // held readbacks in the order their kernels finish.
-    for (_, p) in take_ready_readbacks(
-        std::slice::from_ref(&engine),
-        std::slice::from_mut(&mut pending),
-        f64::INFINITY,
-    ) {
-        flush_readback(&mut engine, &mut outcomes, &mut slo, &mut tel, p);
-    }
-
-    // Pool drain: every lease was released with its batch's readback, so
-    // nothing may still be live (a leak panics here, pinned in tests).
-    let pool_report = pool.map(|p| {
-        p.drain();
-        PoolStatsReport::from_stats(p.stats())
-    });
-
-    let timeline = engine.finish();
-    // CPU-failover completions can outlast the GPU timeline.
-    let makespan = outcomes
-        .iter()
-        .fold(timeline.total_seconds(), |m, o| m.max(o.completed_seconds));
-    let latencies_us: Vec<f64> = outcomes.iter().map(|o| o.latency_seconds * 1.0e6).collect();
-    // Final telemetry flush: the drain tail's samples, the breaker's
-    // transition instants, the kept exemplars, and the stitched stream
-    // timeline.
-    let telemetry = tel.map(|mut t| {
-        let batch_window = slo
-            .as_ref()
-            .map(|c| c.batch_jobs())
-            .unwrap_or(base_max_jobs);
-        t.tick(makespan, queue.len(), batch_window, breaker.state());
-        let mut run = t.finish(breaker.transitions(), &timeline);
-        // Observer-only replay: charges the sampled traffic's cycles to
-        // the dictionary after the serve clock is final, so armed and
-        // disarmed serve outputs stay bit-identical.
-        run.attribute_pattern_costs(matcher, cfg.approach, makespan);
-        if let Some(ps) = pool_report {
-            run.record_pool_stats(&ps, makespan);
-        }
-        run
-    });
-    let sheds = slo.map(|c| c.sheds().to_vec()).unwrap_or_default();
-    let report = ServeReport {
-        streams: timeline.streams,
-        batched: base_max_jobs > 1,
-        jobs_submitted: submitted,
-        jobs_completed: outcomes.len() as u64,
-        jobs_rejected: rejections.len() as u64,
-        jobs_expired: expiries.len() as u64,
-        jobs_shed: sheds.len() as u64,
-        batches,
-        breaker_opens: breaker.opens(),
-        cpu_fallback_batches,
-        gpu_retries,
-        faults_fired,
-        makespan_seconds: makespan,
-        p50_latency_us: percentile(&latencies_us, 50.0),
-        p99_latency_us: percentile(&latencies_us, 99.0),
-        mean_latency_us: if latencies_us.is_empty() {
-            0.0
-        } else {
-            latencies_us.iter().sum::<f64>() / latencies_us.len() as f64
-        },
-        jobs_per_sec: rate(outcomes.len() as f64, makespan),
-        effective_gbps: rate(payload_bytes as f64 * 8.0 / 1.0e9, makespan),
-        payload_bytes,
-        copy_utilisation: timeline.utilisation(EngineKind::Copy),
-        compute_utilisation: timeline.utilisation(EngineKind::Compute),
-        batch_histogram: histogram
-            .into_iter()
-            .map(|(jobs, count)| BatchBucket { jobs, count })
-            .collect(),
-        pool: pool_report,
-    };
-    Ok(ServeRun {
-        report,
-        outcomes,
-        rejections,
-        expiries,
-        sheds,
-        breaker_transitions: breaker.transitions().to_vec(),
-        timeline,
-        telemetry,
-    })
-}
-
-/// Ask the admission controller about an arrival; `Some` = turned away.
-pub(crate) fn shed(slo: &mut Option<AdmissionController>, job: &ScanJob) -> Option<SheddedJob> {
-    slo.as_mut()
-        .and_then(|c| c.admit(job.id, job.priority, job.arrival_seconds))
-}
-
-pub(crate) fn tally(rep: &SuperviseReport, gpu_retries: &mut u64, faults_fired: &mut u64) {
-    *gpu_retries += rep.retries as u64;
-    *faults_fired += rep.faults.len() as u64;
-}
-
-/// Run one batch on the CPU ladder: matches from
-/// [`integration::cpu_ladder_scan`] (parallel rung, serial-oracle floor),
-/// wall time from the multicore model on a fixed core count. Outcomes are
-/// recorded immediately — the CPU tier has no deferred readback. Returns
-/// the completion time (the executor's next free instant).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run_cpu_batch(
-    matcher: &GpuAcMatcher,
-    cfg: &ServeConfig,
-    assembled: &AssembledBatch,
-    batch: Vec<ScanJob>,
-    start: f64,
-    outcomes: &mut Vec<JobOutcome>,
-    slo: &mut Option<AdmissionController>,
-    tel: &mut Option<ServeTelemetry>,
-    gpu_retries: u64,
-) -> f64 {
-    let ac = matcher.automaton();
-    let ladder = cpu_ladder_scan(ac, &assembled.data, &cfg.parallel);
-    let per_job = demux_matches(&ladder.matches, &assembled.spans);
-    let timing = simulate_multicore(
-        &cfg.cpu,
-        ac.stt(),
-        &assembled.data,
-        cfg.cpu_cores.max(1),
-        ac.required_overlap(),
-    );
-    let done = start + timing.seconds(&cfg.cpu);
-    let batch_jobs = batch.len();
-    for (job, matches) in batch.into_iter().zip(per_job) {
-        let latency = done - job.arrival_seconds;
-        if let Some(c) = slo.as_mut() {
-            c.observe(latency);
-        }
-        let outcome = JobOutcome {
-            id: job.id,
-            matches,
-            completed_seconds: done,
-            latency_seconds: latency,
-            batch_jobs,
-            stream: 0,
-            served_by: ServedBy::CpuLadder,
-        };
-        if let Some(t) = tel.as_mut() {
-            t.job_completed(&job, &outcome, start, gpu_retries);
-        }
-        outcomes.push(outcome);
-    }
-    done
-}
-
-/// A batch whose kernel has been issued but whose readback is held only
-/// while its kernel is still running at the next dispatch (staged issue,
-/// see module docs). Crate visibility: the fleet dispatcher
-/// ([`crate::fleet`]) holds the same structure per device, flushing
-/// through the shared bus arbiter.
-pub(crate) struct PendingReadback {
-    pub(crate) stream: u32,
-    pub(crate) label: String,
-    pub(crate) d2h_seconds: f64,
-    pub(crate) rb_bytes: u64,
-    /// Bytes the readback charges against the shared host bus (doubled
-    /// under pageable staging; equal to `rb_bytes` when pinned). Only the
-    /// fleet path consults this — the single-device server has no bus.
-    pub(crate) bus_rb_bytes: u64,
-    pub(crate) batch: Vec<ScanJob>,
-    pub(crate) per_job: Vec<Vec<ac_core::Match>>,
-    /// When the batch was dispatched (host bookkeeping for the service
-    /// span; never fed back into timing).
-    pub(crate) dispatch_seconds: f64,
-    /// Supervised retries the batch absorbed.
-    pub(crate) retries: u64,
-    /// The batch's pooled device buffers, held only to keep the blocks
-    /// leased; dropping the readback returns them to the pool.
-    pub(crate) _lease: Option<BatchLease>,
-}
-
-/// Take every held readback whose kernel has finished by `now`
-/// (`stream_ready <= now`; `f64::INFINITY` takes them all, the drain),
-/// ordered by kernel completion with ties broken by (device, stream).
-/// `pendings[d][s]` is device `d`'s held readback for stream `s`, and
-/// `engines[d]` the device's stream engine. This is the one place the
-/// staged-issue rule lives: the single-device server, both fleet loops
-/// and both drains flush exactly what this returns, in this order.
-pub(crate) fn take_ready_readbacks(
-    engines: &[StreamEngine],
-    pendings: &mut [Vec<Option<PendingReadback>>],
-    now: f64,
-) -> Vec<(usize, PendingReadback)> {
-    let mut ready = Vec::new();
-    for (d, (engine, held)) in engines.iter().zip(pendings.iter_mut()).enumerate() {
-        for slot in held.iter_mut() {
-            if slot
-                .as_ref()
-                .is_some_and(|p| engine.stream_ready(p.stream) <= now)
-            {
-                ready.extend(slot.take().map(|p| (d, p)));
-            }
-        }
-    }
-    // Stable: equal completion times keep (device, stream) order.
-    ready.sort_by(|a, b| {
-        let ra = engines[a.0].stream_ready(a.1.stream);
-        let rb = engines[b.0].stream_ready(b.1.stream);
-        ra.partial_cmp(&rb).expect("sim times are finite")
-    });
-    ready
-}
-
-/// One GPU batch's pooled device buffers (corpus in, results out),
-/// released back to the pool when the batch's readback flushes.
-#[derive(Debug)]
-pub(crate) struct BatchLease {
-    _corpus: PooledBuffer,
-    _result: Option<PooledBuffer>,
-}
-
-/// Lease a batch's device buffers from the pool (when armed) and convert
-/// every driver cycle accumulated since the last lease — frees from
-/// handles released in between, plus these acquires — into seconds of
-/// upload setup delay. Pool hits charge nothing, which is the whole
-/// steady-state argument the bench rows measure.
-pub(crate) fn lease_batch_buffers(
-    pool: Option<&DevicePool>,
-    charged_cycles: &mut u64,
-    corpus_bytes: u64,
-    result_bytes: Option<u64>,
-    clock_hz: f64,
-) -> Result<(Option<BatchLease>, f64), GpuError> {
-    let Some(pool) = pool else {
-        return Ok((None, 0.0));
-    };
-    let corpus = pool.acquire(corpus_bytes.max(1))?;
-    let result = match result_bytes {
-        Some(b) => Some(pool.acquire(b.max(1))?),
-        None => None,
-    };
-    let total = pool.host_cycles();
-    let setup = total.saturating_sub(*charged_cycles) as f64 / clock_hz;
-    *charged_cycles = total;
-    Ok((
-        Some(BatchLease {
-            _corpus: corpus,
-            _result: result,
-        }),
-        setup,
-    ))
-}
-
-/// Enqueue the held `d2h` and record its jobs' outcomes.
-pub(crate) fn flush_readback(
-    engine: &mut StreamEngine,
-    outcomes: &mut Vec<JobOutcome>,
-    slo: &mut Option<AdmissionController>,
-    tel: &mut Option<ServeTelemetry>,
-    p: PendingReadback,
-) {
-    engine.submit(
-        p.stream,
-        StreamOpKind::CopyD2H,
-        &p.label,
-        p.d2h_seconds,
-        p.rb_bytes,
-    );
-    let done = engine.stream_ready(p.stream);
-    record_gpu_outcomes(
-        done,
-        p.stream,
-        p.batch,
-        p.per_job,
-        p.dispatch_seconds,
-        p.retries,
-        outcomes,
-        slo,
-        tel,
-    );
-}
-
-/// Record the per-job outcomes of a completed GPU batch. Split out of
-/// [`flush_readback`] so the fleet path can reuse it with a device-global
-/// stream id after submitting the `d2h` through the bus arbiter.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn record_gpu_outcomes(
-    done: f64,
-    stream: u32,
-    batch: Vec<ScanJob>,
-    per_job: Vec<Vec<ac_core::Match>>,
-    dispatch_seconds: f64,
-    retries: u64,
-    outcomes: &mut Vec<JobOutcome>,
-    slo: &mut Option<AdmissionController>,
-    tel: &mut Option<ServeTelemetry>,
-) {
-    let batch_jobs = batch.len();
-    for (job, matches) in batch.into_iter().zip(per_job) {
-        let latency = done - job.arrival_seconds;
-        if let Some(c) = slo.as_mut() {
-            c.observe(latency);
-        }
-        let outcome = JobOutcome {
-            id: job.id,
-            matches,
-            completed_seconds: done,
-            latency_seconds: latency,
-            batch_jobs,
-            stream,
-            served_by: ServedBy::Gpu,
-        };
-        if let Some(t) = tel.as_mut() {
-            t.job_completed(&job, &outcome, dispatch_seconds, retries);
-        }
-        outcomes.push(outcome);
-    }
-}
-
-pub(crate) fn rate(amount: f64, seconds: f64) -> f64 {
-    if seconds <= 0.0 {
-        0.0
-    } else {
-        amount / seconds
-    }
+    serve_fleet(matcher, jobs, &FleetConfig::new(1, *cfg).parity()).map(|r| r.serve)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::job::ServedBy;
     use crate::workload::{synthetic_workload, WorkloadConfig};
     use ac_core::{AcAutomaton, PatternSet};
     use ac_gpu::KernelParams;
-    use gpu_sim::{FaultPlan, GpuConfig};
+    use gpu_sim::{FaultPlan, GpuConfig, StreamOpKind};
 
     fn matcher() -> GpuAcMatcher {
         let cfg = GpuConfig::gtx285();

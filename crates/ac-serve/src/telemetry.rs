@@ -1,7 +1,8 @@
 //! End-to-end serving telemetry: per-job span timelines, a live metrics
 //! registry, and an SLO flight recorder.
 //!
-//! The serve loop ([`crate::sim::serve`]) is instrumented behind
+//! The serve loop ([`crate::fleet`], behind [`crate::serve`] and
+//! [`crate::serve_fleet`]) is instrumented behind
 //! `ServeConfig::telemetry: Option<TelemetryConfig>` — the same
 //! zero-cost-when-disarmed hook pattern as fault injection and kernel
 //! tracing. Disarmed, the loop performs one `Option` branch per probe
@@ -266,7 +267,7 @@ impl FlightRecorder {
     }
 }
 
-/// The in-loop recorder: owned by `serve()` while armed, folded into a
+/// The in-loop recorder: owned by the serve loop while armed, folded into a
 /// [`TelemetryRun`] at the end. Every method only *reads* values the
 /// loop already computed — telemetry never feeds back into simulated
 /// timing.
@@ -278,9 +279,9 @@ pub struct ServeTelemetry {
     registry: MetricsRegistry,
     recorder: FlightRecorder,
     payload_sample: Vec<u8>,
-    /// Fleet device context: when set, every emission carries a
-    /// `device=` arg. The single-device serve loop never sets it, so its
-    /// emissions are byte-identical to the pre-fleet recorder.
+    /// Fleet device context: when set, job and control events carry a
+    /// `device=` arg. Only a multi-device fleet sets it, so a
+    /// single-device trace has no `device=` args.
     device: Option<u32>,
 }
 
@@ -531,31 +532,20 @@ impl ServeTelemetry {
         }
     }
 
-    /// Fold the recorder into a [`TelemetryRun`]: breaker transitions
-    /// become control-plane instants, exemplars become `slo-exemplar`
-    /// spans, and the stream timeline is stitched in under its own pids.
+    /// Fold the recorder into a [`TelemetryRun`], given each device's
+    /// breaker transitions and stream timeline: transitions become
+    /// control-plane instants, exemplars become `slo-exemplar` spans, and
+    /// each device's timeline is stitched into its own pid plane
+    /// ([`gpu_sim::device_pid_base`]), so a fleet trace keeps N separable
+    /// device tracks above the shared job/control planes. Breaker instants
+    /// carry a `device=` arg only when there is more than one device.
     pub(crate) fn finish(
         mut self,
-        transitions: &[BreakerTransition],
-        timeline: &StreamTimeline,
+        per_device: &[(&[BreakerTransition], &StreamTimeline)],
     ) -> TelemetryRun {
-        self.emit_breaker_instants(transitions, None);
-        let exemplars = self.emit_exemplars();
-        timeline.append_trace(&mut self.trace, self.clock_hz);
-        self.into_run(exemplars)
-    }
-
-    /// Fleet variant of [`ServeTelemetry::finish`]: each device's breaker
-    /// transitions become control-plane instants carrying a `device=`
-    /// arg, and each device's stream timeline is stitched into its own
-    /// pid plane ([`gpu_sim::device_pid_base`]), so a fleet trace keeps N
-    /// separable device tracks above the shared job/control planes.
-    pub(crate) fn finish_fleet(
-        mut self,
-        per_device: &[(Vec<BreakerTransition>, StreamTimeline)],
-    ) -> TelemetryRun {
+        let tagged = per_device.len() > 1;
         for (d, (transitions, _)) in per_device.iter().enumerate() {
-            self.emit_breaker_instants(transitions, Some(d as u32));
+            self.emit_breaker_instants(transitions, tagged.then_some(d as u32));
         }
         let exemplars = self.emit_exemplars();
         for (d, (_, timeline)) in per_device.iter().enumerate() {
@@ -1170,7 +1160,7 @@ mod tests {
         }
         // One more in window 1 (completed at 15s, window width 10s).
         t.job_completed(&job, &outcome(9, 15.0, 0.1), 14.0, 0);
-        let run = t.finish(&[], &StreamTimeline::default());
+        let run = t.finish(&[]);
         let kept: Vec<(u64, u64)> = run.exemplars.iter().map(|e| (e.window, e.job_id)).collect();
         assert_eq!(kept, vec![(0, 2), (0, 3), (1, 9)]);
     }
@@ -1181,7 +1171,7 @@ mod tests {
         let job = ScanJob::new(7, Vec::new(), 1.0).with_priority(2);
         t.batch_formed("batch0", std::slice::from_ref(&job), 3.0, "gpu");
         t.job_completed(&job, &outcome(7, 5.0, 4.0), 3.0, 1);
-        let run = t.finish(&[], &StreamTimeline::default());
+        let run = t.finish(&[]);
         let find = |name: &str| {
             run.trace
                 .events()
@@ -1222,7 +1212,7 @@ mod tests {
                 reason: "2 probe successes".to_string(),
             },
         ];
-        let run = t.finish(&transitions, &StreamTimeline::default());
+        let run = t.finish(&[(&transitions, &StreamTimeline::default())]);
         // Round-trip through the Chrome exporter exactly as the CLI does.
         let json = run.chrome_json();
         let events = trace::parse_chrome_json(&json, 1.0).expect("parses");
@@ -1247,32 +1237,25 @@ mod tests {
         // degraded window, instead of interleaving unrelated breakers.
         let mut t = ServeTelemetry::new(cfg(), 1.0e6);
         t.tick(3.0, 0, 1, BreakerState::Closed);
-        let per_device = vec![
-            (
-                vec![
-                    BreakerTransition {
-                        at_seconds: 0.5,
-                        to: BreakerState::Open,
-                        reason: "3 consecutive batch failures".to_string(),
-                    },
-                    BreakerTransition {
-                        at_seconds: 1.5,
-                        to: BreakerState::Closed,
-                        reason: "2 probe successes".to_string(),
-                    },
-                ],
-                StreamTimeline::default(),
-            ),
-            (
-                vec![BreakerTransition {
-                    at_seconds: 2.5,
-                    to: BreakerState::Open,
-                    reason: "watchdog kill".to_string(),
-                }],
-                StreamTimeline::default(),
-            ),
+        let d0 = [
+            BreakerTransition {
+                at_seconds: 0.5,
+                to: BreakerState::Open,
+                reason: "3 consecutive batch failures".to_string(),
+            },
+            BreakerTransition {
+                at_seconds: 1.5,
+                to: BreakerState::Closed,
+                reason: "2 probe successes".to_string(),
+            },
         ];
-        let run = t.finish_fleet(&per_device);
+        let d1 = [BreakerTransition {
+            at_seconds: 2.5,
+            to: BreakerState::Open,
+            reason: "watchdog kill".to_string(),
+        }];
+        let idle = StreamTimeline::default();
+        let run = t.finish(&[(&d0, &idle), (&d1, &idle)]);
         let json = run.chrome_json();
         let events = trace::parse_chrome_json(&json, 1.0).expect("parses");
         let report = render_slo_report(&events);
@@ -1288,14 +1271,7 @@ mod tests {
         // A single-device trace keeps the flat (unsectioned) heading.
         let mut t1 = ServeTelemetry::new(cfg(), 1.0e6);
         t1.tick(1.0, 0, 1, BreakerState::Closed);
-        let single = t1.finish(
-            &[BreakerTransition {
-                at_seconds: 0.5,
-                to: BreakerState::Open,
-                reason: "x".to_string(),
-            }],
-            &StreamTimeline::default(),
-        );
+        let single = t1.finish(&[(&d0[..1], &idle)]);
         let events = trace::parse_chrome_json(&single.chrome_json(), 1.0).expect("parses");
         let flat = render_slo_report(&events);
         assert!(flat.contains("breaker timeline:\n"), "{flat}");
@@ -1309,7 +1285,7 @@ mod tests {
         // idle-server scrape cannot poison a Prometheus ingest.
         let mut t = ServeTelemetry::new(cfg(), 1.0e6);
         t.tick(3.0, 0, 1, BreakerState::Closed);
-        let run = t.finish(&[], &StreamTimeline::default());
+        let run = t.finish(&[]);
         assert!(!run.samples.is_empty());
         for s in run.samples.iter() {
             assert_eq!(s.p50_us, 0.0);
@@ -1345,8 +1321,8 @@ mod tests {
         record(&mut a);
         let mut b = ServeTelemetry::new(cfg(), 1.0e6);
         record(&mut b);
-        let run_a = a.finish(&[], &StreamTimeline::default());
-        let run_b = b.finish(&[], &StreamTimeline::default());
+        let run_a = a.finish(&[]);
+        let run_b = b.finish(&[]);
         // Priorities come out sorted regardless of completion order.
         let prios: Vec<u8> = run_a.per_priority_p99_us.iter().map(|(p, _)| *p).collect();
         assert_eq!(prios, vec![0, 1, 2]);
@@ -1362,7 +1338,7 @@ mod tests {
         let job = ScanJob::new(0, Vec::new(), 0.0).with_priority(1);
         t.job_completed(&job, &outcome(0, 1.0, 1.0), 0.5, 0);
         t.tick(1.0, 2, 4, BreakerState::Closed);
-        let run = t.finish(&[], &StreamTimeline::default());
+        let run = t.finish(&[]);
         let snap = run.metrics_snapshot(&ServeReport::default());
         assert!(snap
             .get("acsim_serve_priority_p99_us", &[("priority", "1")])

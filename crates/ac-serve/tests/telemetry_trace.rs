@@ -116,6 +116,17 @@ fn clean_run_stitches_job_spans_above_stream_ops() {
         .collect();
     assert!(!exemplars.is_empty());
     assert_eq!(exemplars.len(), tel.exemplars.len());
+
+    // A single-device run is the one-device fleet, and its trace carries
+    // no fleet device tags.
+    let tagged: Vec<&TraceEvent> = events
+        .iter()
+        .filter(|e| e.args.iter().any(|(k, _)| k == "device"))
+        .collect();
+    assert!(
+        tagged.is_empty(),
+        "device args in a serve() trace: {tagged:?}"
+    );
 }
 
 #[test]

@@ -447,49 +447,12 @@ const SERVE_PATTERNS: usize = ac_serve::DEFAULT_PATTERNS;
 /// scan jobs through the batched multi-stream server and render the
 /// [`ac_serve::ServeReport`].
 fn serve_sim_text(opts: &Options) -> Result<String, String> {
-    use ac_serve::{
-        serve, synthetic_workload, ServeConfig, SloConfig, TelemetryConfig, WorkloadConfig,
-    };
-    let cfg = device(opts.fermi);
-    let ac = ac_serve::serve_automaton(SERVE_PATTERNS, opts.serve_seed);
-    let matcher =
-        GpuAcMatcher::new(cfg, KernelParams::defaults_for(&cfg), ac).map_err(|e| e.to_string())?;
-    let workload = WorkloadConfig {
-        jobs: opts.serve_jobs,
-        arrival_rate_per_sec: opts.serve_rate,
-        job_bytes: opts.serve_job_bytes,
-        seed: opts.serve_seed,
-        deadline_us: opts.serve_deadline_us.map(|us| us as f64),
-        // SLO shedding is priority-based: give the workload two classes
-        // when a target is set so the controller has something to shed.
-        priority_classes: if opts.serve_p99_target_us.is_some() {
-            2
-        } else {
-            1
-        },
-    };
-    let mut serve_cfg = ServeConfig::new(opts.serve_streams);
-    serve_cfg.queue_capacity = opts.serve_queue_cap;
-    if opts.serve_no_batch {
-        serve_cfg = serve_cfg.per_job();
-    }
-    if let Some(target_us) = opts.serve_p99_target_us {
-        serve_cfg.slo = Some(SloConfig {
-            p99_target_seconds: target_us as f64 * 1.0e-6,
-            ..SloConfig::default()
-        });
-    }
-    serve_cfg.pool = pool_config(opts);
-    // Export flags arm end-to-end telemetry; without them the hook stays
-    // disarmed and the run is bit-identical to an unobserved one.
-    if opts.trace_out.is_some() || opts.metrics_out.is_some() {
-        serve_cfg.telemetry = Some(TelemetryConfig::default());
-    }
+    let (matcher, workload, serve_cfg) = serve_scenario(opts)?;
     if opts.serve_chaos {
         return serve_chaos_text(opts, &matcher);
     }
-    let jobs = synthetic_workload(&workload);
-    let run = serve(&matcher, jobs, &serve_cfg).map_err(|e| e.to_string())?;
+    let jobs = ac_serve::synthetic_workload(&workload);
+    let run = ac_serve::serve(&matcher, jobs, &serve_cfg).map_err(|e| e.to_string())?;
     let r = &run.report;
     let mut out = format!(
         "serve-sim: {} jobs offered at ~{}/s, {} stream(s), {}\n",
@@ -557,46 +520,13 @@ fn serve_sim_text(opts: &Options) -> Result<String, String> {
 /// fleet behind the sharded, cost-routed dispatcher and render the
 /// [`ac_serve::FleetReport`].
 fn fleet_sim_text(opts: &Options) -> Result<String, String> {
-    use ac_serve::{
-        synthetic_workload, FleetConfig, ServeConfig, SloConfig, TelemetryConfig, WorkloadConfig,
-    };
-    let cfg = device(opts.fermi);
-    let ac = ac_serve::serve_automaton(SERVE_PATTERNS, opts.serve_seed);
-    let matcher =
-        GpuAcMatcher::new(cfg, KernelParams::defaults_for(&cfg), ac).map_err(|e| e.to_string())?;
-    let workload = WorkloadConfig {
-        jobs: opts.serve_jobs,
-        arrival_rate_per_sec: opts.serve_rate,
-        job_bytes: opts.serve_job_bytes,
-        seed: opts.serve_seed,
-        deadline_us: opts.serve_deadline_us.map(|us| us as f64),
-        priority_classes: if opts.serve_p99_target_us.is_some() {
-            2
-        } else {
-            1
-        },
-    };
-    let mut dev_cfg = ServeConfig::new(opts.serve_streams);
-    dev_cfg.queue_capacity = opts.serve_queue_cap;
-    if opts.serve_no_batch {
-        dev_cfg = dev_cfg.per_job();
-    }
-    if let Some(target_us) = opts.serve_p99_target_us {
-        dev_cfg.slo = Some(SloConfig {
-            p99_target_seconds: target_us as f64 * 1.0e-6,
-            ..SloConfig::default()
-        });
-    }
-    if opts.trace_out.is_some() || opts.metrics_out.is_some() {
-        dev_cfg.telemetry = Some(TelemetryConfig::default());
-    }
-    dev_cfg.pool = pool_config(opts);
-    let mut fleet_cfg = FleetConfig::new(opts.fleet_devices, dev_cfg);
+    let (matcher, workload, dev_cfg) = serve_scenario(opts)?;
+    let mut fleet_cfg = ac_serve::FleetConfig::new(opts.fleet_devices, dev_cfg);
     if opts.fleet_no_routing {
         fleet_cfg = fleet_cfg.parity();
     }
     fleet_cfg.shard_bytes = opts.fleet_shard_bytes;
-    let jobs = synthetic_workload(&workload);
+    let jobs = ac_serve::synthetic_workload(&workload);
     let run = ac_serve::serve_fleet(&matcher, jobs, &fleet_cfg).map_err(|e| e.to_string())?;
     let f = &run.report;
     let r = &f.serve;
@@ -703,6 +633,59 @@ fn fleet_sim_text(opts: &Options) -> Result<String, String> {
     }
     write_serve_exports(opts, run.serve.telemetry.as_ref(), r, &mut out)?;
     Ok(out)
+}
+
+/// The serving scenario `serve-sim` and `fleet-sim` share: the matcher
+/// over the default serving dictionary, the workload shape, and the
+/// per-device server policy selected by the load, SLO, pool and export
+/// flags.
+fn serve_scenario(
+    opts: &Options,
+) -> Result<
+    (
+        GpuAcMatcher,
+        ac_serve::WorkloadConfig,
+        ac_serve::ServeConfig,
+    ),
+    String,
+> {
+    use ac_serve::{ServeConfig, SloConfig, TelemetryConfig, WorkloadConfig};
+    let cfg = device(opts.fermi);
+    let ac = ac_serve::serve_automaton(SERVE_PATTERNS, opts.serve_seed);
+    let matcher =
+        GpuAcMatcher::new(cfg, KernelParams::defaults_for(&cfg), ac).map_err(|e| e.to_string())?;
+    let workload = WorkloadConfig {
+        jobs: opts.serve_jobs,
+        arrival_rate_per_sec: opts.serve_rate,
+        job_bytes: opts.serve_job_bytes,
+        seed: opts.serve_seed,
+        deadline_us: opts.serve_deadline_us.map(|us| us as f64),
+        // SLO shedding is priority-based: give the workload two classes
+        // when a target is set so the controller has something to shed.
+        priority_classes: if opts.serve_p99_target_us.is_some() {
+            2
+        } else {
+            1
+        },
+    };
+    let mut serve_cfg = ServeConfig::new(opts.serve_streams);
+    serve_cfg.queue_capacity = opts.serve_queue_cap;
+    if opts.serve_no_batch {
+        serve_cfg = serve_cfg.per_job();
+    }
+    if let Some(target_us) = opts.serve_p99_target_us {
+        serve_cfg.slo = Some(SloConfig {
+            p99_target_seconds: target_us as f64 * 1.0e-6,
+            ..SloConfig::default()
+        });
+    }
+    serve_cfg.pool = pool_config(opts);
+    // Export flags arm end-to-end telemetry; without them the hook stays
+    // disarmed and the run is bit-identical to an unobserved one.
+    if opts.trace_out.is_some() || opts.metrics_out.is_some() {
+        serve_cfg.telemetry = Some(TelemetryConfig::default());
+    }
+    Ok((matcher, workload, serve_cfg))
 }
 
 /// The device-pool configuration selected by `--pool`/`--pool-churn`

@@ -437,81 +437,3 @@ fn counting_mode_timing_unaffected_by_armed_empty_plan() {
     assert_eq!(counted.stats, plain.stats);
     assert_eq!(counted.match_events, plain.match_events);
 }
-
-#[test]
-fn one_device_parity_fleet_is_bit_identical_to_serve() {
-    use ac_serve::{
-        serve, serve_fleet, synthetic_workload, FleetConfig, ServeConfig, WorkloadConfig,
-    };
-    use gpu_sim::StreamOpKind;
-
-    // The fleet dispatcher is the outermost zero-cost hook: a 1-device
-    // fleet with routing disabled replays the exact `serve()` loop — the
-    // shared-bus arbiter never delays a sole device (aggregate bandwidth
-    // covers the link, no setup charge), and the parity loop's device
-    // argmin degenerates to `next_free_stream()`. Every behavioural
-    // output must be bit-identical, including f64 schedule times — under
-    // dense arrivals (queue backs up, batches coalesce) and sparse ones
-    // (every readback is flushed as soon as its kernel has finished).
-    let matcher = {
-        let cfg = GpuConfig::gtx285();
-        let ac = ac_serve::serve_automaton(ac_serve::DEFAULT_PATTERNS, 7);
-        GpuAcMatcher::new(cfg, KernelParams::defaults_for(&cfg), ac).unwrap()
-    };
-    let dense = WorkloadConfig {
-        jobs: 64,
-        seed: 7,
-        ..WorkloadConfig::defaults()
-    };
-    // ~250 us between arrivals: far wider than one 2 KiB batch's
-    // h2d + kernel + d2h, so the next dispatch finds the kernel done.
-    let sparse = WorkloadConfig {
-        arrival_rate_per_sec: 4_000,
-        ..dense
-    };
-
-    for (name, workload) in [("dense", dense), ("sparse", sparse)] {
-        let jobs = synthetic_workload(&workload);
-        let mut serve_cfg = ServeConfig::new(2);
-        serve_cfg.queue_capacity = 16;
-        let single = serve(&matcher, jobs.clone(), &serve_cfg).unwrap();
-        let fleet = serve_fleet(&matcher, jobs, &FleetConfig::new(1, serve_cfg).parity()).unwrap();
-
-        assert_eq!(
-            fleet.serve.report, single.report,
-            "{name}: ServeReport drifted"
-        );
-        assert_eq!(
-            fleet.serve.outcomes, single.outcomes,
-            "{name}: outcomes drifted"
-        );
-        assert_eq!(fleet.serve.rejections, single.rejections);
-        assert_eq!(fleet.serve.expiries, single.expiries);
-        assert_eq!(fleet.serve.sheds, single.sheds);
-        assert_eq!(fleet.serve.breaker_transitions, single.breaker_transitions);
-        assert_eq!(
-            fleet.serve.timeline, single.timeline,
-            "{name}: stream timeline drifted"
-        );
-        // The fleet wrapper's own accounting agrees with the degenerate case.
-        assert_eq!(fleet.report.devices, 1);
-        assert_eq!(fleet.timelines.len(), 1);
-        assert_eq!(fleet.timelines[0], single.timeline);
-        assert!(fleet.report.routing.is_empty(), "parity mode has no router");
-        assert!(fleet.report.cost_models.is_empty());
-        assert_eq!(fleet.report.scattered_jobs, 0);
-
-        if name == "sparse" {
-            // The early flush fired: every readback starts the instant its
-            // kernel ends instead of queueing behind the next upload.
-            let ops = &single.timeline.ops;
-            for k in ops.iter().filter(|o| o.kind == StreamOpKind::Kernel) {
-                let d2h = ops
-                    .iter()
-                    .find(|o| o.kind == StreamOpKind::CopyD2H && o.label == k.label)
-                    .expect("every batch reads back");
-                assert_eq!(d2h.start, k.end, "{}: readback was held", k.label);
-            }
-        }
-    }
-}
