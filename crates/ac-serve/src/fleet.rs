@@ -83,7 +83,10 @@
 //! * **Shared-bus contention** ([`PcieBusArbiter`]) — every `h2d`/`d2h`
 //!   issued by any device first acquires the host's PCIe bus arbiter, so
 //!   concurrent transfers serialise against the aggregate host bandwidth
-//!   and device scaling is realistically sublinear. The arbiter is
+//!   and device scaling is realistically sublinear. The arbiter grants in
+//!   time order, not issue order: a copy takes the earliest free gap at
+//!   or after its ready time, so an upload issued after another device's
+//!   readback but ready before it is not held behind it. The arbiter is
 //!   charged the bus traffic (twice the copy under pageable staging);
 //!   the stream op records the logical bytes. With one device the arbiter
 //!   never delays anything (its aggregate bandwidth covers the link and it
@@ -649,11 +652,7 @@ pub fn serve_fleet(
     for b in &st.breakers {
         transitions.extend(b.transitions().iter().cloned());
     }
-    transitions.sort_by(|a, b| {
-        a.at_seconds
-            .partial_cmp(&b.at_seconds)
-            .expect("sim times are finite")
-    });
+    transitions.sort_by(|a, b| a.at_seconds.total_cmp(&b.at_seconds));
 
     let worst_state = st.worst_breaker_state();
     let batch_window = st
@@ -847,7 +846,7 @@ fn run_parity<'a>(
                 let (s, f) = st.engines[d].next_free_stream();
                 (d, s, f)
             })
-            .min_by(|a, b| a.2.partial_cmp(&b.2).expect("sim times are finite"))
+            .min_by(|a, b| a.2.total_cmp(&b.2))
             .expect("fleet has at least one device");
         let head = queue.head_arrival().expect("queue is non-empty");
         let gpu_dispatch = gpu_free.max(head);
@@ -1184,7 +1183,7 @@ fn run_routed<'a>(
                             tier_free.max(job.arrival_seconds) + models[t].predict(backlog),
                         )
                     })
-                    .min_by(|a, b| a.1.partial_cmp(&b.1).expect("predictions are finite"))
+                    .min_by(|a, b| a.1.total_cmp(&b.1))
                     .expect("at least one tier")
                     .0
             };
@@ -1233,11 +1232,7 @@ fn run_routed<'a>(
                 };
                 (t, free.max(queues[t].head_arrival().expect("non-empty")))
             })
-            .min_by(|a, b| {
-                a.1.partial_cmp(&b.1)
-                    .expect("sim times are finite")
-                    .then(a.0.cmp(&b.0))
-            });
+            .min_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
         let (tier, mut dispatch) = match turn {
             Some(t) => t,
             None => {
@@ -1412,8 +1407,11 @@ fn run_routed<'a>(
 
 /// Serve one oversized job by sharding it across every device: each
 /// segment's `h2d`/kernel/`d2h` chain runs on its device's next free
-/// stream (transfers arbitrated on the shared bus), and the job completes
-/// when the slowest segment does. Any segment failure fails the whole job
+/// stream, and the job completes when the slowest segment does. The
+/// chains are issued one device after another, but the bus grants in
+/// time order, so each upload goes ahead of the readbacks already
+/// reserved at earlier segments' kernel ends and the segments run in
+/// parallel. Any segment failure fails the whole job
 /// over to the CPU ladder — shard results are all-or-nothing. A device
 /// pool too small for a shard is a fatal [`GpuError::Device`].
 #[allow(clippy::too_many_arguments)]
@@ -1654,7 +1652,7 @@ fn take_ready_readbacks(
     ready.sort_by(|a, b| {
         let ra = engines[a.0].stream_ready(a.1.stream);
         let rb = engines[b.0].stream_ready(b.1.stream);
-        ra.partial_cmp(&rb).expect("sim times are finite")
+        ra.total_cmp(&rb)
     });
     ready
 }
@@ -2037,6 +2035,51 @@ mod tests {
         assert_eq!(big.matches, expect, "sharded matches must equal serial");
         // Every device launched a segment.
         assert!(fleet.report.per_device.iter().all(|d| d.batches > 0));
+    }
+
+    #[test]
+    fn scattered_shards_run_in_parallel() {
+        // Each device's readback is reserved on the bus at its kernel's
+        // end before the next device's upload is acquired. The upload
+        // must take the free bus ahead of it, so the segments overlap
+        // instead of running one after another.
+        let m = matcher();
+        let payload: Vec<u8> = b"the king and her mother were singing a motion "
+            .iter()
+            .cycle()
+            .take(512 * 1024)
+            .copied()
+            .collect();
+        let mut fcfg = FleetConfig::new(4, ServeConfig::new(1));
+        fcfg.shard_bytes = Some(128 * 1024);
+        let fleet = serve_fleet(&m, vec![ScanJob::new(0, payload, 0.0)], &fcfg).unwrap();
+        assert_eq!(fleet.report.scattered_jobs, 1);
+        let first = |t: &StreamTimeline, kind: StreamOpKind| {
+            t.ops.iter().find(|op| op.kind == kind).unwrap().clone()
+        };
+        let first_d2h = fleet
+            .timelines
+            .iter()
+            .map(|t| first(t, StreamOpKind::CopyD2H).start)
+            .fold(f64::INFINITY, f64::min);
+        for (d, t) in fleet.timelines.iter().enumerate() {
+            let h2d = first(t, StreamOpKind::CopyH2D);
+            assert!(
+                h2d.start < first_d2h,
+                "device {d}'s upload starts at {}s, behind a readback at {first_d2h}s",
+                h2d.start
+            );
+        }
+        assert_eq!(fleet.report.bus.backfilled, 3);
+        // Uploads still share the bus, but the job takes well under two
+        // segments' chains, where serialised shards would take four.
+        let d0 = &fleet.timelines[0];
+        let chain = d0.total_seconds() - d0.ops[0].start;
+        let latency = fleet.serve.outcomes[0].latency_seconds;
+        assert!(
+            latency < 2.0 * chain,
+            "latency {latency}s is not below two segment chains of {chain}s"
+        );
     }
 
     #[test]

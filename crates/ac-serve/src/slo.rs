@@ -77,7 +77,7 @@ impl QuantileWindow {
             return 0.0;
         }
         let mut sorted = self.samples.clone();
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("observations are finite"));
+        sorted.sort_by(f64::total_cmp);
         let rank = ((sorted.len() as f64) * q).ceil() as usize;
         sorted[rank.clamp(1, sorted.len()) - 1]
     }

@@ -18,11 +18,17 @@
 //! d2 and d4 run with cost routing armed (the production configuration):
 //! the warmup-calibrated router spreads the open-loop arrivals across
 //! every GPU plus the CPU ladder.
+//!
+//! A fourth row, `serve-fleet-scatter-d4`, shards a burst of oversized
+//! jobs across four routed devices. The burst backs up, so its makespan
+//! (and with it Gb/s and cycles, which every diff gates) measures how far
+//! one job's segments overlap on the shared bus.
 
 use crate::measure::{Measurement, Measurements};
 use ac_gpu::{GpuAcMatcher, KernelParams};
 use ac_serve::{
-    serve_automaton, serve_fleet, synthetic_workload, FleetConfig, ServeConfig, WorkloadConfig,
+    serve_automaton, serve_fleet, synthetic_workload, FleetConfig, FleetRun, ServeConfig,
+    WorkloadConfig,
 };
 use gpu_sim::GpuConfig;
 
@@ -35,12 +41,17 @@ pub const FLEET_SCENARIOS: [(&str, u32); 3] = [
     ("serve-fleet-d4", 4),
 ];
 
+/// The sharded-dispatch row: a burst of oversized jobs, each split across
+/// four routed devices (see [`fleet_measurements`]).
+const SCATTER_SCENARIO: &str = "serve-fleet-scatter-d4";
+
 /// Minimum `serve-fleet-d4` / `serve-fleet-d1` jobs/sec ratio the bench
 /// gate enforces.
 pub const FLEET_SCALING_FLOOR: f64 = 2.5;
 
-/// Run every fleet scenario over the default serving workload and return
-/// one measurement row per scenario. Fully deterministic.
+/// Run every fleet scenario over the default serving workload, plus the
+/// scatter scenario over its burst of oversized jobs, and return one
+/// measurement row per scenario. Fully deterministic.
 pub fn fleet_measurements() -> Result<Measurements, String> {
     let gpu = GpuConfig::gtx285();
     let workload = WorkloadConfig::defaults();
@@ -59,30 +70,50 @@ pub fn fleet_measurements() -> Result<Measurements, String> {
             cfg = cfg.parity();
         }
         let run = serve_fleet(&matcher, jobs.clone(), &cfg).map_err(|e| e.to_string())?;
-        let r = &run.serve.report;
-        out.rows.push(Measurement {
-            size: r.payload_bytes as usize,
-            patterns: ac_serve::DEFAULT_PATTERNS,
-            approach: label.into(),
-            seconds: r.makespan_seconds,
-            gbps: r.effective_gbps,
-            cycles: (r.makespan_seconds * gpu.clock_hz).round() as u64,
-            cache_hit_rate: 0.0,
-            shared_conflicts: 0,
-            coalescing_ratio: 0.0,
-            match_events: run
-                .serve
-                .outcomes
-                .iter()
-                .map(|o| o.matches.len() as u64)
-                .sum(),
-            idle_cycles: 0,
-            stalls: trace::StallBreakdown::default(),
-            p99_latency_us: r.p99_latency_us,
-            jobs_per_sec: r.jobs_per_sec,
-        });
+        out.rows.push(fleet_row(label, &run, gpu.clock_hz));
     }
+
+    // The scatter row: 16 jobs of 64–192 KiB, every one at least the
+    // 64 KiB shard size, arriving 10 µs apart. That is far faster than the
+    // fleet drains them, so the makespan (and with it the row's Gb/s and
+    // cycles) measures how far one job's shards overlap.
+    let mut cfg = FleetConfig::new(4, ServeConfig::new(1));
+    cfg.shard_bytes = Some(64 << 10);
+    let burst = synthetic_workload(&WorkloadConfig {
+        jobs: 16,
+        arrival_rate_per_sec: 100_000,
+        job_bytes: 128 << 10,
+        ..workload
+    });
+    let run = serve_fleet(&matcher, burst, &cfg).map_err(|e| e.to_string())?;
+    out.rows
+        .push(fleet_row(SCATTER_SCENARIO, &run, gpu.clock_hz));
     Ok(out)
+}
+
+fn fleet_row(label: &str, run: &FleetRun, clock_hz: f64) -> Measurement {
+    let r = &run.serve.report;
+    Measurement {
+        size: r.payload_bytes as usize,
+        patterns: ac_serve::DEFAULT_PATTERNS,
+        approach: label.into(),
+        seconds: r.makespan_seconds,
+        gbps: r.effective_gbps,
+        cycles: (r.makespan_seconds * clock_hz).round() as u64,
+        cache_hit_rate: 0.0,
+        shared_conflicts: 0,
+        coalescing_ratio: 0.0,
+        match_events: run
+            .serve
+            .outcomes
+            .iter()
+            .map(|o| o.matches.len() as u64)
+            .sum(),
+        idle_cycles: 0,
+        stalls: trace::StallBreakdown::default(),
+        p99_latency_us: r.p99_latency_us,
+        jobs_per_sec: r.jobs_per_sec,
+    }
 }
 
 fn find<'a>(m: &'a Measurements, label: &str) -> Result<&'a Measurement, String> {
@@ -170,7 +201,7 @@ mod tests {
     #[test]
     fn fleet_rows_scale_and_pin_d1_parity() {
         let mut m = fleet_measurements().unwrap();
-        assert_eq!(m.rows.len(), FLEET_SCENARIOS.len());
+        assert_eq!(m.rows.len(), FLEET_SCENARIOS.len() + 1);
         // Merge in the serving rows so the parity pin engages exactly as
         // it does over a committed report.
         m.extend(serving_measurements().unwrap());

@@ -573,10 +573,11 @@ fn fleet_sim_text(opts: &Options) -> Result<String, String> {
     );
     let _ = writeln!(
         out,
-        "  shared bus:  {:.0}% busy, {} grant(s), {} contended, {:.0} µs waited",
+        "  shared bus:  {:.0}% busy, {} grant(s), {} contended, {} backfilled, {:.0} µs waited",
         f.bus_utilisation * 100.0,
         f.bus.grants,
         f.bus.contended,
+        f.bus.backfilled,
         f.bus.waited_seconds * 1e6
     );
     if f.scattered_jobs > 0 {

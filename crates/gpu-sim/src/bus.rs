@@ -6,9 +6,19 @@
 //! N devices is different — every `h2d`/`d2h` crosses shared host-side
 //! resources (the root-complex links, the host memory channels feeding
 //! pinned staging buffers), and those do *not* scale with N. This module
-//! models that shared segment as one FIFO resource with an aggregate
+//! models that shared segment as one resource with an aggregate
 //! bandwidth: before a device-level copy is released, the host must
 //! *acquire* the bus for `bytes / aggregate_bandwidth` seconds.
+//!
+//! The bus is a calendar, not a queue. Copies are not acquired in time
+//! order: a dispatcher issuing a sharded job reserves device 0's `d2h` at
+//! the end of device 0's kernel before it reserves device 1's `h2d` for
+//! right now. Each grant therefore takes the earliest free gap at or
+//! after the copy's ready time that fits its occupancy, in front of
+//! reservations that start later (a FIFO in acquisition order would hold
+//! device 1's upload behind device 0's readback, serialising the shards).
+//! Reservations already granted never move: the device has been told
+//! when to start them.
 //!
 //! Two deliberate asymmetries keep the single-device schedule exact:
 //!
@@ -63,6 +73,10 @@ pub struct BusStats {
     pub busy_seconds: f64,
     /// Total bytes moved.
     pub bytes: u64,
+    /// Grants placed in a gap ahead of a transfer reserved earlier for a
+    /// later time (a FIFO bus would have queued them behind it).
+    #[serde(default)]
+    pub backfilled: u64,
 }
 
 impl BusStats {
@@ -76,13 +90,14 @@ impl BusStats {
     }
 }
 
-/// Deterministic FIFO arbiter over the shared transfer segment: grants
-/// serialize in acquisition order, each occupying the bus for
-/// `bytes / aggregate_bytes_per_sec`.
+/// Deterministic arbiter over the shared transfer segment: each grant
+/// occupies the bus for `bytes / aggregate_bytes_per_sec` in the earliest
+/// free gap at or after its ready time (see the module docs).
 #[derive(Debug, Clone)]
 pub struct PcieBusArbiter {
     cfg: BusConfig,
-    free: f64,
+    /// Reserved occupancies `[start, end)`, sorted and disjoint.
+    busy: Vec<(f64, f64)>,
     stats: BusStats,
 }
 
@@ -91,36 +106,48 @@ impl PcieBusArbiter {
     pub fn new(cfg: BusConfig) -> Self {
         PcieBusArbiter {
             cfg,
-            free: 0.0,
+            busy: Vec::new(),
             stats: BusStats::default(),
         }
     }
 
     /// Acquire the bus for a `bytes`-sized copy that is otherwise ready
     /// at `ready` seconds. Returns the instant the device-level copy may
-    /// be released: `ready` when the bus is idle, later when another
-    /// device's transfer still occupies it.
+    /// be released: `ready` when the bus is free for the whole transfer,
+    /// otherwise the end of the first reservation after which it fits.
     pub fn acquire(&mut self, ready: f64, bytes: u64) -> f64 {
-        let granted = ready.max(self.free);
         let occupancy = if self.cfg.aggregate_bytes_per_sec > 0.0 {
             bytes as f64 / self.cfg.aggregate_bytes_per_sec
         } else {
             0.0
         };
-        self.free = granted + occupancy;
         self.stats.grants += 1;
+        self.stats.bytes += bytes;
+        if occupancy <= 0.0 {
+            // Takes no bus time, so it conflicts with nothing.
+            return ready;
+        }
+        // Ends are sorted too, so skip every reservation over by `ready`,
+        // then walk forward until the transfer fits before the next one.
+        let mut i = self.busy.partition_point(|&(_, end)| end <= ready);
+        let mut granted = ready;
+        while let Some(&(start, end)) = self.busy.get(i) {
+            if granted + occupancy <= start {
+                break;
+            }
+            granted = granted.max(end);
+            i += 1;
+        }
         if granted > ready {
             self.stats.contended += 1;
             self.stats.waited_seconds += granted - ready;
         }
+        if i < self.busy.len() {
+            self.stats.backfilled += 1;
+        }
         self.stats.busy_seconds += occupancy;
-        self.stats.bytes += bytes;
+        self.busy.insert(i, (granted, granted + occupancy));
         granted
-    }
-
-    /// When the bus next goes idle.
-    pub fn free_at(&self) -> f64 {
-        self.free
     }
 
     /// Cumulative statistics so far.
@@ -139,11 +166,12 @@ mod tests {
             aggregate_bytes_per_sec: 1.0e9,
         });
         assert_eq!(bus.acquire(5.0, 1_000_000_000), 5.0);
-        assert_eq!(bus.free_at(), 6.0);
+        // The bus is taken until 6: a copy ready at 5.5 starts then.
+        assert_eq!(bus.acquire(5.5, 1), 6.0);
         let s = bus.stats();
-        assert_eq!(s.grants, 1);
-        assert_eq!(s.contended, 0);
-        assert_eq!(s.busy_seconds, 1.0);
+        assert_eq!(s.grants, 2);
+        assert_eq!(s.contended, 1);
+        assert_eq!(s.backfilled, 0);
     }
 
     #[test]
@@ -161,6 +189,32 @@ mod tests {
     }
 
     #[test]
+    fn an_earlier_copy_takes_the_gap_before_a_later_reservation() {
+        // Device 0's readback is reserved at its kernel's end (10 s)
+        // before device 1's upload, ready now, is acquired: the upload
+        // goes first instead of queueing behind the readback.
+        let mut bus = PcieBusArbiter::new(BusConfig {
+            aggregate_bytes_per_sec: 1.0e9,
+        });
+        assert_eq!(bus.acquire(10.0, 1_000_000_000), 10.0);
+        assert_eq!(bus.acquire(0.0, 2_000_000_000), 0.0);
+        // A copy that no longer fits before 10 waits for the readback.
+        assert_eq!(bus.acquire(9.5, 1_000_000_000), 11.0);
+        // One that fits exactly in [2, 10) takes it.
+        assert_eq!(bus.acquire(2.0, 8_000_000_000), 2.0);
+        let s = bus.stats();
+        assert_eq!(s.grants, 4);
+        assert_eq!(s.contended, 1);
+        assert_eq!(s.waited_seconds, 1.5);
+        assert_eq!(s.backfilled, 2);
+        assert_eq!(s.busy_seconds, 12.0);
+        assert_eq!(
+            bus.busy,
+            vec![(0.0, 2.0), (2.0, 10.0), (10.0, 11.0), (11.0, 12.0)]
+        );
+    }
+
+    #[test]
     fn lone_device_is_never_delayed_when_aggregate_covers_its_link() {
         // Device link 6 GB/s, shared segment 16 GB/s: the bus occupancy
         // of any copy ends before the device's own DMA engine would, so
@@ -175,6 +229,7 @@ mod tests {
             ready = granted + device_copy_seconds;
         }
         assert_eq!(bus.stats().contended, 0);
+        assert_eq!(bus.stats().backfilled, 0);
     }
 
     #[test]
@@ -185,5 +240,45 @@ mod tests {
         assert_eq!(bus.acquire(3.0, 1 << 20), 3.0);
         assert_eq!(bus.acquire(3.0, 1 << 20), 3.0);
         assert_eq!(bus.stats().busy_seconds, 0.0);
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn grants_take_the_earliest_gap_and_never_overlap(
+            reqs in proptest::collection::vec((0u32..200, 0u32..40), 1..40),
+        ) {
+            // Bandwidth 1 byte/s: a request's bytes are its seconds.
+            let mut bus = PcieBusArbiter::new(BusConfig { aggregate_bytes_per_sec: 1.0 });
+            let mut granted: Vec<(f64, f64)> = Vec::new();
+            let mut waited = 0.0;
+            for &(ready, bytes) in &reqs {
+                let (ready, len) = (ready as f64, bytes as f64);
+                let g = bus.acquire(ready, bytes as u64);
+                proptest::prop_assert!(g >= ready);
+                waited += g - ready;
+                let overlaps = |t: f64| granted.iter().any(|&(s, e)| t < e && s < t + len);
+                // The grant is free for the whole transfer, and no earlier
+                // start at or after `ready` would have been: the only
+                // candidates are `ready` and the ends of reservations.
+                proptest::prop_assert!(len == 0.0 || !overlaps(g));
+                let mut candidates: Vec<f64> = granted.iter().map(|&(_, e)| e).collect();
+                candidates.push(ready);
+                for t in candidates.into_iter().filter(|&t| t >= ready && t < g) {
+                    proptest::prop_assert!(len > 0.0 && overlaps(t), "{t} fits before {g}");
+                }
+                if len > 0.0 {
+                    granted.push((g, g + len));
+                }
+            }
+            let s = bus.stats();
+            let total: f64 = reqs.iter().map(|&(_, b)| b as f64).sum();
+            proptest::prop_assert_eq!(s.grants, reqs.len() as u64);
+            proptest::prop_assert_eq!(s.busy_seconds, total);
+            proptest::prop_assert_eq!(s.waited_seconds, waited);
+            // The calendar stays sorted and disjoint.
+            for w in bus.busy.windows(2) {
+                proptest::prop_assert!(w[0].1 <= w[1].0);
+            }
+        }
     }
 }
