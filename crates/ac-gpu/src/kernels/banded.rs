@@ -500,9 +500,8 @@ impl WarpProgram for BandedKernel {
                         self.lanes.event_count += 1;
                         if self.lanes.record {
                             self.lanes.events.push(crate::kernels::MatchEvent {
-                                thread: self.geom.global_thread(lane as u32),
+                                end: end as u32,
                                 state: e & crate::upload::STATE_MASK,
-                                end,
                             });
                         }
                     }

@@ -369,9 +369,7 @@ impl WarpProgram for CompressedKernel {
                 let words = &mut self.scratch.words;
                 ctx.tex_fetch(self.tex_root, &self.scratch.coords, words);
                 ctx.compute(super::TRANSITION_OVERHEAD);
-                let any = self
-                    .lanes
-                    .apply_transitions(&self.geom, &self.scratch.words);
+                let any = self.lanes.apply_transitions(&self.scratch.words);
                 self.phase = if any {
                     Phase::ReportMatches
                 } else {

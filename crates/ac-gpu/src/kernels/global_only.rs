@@ -109,9 +109,7 @@ impl WarpProgram for GlobalOnlyKernel {
                 self.lanes.fill_tex_coords(&mut self.scratch.coords);
                 ctx.tex_fetch(self.tex, &self.scratch.coords, &mut self.scratch.words);
                 ctx.compute(super::TRANSITION_OVERHEAD);
-                let any_match = self
-                    .lanes
-                    .apply_transitions(&self.geom, &self.scratch.words);
+                let any_match = self.lanes.apply_transitions(&self.scratch.words);
                 self.phase = if any_match {
                     Phase::ReportMatches
                 } else {

@@ -32,20 +32,19 @@ pub(crate) const BYTE_LOAD_OVERHEAD: u32 = 2;
 pub(crate) const TRANSITION_OVERHEAD: u32 = 6;
 
 /// A raw match event reported by a kernel: the DFA entered a matching
-/// state. The host expands the state's output set into concrete pattern
-/// occurrences and applies the chunk-ownership filter (see
-/// `runner::expand_events`). This mirrors the CUDA implementations, which
-/// write (position, state) pairs to an output buffer and post-process on
-/// the host.
+/// state. Like the CUDA implementations, which write (position, state)
+/// pairs to an output buffer and post-process on the host, an event
+/// carries no thread id: every pattern in the state's output set ends at
+/// `end`, so its start is `end - len(pattern)`. The host expands events
+/// into concrete occurrences and collapses the copies that overlapping
+/// scan windows report (see `GpuAcMatcher::expand_events`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct MatchEvent {
-    /// Global thread id that observed the match (identifies the owned
-    /// chunk, or the anchor position for PFAC).
-    pub thread: u64,
+    /// Exclusive end offset of the match in the input. Texts are capped
+    /// at `u32::MAX` bytes, so an offset always fits.
+    pub end: u32,
     /// Matching state (mask already applied).
     pub state: u32,
-    /// Exclusive end offset of the match in the input.
-    pub end: u64,
 }
 
 /// Per-lane DFA-walk state shared by the chunked kernels (global-only and
@@ -133,7 +132,7 @@ impl MatchLanes {
     /// Apply fetched transition entries: update states, record matches,
     /// advance cursors. Returns true if any lane entered a matching state
     /// (the kernels then issue the result-write instruction).
-    pub fn apply_transitions(&mut self, geom: &WarpGeometry, fetched: &[u32]) -> bool {
+    pub fn apply_transitions(&mut self, fetched: &[u32]) -> bool {
         let mut any = false;
         for (lane, &e) in fetched.iter().enumerate().take(self.pos.len()) {
             self.matched[lane] = false;
@@ -148,9 +147,8 @@ impl MatchLanes {
                 self.event_count += 1;
                 if self.record {
                     self.events.push(MatchEvent {
-                        thread: geom.global_thread(lane as u32),
+                        end: end as u32,
                         state: e & STATE_MASK,
-                        end,
                     });
                 }
             }
@@ -253,18 +251,11 @@ mod tests {
         let mut fetched = vec![0u32; 32];
         fetched[0] = 5 | MATCH_BIT;
         fetched[1] = 2;
-        let any = lanes.apply_transitions(&geom, &fetched);
+        let any = lanes.apply_transitions(&fetched);
         assert!(any);
         assert_eq!(lanes.event_count, 1);
         assert_eq!(lanes.events.len(), 1);
-        assert_eq!(
-            lanes.events[0],
-            MatchEvent {
-                thread: 0,
-                state: 5,
-                end: 1
-            }
-        );
+        assert_eq!(lanes.events[0], MatchEvent { end: 1, state: 5 });
         assert_eq!(lanes.state[0], 5);
         assert_eq!(lanes.pos[0], 1);
         assert_eq!(lanes.pos[1], 9);
@@ -275,7 +266,7 @@ mod tests {
         let (geom, plan) = rig();
         let mut lanes = MatchLanes::new(&geom, &plan, false);
         let fetched = vec![MATCH_BIT | 1; 32];
-        lanes.apply_transitions(&geom, &fetched);
+        lanes.apply_transitions(&fetched);
         assert!(lanes.events.is_empty());
         assert!(lanes.event_count > 0);
     }

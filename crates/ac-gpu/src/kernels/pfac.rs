@@ -157,7 +157,6 @@ impl WarpProgram for PfacKernel {
                         continue;
                     }
                     self.state[lane] = e & STATE_MASK;
-                    let anchor = self.geom.global_thread(lane as u32);
                     self.off[lane] += 1;
                     if e & MATCH_BIT != 0 {
                         any = true;
@@ -165,9 +164,8 @@ impl WarpProgram for PfacKernel {
                         self.event_count += 1;
                         if self.record {
                             self.events.push(MatchEvent {
-                                thread: anchor,
+                                end: (self.geom.global_thread(lane as u32) + self.off[lane]) as u32,
                                 state: e & STATE_MASK,
-                                end: anchor + self.off[lane],
                             });
                         }
                     }

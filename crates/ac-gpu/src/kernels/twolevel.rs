@@ -316,9 +316,7 @@ impl TwoLevelKernel {
     /// apply the merged per-lane entries, branch to the result write.
     fn apply(&mut self, ctx: &mut WarpCtx<'_>) {
         ctx.compute(super::TRANSITION_OVERHEAD);
-        let any = self
-            .lanes
-            .apply_transitions(&self.geom, &self.scratch.words);
+        let any = self.lanes.apply_transitions(&self.scratch.words);
         self.phase = if any {
             Phase::ReportMatches
         } else {

@@ -11,8 +11,9 @@
 //! * [`kernels`] — the warp programs: global-memory-only (Fig. 7), three
 //!   shared-memory staging variants (Figs. 8–12, 23), and the PFAC
 //!   related-work baseline;
-//! * [`runner`] — host orchestration: device setup, launch, match
-//!   expansion with the exactly-once chunk-ownership rule, timing and
+//! * [`runner`] — host orchestration: device setup, launch, expansion of
+//!   `(end, state)` match events into exactly-once matches (sort +
+//!   dedup of the copies overlapping windows report), timing and
 //!   throughput reporting.
 //!
 //! ```

@@ -17,22 +17,19 @@
 //! readback` sum — pinned by tests, and the base the serving benchmarks
 //! compare against.
 //!
-//! Matches use the same exactly-once boundary rule as thread chunks and
+//! Matches use the same exactly-once boundary rule as
 //! [`crate::run_streamed`]: each segment scans `overlap` extra bytes and
-//! keeps only matches starting inside its owned range.
+//! keeps only matches starting inside its owned range. Each segment's
+//! readback is priced at [`readback_bytes`], the exact length of the
+//! [`crate::readback`] frame.
 
 use crate::error::GpuError;
+use crate::readback::readback_bytes;
 use crate::runner::{Approach, GpuAcMatcher};
 use crate::stream::PcieConfig;
 use crate::supervise::{run_supervised, SuperviseConfig, SuperviseReport};
 use ac_core::Match;
 use gpu_sim::{LaunchStats, StreamEngine, StreamOpKind, StreamTimeline};
-
-/// Framed readback bytes for `events` match events (magic + count +
-/// 20-byte events + crc + sentinel — the [`crate::readback`] layout).
-pub fn readback_bytes(events: u64) -> u64 {
-    20 + 20 * events
-}
 
 /// How to split and overlap a multi-stream run.
 #[derive(Debug, Clone, Copy)]

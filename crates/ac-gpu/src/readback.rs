@@ -1,15 +1,23 @@
 //! Readback integrity: sentinel + checksum framing of the match-event
 //! buffer.
 //!
-//! The device's answer to a scan is the list of match events. When fault
-//! injection is armed, that list travels to the host through
-//! [`gpu_sim::GpuDevice::dma_to_host`], where the plan may flip one bit in
-//! flight. This module frames the event list so any single-bit corruption
-//! is *detected* rather than silently expanded into wrong matches:
+//! The device's answer to a scan is the list of match events, each an
+//! 8-byte `(end: u32, state: u32)` record — the (position, state) pair the
+//! CUDA implementations write. When fault injection is armed, that list
+//! travels to the host through [`gpu_sim::GpuDevice::dma_to_host`], where
+//! the plan may flip one bit in flight. This module frames the event list
+//! so any single-bit corruption is *detected* rather than silently
+//! expanded into wrong matches:
 //!
 //! ```text
-//! magic (4) | event_count (8) | events (20 each) | crc32 (4) | sentinel (4)
+//! magic (4) | n (8) | n × (end u32 | state u32) | event_count (8) | crc32 (4) | sentinel (4)
 //! ```
+//!
+//! `n` is the number of materialized records and `event_count` the total
+//! the kernel observed (the two differ in counting mode). [`readback_bytes`]
+//! is the frame's exact length, `28 + 8n`; every layer that prices the
+//! device→host copy (serving, fleet, multi-stream, what-if) uses it, so
+//! the copy the model charges is the buffer this module writes.
 //!
 //! CRC-32 (IEEE 802.3) detects **every** single-bit error by construction
 //! (any `x^k` is not divisible by the generator polynomial), which is
@@ -22,9 +30,16 @@ use std::fmt;
 
 const MAGIC: u32 = 0x4143_4742; // "ACGB"
 const SENTINEL: u32 = 0x5EA1_ED0C;
-const EVENT_BYTES: usize = 20; // thread u64 + state u32 + end u64
-const HEADER_BYTES: usize = 12; // magic + event_count
+const EVENT_BYTES: usize = 8; // end u32 + state u32
+const HEADER_BYTES: usize = 12; // magic + record count
+const COUNT_BYTES: usize = 8; // observed event_count
 const TRAILER_BYTES: usize = 8; // crc + sentinel
+
+/// Framed readback bytes for `events` match events: exactly the length of
+/// the buffer [`encode`] writes for them, `28 + 8 * events`.
+pub fn readback_bytes(events: u64) -> u64 {
+    (HEADER_BYTES + COUNT_BYTES + TRAILER_BYTES) as u64 + EVENT_BYTES as u64 * events
+}
 
 /// Why a readback buffer was rejected.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -59,13 +74,12 @@ impl std::error::Error for ReadbackCorruption {}
 /// Serialize events (plus the total observed-event count, which counting
 /// mode reports without materializing) into a framed buffer.
 pub fn encode(events: &[MatchEvent], event_count: u64) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(HEADER_BYTES + events.len() * EVENT_BYTES + TRAILER_BYTES + 8);
+    let mut buf = Vec::with_capacity(readback_bytes(events.len() as u64) as usize);
     buf.extend_from_slice(&MAGIC.to_le_bytes());
     buf.extend_from_slice(&(events.len() as u64).to_le_bytes());
     for ev in events {
-        buf.extend_from_slice(&ev.thread.to_le_bytes());
-        buf.extend_from_slice(&ev.state.to_le_bytes());
         buf.extend_from_slice(&ev.end.to_le_bytes());
+        buf.extend_from_slice(&ev.state.to_le_bytes());
     }
     buf.extend_from_slice(&event_count.to_le_bytes());
     let crc = crc32(&buf);
@@ -77,7 +91,7 @@ pub fn encode(events: &[MatchEvent], event_count: u64) -> Vec<u8> {
 /// Verify and deserialize a framed buffer back into `(events,
 /// event_count)`.
 pub fn decode(buf: &[u8]) -> Result<(Vec<MatchEvent>, u64), ReadbackCorruption> {
-    if buf.len() < HEADER_BYTES + 8 + TRAILER_BYTES {
+    if buf.len() < readback_bytes(0) as usize {
         return Err(ReadbackCorruption::Truncated);
     }
     let (body, trailer) = buf.split_at(buf.len() - TRAILER_BYTES);
@@ -91,20 +105,18 @@ pub fn decode(buf: &[u8]) -> Result<(Vec<MatchEvent>, u64), ReadbackCorruption> 
         return Err(ReadbackCorruption::BadMagic);
     }
     let n = u64::from_le_bytes(body[4..12].try_into().unwrap()) as usize;
-    if body.len() != HEADER_BYTES + n * EVENT_BYTES + 8 {
+    if n.checked_mul(EVENT_BYTES) != Some(body.len() - HEADER_BYTES - COUNT_BYTES) {
         return Err(ReadbackCorruption::BadLength);
     }
-    let mut events = Vec::with_capacity(n);
-    let mut at = HEADER_BYTES;
-    for _ in 0..n {
-        events.push(MatchEvent {
-            thread: u64::from_le_bytes(body[at..at + 8].try_into().unwrap()),
-            state: u32::from_le_bytes(body[at + 8..at + 12].try_into().unwrap()),
-            end: u64::from_le_bytes(body[at + 12..at + 20].try_into().unwrap()),
-        });
-        at += EVENT_BYTES;
-    }
-    let event_count = u64::from_le_bytes(body[at..at + 8].try_into().unwrap());
+    let (records, count) = body[HEADER_BYTES..].split_at(n * EVENT_BYTES);
+    let events = records
+        .chunks_exact(EVENT_BYTES)
+        .map(|r| MatchEvent {
+            end: u32::from_le_bytes(r[0..4].try_into().unwrap()),
+            state: u32::from_le_bytes(r[4..8].try_into().unwrap()),
+        })
+        .collect();
+    let event_count = u64::from_le_bytes(count.try_into().unwrap());
     Ok((events, event_count))
 }
 
@@ -128,22 +140,27 @@ mod tests {
 
     fn sample() -> Vec<MatchEvent> {
         vec![
+            MatchEvent { end: 17, state: 3 },
             MatchEvent {
-                thread: 0,
-                state: 3,
-                end: 17,
-            },
-            MatchEvent {
-                thread: 42,
+                end: u32::MAX,
                 state: 9,
-                end: 1 << 33,
             },
             MatchEvent {
-                thread: u64::MAX,
-                state: u32::MAX,
                 end: 0,
+                state: u32::MAX,
             },
         ]
+    }
+
+    #[test]
+    fn readback_bytes_is_the_encoded_length() {
+        let events = sample();
+        for n in 0..=events.len() {
+            let buf = encode(&events[..n], 99);
+            assert_eq!(readback_bytes(n as u64), buf.len() as u64);
+        }
+        assert_eq!(readback_bytes(0), 28);
+        assert_eq!(readback_bytes(1000), 28 + 8 * 1000);
     }
 
     #[test]

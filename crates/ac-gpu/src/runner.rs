@@ -146,8 +146,8 @@ impl WorkloadAttribution {
 pub struct GpuRun {
     /// Which kernel ran.
     pub approach: Approach,
-    /// Expanded, ownership-filtered, sorted matches. Empty when the run
-    /// was launched in counting mode.
+    /// Expanded, de-duplicated, sorted matches. Empty when the run was
+    /// launched in counting mode.
     pub matches: Vec<Match>,
     /// Number of (state, position) match events the kernels observed
     /// (counted even in counting mode; ≥ `matches.len()` is not implied
@@ -509,12 +509,11 @@ impl GpuAcMatcher {
         approach: Approach,
         record: bool,
     ) -> Result<GpuRun, GpuError> {
+        let (plan, launch) = self.plan_for(approach, text.len() as u64)?;
         // +4 guard bytes: the staging loop reads whole 32-bit words and
         // may touch up to 3 bytes past an unaligned tile end.
         let text_base = dev.alloc_global(text.len() as u64 + 4)?;
         dev.write_global(text_base, text);
-
-        let (plan, launch) = self.plan_for(approach, text.len() as u64)?;
         let threads = launch.grid_blocks as u64 * launch.threads_per_block as u64;
         let out_base = dev.alloc_global(threads * 4)?;
 
@@ -669,10 +668,7 @@ impl GpuAcMatcher {
         };
 
         let matches = if record {
-            match approach {
-                Approach::Pfac => self.expand_pfac_events(&events),
-                _ => self.expand_chunk_events(&events, &plan),
-            }
+            self.expand_events(&events, approach)
         } else {
             Vec::new()
         };
@@ -691,6 +687,13 @@ impl GpuAcMatcher {
     }
 
     fn plan_for(&self, approach: Approach, len: u64) -> Result<(Plan, LaunchConfig), GpuError> {
+        // Match events carry `u32` end offsets (see `MatchEvent`).
+        if len > u32::MAX as u64 {
+            return Err(GpuError::InvalidParams(format!(
+                "text of {len} bytes exceeds the {} bytes a u32 match offset addresses",
+                u32::MAX
+            )));
+        }
         match approach {
             Approach::GlobalOnly => {
                 let plan = Plan::global_only(&self.params, &self.cfg, &self.ac, len)
@@ -725,44 +728,38 @@ impl GpuAcMatcher {
         }
     }
 
-    /// Expand chunked-kernel events: each matching state contributes its
-    /// output patterns; the chunk-ownership rule (`match.start` inside the
-    /// observing thread's owned range) makes reporting exactly-once.
-    fn expand_chunk_events(&self, events: &[MatchEvent], plan: &Plan) -> Vec<Match> {
-        let mut out = Vec::new();
+    /// Expand match events into sorted, de-duplicated matches. Each
+    /// matching state contributes its output patterns (for PFAC, the trie
+    /// state's terminal patterns), each starting `len(pattern)` bytes
+    /// before the event's end. Sorting and de-duplicating makes reporting
+    /// exactly-once, because:
+    /// - every chunked-kernel thread starts at its owned start in the root
+    ///   state, so every output it reports is a real occurrence inside its
+    ///   window (a PFAC thread reports only occurrences at its anchor);
+    /// - windows reach `overlap` bytes past their owned end, so every
+    ///   occurrence is reported by the thread owning its start, and
+    ///   copies from neighbouring windows are the same
+    ///   `(pattern, start, end)` triple, which `dedup` collapses.
+    fn expand_events(&self, events: &[MatchEvent], approach: Approach) -> Vec<Match> {
+        let pfac = (approach == Approach::Pfac).then(|| &self.pfac_tables().0);
+        let patterns = self.ac.patterns();
+        let mut out = Vec::with_capacity(events.len());
         for ev in events {
-            let (owned_start, owned_end) = plan.owned_range(ev.thread);
-            for &pid in self.ac.outputs().patterns_at(ev.state) {
-                let len = self.ac.patterns().len_of(pid) as u64;
-                let start = ev.end - len;
-                if start >= owned_start && start < owned_end {
-                    out.push(Match {
-                        pattern: pid,
-                        start: start as usize,
-                        end: ev.end as usize,
-                    });
-                }
-            }
-        }
-        out.sort();
-        out
-    }
-
-    /// Expand PFAC events: the anchor thread *is* the match start, and a
-    /// trie state's terminal patterns all spell the anchored substring.
-    fn expand_pfac_events(&self, events: &[MatchEvent]) -> Vec<Match> {
-        let (pfac, _) = self.pfac_tables();
-        let mut out = Vec::new();
-        for ev in events {
-            for &pid in pfac.terminal(ev.state) {
+            let outputs = match pfac {
+                Some(pfac) => pfac.terminal(ev.state),
+                None => self.ac.outputs().patterns_at(ev.state),
+            };
+            let end = ev.end as usize;
+            for &pid in outputs {
                 out.push(Match {
                     pattern: pid,
-                    start: ev.thread as usize,
-                    end: ev.end as usize,
+                    start: end - patterns.len_of(pid),
+                    end,
                 });
             }
         }
-        out.sort();
+        out.sort_unstable();
+        out.dedup();
         out
     }
 }
@@ -853,6 +850,19 @@ mod tests {
             counted.stats.cycles, full.stats.cycles,
             "timing must not depend on recording"
         );
+    }
+
+    #[test]
+    fn text_past_u32_offsets_is_a_typed_error() {
+        let m = matcher(&["x"]);
+        let too_long = u32::MAX as u64 + 1;
+        for a in Approach::all() {
+            assert!(m.plan_for(a, too_long - 1).is_ok(), "{a:?}");
+            assert!(
+                matches!(m.plan_for(a, too_long), Err(GpuError::InvalidParams(_))),
+                "{a:?}"
+            );
+        }
     }
 
     #[test]

@@ -74,7 +74,8 @@
 //! * **Calibrated cost routing** ([`CostModel`]) — each tier (every GPU,
 //!   plus the CPU ladder as the final tier) gets a fitted latency model
 //!   `t(bytes) = setup + bytes / bandwidth`, learned from a two-point
-//!   warmup probe run off the simulated clock and refined online from
+//!   warmup probe of the first offered job's bytes run off the simulated
+//!   clock and refined online from
 //!   observed service times (EWMA on the setup term). Arrivals are routed
 //!   to the tier with the earliest predicted completion given its queued
 //!   backlog: small jobs land on the CPU (no PCIe or launch setup), large
@@ -105,7 +106,7 @@ use crate::sim::{ServeConfig, ServeRun};
 use crate::slo::{AdmissionController, SheddedJob};
 use crate::telemetry::ServeTelemetry;
 use ac_core::Match;
-use ac_gpu::multistream::readback_bytes;
+use ac_gpu::readback::readback_bytes;
 use ac_gpu::supervise::SuperviseReport;
 use ac_gpu::{run_supervised, DevicePool, GpuAcMatcher, GpuError, PcieConfig, PooledBuffer};
 use cpu_sim::simulate_multicore;
@@ -544,10 +545,15 @@ pub fn serve_fleet(
 
     // Calibrate tier cost models before cloning, so the replicas inherit
     // the probe-warmed lazy device tables instead of re-deriving them.
+    let sample = jobs
+        .iter()
+        .map(|j| j.payload.as_slice())
+        .find(|p| !p.is_empty())
+        .unwrap_or(b"a");
     let models = cfg
         .routing
         .as_ref()
-        .map(|r| fit_tier_models(matcher, dcfg, r, devices));
+        .map(|r| fit_tier_models(matcher, dcfg, r, devices, sample));
     let replicas: Vec<GpuAcMatcher> = (1..devices).map(|_| matcher.replicate()).collect();
     let matcher_for = |d: usize| -> &GpuAcMatcher {
         if d == 0 {
@@ -761,18 +767,24 @@ pub fn serve_fleet(
 
 /// Warmup calibration: probe each tier with two payload sizes *off the
 /// simulated clock* and fit one [`CostModel`] per tier (each GPU starts
-/// from the same fit; online refinement then specialises them).
+/// from the same fit; online refinement then specialises them). Probes
+/// scan `sample` (the first offered job's payload) cycled to the probe
+/// size, so the fit prices the readback of the workload's real match
+/// density, not that of a text that matches nothing.
 fn fit_tier_models(
     matcher: &GpuAcMatcher,
     dcfg: &ServeConfig,
     router: &RouterConfig,
     devices: usize,
+    sample: &[u8],
 ) -> Vec<CostModel> {
     let small = router.probe_small_bytes.max(1);
     let large = router.probe_large_bytes.max(small + 1);
     let pcie = dcfg.effective_pcie();
+    let probe_payload =
+        |bytes: usize| -> Vec<u8> { sample.iter().copied().cycle().take(bytes).collect() };
     let gpu_probe = |bytes: usize| -> Option<f64> {
-        let payload = vec![b'a'; bytes];
+        let payload = probe_payload(bytes);
         let sup = run_supervised(matcher, &payload, dcfg.approach, &dcfg.supervise).ok()?;
         let h2d = pcie.copy_seconds(bytes);
         let d2h = pcie.copy_seconds(readback_bytes(sup.run.match_events) as usize);
@@ -789,7 +801,7 @@ fn fit_tier_models(
     };
     let ac = matcher.automaton();
     let cpu_probe = |bytes: usize| -> f64 {
-        let payload = vec![b'a'; bytes];
+        let payload = probe_payload(bytes);
         let timing = simulate_multicore(
             &dcfg.cpu,
             ac.stt(),

@@ -1,7 +1,9 @@
 //! Noise-aware comparison of two [`BenchReport`]s: the CI perf-regression
 //! gate.
 //!
-//! Rows are matched by `(approach, size, patterns)` and compared under
+//! Rows are matched by `(approach, size, patterns)`, falling back to
+//! `(approach, patterns)` when that is unique in both reports (see
+//! [`paired_row`]), and compared under
 //! configurable relative thresholds on throughput, cycles and the
 //! stall-reason mix. Every value comes from the deterministic simulated
 //! clock, so "noise" here is not run-to-run jitter but *intentional
@@ -110,6 +112,34 @@ fn key(r: &BenchRow) -> String {
     )
 }
 
+/// The candidate row paired with baseline row `o`, and whether it was
+/// paired across a size change. The exact key is `(approach, size,
+/// patterns)`. A serving row's `size` is the payload it completed, so it
+/// moves whenever admission completes a different number of jobs; when
+/// the exact key misses, the row with the same `(approach, patterns)` is
+/// taken if that pair is unique in both reports.
+fn paired_row<'a>(
+    o: &BenchRow,
+    old: &[BenchRow],
+    new: &'a [BenchRow],
+) -> Option<(&'a BenchRow, bool)> {
+    if let Some(n) = new
+        .iter()
+        .find(|n| n.approach == o.approach && n.size == o.size && n.patterns == o.patterns)
+    {
+        return Some((n, false));
+    }
+    let same = |r: &&BenchRow| r.approach == o.approach && r.patterns == o.patterns;
+    if old.iter().filter(same).count() != 1 {
+        return None;
+    }
+    let mut candidates = new.iter().filter(same);
+    match (candidates.next(), candidates.next()) {
+        (Some(n), None) => Some((n, true)),
+        _ => None,
+    }
+}
+
 /// Largest per-reason shift of the stall mix between two rows, in
 /// percentage points of idle cycles, plus the signed shift of the reason
 /// that moved most (the *dominant mover* named in regression verdicts).
@@ -170,14 +200,16 @@ pub fn diff_reports(old: &BenchReport, new: &BenchReport, thr: DiffThresholds) -
         }
     }
     for o in &old.rows {
-        let Some(n) = new
-            .rows
-            .iter()
-            .find(|n| n.approach == o.approach && n.size == o.size && n.patterns == o.patterns)
-        else {
+        let Some((n, resized)) = paired_row(o, &old.rows, &new.rows) else {
             out.missing.push(key(o));
             continue;
         };
+        if resized {
+            out.warnings.push(format!(
+                "{} x {} patterns paired across a size change: {} -> {} bytes",
+                o.approach, o.patterns, o.size, n.size
+            ));
+        }
         if o.config_hash != 0 && n.config_hash != 0 && o.config_hash != n.config_hash {
             out.warnings
                 .push(format!("config hash changed for {}", key(o)));
@@ -233,7 +265,7 @@ pub fn diff_reports(old: &BenchReport, new: &BenchReport, thr: DiffThresholds) -
         if !old
             .rows
             .iter()
-            .any(|o| o.approach == n.approach && o.size == n.size && o.patterns == n.patterns)
+            .any(|o| paired_row(o, &old.rows, &new.rows).is_some_and(|(p, _)| std::ptr::eq(p, n)))
         {
             out.added.push(key(n));
         }
@@ -421,6 +453,61 @@ mod tests {
         let d = diff_reports(&old, &grown, DiffThresholds::default());
         assert!(!d.has_regressions());
         assert_eq!(d.added.len(), 1);
+    }
+
+    #[test]
+    fn rows_whose_size_moved_pair_when_unique_and_warn() {
+        let sized = |approach: &str, size: usize, gbps: f64| BenchRow {
+            size,
+            ..row(approach, gbps, 1000)
+        };
+        let old = report(
+            "base",
+            vec![
+                sized("serve-fleet-d1", 861_816, 8.0),
+                sized("pfac", 4096, 1.0),
+            ],
+        );
+        let new = report(
+            "cand",
+            vec![
+                sized("serve-fleet-d1", 862_649, 8.5),
+                sized("pfac", 4096, 1.0),
+            ],
+        );
+        let d = diff_reports(&old, &new, DiffThresholds::default());
+        assert!(!d.has_regressions(), "{}", d.render());
+        assert_eq!(d.entries.len(), 2);
+        assert!(d.missing.is_empty() && d.added.is_empty(), "{}", d.render());
+        assert_eq!(
+            d.warnings,
+            vec![
+                "serve-fleet-d1 x 100 patterns paired across a size change: 861816 -> 862649 bytes"
+            ]
+        );
+        // A paired row still gates: slower across the size change regresses.
+        let slower = report("cand", vec![sized("serve-fleet-d1", 862_649, 7.0)]);
+        let d = diff_reports(&old, &slower, DiffThresholds::default());
+        assert!(d.regressions().any(|e| e.approach == "serve-fleet-d1"));
+
+        // Ambiguous on either side: no fallback, so the baseline row is
+        // missing and the candidate rows are added.
+        let twice = report(
+            "cand",
+            vec![
+                sized("serve-fleet-d1", 862_649, 8.5),
+                sized("serve-fleet-d1", 900_000, 8.5),
+            ],
+        );
+        let d = diff_reports(&old, &twice, DiffThresholds::default());
+        assert!(d.missing.iter().any(|m| m.contains("serve-fleet-d1")));
+        assert_eq!(d.added.len(), 2);
+        let d = diff_reports(&twice, &new, DiffThresholds::default());
+        assert_eq!(
+            d.missing,
+            vec!["serve-fleet-d1 @ 900000 bytes x 100 patterns"]
+        );
+        assert!(d.warnings.is_empty());
     }
 
     #[test]

@@ -74,8 +74,8 @@ fn multistream_runner_beats_0_6x_serial_when_copy_matches_kernel() {
     let m = matcher();
     let seg = 4096usize;
     // Match-free input (the cyclic alphabet contains none of the
-    // dictionary words): readbacks stay at the 20-byte frame, keeping the
-    // copy engine's work equal to the calibrated uploads.
+    // dictionary words): readbacks stay at the empty 28-byte frame,
+    // keeping the copy engine's work equal to the calibrated uploads.
     let t: Vec<u8> = (0..16 * seg).map(|i| b'a' + (i % 26) as u8).collect();
     let overlap = m.automaton().required_overlap();
 
