@@ -76,8 +76,7 @@ impl Dfa {
         self.state_count
     }
 
-    /// Raw transition row for `state` (256 entries). Used by the STT and
-    /// compression layers.
+    /// Raw transition row for `state` (256 entries). Used by the STT.
     pub fn row(&self, state: u32) -> &[u32] {
         let base = state as usize * ALPHABET;
         &self.delta[base..base + ALPHABET]

@@ -13,8 +13,6 @@
 //! * [`stt`] — the dense 2-D **State Transition Table** with 256 symbol
 //!   columns plus one match-flag column (paper Fig. 5). This is the exact
 //!   structure the paper stores in GPU texture memory,
-//! * [`compress`] — a bitmap-compressed STT (related-work extension in the
-//!   spirit of Zha & Sahni's compressed automata),
 //! * [`matcher`] — serial matchers over the DFA/STT,
 //! * [`chunked`] — input partitioning with the paper's *X-byte overlap* so
 //!   that chunk-parallel matching finds patterns straddling chunk borders,
@@ -36,15 +34,12 @@
 
 pub mod analysis;
 pub mod chunked;
-pub mod compress;
 pub mod dfa;
 pub mod dot;
-pub mod double_array;
 pub mod error;
 pub mod matcher;
 pub mod naive;
 pub mod nfa;
-pub mod nfa_matcher;
 pub mod ownership;
 pub mod pattern;
 pub mod pfac;
@@ -52,13 +47,10 @@ pub mod stt;
 pub mod trie;
 
 pub use chunked::{Chunk, ChunkPlan};
-pub use compress::CompressedStt;
 pub use dfa::Dfa;
-pub use double_array::DoubleArray;
 pub use error::AcError;
 pub use matcher::{Match, StreamMatcher};
 pub use nfa::NfaTables;
-pub use nfa_matcher::NfaMatcher;
 pub use ownership::StateOwnership;
 pub use pattern::{PatternId, PatternSet};
 pub use pfac::PfacAutomaton;

@@ -1,6 +1,6 @@
 //! Failure-banded STT shared-memory kernel (extension, beyond the paper).
 //!
-//! The compression family's smallest member, encoded as a **flattened
+//! The STT layout family's compact member, encoded as a **flattened
 //! trie of fat pointers**. Each state stores only the band of symbols on
 //! which its row deviates from its *failure* state's row — by the AC
 //! construction those are its trie children, so deep states store about
@@ -42,6 +42,7 @@
 //! beat the dense `states × 257` table at 20 000 patterns, where dense
 //! pays a DRAM line fill for most transitions.
 
+use crate::error::GpuError;
 use crate::kernels::{MatchLanes, Scratch};
 use crate::layout::{DiagonalMap, Plan};
 use ac_core::stt::STT_COLUMNS;
@@ -104,11 +105,23 @@ pub struct DeviceBandedStt {
 }
 
 impl DeviceBandedStt {
+    /// [`DeviceBandedStt::try_from_automaton`] for automata known to fit.
+    ///
+    /// # Panics
+    ///
+    /// When the records overflow the fat pointers' 20-bit offsets.
+    pub fn from_automaton(ac: &AcAutomaton) -> Self {
+        Self::try_from_automaton(ac).unwrap_or_else(|e| panic!("{e}"))
+    }
+
     /// Build the device tables from an automaton. Failure links are
     /// recovered from the DFA itself by the standard BFS identity
     /// (`fail(next(s,a)) = next(fail(s),a)`, depth-1 states fail to the
-    /// root), so no NFA-side plumbing is needed.
-    pub fn from_automaton(ac: &AcAutomaton) -> Self {
+    /// root), so no NFA-side plumbing is needed. Fails with
+    /// [`GpuError::InvalidParams`] when the records need more texels than
+    /// a fat pointer's 20-bit offset addresses; the dense layout has no
+    /// such limit and is the fallback.
+    pub fn try_from_automaton(ac: &AcAutomaton) -> Result<Self, GpuError> {
         let stt = ac.stt();
         let n = stt.state_count();
 
@@ -181,11 +194,13 @@ impl DeviceBandedStt {
                 stack.push(c);
             }
         }
-        assert!(
-            next_free <= OFF_MASK + 1,
-            "automaton too large for the banded layout's 20-bit record \
-             offsets ({next_free} texels); use a dense or bitmap layout"
-        );
+        if next_free > OFF_MASK + 1 {
+            return Err(GpuError::InvalidParams(format!(
+                "automaton too large for the banded layout: {next_free} texels \
+                 exceed the {} a 20-bit record offset addresses; use the dense layout",
+                OFF_MASK + 1
+            )));
+        }
 
         let fat = |s: u32| -> u32 {
             let m = if stt.is_match(s) {
@@ -214,13 +229,13 @@ impl DeviceBandedStt {
             new_to_old[off] = s;
         }
 
-        DeviceBandedStt {
+        Ok(DeviceBandedStt {
             words: Arc::new(words),
             word_rows,
             state_count: n as u32,
             fat_of: Arc::new(fat_of),
             new_to_old: Arc::new(new_to_old),
-        }
+        })
     }
 
     /// Total texture bytes.

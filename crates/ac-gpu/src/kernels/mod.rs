@@ -1,20 +1,16 @@
 //! The warp-program kernels: the paper's two approaches (§IV.B.3), the two
-//! degraded staging variants that Fig. 23 compares against, and the PFAC
-//! related-work baseline.
+//! degraded staging variants that Fig. 23 compares against, the PFAC
+//! related-work baseline, and the failure-banded layout extension.
 
 pub mod banded;
-pub mod compressed;
 pub mod global_only;
 pub mod pfac;
 pub mod shared;
-pub mod twolevel;
 
 pub use banded::{BandedKernel, DeviceBandedStt};
-pub use compressed::{CompressedKernel, DeviceCompressedStt};
 pub use global_only::GlobalOnlyKernel;
 pub use pfac::PfacKernel;
 pub use shared::{SharedKernel, SharedVariant};
-pub use twolevel::{DeviceTwoLevelStt, TwoLevelKernel};
 
 use crate::layout::Plan;
 use crate::upload::{MATCH_BIT, STATE_MASK};

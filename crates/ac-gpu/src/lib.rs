@@ -46,8 +46,8 @@ pub mod upload;
 
 pub use error::{ErrorClass, GpuError, PcieError, UploadError};
 pub use kernels::{
-    BandedKernel, CompressedKernel, DeviceBandedStt, DeviceCompressedStt, DeviceTwoLevelStt,
-    GlobalOnlyKernel, MatchEvent, PfacKernel, SharedKernel, SharedVariant, TwoLevelKernel,
+    BandedKernel, DeviceBandedStt, GlobalOnlyKernel, MatchEvent, PfacKernel, SharedKernel,
+    SharedVariant,
 };
 pub use layout::{DiagonalMap, KernelParams, LinearMap, Plan};
 pub use multistream::{run_multistream, MultiStreamConfig, MultiStreamRun};

@@ -8,8 +8,8 @@
 
 use crate::error::GpuError;
 use crate::kernels::{
-    BandedKernel, CompressedKernel, DeviceBandedStt, DeviceCompressedStt, DeviceTwoLevelStt,
-    GlobalOnlyKernel, MatchEvent, PfacKernel, SharedKernel, SharedVariant, TwoLevelKernel,
+    BandedKernel, DeviceBandedStt, GlobalOnlyKernel, MatchEvent, PfacKernel, SharedKernel,
+    SharedVariant,
 };
 use crate::layout::{KernelParams, Plan};
 use crate::readback;
@@ -40,10 +40,6 @@ pub enum Approach {
     SharedDiagonal,
     /// The failureless related-work baseline (Lin et al.).
     Pfac,
-    /// Extension: the shared-memory kernel over a bitmap-compressed STT
-    /// (Zha/Scarpazza/Sahni-style) — ~4× the texture fetches for ~16×
-    /// less texture footprint.
-    SharedCompressed,
     /// Extension: the shared-memory kernel over a failure-banded STT
     /// flattened into trie-preorder fat-pointer records — per state, a
     /// failure word plus the padded band of symbols deviating from its
@@ -53,10 +49,6 @@ pub enum Approach {
     /// adjacent texture line, so this is the family's smallest and most
     /// path-local layout.
     SharedBanded,
-    /// Extension: two-level hot/cold STT — BFS-shallow states keep dense
-    /// rows in a small cache-resident texture (1 fetch), the cold tail
-    /// uses bitmap rows (4 fetches).
-    SharedTwoLevel,
 }
 
 impl Approach {
@@ -68,31 +60,27 @@ impl Approach {
             Approach::SharedCoalescedOnly => SharedVariant::CoalescedOnly.label(),
             Approach::SharedDiagonal => SharedVariant::Diagonal.label(),
             Approach::Pfac => "pfac",
-            Approach::SharedCompressed => "shared-compressed",
             Approach::SharedBanded => "shared-banded",
-            Approach::SharedTwoLevel => "shared-twolevel",
         }
     }
 
     /// All approaches, in report order.
-    pub fn all() -> [Approach; 8] {
+    pub fn all() -> [Approach; 6] {
         [
             Approach::GlobalOnly,
             Approach::SharedNaive,
             Approach::SharedCoalescedOnly,
             Approach::SharedDiagonal,
             Approach::Pfac,
-            Approach::SharedCompressed,
             Approach::SharedBanded,
-            Approach::SharedTwoLevel,
         ]
     }
 }
 
 /// Per-DFA-state workload attribution for one run, folded over SMs and
-/// translated back to the automaton's original state ids (the banded and
-/// two-level kernels report renumbered labels; the fold undoes that, just
-/// as `run_on_device` does for match events).
+/// translated back to the automaton's original state ids (the banded
+/// kernel reports record offsets; the fold undoes that, just as
+/// `run_on_device` does for match events).
 ///
 /// Conservation: `state_cycles.sum() + unattributed_cycles + drain_cycles
 /// == total_sm_cycles` — every simulated SM cycle lands in exactly one
@@ -216,9 +204,9 @@ pub struct GpuAcMatcher {
     ac: AcAutomaton,
     dev_stt: DeviceStt,
     pfac: OnceLock<(PfacAutomaton, DevicePfac)>,
-    compressed: OnceLock<DeviceCompressedStt>,
-    banded: OnceLock<DeviceBandedStt>,
-    twolevel: OnceLock<DeviceTwoLevelStt>,
+    /// Built on first use; an `Err` records that the automaton does not
+    /// fit the layout, so every banded run fails the same typed way.
+    banded: OnceLock<Result<DeviceBandedStt, GpuError>>,
     /// Armed fault-injection state. Lives on the matcher (not the
     /// per-run device) so operation counters persist across retries: a
     /// retried launch has a fresh index and is not re-scheduled to fail.
@@ -239,9 +227,7 @@ impl GpuAcMatcher {
             ac,
             dev_stt,
             pfac: OnceLock::new(),
-            compressed: OnceLock::new(),
             banded: OnceLock::new(),
-            twolevel: OnceLock::new(),
             fault: Mutex::new(None),
         })
     }
@@ -266,9 +252,7 @@ impl GpuAcMatcher {
             ac: self.ac.clone(),
             dev_stt: self.dev_stt.clone(),
             pfac: clone_cell(&self.pfac),
-            compressed: clone_cell(&self.compressed),
             banded: clone_cell(&self.banded),
-            twolevel: clone_cell(&self.twolevel),
             fault: Mutex::new(None),
         }
     }
@@ -348,24 +332,14 @@ impl GpuAcMatcher {
         })
     }
 
-    fn compressed_tables(&self) -> &DeviceCompressedStt {
-        self.compressed
-            .get_or_init(|| DeviceCompressedStt::from_automaton(&self.ac))
-    }
-
-    fn banded_tables(&self) -> &DeviceBandedStt {
+    /// The failure-banded tables, built on first use. `Err` when the
+    /// automaton is too large for the layout's record offsets (see
+    /// [`DeviceBandedStt::try_from_automaton`]).
+    pub(crate) fn banded_tables(&self) -> Result<&DeviceBandedStt, GpuError> {
         self.banded
-            .get_or_init(|| DeviceBandedStt::from_automaton(&self.ac))
-    }
-
-    /// Two-level tables with the hot set sized to half the texture-L2
-    /// budget: the dense hot rows stay L2-resident with room left for the
-    /// cold bitmap meta traffic.
-    pub fn twolevel_tables(&self) -> &DeviceTwoLevelStt {
-        self.twolevel.get_or_init(|| {
-            let budget = self.cfg.tex_l2.size_bytes as usize / 2;
-            DeviceTwoLevelStt::from_automaton(&self.ac, budget)
-        })
+            .get_or_init(|| DeviceBandedStt::try_from_automaton(&self.ac))
+            .as_ref()
+            .map_err(Clone::clone)
     }
 
     /// Run with explicit [`RunOptions`] (recording mode, watchdog).
@@ -442,17 +416,16 @@ impl GpuAcMatcher {
 
     /// Fold a raw device [`Attribution`] (per-SM, kernel-label-indexed)
     /// into a host [`WorkloadAttribution`] indexed by original DFA state
-    /// id. Mirrors the match-event remap: two-level labels pass through
-    /// `new_to_old`, banded labels are record offsets translated the same
-    /// way, everything else already uses DFA ids. Out-of-range labels —
-    /// impossible for well-formed kernels, but conservation must not
-    /// depend on that — fall into the unattributed bucket.
+    /// id. Mirrors the match-event remap: banded labels are record offsets
+    /// translated through `new_to_old`, everything else already uses DFA
+    /// ids. Out-of-range labels — impossible for well-formed kernels, but
+    /// conservation must not depend on that — fall into the unattributed
+    /// bucket.
     fn fold_attribution(&self, raw: Attribution, approach: Approach) -> WorkloadAttribution {
-        let remap: Option<std::sync::Arc<Vec<u32>>> = match approach {
-            Approach::SharedTwoLevel => Some(self.twolevel_tables().new_to_old.clone()),
-            Approach::SharedBanded => Some(self.banded_tables().new_to_old.clone()),
-            _ => None,
-        };
+        let remap = (approach == Approach::SharedBanded).then(|| {
+            let tables = self.banded_tables().expect("a banded run built its tables");
+            tables.new_to_old.clone()
+        });
         let states = self.ac.state_count();
         let mut out = WorkloadAttribution {
             state_cycles: vec![0; states],
@@ -552,35 +525,8 @@ impl GpuAcMatcher {
                 })?;
                 collect(launched.programs, launched.stats, |p| p.take_results())
             }
-            Approach::SharedCompressed => {
-                let tables = self.compressed_tables();
-                let tex_meta = dev.bind_texture_2d(
-                    tables.meta.clone(),
-                    tables.meta_rows,
-                    crate::kernels::compressed::META_COLS,
-                )?;
-                let tex_targets = dev.bind_texture_2d(
-                    tables.targets.clone(),
-                    tables.target_rows,
-                    crate::kernels::compressed::TARGET_ROW,
-                )?;
-                let tex_root = dev.bind_texture_2d(tables.root.clone(), 1, 256)?;
-                let launched = dev.launch(launch, |geom| {
-                    CompressedKernel::new(
-                        geom,
-                        plan,
-                        text_base,
-                        out_base,
-                        tex_meta,
-                        tex_targets,
-                        tex_root,
-                        record,
-                    )
-                })?;
-                collect(launched.programs, launched.stats, |p| p.take_results())
-            }
             Approach::SharedBanded => {
-                let tables = self.banded_tables();
+                let tables = self.banded_tables()?;
                 let tex_words = dev.bind_texture_2d(
                     tables.words.clone(),
                     tables.word_rows,
@@ -590,69 +536,22 @@ impl GpuAcMatcher {
                 let launched = dev.launch(launch, |geom| {
                     BandedKernel::new(geom, plan, text_base, out_base, tex_words, root_fat, record)
                 })?;
-                collect(launched.programs, launched.stats, |p| p.take_results())
-            }
-            Approach::SharedTwoLevel => {
-                let tables = self.twolevel_tables();
-                let tex_hot = dev.bind_texture_2d(
-                    tables.hot.clone(),
-                    tables.hot_count,
-                    ac_core::stt::STT_COLUMNS as u32,
-                )?;
-                let tex_meta = dev.bind_texture_2d(
-                    tables.meta.clone(),
-                    tables.meta_rows,
-                    crate::kernels::twolevel::COLD_META_COLS,
-                )?;
-                let tex_targets = dev.bind_texture_2d(
-                    tables.targets.clone(),
-                    tables.target_rows,
-                    crate::kernels::twolevel::COLD_TARGET_ROW,
-                )?;
-                let tex_root = dev.bind_texture_2d(tables.root.clone(), 1, 256)?;
-                let hot_count = tables.hot_count;
-                let launched = dev.launch(launch, |geom| {
-                    TwoLevelKernel::new(
-                        geom,
-                        plan,
-                        text_base,
-                        out_base,
-                        hot_count,
-                        tex_hot,
-                        tex_meta,
-                        tex_targets,
-                        tex_root,
-                        record,
-                    )
-                })?;
-                collect(launched.programs, launched.stats, |p| p.take_results())
-            }
-        };
-
-        // Two-level and failure-banded kernels report renumbered state
-        // ids (a banded id is a fat pointer whose offset field indexes
-        // `new_to_old`); translate back to the automaton's ids before
-        // host-side output expansion.
-        let events =
-            if record && matches!(approach, Approach::SharedTwoLevel | Approach::SharedBanded) {
-                type StateIndex = fn(u32) -> u32;
-                let (map, index): (std::sync::Arc<Vec<u32>>, StateIndex) = match approach {
-                    Approach::SharedTwoLevel => (self.twolevel_tables().new_to_old.clone(), |s| s),
-                    _ => (
-                        self.banded_tables().new_to_old.clone(),
-                        crate::kernels::banded::fat_off,
-                    ),
-                };
-                events
+                let (events, count, stats) =
+                    collect(launched.programs, launched.stats, |p| p.take_results());
+                // The kernel reports fat pointers, whose offset field
+                // indexes `new_to_old`; translate back to the automaton's
+                // ids before host-side output expansion.
+                let events = events
                     .into_iter()
                     .map(|ev| MatchEvent {
-                        state: map[index(ev.state) as usize],
+                        state: tables.new_to_old
+                            [crate::kernels::banded::fat_off(ev.state) as usize],
                         ..ev
                     })
-                    .collect()
-            } else {
-                events
-            };
+                    .collect();
+                (events, count, stats)
+            }
+        };
 
         // Model the device→host result copy when faults are armed: frame
         // the event buffer, ship it across the (corruptible) bus, and
@@ -702,7 +601,6 @@ impl GpuAcMatcher {
             }
             Approach::Pfac => {
                 // One thread per byte; the Plan is only used for geometry.
-                // (SharedCompressed uses the shared plan below.)
                 let tpb = self.params.threads_per_block;
                 let grid_blocks = len.div_ceil(tpb as u64).max(1) as u32;
                 let launch = LaunchConfig {
@@ -1050,10 +948,8 @@ mod tests {
         assert_eq!(Approach::GlobalOnly.label(), "global-only");
         assert_eq!(Approach::SharedDiagonal.label(), "shared-diagonal");
         assert_eq!(Approach::Pfac.label(), "pfac");
-        assert_eq!(Approach::all().len(), 8);
-        assert_eq!(Approach::SharedCompressed.label(), "shared-compressed");
+        assert_eq!(Approach::all().len(), 6);
         assert_eq!(Approach::SharedBanded.label(), "shared-banded");
-        assert_eq!(Approach::SharedTwoLevel.label(), "shared-twolevel");
     }
 
     #[test]

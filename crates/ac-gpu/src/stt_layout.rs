@@ -1,32 +1,32 @@
 //! The STT layout family and the workload-driven auto-picker.
 //!
-//! One automaton, four device encodings of its state transition table:
+//! One automaton, two device encodings of its state transition table:
 //!
-//! | layout     | per-state storage               | miss path            |
-//! |------------|---------------------------------|----------------------|
-//! | `Dense`    | 257 dense texels (1028 B)       | — (every texel stored) |
-//! | `TwoLevel` | dense row (hot) / bitmap (cold) | packed target or root |
-//! | `Bitmap`   | 16 meta texels + CSR targets    | root-row fetch       |
-//! | `Banded`   | fat-pointer record: failure word + padded band | one-fetch failure step |
+//! | layout   | per-state storage                              | miss path              |
+//! |----------|------------------------------------------------|------------------------|
+//! | `Dense`  | 257 dense texels (1028 B)                      | — (every texel stored) |
+//! | `Banded` | fat-pointer record: failure word + padded band | one-fetch failure step |
 //!
 //! They trade texture fetches per transition against table footprint: the
 //! dense table does one fetch but stops fitting the texture caches past a
-//! few thousand patterns (the paper's Fig. 13–14 collapse); the compressed
-//! forms spend extra fetches (plus popcount/band-test ALU work) to keep
-//! per-state storage small enough to stay resident. Which side wins is
-//! a property of the *workload* — dictionary size, alphabet locality, text
-//! mix — so [`pick_layout`] measures instead of guessing: it probes each
-//! layout on a sample with spatial introspection armed, keeps the
-//! fastest, and ships the per-probe texture-L1 residency of the
-//! state-table fetches as the evidence behind the choice (throughput
-//! ties break toward the more cache-resident layout).
+//! few thousand patterns (the paper's Fig. 13–14 collapse); the banded
+//! table spends a failure-step fetch on off-band bytes to keep per-state
+//! storage small enough to stay resident. Which side wins is a property
+//! of the *workload* — dictionary size, alphabet locality, text mix — so
+//! [`pick_layout`] measures instead of guessing: it probes each layout on
+//! a sample with spatial introspection armed, keeps the fastest, and
+//! ships the per-probe texture-L1 residency of the state-table fetches as
+//! the evidence behind the choice (throughput ties break toward the more
+//! cache-resident layout). The banded records are addressed by 20-bit
+//! offsets, so past about a million texels its tables cannot be built;
+//! the picker then skips it and the dense table is the fallback.
 
 use crate::error::GpuError;
-use crate::kernels::{DeviceBandedStt, DeviceCompressedStt, DeviceTwoLevelStt};
+use crate::kernels::DeviceBandedStt;
 use crate::runner::{Approach, GpuAcMatcher, RunOptions};
 use ac_core::stt::STT_COLUMNS;
 use ac_core::AcAutomaton;
-use gpu_sim::{GpuConfig, IntrospectConfig};
+use gpu_sim::IntrospectConfig;
 use serde::{Deserialize, Serialize};
 
 /// A device encoding of the state transition table. `Auto` defers the
@@ -39,12 +39,8 @@ pub enum SttLayout {
     /// word plus the padded band of symbols deviating from its failure
     /// state's row (≈ the trie children), and every entry carries the
     /// target record's shape, so any transition attempt is one fetch.
-    /// The family's smallest layout.
+    /// The family's smaller layout.
     Banded,
-    /// Hot states dense in a small texture, cold states bitmap rows.
-    TwoLevel,
-    /// Per-state 256-bit bitmap + popcount-indexed packed transitions.
-    Bitmap,
     /// Probe the concrete layouts on the workload and keep the winner.
     Auto,
 }
@@ -52,13 +48,8 @@ pub enum SttLayout {
 impl SttLayout {
     /// The concrete (runnable) layouts, in nominal footprint order,
     /// largest first.
-    pub fn all_concrete() -> [SttLayout; 4] {
-        [
-            SttLayout::Dense,
-            SttLayout::TwoLevel,
-            SttLayout::Bitmap,
-            SttLayout::Banded,
-        ]
+    pub fn all_concrete() -> [SttLayout; 2] {
+        [SttLayout::Dense, SttLayout::Banded]
     }
 
     /// Stable label used in reports and CLI flags.
@@ -66,8 +57,6 @@ impl SttLayout {
         match self {
             SttLayout::Dense => "dense",
             SttLayout::Banded => "banded",
-            SttLayout::TwoLevel => "twolevel",
-            SttLayout::Bitmap => "bitmap",
             SttLayout::Auto => "auto",
         }
     }
@@ -77,8 +66,6 @@ impl SttLayout {
         match s {
             "dense" => Some(SttLayout::Dense),
             "banded" => Some(SttLayout::Banded),
-            "twolevel" => Some(SttLayout::TwoLevel),
-            "bitmap" => Some(SttLayout::Bitmap),
             "auto" => Some(SttLayout::Auto),
             _ => None,
         }
@@ -91,8 +78,6 @@ impl SttLayout {
         match self {
             SttLayout::Dense => Some(Approach::SharedDiagonal),
             SttLayout::Banded => Some(Approach::SharedBanded),
-            SttLayout::TwoLevel => Some(Approach::SharedTwoLevel),
-            SttLayout::Bitmap => Some(Approach::SharedCompressed),
             SttLayout::Auto => None,
         }
     }
@@ -104,8 +89,6 @@ impl SttLayout {
         match approach {
             Approach::SharedDiagonal => Some(SttLayout::Dense),
             Approach::SharedBanded => Some(SttLayout::Banded),
-            Approach::SharedTwoLevel => Some(SttLayout::TwoLevel),
-            Approach::SharedCompressed => Some(SttLayout::Bitmap),
             _ => None,
         }
     }
@@ -114,11 +97,8 @@ impl SttLayout {
     /// `whatif` `stt-layout` knob walks). `None` when already smallest.
     pub fn next_smaller(&self) -> Option<SttLayout> {
         match self {
-            SttLayout::Dense => Some(SttLayout::TwoLevel),
-            SttLayout::TwoLevel => Some(SttLayout::Bitmap),
-            SttLayout::Bitmap => Some(SttLayout::Banded),
-            SttLayout::Banded => None,
-            SttLayout::Auto => None,
+            SttLayout::Dense => Some(SttLayout::Banded),
+            SttLayout::Banded | SttLayout::Auto => None,
         }
     }
 }
@@ -128,42 +108,24 @@ impl SttLayout {
 pub struct LayoutFootprint {
     /// Which layout.
     pub layout: SttLayout,
-    /// Total texture bytes across the layout's tables.
-    pub bytes: usize,
-}
-
-impl LayoutFootprint {
-    /// Share of a cache `size` this footprint occupies (can exceed 1).
-    pub fn share_of(&self, size: u32) -> f64 {
-        self.bytes as f64 / size as f64
-    }
+    /// Total texture bytes across the layout's tables; `None` when the
+    /// automaton does not fit the layout.
+    pub bytes: Option<usize>,
 }
 
 /// Exact device-table footprints of every concrete layout for `ac`,
-/// without binding anything to a device. The two-level hot budget follows
-/// `cfg` the same way the runner's tables do.
-pub fn layout_footprints(ac: &AcAutomaton, cfg: &GpuConfig) -> Vec<LayoutFootprint> {
+/// without binding anything to a device.
+pub fn layout_footprints(ac: &AcAutomaton) -> Vec<LayoutFootprint> {
     let dense = ac.stt().state_count() * STT_COLUMNS * 4;
-    let banded = DeviceBandedStt::from_automaton(ac).size_bytes();
-    let twolevel =
-        DeviceTwoLevelStt::from_automaton(ac, cfg.tex_l2.size_bytes as usize / 2).size_bytes();
-    let bitmap = DeviceCompressedStt::from_automaton(ac).size_bytes();
+    let banded = DeviceBandedStt::try_from_automaton(ac).ok();
     vec![
         LayoutFootprint {
             layout: SttLayout::Dense,
-            bytes: dense,
-        },
-        LayoutFootprint {
-            layout: SttLayout::TwoLevel,
-            bytes: twolevel,
-        },
-        LayoutFootprint {
-            layout: SttLayout::Bitmap,
-            bytes: bitmap,
+            bytes: Some(dense),
         },
         LayoutFootprint {
             layout: SttLayout::Banded,
-            bytes: banded,
+            bytes: banded.map(|t| t.size_bytes()),
         },
     ]
 }
@@ -190,7 +152,8 @@ pub struct LayoutProbe {
 pub struct LayoutChoice {
     /// The winning layout.
     pub layout: SttLayout,
-    /// All probes, in [`SttLayout::all_concrete`] order.
+    /// One probe per layout whose tables fit the automaton, in
+    /// [`SttLayout::all_concrete`] order.
     pub probes: Vec<LayoutProbe>,
 }
 
@@ -206,12 +169,17 @@ pub const PICK_SAMPLE_BYTES: usize = 64 * 1024;
 /// choice when speed is a wash. Every probe carries its residency
 /// numbers, so the decision ships with the evidence explaining it (a
 /// layout wins *because* its working set stays resident, and the probe
-/// rows show it). This is the `Layout::Auto` resolution rule documented
-/// in DESIGN.md §4f.
+/// rows show it). A layout whose tables cannot be built for this
+/// automaton is skipped, so the dense table — which
+/// [`GpuAcMatcher::new`] already validated — is the fallback. This is the
+/// `Layout::Auto` resolution rule documented in DESIGN.md §4f.
 pub fn pick_layout(m: &GpuAcMatcher, sample: &[u8]) -> Result<LayoutChoice, GpuError> {
     let sample = &sample[..sample.len().min(PICK_SAMPLE_BYTES)];
     let mut probes = Vec::new();
     for layout in SttLayout::all_concrete() {
+        if layout == SttLayout::Banded && m.banded_tables().is_err() {
+            continue;
+        }
         let approach = layout.approach().expect("concrete layouts have kernels");
         let run = m.run_opts(
             sample,
@@ -255,6 +223,7 @@ mod tests {
     use super::*;
     use crate::layout::KernelParams;
     use ac_core::PatternSet;
+    use gpu_sim::GpuConfig;
 
     fn matcher(pats: &[&str]) -> GpuAcMatcher {
         let cfg = GpuConfig::gtx285();
@@ -294,15 +263,7 @@ mod tests {
             seen.push(next);
             layout = next;
         }
-        assert_eq!(
-            seen,
-            vec![
-                SttLayout::Dense,
-                SttLayout::TwoLevel,
-                SttLayout::Bitmap,
-                SttLayout::Banded
-            ]
-        );
+        assert_eq!(seen, SttLayout::all_concrete());
     }
 
     #[test]
@@ -310,17 +271,12 @@ mod tests {
         let many: Vec<String> = (0..300).map(|i| format!("pattern{i:03}")).collect();
         let refs: Vec<&str> = many.iter().map(String::as_str).collect();
         let ac = AcAutomaton::build(&PatternSet::from_strs(&refs).unwrap());
-        let cfg = GpuConfig::gtx285();
-        let fps = layout_footprints(&ac, &cfg);
-        assert_eq!(fps.len(), 4);
-        let dense = fps[0].bytes;
+        let fps = layout_footprints(&ac);
+        assert_eq!(fps.len(), 2);
+        let dense = fps[0].bytes.unwrap();
         for fp in &fps[1..] {
-            assert!(
-                fp.bytes < dense,
-                "{}: {} !< {dense}",
-                fp.layout.label(),
-                fp.bytes
-            );
+            let bytes = fp.bytes.unwrap();
+            assert!(bytes < dense, "{}: {bytes} !< {dense}", fp.layout.label());
         }
     }
 
@@ -329,7 +285,7 @@ mod tests {
         let m = matcher(&["he", "she", "his", "hers"]);
         let text = b"she ushers her heirs; he hears her".repeat(16);
         let choice = pick_layout(&m, &text).unwrap();
-        assert_eq!(choice.probes.len(), 4);
+        assert_eq!(choice.probes.len(), 2);
         for p in &choice.probes {
             assert!(p.gbps > 0.0, "{:?}", p.layout);
             assert!(
@@ -350,5 +306,33 @@ mod tests {
         for p in &choice.probes {
             assert!(p.gbps <= won.gbps * 1.005, "{:?} beats the pick", p.layout);
         }
+    }
+
+    #[test]
+    fn wide_band_dictionary_falls_back_to_dense() {
+        // `q00000!`, `q00000~`, …: every depth-6 state branches on '!'
+        // and '~', 94 bytes apart, so each record pads to the 128-entry
+        // class and the records need 1,103,246 texels — past the 2^20 a
+        // 20-bit offset addresses.
+        let pats: Vec<String> = (0..8_300)
+            .flat_map(|i| [format!("q{i:05}!"), format!("q{i:05}~")])
+            .collect();
+        let refs: Vec<&str> = pats.iter().map(String::as_str).collect();
+        let m = matcher(&refs);
+        assert!(matches!(m.banded_tables(), Err(GpuError::InvalidParams(_))));
+        let text = b"q00042! q08299~ q00007?".repeat(4);
+        assert!(matches!(
+            m.run(&text, Approach::SharedBanded),
+            Err(GpuError::InvalidParams(_))
+        ));
+        let fps = layout_footprints(m.automaton());
+        assert_eq!(fps[1].layout, SttLayout::Banded);
+        assert_eq!(fps[1].bytes, None);
+        assert!(fps[0].bytes.is_some());
+        let choice = pick_layout(&m, &text).unwrap();
+        assert_eq!(choice.layout, SttLayout::Dense);
+        assert_eq!(choice.probes.len(), 1);
+        let run = m.run(&text, Approach::SharedDiagonal).unwrap();
+        assert_eq!(run.matches.len(), 8);
     }
 }

@@ -1,11 +1,11 @@
-//! Construction-phase benchmarks: trie → failure links → DFA → STT →
-//! compressed STT, at several dictionary sizes.
+//! Construction-phase benchmarks: trie → failure links → DFA → STT, at
+//! several dictionary sizes.
 //!
 //! The paper excludes construction from its measurements ("the STT
 //! construction and data copy are performed only once"); these benches
 //! exist to keep the one-time cost visible and regression-pinned.
 
-use ac_core::{AcAutomaton, CompressedStt, Dfa, NfaTables, PatternSet, Stt, Trie};
+use ac_core::{AcAutomaton, Dfa, NfaTables, PatternSet, Stt, Trie};
 use bench::workload::Workload;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
@@ -37,7 +37,6 @@ fn bench_stages(c: &mut Criterion) {
     let trie = Trie::build(&ps);
     let nfa = NfaTables::build(&trie);
     let dfa = Dfa::build(&trie, &nfa);
-    let stt = Stt::from_dfa(&dfa);
     let mut g = c.benchmark_group("automaton_stages_5000");
     g.sample_size(10);
     g.bench_function("trie", |b| {
@@ -51,9 +50,6 @@ fn bench_stages(c: &mut Criterion) {
     });
     g.bench_function("stt", |b| {
         b.iter(|| Stt::from_dfa(std::hint::black_box(&dfa)))
-    });
-    g.bench_function("compress", |b| {
-        b.iter(|| CompressedStt::from_stt(std::hint::black_box(&stt)))
     });
     g.finish();
 }

@@ -1,7 +1,7 @@
 //! Real (wall-clock) serial matching throughput — the measured counterpart
 //! of the modelled Fig. 13/16 baseline, on this host's CPU.
 
-use ac_core::{matcher, CompressedStt, Dfa, DoubleArray, NfaMatcher, NfaTables, Trie};
+use ac_core::matcher;
 use bench::workload::Workload;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
@@ -20,66 +20,5 @@ fn bench_serial_matching(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_dense_vs_compressed_walk(c: &mut Criterion) {
-    // The DFA walk itself, dense STT vs bitmap-compressed STT: the
-    // compressed table trades per-transition popcount work for footprint
-    // (the trade the texcache ablation quantifies on the GPU side).
-    let w = Workload::prepare(512 * 1024, 22);
-    let text = w.input(512 * 1024);
-    let dict = w.dictionary(1_000);
-    let ac = w.automaton(1_000);
-    let stt = ac.stt();
-    let compressed = CompressedStt::from_stt(stt);
-    let trie = Trie::build(&dict);
-    let nfa_tables = NfaTables::build(&trie);
-    let dfa = Dfa::build(&trie, &nfa_tables);
-    let double_array = DoubleArray::from_dfa(&dfa);
-    let nfa = NfaMatcher::build(&dict);
-    eprintln!(
-        "[serial] encodings at 1000 patterns: dense {} B, double-array {} B, nfa(sparse) {} B",
-        stt.size_bytes(),
-        double_array.size_bytes(),
-        nfa.size_bytes()
-    );
-    let mut g = c.benchmark_group("dfa_walk_512KB_1000pat");
-    g.sample_size(10);
-    g.throughput(Throughput::Bytes(text.len() as u64));
-    g.bench_function("dense", |b| {
-        b.iter(|| matcher::run_dfa(std::hint::black_box(stt), 0, std::hint::black_box(text)))
-    });
-    g.bench_function("compressed", |b| {
-        b.iter(|| {
-            let mut s = 0u32;
-            for &byte in std::hint::black_box(text) {
-                s = compressed.next(s, byte);
-            }
-            s
-        })
-    });
-    g.bench_function("double_array", |b| {
-        b.iter(|| {
-            let mut s = 0u32;
-            for &byte in std::hint::black_box(text) {
-                s = double_array.next(s, byte);
-            }
-            s
-        })
-    });
-    g.bench_function("nfa_form", |b| {
-        b.iter(|| {
-            let mut s = 0u32;
-            for &byte in std::hint::black_box(text) {
-                s = nfa.step(s, byte);
-            }
-            s
-        })
-    });
-    g.finish();
-}
-
-criterion_group!(
-    benches,
-    bench_serial_matching,
-    bench_dense_vs_compressed_walk
-);
+criterion_group!(benches, bench_serial_matching);
 criterion_main!(benches);

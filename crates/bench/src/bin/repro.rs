@@ -160,7 +160,6 @@ fn parse_args() -> Result<Args, String> {
                     "ablation-naive",
                     "ablation-texcache",
                     "ablation-occupancy",
-                    "ablation-compressed",
                     "ablation-fermi",
                     "ablation-pcie",
                     "ablation-multicore",
@@ -298,7 +297,7 @@ fn run_ablations(args: &Args) -> Result<(FigureSet, Measurements), String> {
         pattern_counts: args.grid.pattern_counts.clone(),
     };
 
-    if wanted("ablation-pfac") || wanted("ablation-naive") || wanted("ablation-compressed") {
+    if wanted("ablation-pfac") || wanted("ablation-naive") {
         let mut cfg = EngineConfig::new(grid.clone());
         cfg.verbose = args.verbose;
         let engine = Engine::new(cfg);
@@ -309,9 +308,6 @@ fn run_ablations(args: &Args) -> Result<(FigureSet, Measurements), String> {
         if wanted("ablation-naive") {
             approaches.push("shared-naive");
             approaches.push("shared-coalesced-only");
-        }
-        if wanted("ablation-compressed") {
-            approaches.push("shared-compressed");
         }
         let m = engine.run(&approaches)?;
         if wanted("ablation-pfac") {
@@ -332,26 +328,6 @@ fn run_ablations(args: &Args) -> Result<(FigureSet, Measurements), String> {
                 &grid.sizes,
                 &grid.pattern_counts,
                 &CellSpec::Ratio("pfac".into(), "shared-diagonal".into()),
-            ));
-        }
-        if wanted("ablation-compressed") {
-            set.figures.push(build_figure(
-                &m,
-                "ablation-compressed",
-                "Compressed-STT kernel throughput (vs shared-diagonal dense)",
-                "beyond paper: ~16x smaller texture footprint, ~4x more fetches",
-                &grid.sizes,
-                &grid.pattern_counts,
-                &CellSpec::Value("shared-compressed".into(), Metric::Gbps),
-            ));
-            set.figures.push(build_figure(
-                &m,
-                "ablation-compressed-ratio",
-                "Dense-kernel speedup over compressed kernel (<1 means compressed wins)",
-                "expected to fall toward/below 1 as pattern count grows",
-                &grid.sizes,
-                &grid.pattern_counts,
-                &CellSpec::Ratio("shared-compressed".into(), "shared-diagonal".into()),
             ));
         }
         if wanted("ablation-naive") {
@@ -691,7 +667,7 @@ fn main() {
         }
     }
     // So does the STT layout sweep: the gate diffs the 20k-pattern
-    // crossover rows (compressed layouts vs the dense STT) on every run.
+    // crossover rows (the smaller layout vs the dense STT) on every run.
     eprintln!("running STT layout sweep (dictionaries up to 20k patterns)");
     match bench::layout_sweep_measurements(args.verbose) {
         Ok(m) => {

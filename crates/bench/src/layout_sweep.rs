@@ -5,17 +5,18 @@
 //! bring the dense STT back — only a smaller table can. This sweep runs
 //! the whole layout family ([`ac_gpu::SttLayout`]) over growing
 //! dictionaries at a fixed input size and commits the rows to
-//! `BENCH_<grid>.json`, so the crossover — compressed layouts overtaking
+//! `BENCH_<grid>.json`, so the crossover — a smaller layout overtaking
 //! the dense STT as the dictionary grows — is guarded by the perf gate
 //! like every other headline:
 //!
-//! * at the 20 000-pattern point the best compressed layout must beat the
+//! * at the 20 000-pattern point the best smaller layout must beat the
 //!   dense STT's Gb/s **and** carry a lower texture-miss stall share
 //!   (the win comes from residency, not from doing less work);
 //! * `verdict::check_layout_crossover` re-derives that claim from any
 //!   measurement set (fresh or committed).
 
 use crate::measure::{Engine, EngineConfig, Measurement, Measurements};
+use ac_gpu::SttLayout;
 use corpus::ExperimentGrid;
 
 /// Input size the sweep holds fixed. Large enough that every state of the
@@ -27,14 +28,14 @@ pub const LAYOUT_SWEEP_SIZE: usize = 128 * 1024;
 /// knee, the large end is the paper's Fig. 13–14 collapse regime.
 pub const LAYOUT_SWEEP_PATTERNS: [usize; 2] = [2_000, 20_000];
 
-/// The layout family, by approach label, in [`ac_gpu::SttLayout`]
-/// footprint order (dense first, failure-banded smallest last).
-pub const LAYOUT_SWEEP_APPROACHES: [&str; 4] = [
-    "shared-diagonal",
-    "shared-twolevel",
-    "shared-compressed",
-    "shared-banded",
-];
+/// The layout family, by approach label, in [`SttLayout::all_concrete`]
+/// footprint order (dense first, smaller layouts after).
+pub fn layout_sweep_approaches() -> Vec<&'static str> {
+    SttLayout::all_concrete()
+        .into_iter()
+        .map(|l| l.approach().expect("concrete layouts have kernels").label())
+        .collect()
+}
 
 /// Run the layout sweep and return one measurement row per
 /// (dictionary, layout) point. Deterministic: same seed, same rows.
@@ -45,7 +46,7 @@ pub fn layout_sweep_measurements(verbose: bool) -> Result<Measurements, String> 
     };
     let mut cfg = EngineConfig::new(grid);
     cfg.verbose = verbose;
-    Engine::new(cfg).run(&LAYOUT_SWEEP_APPROACHES)
+    Engine::new(cfg).run(&layout_sweep_approaches())
 }
 
 /// Texture-miss stall share of one measurement: tex-miss stall cycles as
@@ -58,7 +59,7 @@ pub fn tex_miss_share(m: &Measurement) -> f64 {
 }
 
 /// The sweep's headline claim, re-derived from a measurement set: at
-/// `patterns` dictionaries, some compressed layout beats the dense STT on
+/// `patterns` dictionaries, some smaller layout beats the dense STT on
 /// throughput while stalling less on texture misses. Returns the winning
 /// `(label, gbps, tex_miss_share)` or an explanation of the failure.
 pub fn check_layout_crossover(
@@ -66,12 +67,14 @@ pub fn check_layout_crossover(
     size: usize,
     patterns: usize,
 ) -> Result<(String, f64, f64), String> {
+    let approaches = layout_sweep_approaches();
+    let (dense_label, smaller) = approaches.split_first().expect("dense heads the family");
     let dense = m
-        .get("shared-diagonal", size, patterns)
+        .get(dense_label, size, patterns)
         .ok_or_else(|| format!("missing dense row at {size}x{patterns}"))?;
     let dense_share = tex_miss_share(dense);
     let mut best: Option<&Measurement> = None;
-    for label in &LAYOUT_SWEEP_APPROACHES[1..] {
+    for label in smaller {
         let Some(row) = m.get(label, size, patterns) else {
             return Err(format!("missing {label} row at {size}x{patterns}"));
         };
@@ -79,10 +82,10 @@ pub fn check_layout_crossover(
             best = Some(row);
         }
     }
-    let best = best.expect("at least one compressed layout");
+    let best = best.expect("at least one smaller layout");
     if best.gbps <= dense.gbps {
         return Err(format!(
-            "no compressed layout beats dense at {patterns} patterns: best {} {:.3} Gb/s <= dense {:.3} Gb/s",
+            "no smaller layout beats dense at {patterns} patterns: best {} {:.3} Gb/s <= dense {:.3} Gb/s",
             best.approach, best.gbps, dense.gbps
         ));
     }
@@ -160,20 +163,22 @@ mod tests {
         let mut m = Measurements::default();
         m.rows.push(row("shared-diagonal", 2.0, 100, 90));
         m.rows.push(row("shared-banded", 3.0, 100, 40));
-        m.rows.push(row("shared-twolevel", 4.0, 100, 30));
-        m.rows.push(row("shared-compressed", 3.5, 100, 20));
         let (label, gbps, share) = check_layout_crossover(&m, LAYOUT_SWEEP_SIZE, 20_000).unwrap();
-        assert_eq!(label, "shared-twolevel");
-        assert!((gbps - 4.0).abs() < 1e-12);
-        assert!((share - 0.3).abs() < 1e-12);
+        assert_eq!(label, "shared-banded");
+        assert!((gbps - 3.0).abs() < 1e-12);
+        assert!((share - 0.4).abs() < 1e-12);
 
-        // A compressed family that never overtakes dense fails the check.
+        // A smaller layout that never overtakes dense fails the check.
         let mut flat = Measurements::default();
         flat.rows.push(row("shared-diagonal", 5.0, 100, 10));
         flat.rows.push(row("shared-banded", 3.0, 100, 40));
-        flat.rows.push(row("shared-twolevel", 4.0, 100, 30));
-        flat.rows.push(row("shared-compressed", 3.5, 100, 20));
         assert!(check_layout_crossover(&flat, LAYOUT_SWEEP_SIZE, 20_000).is_err());
+
+        // Winning on Gb/s while stalling more on texture misses fails too.
+        let mut stalled = Measurements::default();
+        stalled.rows.push(row("shared-diagonal", 2.0, 100, 30));
+        stalled.rows.push(row("shared-banded", 3.0, 100, 40));
+        assert!(check_layout_crossover(&stalled, LAYOUT_SWEEP_SIZE, 20_000).is_err());
 
         // Missing rows are an error, not a silent pass.
         assert!(check_layout_crossover(&Measurements::default(), 1, 1).is_err());
@@ -188,14 +193,16 @@ mod tests {
             sizes: vec![32 * 1024],
             pattern_counts: vec![200],
         };
+        let approaches = layout_sweep_approaches();
+        assert_eq!(approaches, ["shared-diagonal", "shared-banded"]);
         let cfg = EngineConfig::new(grid.clone());
-        let a = Engine::new(cfg).run(&LAYOUT_SWEEP_APPROACHES).unwrap();
-        assert_eq!(a.rows.len(), LAYOUT_SWEEP_APPROACHES.len());
+        let a = Engine::new(cfg).run(&approaches).unwrap();
+        assert_eq!(a.rows.len(), approaches.len());
         for r in &a.rows {
             assert!(r.gbps > 0.0, "{}", r.approach);
         }
         let b = Engine::new(EngineConfig::new(grid))
-            .run(&LAYOUT_SWEEP_APPROACHES)
+            .run(&approaches)
             .unwrap();
         assert_eq!(a.rows, b.rows);
     }

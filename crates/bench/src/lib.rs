@@ -37,8 +37,8 @@ pub use fleet::{
     FLEET_SCENARIOS,
 };
 pub use layout_sweep::{
-    check_layout_crossover, check_layout_crossover_report, layout_sweep_measurements,
-    tex_miss_share, LAYOUT_SWEEP_APPROACHES, LAYOUT_SWEEP_PATTERNS, LAYOUT_SWEEP_SIZE,
+    check_layout_crossover, check_layout_crossover_report, layout_sweep_approaches,
+    layout_sweep_measurements, tex_miss_share, LAYOUT_SWEEP_PATTERNS, LAYOUT_SWEEP_SIZE,
 };
 pub use measure::{Engine, EngineConfig, Measurement, Measurements};
 pub use report::{row_config_hash, BenchReport, BenchRow, Provenance};

@@ -1,6 +1,9 @@
 //! Command execution: load inputs, dispatch, format output.
 
-use crate::engines::{device, run_engine, run_resilient, EngineReport, ResilientReport};
+use crate::engines::{
+    device, gpu_approach, resolve_gpu_approach, run_engine, run_resilient, EngineReport,
+    ResilientReport,
+};
 use crate::opts::{Command, Engine, Options};
 use ac_core::{analysis, dot, AcAutomaton, NfaTables, PatternSet, Trie};
 use ac_gpu::{Approach, GpuAcMatcher, KernelParams, RunOptions};
@@ -353,7 +356,7 @@ fn bench_diff_text(opts: &Options) -> Result<String, String> {
     let diff = diff_reports(&old, &new, thr);
     let mut out = diff.render();
     // The layout sweep's headline is a *claim about rows*, not a row: at
-    // the largest swept dictionary the best compressed layout must beat
+    // the largest swept dictionary the best smaller layout must beat
     // the dense STT with a lower texture-miss stall share. Re-derive it
     // from the fresh report whenever the sweep rows are present, so the
     // gate fails on a broken crossover even when every row moved less
@@ -910,22 +913,7 @@ fn explain_text(
 ) -> Result<String, String> {
     let params = KernelParams::defaults_for(cfg);
     let matcher = GpuAcMatcher::new(*cfg, params, ac.clone())?;
-    let approach = match opts.engine {
-        Engine::GpuShared => Approach::SharedDiagonal,
-        Engine::GpuGlobal => Approach::GlobalOnly,
-        Engine::GpuCompressed => Approach::SharedCompressed,
-        Engine::GpuBanded => Approach::SharedBanded,
-        Engine::GpuTwoLevel => Approach::SharedTwoLevel,
-        Engine::GpuPfac => Approach::Pfac,
-        Engine::GpuAuto => {
-            let choice = ac_gpu::pick_layout(&matcher, text).map_err(|e| e.to_string())?;
-            choice
-                .layout
-                .approach()
-                .expect("picker returns concrete layouts")
-        }
-        Engine::Serial | Engine::Parallel => unreachable!("validated by the parser"),
-    };
+    let approach = resolve_gpu_approach(opts.engine, &matcher, text)?;
     let report = bench::explain(cfg, params, ac, text, approach)?;
     let mut out = report.render();
 
@@ -950,9 +938,9 @@ fn explain_text(
         &fetches,
         64,
     ));
-    // The compressed-layout kernels' first texture holds per-state
-    // metadata (bitmap, band, or hot rows), not the dense STT, so the
-    // line→row residency mapping only holds for dense-table kernels.
+    // The banded kernel's first texture holds fat-pointer records, not
+    // the dense STT, so the line→row residency mapping only holds for
+    // dense-table kernels.
     if ac_gpu::SttLayout::of_approach(approach)
         .map(|l| l == ac_gpu::SttLayout::Dense)
         .unwrap_or(true)
@@ -1031,14 +1019,8 @@ fn profile_text(
     let mut shared_stats: Option<LaunchStats> = None;
     let mut json_rows: Vec<ProfileRow> = Vec::new();
     for (engine, name) in Engine::all() {
-        let approach = match engine {
-            Engine::GpuGlobal => Approach::GlobalOnly,
-            Engine::GpuShared => Approach::SharedDiagonal,
-            Engine::GpuCompressed => Approach::SharedCompressed,
-            Engine::GpuBanded => Approach::SharedBanded,
-            Engine::GpuTwoLevel => Approach::SharedTwoLevel,
-            Engine::GpuPfac => Approach::Pfac,
-            Engine::Serial | Engine::Parallel | Engine::GpuAuto => continue,
+        let Some(approach) = gpu_approach(engine) else {
+            continue;
         };
         let run = matcher
             .run_opts(
@@ -1162,22 +1144,7 @@ fn hot_text(
 ) -> Result<String, String> {
     let params = KernelParams::defaults_for(cfg);
     let matcher = GpuAcMatcher::new(*cfg, params, ac.clone())?;
-    let approach = match opts.engine {
-        Engine::GpuShared => Approach::SharedDiagonal,
-        Engine::GpuGlobal => Approach::GlobalOnly,
-        Engine::GpuCompressed => Approach::SharedCompressed,
-        Engine::GpuBanded => Approach::SharedBanded,
-        Engine::GpuTwoLevel => Approach::SharedTwoLevel,
-        Engine::GpuPfac => Approach::Pfac,
-        Engine::GpuAuto => {
-            let choice = ac_gpu::pick_layout(&matcher, text).map_err(|e| e.to_string())?;
-            choice
-                .layout
-                .approach()
-                .expect("picker returns concrete layouts")
-        }
-        Engine::Serial | Engine::Parallel => unreachable!("validated by the parser"),
-    };
+    let approach = resolve_gpu_approach(opts.engine, &matcher, text)?;
     let run = matcher.run_opts(
         text,
         approach,
@@ -1355,15 +1322,22 @@ fn stats_text(patterns: &PatternSet, ac: &AcAutomaton, cfg: &GpuConfig) -> Strin
         "  {:>9} | {:>12} | {:>9} | {:>9}",
         "layout", "bytes", "of L1", "of L2"
     );
-    for fp in ac_gpu::layout_footprints(ac, cfg) {
-        let _ = writeln!(
-            out,
-            "  {:>9} | {:>12} | {:>8.1}% | {:>8.1}%",
-            fp.layout.label(),
-            fp.bytes,
-            fp.share_of(cfg.tex_cache.size_bytes) * 100.0,
-            fp.share_of(cfg.tex_l2.size_bytes) * 100.0
-        );
+    for fp in ac_gpu::layout_footprints(ac) {
+        let label = fp.layout.label();
+        match fp.bytes {
+            Some(bytes) => {
+                let share = |size: u32| bytes as f64 / size as f64 * 100.0;
+                let _ = writeln!(
+                    out,
+                    "  {label:>9} | {bytes:>12} | {:>8.1}% | {:>8.1}%",
+                    share(cfg.tex_cache.size_bytes),
+                    share(cfg.tex_l2.size_bytes)
+                );
+            }
+            None => {
+                let _ = writeln!(out, "  {label:>9} | {:>12} |", "does not fit");
+            }
+        }
     }
     out
 }
@@ -1571,9 +1545,7 @@ mod tests {
             "parallel",
             "gpu:shared",
             "gpu:global",
-            "gpu:compressed",
             "gpu:banded",
-            "gpu:twolevel",
             "gpu:pfac",
         ] {
             assert!(out.contains(name), "missing {name} in\n{out}");
@@ -1598,7 +1570,7 @@ mod tests {
         let opts = parse(["stats", "--patterns", pats.to_str().unwrap()]).unwrap();
         let out = run(&opts).unwrap();
         assert!(out.contains("STT device footprint by layout"), "{out}");
-        for label in ["dense", "banded", "twolevel", "bitmap"] {
+        for label in ["dense", "banded"] {
             assert!(out.contains(label), "missing {label} in\n{out}");
         }
         assert!(out.contains("of L1"), "{out}");
@@ -1707,14 +1679,7 @@ mod tests {
         ])
         .unwrap();
         let out = run(&opts).unwrap();
-        for name in [
-            "gpu:shared",
-            "gpu:global",
-            "gpu:compressed",
-            "gpu:banded",
-            "gpu:twolevel",
-            "gpu:pfac",
-        ] {
+        for name in ["gpu:shared", "gpu:global", "gpu:banded", "gpu:pfac"] {
             assert!(out.contains(name), "missing {name} in\n{out}");
         }
         assert!(out.contains("stall breakdown"), "{out}");
@@ -1790,7 +1755,7 @@ mod tests {
         let out = run(&opts).unwrap();
         let rows: serde::Value = serde_json::from_str(&out).expect("valid JSON");
         let rows = rows.as_arr().expect("top-level array");
-        assert_eq!(rows.len(), 6, "{out}"); // six GPU configs
+        assert_eq!(rows.len(), 4, "{out}"); // four GPU configs
         let first = rows[0].as_obj().unwrap();
         for field in ["config", "cycles", "gbps", "busy_pct", "stalls"] {
             assert!(serde::obj_get(first, field).is_some(), "missing {field}");

@@ -41,17 +41,45 @@ pub fn device(fermi: bool) -> GpuConfig {
 }
 
 /// The approach a GPU engine runs. `None` for the CPU engines and for
-/// `gpu:auto`, which picks a layout per workload (see [`run_engine`]).
+/// `gpu:auto`, which picks a layout per workload (see
+/// [`resolve_gpu_approach`]).
 pub fn gpu_approach(e: Engine) -> Option<Approach> {
     match e {
         Engine::GpuShared => Some(Approach::SharedDiagonal),
         Engine::GpuGlobal => Some(Approach::GlobalOnly),
-        Engine::GpuCompressed => Some(Approach::SharedCompressed),
         Engine::GpuBanded => Some(Approach::SharedBanded),
-        Engine::GpuTwoLevel => Some(Approach::SharedTwoLevel),
         Engine::GpuPfac => Some(Approach::Pfac),
         Engine::Serial | Engine::Parallel | Engine::GpuAuto => None,
     }
+}
+
+/// The approach a GPU engine runs over `text`. `gpu:auto` probes the STT
+/// layouts on a sample of `text`, keeps the fastest, and prints the pick
+/// with each probe's residency evidence to stderr; every other GPU engine
+/// maps through [`gpu_approach`].
+pub fn resolve_gpu_approach(
+    engine: Engine,
+    matcher: &GpuAcMatcher,
+    text: &[u8],
+) -> Result<Approach, String> {
+    if engine != Engine::GpuAuto {
+        return gpu_approach(engine).ok_or_else(|| format!("{engine:?} has no GPU kernel"));
+    }
+    let choice = ac_gpu::pick_layout(matcher, text).map_err(|e| e.to_string())?;
+    eprintln!(
+        "gpu:auto picked the {} layout ({})",
+        choice.layout.label(),
+        choice
+            .probes
+            .iter()
+            .map(|p| format!("{} {:.0}% L1", p.layout.label(), p.stt_l1_hit_rate * 100.0))
+            .collect::<Vec<_>>()
+            .join(", ")
+    );
+    Ok(choice
+        .layout
+        .approach()
+        .expect("picker returns concrete layouts"))
 }
 
 /// Execute `engine` over `text`. `trace` arms the cycle-stamped recorder
@@ -104,29 +132,7 @@ pub fn run_engine(
         }
         _ => {
             let matcher = GpuAcMatcher::new(*cfg, KernelParams::defaults_for(cfg), ac.clone())?;
-            let approach = if engine == Engine::GpuAuto {
-                // Probe every STT layout on a sample of the input and keep
-                // the fastest; print the residency evidence per probe.
-                let choice = ac_gpu::pick_layout(&matcher, text).map_err(|e| e.to_string())?;
-                let layout = choice.layout;
-                eprintln!(
-                    "gpu:auto picked the {} layout ({})",
-                    layout.label(),
-                    choice
-                        .probes
-                        .iter()
-                        .map(|p| format!(
-                            "{} {:.0}% L1",
-                            p.layout.label(),
-                            p.stt_l1_hit_rate * 100.0
-                        ))
-                        .collect::<Vec<_>>()
-                        .join(", ")
-                );
-                layout.approach().expect("picker returns concrete layouts")
-            } else {
-                gpu_approach(engine).expect("non-CPU engine maps to an approach")
-            };
+            let approach = resolve_gpu_approach(engine, &matcher, text)?;
             let mut run = matcher.run_opts(
                 text,
                 approach,

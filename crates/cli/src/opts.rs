@@ -14,14 +14,10 @@ pub enum Engine {
     GpuShared,
     /// Simulated-GPU kernel: global-memory-only.
     GpuGlobal,
-    /// Simulated-GPU kernel: compressed-STT (bitmap rows).
-    GpuCompressed,
     /// Simulated-GPU kernel: failure-banded STT (fat-pointer records —
     /// per-state padded band of deviations from the failure state, any
     /// transition attempt one texture fetch).
     GpuBanded,
-    /// Simulated-GPU kernel: two-level STT (hot states dense, cold bitmap).
-    GpuTwoLevel,
     /// Simulated GPU with the STT layout auto-picked per workload.
     GpuAuto,
     /// Simulated-GPU kernel: failureless PFAC.
@@ -35,14 +31,12 @@ impl Engine {
             "parallel" => Ok(Engine::Parallel),
             "gpu:shared" => Ok(Engine::GpuShared),
             "gpu:global" => Ok(Engine::GpuGlobal),
-            "gpu:compressed" => Ok(Engine::GpuCompressed),
             "gpu:banded" => Ok(Engine::GpuBanded),
-            "gpu:twolevel" => Ok(Engine::GpuTwoLevel),
             "gpu:auto" => Ok(Engine::GpuAuto),
             "gpu:pfac" => Ok(Engine::GpuPfac),
             other => Err(ParseError(format!(
                 "unknown engine '{other}' (serial, parallel, gpu:shared, gpu:global, \
-                 gpu:compressed, gpu:banded, gpu:twolevel, gpu:auto, gpu:pfac)"
+                 gpu:banded, gpu:auto, gpu:pfac)"
             ))),
         }
     }
@@ -50,15 +44,13 @@ impl Engine {
     /// All engines with their CLI names (for `compare`). `gpu:auto` is
     /// excluded: it resolves to one of the concrete layouts per workload,
     /// so it would only duplicate a row.
-    pub fn all() -> [(Engine, &'static str); 8] {
+    pub fn all() -> [(Engine, &'static str); 6] {
         [
             (Engine::Serial, "serial"),
             (Engine::Parallel, "parallel"),
             (Engine::GpuShared, "gpu:shared"),
             (Engine::GpuGlobal, "gpu:global"),
-            (Engine::GpuCompressed, "gpu:compressed"),
             (Engine::GpuBanded, "gpu:banded"),
-            (Engine::GpuTwoLevel, "gpu:twolevel"),
             (Engine::GpuPfac, "gpu:pfac"),
         ]
     }
@@ -234,10 +226,11 @@ pub const USAGE: &str = "usage:
   acsim hot     --patterns FILE --input FILE [--engine gpu:*] [--fermi] [--top N]
                 [--json] [--folded-out FILE]
   acsim dot     --patterns FILE
-engines: serial | parallel | gpu:shared | gpu:global | gpu:compressed
-       | gpu:banded | gpu:twolevel | gpu:auto | gpu:pfac
-gpu:auto probes every STT layout on a sample of the input and keeps the
-fastest (texture-residency introspection reported as the evidence).
+engines: serial | parallel | gpu:shared | gpu:global | gpu:banded | gpu:auto
+       | gpu:pfac
+gpu:auto probes the dense and banded STT layouts on a sample of the input and
+keeps the fastest (texture-residency introspection reported as the evidence);
+a dictionary too large for the banded layout runs on the dense one.
 --resilient runs supervised GPU matching that degrades to the CPU engines on
 failure; --fault-seed arms a deterministic fault-injection plan (testing aid).
 --trace-out writes a Chrome trace-event JSON (load in Perfetto); --metrics-out

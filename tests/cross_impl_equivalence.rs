@@ -1,14 +1,16 @@
 //! Cross-implementation equivalence: every matcher in the workspace —
-//! serial DFA, streaming, chunked, multithreaded CPU, PFAC, compressed
-//! STT, and all five GPU kernels — reports exactly the same matches.
+//! serial DFA, streaming, chunked, multithreaded CPU, PFAC, the banded
+//! STT's host-side walk, and all six GPU kernels — reports exactly the
+//! same matches.
 
 use ac_core::chunked::{match_all_chunks, ChunkPlan};
-use ac_core::{naive, AcAutomaton, CompressedStt, Match, PatternSet, PfacAutomaton, StreamMatcher};
+use ac_core::{naive, AcAutomaton, Match, PatternSet, PfacAutomaton, StreamMatcher};
 use ac_cpu::{par_find_all, ParallelConfig};
-use ac_gpu::{Approach, GpuAcMatcher, KernelParams};
+use ac_gpu::{Approach, DeviceBandedStt, GpuAcMatcher, KernelParams, MATCH_BIT};
 use corpus::{extract_patterns, ExtractConfig, TextGenerator};
 use gpu_sim::GpuConfig;
 use proptest::prelude::*;
+use std::collections::HashMap;
 
 fn workload() -> (Vec<u8>, PatternSet) {
     let text = TextGenerator::new(400).generate(48 * 1024);
@@ -57,17 +59,22 @@ fn seven_implementations_agree() {
     let pfac = PfacAutomaton::build(&ps);
     assert_eq!(pfac.find_all(&text), reference, "pfac");
 
-    // 5. Compressed STT walk (via a hand-rolled matcher).
-    let compressed = CompressedStt::from_stt(ac.stt());
+    // 5. The banded STT's host-side walk (fat pointers, failure steps
+    // on off-band bytes), mapped back to automaton states.
+    let banded = DeviceBandedStt::try_from_automaton(&ac).unwrap();
+    let state_of: HashMap<u32, u32> = (0..)
+        .zip(banded.fat_of.iter())
+        .map(|(s, &f)| (f, s))
+        .collect();
     let mut got = Vec::new();
-    let mut state = 0u32;
+    let mut fat = banded.fat_of[0];
     for (i, &b) in text.iter().enumerate() {
-        state = compressed.next(state, b);
-        if compressed.is_match(state) {
-            ac.expand_outputs(state, i + 1, &mut got);
+        fat = banded.lookup(fat, b);
+        if fat & MATCH_BIT != 0 {
+            ac.expand_outputs(state_of[&fat], i + 1, &mut got);
         }
     }
-    assert_eq!(sorted(got), reference, "compressed STT");
+    assert_eq!(sorted(got), reference, "banded STT walk");
 
     // 6–7. All GPU kernels.
     let cfg = GpuConfig::gtx285();
@@ -102,7 +109,7 @@ proptest! {
             Approach::SharedDiagonal,
             Approach::GlobalOnly,
             Approach::Pfac,
-            Approach::SharedCompressed,
+            Approach::SharedBanded,
         ] {
             let run = m.run(text.as_bytes(), approach).unwrap();
             prop_assert_eq!(&run.matches, &want, "{:?}", approach);

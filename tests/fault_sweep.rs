@@ -166,39 +166,38 @@ fn every_rung_of_the_ladder_is_reachable() {
 
 #[test]
 fn compressed_layout_kernels_recover_under_supervision() {
-    // The PR-5 layout family under the supervisor: the CRC readback
-    // framing must catch corrupted match buffers on the banded and
-    // two-level kernels exactly as it does on the dense ones, and the
-    // retried run must stay byte-identical to the oracle.
+    // The STT layout family under the supervisor: the CRC readback
+    // framing must catch corrupted match buffers on the banded kernel
+    // exactly as it does on the dense ones, and the retried run must stay
+    // byte-identical to the oracle.
     let (ac, text) = scenario(0);
     let mut want = ac.find_all(&text);
     want.sort();
     let gpu_cfg = GpuConfig::gtx285();
     let m = GpuAcMatcher::new(gpu_cfg, KernelParams::defaults_for(&gpu_cfg), ac).unwrap();
 
-    for approach in [Approach::SharedBanded, Approach::SharedTwoLevel] {
-        // Attempt 1's readback is corrupted, attempt 2's launch dies,
-        // attempt 3 answers.
-        m.set_fault_plan(
-            FaultPlan::none()
-                .with_readback_flip(0, 12_345)
-                .with_launch_transient(1),
-        );
-        let s = run_supervised(&m, &text, approach, &SuperviseConfig::default()).unwrap();
-        m.clear_fault_plan();
-        assert_eq!(s.run.matches, want, "{}", approach.label());
-        assert_eq!(s.report.retries, 2, "{}", approach.label());
-        assert!(s
-            .report
-            .faults
-            .iter()
-            .any(|f| f.kind == FaultKind::ReadbackBitFlip));
-        assert!(s
-            .report
-            .faults
-            .iter()
-            .any(|f| f.kind == FaultKind::LaunchTransient));
-    }
+    // Attempt 1's readback is corrupted, attempt 2's launch dies,
+    // attempt 3 answers.
+    m.set_fault_plan(
+        FaultPlan::none()
+            .with_readback_flip(0, 12_345)
+            .with_launch_transient(1),
+    );
+    let cfg = SuperviseConfig::default();
+    let s = run_supervised(&m, &text, Approach::SharedBanded, &cfg).unwrap();
+    m.clear_fault_plan();
+    assert_eq!(s.run.matches, want);
+    assert_eq!(s.report.retries, 2);
+    assert!(s
+        .report
+        .faults
+        .iter()
+        .any(|f| f.kind == FaultKind::ReadbackBitFlip));
+    assert!(s
+        .report
+        .faults
+        .iter()
+        .any(|f| f.kind == FaultKind::LaunchTransient));
 
     // gpu:auto — the layout picker's probe launches consume fault
     // indices, so the plan is armed only after picking; the picked

@@ -1,6 +1,6 @@
-//! Layout equivalence: every compressed STT layout (banded, two-level,
-//! bitmap) produces a match set bit-identical to the dense-STT reference —
-//! on corpus workloads, on randomized pattern/text pairs, and through the
+//! Layout equivalence: every compressed STT layout (today the failure-banded
+//! one) produces a match set bit-identical to the dense-STT reference — on
+//! corpus workloads, on randomized pattern/text pairs, and through the
 //! batched serving path. Compression may only change *where* transitions
 //! live, never what they say.
 

@@ -28,16 +28,12 @@ fn text() -> Vec<u8> {
 
 /// The loops below iterate `Approach::all()`, so the zero-cost invariant
 /// automatically covers new kernels — but only if they are actually in the
-/// list. Pin the compressed-layout family's presence so coverage cannot
+/// list. Pin the STT layout family's presence so coverage cannot
 /// silently shrink if the enumeration is ever reworked.
 #[test]
 fn approach_enumeration_covers_the_layout_family() {
-    for approach in [
-        Approach::SharedDiagonal,
-        Approach::SharedBanded,
-        Approach::SharedTwoLevel,
-        Approach::SharedCompressed,
-    ] {
+    for layout in ac_gpu::SttLayout::all_concrete() {
+        let approach = layout.approach().expect("concrete layouts have kernels");
         assert!(
             Approach::all().contains(&approach),
             "{approach:?} missing from Approach::all(): the zero-cost-hook \
