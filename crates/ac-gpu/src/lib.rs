@@ -34,7 +34,6 @@
 pub mod error;
 pub mod kernels;
 pub mod layout;
-pub mod multistream;
 pub mod pool;
 pub mod readback;
 pub mod runner;
@@ -50,7 +49,6 @@ pub use kernels::{
     SharedVariant,
 };
 pub use layout::{DiagonalMap, KernelParams, LinearMap, Plan};
-pub use multistream::{run_multistream, MultiStreamConfig, MultiStreamRun};
 pub use pool::{DevicePool, DevicePoolConfig, DevicePoolStats, PooledBuffer, MIN_CLASS_BYTES};
 pub use readback::ReadbackCorruption;
 pub use runner::{Approach, GpuAcMatcher, GpuRun, RunOptions, WorkloadAttribution};

@@ -16,7 +16,7 @@
 //! `n` is the number of materialized records and `event_count` the total
 //! the kernel observed (the two differ in counting mode). [`readback_bytes`]
 //! is the frame's exact length, `28 + 8n`; every layer that prices the
-//! device→host copy (serving, fleet, multi-stream, what-if) uses it, so
+//! device→host copy (serving, fleet, what-if) uses it, so
 //! the copy the model charges is the buffer this module writes.
 //!
 //! CRC-32 (IEEE 802.3) detects **every** single-bit error by construction

@@ -10,6 +10,10 @@
 //! Default grid is the scaled one (50 KB–4 MB inputs, 100–20 000
 //! patterns); `--full` switches to the paper's 50 KB–200 MB grid, `--quick`
 //! to a smoke grid. CSV/JSON land in `--out` (default `results/`).
+//!
+//! Every run also measures the ride-along scenarios ([`bench::scenarios`])
+//! and checks the gate table ([`bench::evaluate_gates`]) on the report it
+//! writes; it exits 1 when a gate breaks, after writing every output.
 
 use bench::figures::{build_figure, CellSpec, Figure, FigureSet, Metric};
 use bench::measure::{Engine, EngineConfig, Measurements};
@@ -192,10 +196,18 @@ fn parse_args() -> Result<Args, String> {
     })
 }
 
-fn write_outputs(out_dir: &Path, name: &str, set: &FigureSet, measurements: &Measurements) {
+/// Write the figures, measurements and perf report into `out_dir`, and
+/// return the perf report.
+fn write_outputs(
+    out_dir: &Path,
+    name: &str,
+    set: &FigureSet,
+    measurements: &Measurements,
+) -> bench::BenchReport {
+    let mut report = bench::BenchReport::from_measurements(name, measurements);
     if let Err(e) = std::fs::create_dir_all(out_dir) {
         eprintln!("warning: cannot create {}: {e}", out_dir.display());
-        return;
+        return report;
     }
     for f in &set.figures {
         let p = out_dir.join(format!("{}.csv", f.id));
@@ -215,7 +227,6 @@ fn write_outputs(out_dir: &Path, name: &str, set: &FigureSet, measurements: &Mea
     if let Ok(json) = serde_json::to_string_pretty(measurements) {
         let _ = std::fs::write(out_dir.join("measurements.json"), json);
     }
-    let mut report = bench::BenchReport::from_measurements(name, measurements);
     // Stamp generation context on the committed artifact (the library
     // builder stays pure so reports remain a deterministic function of
     // the measurements; only this writer knows the git state and grid).
@@ -237,6 +248,7 @@ fn write_outputs(out_dir: &Path, name: &str, set: &FigureSet, measurements: &Mea
         Ok(p) => eprintln!("perf report: {}", p.display()),
         Err(e) => eprintln!("warning: cannot write {}: {e}", report.file_name()),
     }
+    report
 }
 
 fn run_figures(args: &Args) -> Result<(FigureSet, Measurements), String> {
@@ -606,99 +618,37 @@ fn main() {
             std::process::exit(1);
         }
     }
-    // The serving scenario rides along on every run so the perf report
-    // always carries the batching/stream rows the bench gate diffs.
-    eprintln!("running serving scenarios (batched multi-stream server)");
-    match bench::serving_measurements() {
-        Ok(m) => measurements.extend(m),
-        Err(e) => {
-            eprintln!("error while running serving scenarios: {e}");
-            std::process::exit(1);
-        }
-    }
-    // The chaos soak rides along too: its rows pin the degraded and
-    // recovered serving profiles, and the run itself enforces the soak's
-    // hard invariants (wrong/lost jobs fail the whole repro).
-    eprintln!(
-        "running serve chaos soak (seed {}, seeded fault storm)",
-        bench::CHAOS_SEED
-    );
-    match bench::serve_chaos_measurements() {
-        Ok(m) => measurements.extend(m),
-        Err(e) => {
-            eprintln!("error while running the serve chaos soak: {e}");
-            std::process::exit(1);
-        }
-    }
-    // The fleet scenario rides along as well: the d1/d2/d4 device-scaling
-    // rows land in the report and the gate enforces d4 >= 2.5x d1 plus
-    // d1 == serve-batched-s1 parity on every diff.
-    eprintln!("running fleet serving scenarios (multi-device dispatcher)");
-    match bench::fleet_measurements() {
-        Ok(m) => {
-            measurements.extend(m);
-            match bench::check_fleet_scaling(&measurements) {
-                Ok(ratio) => eprintln!("fleet scaling holds: d4 at {ratio:.2}x d1 jobs/s"),
-                Err(why) => eprintln!("warning: fleet scaling not met: {why}"),
+    // The ride-along scenarios run on every invocation, so the perf
+    // report always carries the rows the gate table checks.
+    for (banner, run) in bench::scenarios() {
+        eprintln!("running {banner}");
+        match run(args.verbose) {
+            Ok(m) => measurements.extend(m),
+            Err(e) => {
+                eprintln!("error while running {banner}: {e}");
+                std::process::exit(1);
             }
-        }
-        Err(e) => {
-            eprintln!("error while running fleet serving scenarios: {e}");
-            std::process::exit(1);
-        }
-    }
-    // The steady-state allocation scenario rides along: the pooled vs
-    // churn rows land in the report and the gate enforces that buffer
-    // reuse plus pinned staging strictly beats per-batch churn.
-    eprintln!("running steady-state pool scenarios (device pool vs churn)");
-    match bench::serve_steady_measurements() {
-        Ok(m) => {
-            measurements.extend(m);
-            match bench::check_steady_pool(&measurements) {
-                Ok(ratio) => {
-                    eprintln!("steady-state pooling pays: pooled at {ratio:.2}x churn jobs/s")
-                }
-                Err(why) => eprintln!("warning: steady-state pool contract not met: {why}"),
-            }
-        }
-        Err(e) => {
-            eprintln!("error while running steady-state pool scenarios: {e}");
-            std::process::exit(1);
-        }
-    }
-    // So does the STT layout sweep: the gate diffs the 20k-pattern
-    // crossover rows (the smaller layout vs the dense STT) on every run.
-    eprintln!("running STT layout sweep (dictionaries up to 20k patterns)");
-    match bench::layout_sweep_measurements(args.verbose) {
-        Ok(m) => {
-            match bench::check_layout_crossover(
-                &m,
-                bench::LAYOUT_SWEEP_SIZE,
-                *bench::LAYOUT_SWEEP_PATTERNS.last().expect("non-empty"),
-            ) {
-                Ok((label, gbps, share)) => eprintln!(
-                    "layout crossover holds: {label} at {gbps:.2} Gb/s, \
-                     {:.0}% tex-miss stall share",
-                    share * 100.0
-                ),
-                Err(why) => eprintln!("warning: layout crossover not met: {why}"),
-            }
-            measurements.extend(m);
-        }
-        Err(e) => {
-            eprintln!("error while running the layout sweep: {e}");
-            std::process::exit(1);
         }
     }
 
     for f in &set.figures {
         println!("{}", f.render());
     }
-    write_outputs(&args.out_dir, args.grid_name, &set, &measurements);
+    let report = write_outputs(&args.out_dir, args.grid_name, &set, &measurements);
+    // The same gate table `acsim bench diff` evaluates on a candidate:
+    // every output is written first, so a broken gate still leaves the
+    // report behind for the diff.
+    let gates = bench::evaluate_gates(&report);
+    for g in &gates {
+        eprintln!("{}", g.line);
+    }
     eprintln!(
         "done: {} figure(s) in {:.1}s; CSV/JSON in {}",
         set.figures.len(),
         started.elapsed().as_secs_f64(),
         args.out_dir.display()
     );
+    if gates.iter().any(|g| !g.held) {
+        std::process::exit(1);
+    }
 }

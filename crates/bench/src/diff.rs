@@ -3,42 +3,28 @@
 //!
 //! Rows are matched by `(approach, size, patterns)`, falling back to
 //! `(approach, patterns)` when that is unique in both reports (see
-//! [`paired_row`]), and compared under
-//! configurable relative thresholds on throughput, cycles and the
-//! stall-reason mix. Every value comes from the deterministic simulated
-//! clock, so "noise" here is not run-to-run jitter but *intentional
-//! slack*: small modelling changes (a latency constant, a cache tweak)
-//! may legitimately move numbers a little, and the thresholds say how
-//! much movement a PR may ship without explaining itself.
+//! [`paired_row`]), and compared under fixed relative thresholds on
+//! throughput, cycles and the stall-reason mix. Every value comes from
+//! the deterministic simulated clock, so "noise" here is not run-to-run
+//! jitter but *intentional slack*: small modelling changes (a latency
+//! constant, a cache tweak) may legitimately move numbers a little, and
+//! the thresholds say how much movement a change may ship without
+//! explaining itself. The candidate's rows are also run through the gate
+//! table ([`crate::gates`]), and a broken gate regresses the diff too.
 
+use crate::gates::{evaluate_gates, GateOutcome};
 use crate::report::{BenchReport, BenchRow};
 use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
 use trace::StallReason;
 
-/// Relative thresholds for [`diff_reports`]. All are fractions
-/// (0.05 = 5%) except `stall_shift_pts`, which is in percentage points
-/// of the idle-cycle mix.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct DiffThresholds {
-    /// Max tolerated relative throughput drop (`0.05` = 5%).
-    pub gbps_drop: f64,
-    /// Max tolerated relative cycle-count rise.
-    pub cycles_rise: f64,
-    /// Max tolerated shift of any stall reason's share of idle cycles,
-    /// in percentage points.
-    pub stall_shift_pts: f64,
-}
-
-impl Default for DiffThresholds {
-    fn default() -> Self {
-        DiffThresholds {
-            gbps_drop: 0.05,
-            cycles_rise: 0.05,
-            stall_shift_pts: 10.0,
-        }
-    }
-}
+/// Max tolerated relative throughput drop (`0.05` = 5%).
+const GBPS_DROP: f64 = 0.05;
+/// Max tolerated relative cycle-count rise.
+const CYCLES_RISE: f64 = 0.05;
+/// Max tolerated shift of any stall reason's share of idle cycles, in
+/// percentage points.
+const STALL_SHIFT_PTS: f64 = 10.0;
 
 /// The comparison of one matched grid point.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -88,8 +74,6 @@ pub struct DiffReport {
     pub old_name: String,
     /// Candidate report name.
     pub new_name: String,
-    /// Thresholds the diff was evaluated under.
-    pub thresholds: DiffThresholds,
     /// One entry per grid point present in both reports.
     pub entries: Vec<DiffEntry>,
     /// Grid points of the baseline missing from the candidate — losing
@@ -103,6 +87,10 @@ pub struct DiffReport {
     /// be like-for-like. Absent in artifacts written before this field.
     #[serde(default)]
     pub warnings: Vec<String>,
+    /// The gate table evaluated on the candidate. Absent in artifacts
+    /// written before this field.
+    #[serde(default)]
+    pub gates: Vec<GateOutcome>,
 }
 
 fn key(r: &BenchRow) -> String {
@@ -165,16 +153,17 @@ fn stall_shift_pts(old: &BenchRow, new: &BenchRow) -> (f64, Option<String>) {
     (max_abs, label)
 }
 
-/// Compare `new` against the `old` baseline under `thr`.
-pub fn diff_reports(old: &BenchReport, new: &BenchReport, thr: DiffThresholds) -> DiffReport {
+/// Compare `new` against the `old` baseline, and evaluate the gate table
+/// on `new`.
+pub fn diff_reports(old: &BenchReport, new: &BenchReport) -> DiffReport {
     let mut out = DiffReport {
         old_name: old.name.clone(),
         new_name: new.name.clone(),
-        thresholds: thr,
         entries: Vec::new(),
         missing: Vec::new(),
         added: Vec::new(),
         warnings: Vec::new(),
+        gates: evaluate_gates(new),
     };
     // Provenance is advisory: comparing runs from different revisions or
     // grids is often exactly what the user wants (that's what a perf gate
@@ -226,24 +215,23 @@ pub fn diff_reports(old: &BenchReport, new: &BenchReport, thr: DiffThresholds) -
         };
         let (shift, dominant_mover) = stall_shift_pts(o, n);
         let mut violations = Vec::new();
-        if gbps_rel < -thr.gbps_drop {
+        if gbps_rel < -GBPS_DROP {
             violations.push(format!(
                 "throughput dropped {:.1}% (limit {:.1}%)",
                 -100.0 * gbps_rel,
-                100.0 * thr.gbps_drop
+                100.0 * GBPS_DROP
             ));
         }
-        if cycles_rel > thr.cycles_rise {
+        if cycles_rel > CYCLES_RISE {
             violations.push(format!(
                 "cycles rose {:.1}% (limit {:.1}%)",
                 100.0 * cycles_rel,
-                100.0 * thr.cycles_rise
+                100.0 * CYCLES_RISE
             ));
         }
-        if shift > thr.stall_shift_pts {
+        if shift > STALL_SHIFT_PTS {
             violations.push(format!(
-                "stall mix shifted {:.1} pts (limit {:.1})",
-                shift, thr.stall_shift_pts
+                "stall mix shifted {shift:.1} pts (limit {STALL_SHIFT_PTS:.1})"
             ));
         }
         out.entries.push(DiffEntry {
@@ -274,10 +262,13 @@ pub fn diff_reports(old: &BenchReport, new: &BenchReport, thr: DiffThresholds) -
 }
 
 impl DiffReport {
-    /// Whether the gate should fail: any entry past a threshold, or any
-    /// baseline grid point the candidate no longer covers.
+    /// Whether the gate should fail: any entry past a threshold, any
+    /// baseline grid point the candidate no longer covers, or any broken
+    /// gate.
     pub fn has_regressions(&self) -> bool {
-        !self.missing.is_empty() || self.entries.iter().any(DiffEntry::regressed)
+        !self.missing.is_empty()
+            || self.entries.iter().any(DiffEntry::regressed)
+            || self.gates.iter().any(|g| !g.held)
     }
 
     /// Regressed entries only.
@@ -302,10 +293,9 @@ impl DiffReport {
         );
         let _ = writeln!(
             out,
-            "thresholds: gbps drop {:.1}%, cycles rise {:.1}%, stall shift {:.1} pts\n",
-            100.0 * self.thresholds.gbps_drop,
-            100.0 * self.thresholds.cycles_rise,
-            self.thresholds.stall_shift_pts
+            "thresholds: gbps drop {:.1}%, cycles rise {:.1}%, stall shift {STALL_SHIFT_PTS:.1} pts\n",
+            100.0 * GBPS_DROP,
+            100.0 * CYCLES_RISE,
         );
         let _ = writeln!(
             out,
@@ -342,6 +332,9 @@ impl DiffReport {
         }
         for w in &self.warnings {
             let _ = writeln!(out, "WARNING: {w}");
+        }
+        for g in &self.gates {
+            let _ = writeln!(out, "{}", g.line);
         }
         let _ = writeln!(
             out,
@@ -390,7 +383,7 @@ mod tests {
             "smoke",
             vec![row("pfac", 10.0, 1000), row("serial", 0.1, 9000)],
         );
-        let d = diff_reports(&r, &r, DiffThresholds::default());
+        let d = diff_reports(&r, &r);
         assert!(!d.has_regressions(), "{}", d.render());
         assert_eq!(d.entries.len(), 2);
         assert!(d.missing.is_empty() && d.added.is_empty());
@@ -401,22 +394,19 @@ mod tests {
     fn throughput_drop_past_threshold_regresses() {
         let old = report("base", vec![row("pfac", 10.0, 1000)]);
         let new = report("cand", vec![row("pfac", 9.0, 1000)]);
-        let d = diff_reports(&old, &new, DiffThresholds::default());
+        let d = diff_reports(&old, &new);
         assert!(d.has_regressions());
         assert!(
             d.render().contains("throughput dropped 10.0%"),
             "{}",
             d.render()
         );
-        // The same drop passes under a looser gate.
-        let loose = DiffThresholds {
-            gbps_drop: 0.15,
-            ..DiffThresholds::default()
-        };
-        assert!(!diff_reports(&old, &new, loose).has_regressions());
+        // A drop inside the 5% limit passes.
+        let within = report("cand", vec![row("pfac", 9.6, 1000)]);
+        assert!(!diff_reports(&old, &within).has_regressions());
         // Improvements never trip the gate.
         let faster = report("cand", vec![row("pfac", 20.0, 500)]);
-        assert!(!diff_reports(&old, &faster, DiffThresholds::default()).has_regressions());
+        assert!(!diff_reports(&old, &faster).has_regressions());
     }
 
     #[test]
@@ -429,14 +419,14 @@ mod tests {
             "cand",
             vec![row("pfac", 10.0, 1100), row("shared-diagonal", 12.0, 800)],
         );
-        let d = diff_reports(&old, &slower, DiffThresholds::default());
+        let d = diff_reports(&old, &slower);
         assert!(d.has_regressions());
         assert!(d.render().contains("cycles rose 10.0%"), "{}", d.render());
 
         // Dropping a covered grid point is a regression even if every
         // surviving row is fine.
         let shrunk = report("cand", vec![row("pfac", 10.0, 1000)]);
-        let d = diff_reports(&old, &shrunk, DiffThresholds::default());
+        let d = diff_reports(&old, &shrunk);
         assert!(d.has_regressions());
         assert_eq!(d.missing.len(), 1);
         assert!(d.missing[0].contains("shared-diagonal"), "{:?}", d.missing);
@@ -450,7 +440,7 @@ mod tests {
                 row("global-only", 2.0, 5000),
             ],
         );
-        let d = diff_reports(&old, &grown, DiffThresholds::default());
+        let d = diff_reports(&old, &grown);
         assert!(!d.has_regressions());
         assert_eq!(d.added.len(), 1);
     }
@@ -464,48 +454,48 @@ mod tests {
         let old = report(
             "base",
             vec![
-                sized("serve-fleet-d1", 861_816, 8.0),
+                sized("serve-fleet-d2", 861_816, 8.0),
                 sized("pfac", 4096, 1.0),
             ],
         );
         let new = report(
             "cand",
             vec![
-                sized("serve-fleet-d1", 862_649, 8.5),
+                sized("serve-fleet-d2", 862_649, 8.5),
                 sized("pfac", 4096, 1.0),
             ],
         );
-        let d = diff_reports(&old, &new, DiffThresholds::default());
+        let d = diff_reports(&old, &new);
         assert!(!d.has_regressions(), "{}", d.render());
         assert_eq!(d.entries.len(), 2);
         assert!(d.missing.is_empty() && d.added.is_empty(), "{}", d.render());
         assert_eq!(
             d.warnings,
             vec![
-                "serve-fleet-d1 x 100 patterns paired across a size change: 861816 -> 862649 bytes"
+                "serve-fleet-d2 x 100 patterns paired across a size change: 861816 -> 862649 bytes"
             ]
         );
         // A paired row still gates: slower across the size change regresses.
-        let slower = report("cand", vec![sized("serve-fleet-d1", 862_649, 7.0)]);
-        let d = diff_reports(&old, &slower, DiffThresholds::default());
-        assert!(d.regressions().any(|e| e.approach == "serve-fleet-d1"));
+        let slower = report("cand", vec![sized("serve-fleet-d2", 862_649, 7.0)]);
+        let d = diff_reports(&old, &slower);
+        assert!(d.regressions().any(|e| e.approach == "serve-fleet-d2"));
 
         // Ambiguous on either side: no fallback, so the baseline row is
         // missing and the candidate rows are added.
         let twice = report(
             "cand",
             vec![
-                sized("serve-fleet-d1", 862_649, 8.5),
-                sized("serve-fleet-d1", 900_000, 8.5),
+                sized("serve-fleet-d2", 862_649, 8.5),
+                sized("serve-fleet-d2", 900_000, 8.5),
             ],
         );
-        let d = diff_reports(&old, &twice, DiffThresholds::default());
-        assert!(d.missing.iter().any(|m| m.contains("serve-fleet-d1")));
+        let d = diff_reports(&old, &twice);
+        assert!(d.missing.iter().any(|m| m.contains("serve-fleet-d2")));
         assert_eq!(d.added.len(), 2);
-        let d = diff_reports(&twice, &new, DiffThresholds::default());
+        let d = diff_reports(&twice, &new);
         assert_eq!(
             d.missing,
-            vec!["serve-fleet-d1 @ 900000 bytes x 100 patterns"]
+            vec!["serve-fleet-d2 @ 900000 bytes x 100 patterns"]
         );
         assert!(d.warnings.is_empty());
     }
@@ -522,14 +512,15 @@ mod tests {
         let old = report("base", vec![old_row]);
         let new = report("cand", vec![new_row]);
         // 20-point shift beats the 10-point default.
-        let d = diff_reports(&old, &new, DiffThresholds::default());
+        let d = diff_reports(&old, &new);
         assert!(d.has_regressions());
         assert!((d.entries[0].stall_shift_pts - 20.0).abs() < 1e-9);
-        let loose = DiffThresholds {
-            stall_shift_pts: 25.0,
-            ..DiffThresholds::default()
-        };
-        assert!(!diff_reports(&old, &new, loose).has_regressions());
+        // An 8-point shift stays inside the limit.
+        let mut near_row = row("shared-diagonal", 10.0, 1000);
+        near_row.idle_cycles = 100;
+        near_row.stalls.add(StallReason::TexMiss, 92);
+        near_row.stalls.add(StallReason::Barrier, 8);
+        assert!(!diff_reports(&old, &report("cand", vec![near_row])).has_regressions());
     }
 
     #[test]
@@ -549,7 +540,6 @@ mod tests {
         let d = diff_reports(
             &report("base", vec![old_row]),
             &report("cand", vec![new_row]),
-            DiffThresholds::default(),
         );
         assert!(d.has_regressions());
         let e = &d.entries[0];
@@ -578,7 +568,7 @@ mod tests {
         });
         old.rows[0].config_hash = row_config_hash("pfac", 65536, 100);
         new.rows[0].config_hash = row_config_hash("pfac", 65536, 101);
-        let d = diff_reports(&old, &new, DiffThresholds::default());
+        let d = diff_reports(&old, &new);
         // Mismatched context warns loudly but never fails the gate.
         assert!(!d.has_regressions(), "{}", d.render());
         assert_eq!(d.warnings.len(), 3, "{:?}", d.warnings);
@@ -592,7 +582,6 @@ mod tests {
         let d = diff_reports(
             &report("base", vec![row("pfac", 10.0, 1000)]),
             &report("cand", vec![row("pfac", 10.0, 1000)]),
-            DiffThresholds::default(),
         );
         assert!(d.warnings.is_empty());
     }
@@ -600,7 +589,7 @@ mod tests {
     #[test]
     fn diff_report_serializes_for_the_artifact() {
         let r = report("smoke", vec![row("pfac", 10.0, 1000)]);
-        let d = diff_reports(&r, &r, DiffThresholds::default());
+        let d = diff_reports(&r, &r);
         let json = d.to_json();
         assert!(json.contains("\"old_name\""));
         let back: DiffReport = serde_json::from_str(&json).unwrap();

@@ -3,8 +3,9 @@
 //! Replays the default serving workload through [`ac_serve::serve_fleet`]
 //! at 1, 2 and 4 devices and flattens each aggregate report into a
 //! [`Measurement`] row (`serve-fleet-d1/d2/d4`). Two properties are
-//! load-bearing and enforced by [`check_fleet_scaling`], which the bench
-//! gate (`acsim bench diff`) re-derives from every committed report:
+//! load-bearing and enforced by [`check_fleet_scaling`], the fleet entry
+//! of the gate table ([`crate::gates`]) that `repro` and `acsim bench
+//! diff` both evaluate:
 //!
 //! * **d1 parity** — `serve-fleet-d1` runs a 1-device fleet in parity
 //!   mode, which is bit-identical to [`ac_serve::serve`] by the
@@ -25,6 +26,7 @@
 //! one job's segments overlap on the shared bus.
 
 use crate::measure::{Measurement, Measurements};
+use crate::report::BenchReport;
 use ac_gpu::{GpuAcMatcher, KernelParams};
 use ac_serve::{
     serve_automaton, serve_fleet, synthetic_workload, FleetConfig, FleetRun, ServeConfig,
@@ -116,20 +118,13 @@ fn fleet_row(label: &str, run: &FleetRun, clock_hz: f64) -> Measurement {
     }
 }
 
-fn find<'a>(m: &'a Measurements, label: &str) -> Result<&'a Measurement, String> {
-    m.rows
-        .iter()
-        .find(|r| r.approach == label)
-        .ok_or_else(|| format!("missing {label} row"))
-}
-
-/// The fleet acceptance criteria over a set of rows: `serve-fleet-d4`
+/// The fleet acceptance criteria over a report's rows: `serve-fleet-d4`
 /// clears [`FLEET_SCALING_FLOOR`]× the d1 jobs/sec, and (when the
 /// serving rows are present alongside) `serve-fleet-d1` is bit-identical
-/// to `serve-batched-s1`. Returns the d4/d1 ratio.
-pub fn check_fleet_scaling(m: &Measurements) -> Result<f64, String> {
-    let d1 = find(m, "serve-fleet-d1")?;
-    let d4 = find(m, "serve-fleet-d4")?;
+/// to `serve-batched-s1`.
+pub fn check_fleet_scaling(r: &BenchReport) -> Result<String, String> {
+    let d1 = r.row("serve-fleet-d1")?;
+    let d4 = r.row("serve-fleet-d4")?;
     if d1.jobs_per_sec <= 0.0 {
         return Err("serve-fleet-d1 completed no jobs".into());
     }
@@ -143,7 +138,7 @@ pub fn check_fleet_scaling(m: &Measurements) -> Result<f64, String> {
     }
     // Parity pin: the 1-device fleet row must be the single-device serve
     // row, bit for bit, on every field the report keeps.
-    if let Ok(s1) = find(m, "serve-batched-s1") {
+    if let Ok(s1) = r.row("serve-batched-s1") {
         if d1.gbps != s1.gbps
             || d1.cycles != s1.cycles
             || d1.p99_latency_us != s1.p99_latency_us
@@ -163,34 +158,7 @@ pub fn check_fleet_scaling(m: &Measurements) -> Result<f64, String> {
             ));
         }
     }
-    Ok(ratio)
-}
-
-/// The same criteria re-derived from a committed `BENCH_<grid>.json`
-/// report — the diff gate's view. `None` when the report predates the
-/// fleet scenario (no `serve-fleet-d1` row).
-pub fn check_fleet_scaling_report(r: &crate::report::BenchReport) -> Option<Result<f64, String>> {
-    let mut m = Measurements::default();
-    for row in &r.rows {
-        m.rows.push(Measurement {
-            size: row.size,
-            patterns: row.patterns,
-            approach: row.approach.clone(),
-            seconds: 0.0,
-            gbps: row.gbps,
-            cycles: row.cycles,
-            cache_hit_rate: 0.0,
-            shared_conflicts: 0,
-            coalescing_ratio: 0.0,
-            match_events: 0,
-            idle_cycles: row.idle_cycles,
-            stalls: row.stalls,
-            p99_latency_us: row.p99_latency_us,
-            jobs_per_sec: row.jobs_per_sec,
-        });
-    }
-    m.rows.iter().find(|r| r.approach == "serve-fleet-d1")?;
-    Some(check_fleet_scaling(&m))
+    Ok(format!("fleet scaling holds: d4 at {ratio:.2}x d1 jobs/s"))
 }
 
 #[cfg(test)]
@@ -205,16 +173,18 @@ mod tests {
         // Merge in the serving rows so the parity pin engages exactly as
         // it does over a committed report.
         m.extend(serving_measurements().unwrap());
-        let ratio = check_fleet_scaling(&m).unwrap();
-        assert!(ratio >= FLEET_SCALING_FLOOR, "ratio {ratio}");
+        let report = BenchReport::from_measurements("fleet", &m);
+        check_fleet_scaling(&report).unwrap();
         // d2 sits strictly between d1 and d4: scaling is monotonic but
         // sublinear under the shared bus.
-        let get = |label: &str| m.rows.iter().find(|r| r.approach == label).unwrap();
+        let get = |label: &str| report.row(label).unwrap();
         let (d1, d2, d4) = (
             get("serve-fleet-d1"),
             get("serve-fleet-d2"),
             get("serve-fleet-d4"),
         );
+        let ratio = d4.jobs_per_sec / d1.jobs_per_sec;
+        assert!(ratio >= FLEET_SCALING_FLOOR, "ratio {ratio}");
         assert!(d2.jobs_per_sec > d1.jobs_per_sec);
         assert!(d4.jobs_per_sec >= d2.jobs_per_sec);
         assert!(
@@ -234,20 +204,15 @@ mod tests {
 
     #[test]
     fn scaling_check_rejects_a_flat_fleet() {
-        let mut m = fleet_measurements().unwrap();
+        let mut report = BenchReport::from_measurements("fleet", &fleet_measurements().unwrap());
         // Sabotage the d4 row down to d1 throughput.
-        let d1_rate = m
-            .rows
-            .iter()
-            .find(|r| r.approach == "serve-fleet-d1")
-            .unwrap()
-            .jobs_per_sec;
-        for r in &mut m.rows {
+        let d1_rate = report.row("serve-fleet-d1").unwrap().jobs_per_sec;
+        for r in &mut report.rows {
             if r.approach == "serve-fleet-d4" {
                 r.jobs_per_sec = d1_rate;
             }
         }
-        let err = check_fleet_scaling(&m).unwrap_err();
+        let err = check_fleet_scaling(&report).unwrap_err();
         assert!(err.contains("below floor"), "{err}");
     }
 }

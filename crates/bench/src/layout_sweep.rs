@@ -12,10 +12,12 @@
 //! * at the 20 000-pattern point the best smaller layout must beat the
 //!   dense STT's Gb/s **and** carry a lower texture-miss stall share
 //!   (the win comes from residency, not from doing less work);
-//! * `verdict::check_layout_crossover` re-derives that claim from any
-//!   measurement set (fresh or committed).
+//! * [`check_layout_crossover`] checks that claim on any report's rows,
+//!   fresh or committed; it is the layout entry of the gate table
+//!   ([`crate::gates`]).
 
-use crate::measure::{Engine, EngineConfig, Measurement, Measurements};
+use crate::measure::{Engine, EngineConfig, Measurements};
+use crate::report::{BenchReport, BenchRow};
 use ac_gpu::SttLayout;
 use corpus::ExperimentGrid;
 
@@ -49,33 +51,35 @@ pub fn layout_sweep_measurements(verbose: bool) -> Result<Measurements, String> 
     Engine::new(cfg).run(&layout_sweep_approaches())
 }
 
-/// Texture-miss stall share of one measurement: tex-miss stall cycles as
-/// a fraction of the run's idle cycles (0 when the run never idled).
-pub fn tex_miss_share(m: &Measurement) -> f64 {
-    if m.idle_cycles == 0 {
+/// Texture-miss stall share of one row: tex-miss stall cycles as a
+/// fraction of the run's idle cycles (0 when the run never idled).
+pub fn tex_miss_share(r: &BenchRow) -> f64 {
+    if r.idle_cycles == 0 {
         return 0.0;
     }
-    m.stalls.tex_miss as f64 / m.idle_cycles as f64
+    r.stalls.tex_miss as f64 / r.idle_cycles as f64
 }
 
-/// The sweep's headline claim, re-derived from a measurement set: at
-/// `patterns` dictionaries, some smaller layout beats the dense STT on
-/// throughput while stalling less on texture misses. Returns the winning
-/// `(label, gbps, tex_miss_share)` or an explanation of the failure.
-pub fn check_layout_crossover(
-    m: &Measurements,
-    size: usize,
-    patterns: usize,
-) -> Result<(String, f64, f64), String> {
+/// The dictionary size the crossover is claimed at: the largest swept.
+pub const CROSSOVER_PATTERNS: usize = LAYOUT_SWEEP_PATTERNS[LAYOUT_SWEEP_PATTERNS.len() - 1];
+
+/// The sweep's headline claim, checked on a report's rows: at
+/// [`CROSSOVER_PATTERNS`], some smaller layout beats the dense STT on
+/// throughput while stalling less on texture misses.
+pub fn check_layout_crossover(r: &BenchReport) -> Result<String, String> {
+    let (size, patterns) = (LAYOUT_SWEEP_SIZE, CROSSOVER_PATTERNS);
+    let at = |label: &str| {
+        r.rows
+            .iter()
+            .find(|row| row.approach == label && row.size == size && row.patterns == patterns)
+    };
     let approaches = layout_sweep_approaches();
     let (dense_label, smaller) = approaches.split_first().expect("dense heads the family");
-    let dense = m
-        .get(dense_label, size, patterns)
-        .ok_or_else(|| format!("missing dense row at {size}x{patterns}"))?;
+    let dense = at(dense_label).ok_or_else(|| format!("missing dense row at {size}x{patterns}"))?;
     let dense_share = tex_miss_share(dense);
-    let mut best: Option<&Measurement> = None;
+    let mut best: Option<&BenchRow> = None;
     for label in smaller {
-        let Some(row) = m.get(label, size, patterns) else {
+        let Some(row) = at(label) else {
             return Err(format!("missing {label} row at {size}x{patterns}"));
         };
         if best.is_none_or(|b| row.gbps > b.gbps) {
@@ -96,39 +100,13 @@ pub fn check_layout_crossover(
             best.approach, best_share, dense_share
         ));
     }
-    Ok((best.approach.clone(), best.gbps, best_share))
-}
-
-/// The same claim, re-derived from a committed `BENCH_<grid>.json`
-/// report — the diff gate's view of the world. `None` when the report
-/// predates the layout sweep (no dense row at the sweep point);
-/// otherwise the result of [`check_layout_crossover`] over its rows.
-pub fn check_layout_crossover_report(
-    r: &crate::report::BenchReport,
-    size: usize,
-    patterns: usize,
-) -> Option<Result<(String, f64, f64), String>> {
-    let mut m = Measurements::default();
-    for row in &r.rows {
-        m.rows.push(Measurement {
-            size: row.size,
-            patterns: row.patterns,
-            approach: row.approach.clone(),
-            seconds: 0.0,
-            gbps: row.gbps,
-            cycles: row.cycles,
-            cache_hit_rate: 0.0,
-            shared_conflicts: 0,
-            coalescing_ratio: 0.0,
-            match_events: 0,
-            idle_cycles: row.idle_cycles,
-            stalls: row.stalls,
-            p99_latency_us: row.p99_latency_us,
-            jobs_per_sec: row.jobs_per_sec,
-        });
-    }
-    m.get("shared-diagonal", size, patterns)?;
-    Some(check_layout_crossover(&m, size, patterns))
+    Ok(format!(
+        "layout crossover holds at {patterns} patterns: {} at {:.2} Gb/s, \
+         {:.0}% tex-miss stall share",
+        best.approach,
+        best.gbps,
+        best_share * 100.0
+    ))
 }
 
 #[cfg(test)]
@@ -136,18 +114,13 @@ mod tests {
     use super::*;
     use trace::StallBreakdown;
 
-    fn row(approach: &str, gbps: f64, idle: u64, tex_miss: u64) -> Measurement {
-        Measurement {
+    fn row(approach: &str, gbps: f64, idle: u64, tex_miss: u64) -> BenchRow {
+        BenchRow {
+            approach: approach.into(),
             size: LAYOUT_SWEEP_SIZE,
             patterns: 20_000,
-            approach: approach.into(),
-            seconds: 1.0,
             gbps,
             cycles: 100,
-            cache_hit_rate: 0.5,
-            shared_conflicts: 0,
-            coalescing_ratio: 1.0,
-            match_events: 0,
             idle_cycles: idle,
             stalls: StallBreakdown {
                 tex_miss,
@@ -155,33 +128,46 @@ mod tests {
             },
             p99_latency_us: 0.0,
             jobs_per_sec: 0.0,
+            config_hash: 0,
+        }
+    }
+
+    fn report(rows: Vec<BenchRow>) -> BenchReport {
+        BenchReport {
+            name: "sweep".into(),
+            rows,
+            provenance: None,
         }
     }
 
     #[test]
     fn crossover_check_accepts_a_true_win_and_rejects_losses() {
-        let mut m = Measurements::default();
-        m.rows.push(row("shared-diagonal", 2.0, 100, 90));
-        m.rows.push(row("shared-banded", 3.0, 100, 40));
-        let (label, gbps, share) = check_layout_crossover(&m, LAYOUT_SWEEP_SIZE, 20_000).unwrap();
-        assert_eq!(label, "shared-banded");
-        assert!((gbps - 3.0).abs() < 1e-12);
-        assert!((share - 0.4).abs() < 1e-12);
+        let m = report(vec![
+            row("shared-diagonal", 2.0, 100, 90),
+            row("shared-banded", 3.0, 100, 40),
+        ]);
+        assert_eq!(
+            check_layout_crossover(&m).unwrap(),
+            "layout crossover holds at 20000 patterns: shared-banded at 3.00 Gb/s, \
+             40% tex-miss stall share"
+        );
 
         // A smaller layout that never overtakes dense fails the check.
-        let mut flat = Measurements::default();
-        flat.rows.push(row("shared-diagonal", 5.0, 100, 10));
-        flat.rows.push(row("shared-banded", 3.0, 100, 40));
-        assert!(check_layout_crossover(&flat, LAYOUT_SWEEP_SIZE, 20_000).is_err());
+        let flat = report(vec![
+            row("shared-diagonal", 5.0, 100, 10),
+            row("shared-banded", 3.0, 100, 40),
+        ]);
+        assert!(check_layout_crossover(&flat).is_err());
 
         // Winning on Gb/s while stalling more on texture misses fails too.
-        let mut stalled = Measurements::default();
-        stalled.rows.push(row("shared-diagonal", 2.0, 100, 30));
-        stalled.rows.push(row("shared-banded", 3.0, 100, 40));
-        assert!(check_layout_crossover(&stalled, LAYOUT_SWEEP_SIZE, 20_000).is_err());
+        let stalled = report(vec![
+            row("shared-diagonal", 2.0, 100, 30),
+            row("shared-banded", 3.0, 100, 40),
+        ]);
+        assert!(check_layout_crossover(&stalled).is_err());
 
         // Missing rows are an error, not a silent pass.
-        assert!(check_layout_crossover(&Measurements::default(), 1, 1).is_err());
+        assert!(check_layout_crossover(&report(Vec::new())).is_err());
     }
 
     #[test]

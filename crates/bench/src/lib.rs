@@ -4,7 +4,8 @@
 //! from the reproduction stack: workload generation ([`workload`]), the
 //! measurement engine that runs each approach over the size × pattern-count
 //! grid ([`measure`]), figure assembly/printing/CSV output ([`figures`]),
-//! and machine-checked paper-vs-measured verdicts ([`verdict`]).
+//! machine-checked paper-vs-measured verdicts ([`verdict`]), and the
+//! ride-along scenarios with the gate table over their rows ([`gates`]).
 //!
 //! The `repro` binary is the entry point:
 //!
@@ -22,6 +23,7 @@
 pub mod diff;
 pub mod figures;
 pub mod fleet;
+pub mod gates;
 pub mod layout_sweep;
 pub mod measure;
 pub mod report;
@@ -30,22 +32,19 @@ pub mod verdict;
 pub mod whatif;
 pub mod workload;
 
-pub use diff::{diff_reports, DiffEntry, DiffReport, DiffThresholds};
+pub use diff::{diff_reports, DiffEntry, DiffReport};
 pub use figures::{Figure, FigureSet};
-pub use fleet::{
-    check_fleet_scaling, check_fleet_scaling_report, fleet_measurements, FLEET_SCALING_FLOOR,
-    FLEET_SCENARIOS,
-};
+pub use fleet::{fleet_measurements, FLEET_SCALING_FLOOR, FLEET_SCENARIOS};
+pub use gates::{evaluate_gates, scenarios, GateOutcome};
 pub use layout_sweep::{
-    check_layout_crossover, check_layout_crossover_report, layout_sweep_approaches,
-    layout_sweep_measurements, tex_miss_share, LAYOUT_SWEEP_PATTERNS, LAYOUT_SWEEP_SIZE,
+    layout_sweep_approaches, layout_sweep_measurements, tex_miss_share, LAYOUT_SWEEP_PATTERNS,
+    LAYOUT_SWEEP_SIZE,
 };
 pub use measure::{Engine, EngineConfig, Measurement, Measurements};
 pub use report::{row_config_hash, BenchReport, BenchRow, Provenance};
 pub use serving::{
-    check_light_load_report, check_steady_pool, check_steady_pool_report, serve_chaos_measurements,
-    serve_steady_measurements, serving_measurements, serving_measurements_with, CHAOS_SEED,
-    LIGHT_LOAD_RATE, LIGHT_LOAD_ROW, SERVING_SCENARIOS,
+    serve_chaos_measurements, serve_steady_measurements, serving_measurements,
+    serving_measurements_with, CHAOS_SEED, LIGHT_LOAD_RATE, LIGHT_LOAD_ROW, SERVING_SCENARIOS,
 };
 pub use verdict::{evaluate, render, Outcome, Verdict};
 pub use whatif::{explain, explain_label, Knob, WhatIfReport, WhatIfRow};

@@ -122,6 +122,15 @@ impl BenchReport {
         }
     }
 
+    /// The first row labelled `approach`, or an error naming the missing
+    /// row.
+    pub fn row(&self, approach: &str) -> Result<&BenchRow, String> {
+        self.rows
+            .iter()
+            .find(|r| r.approach == approach)
+            .ok_or_else(|| format!("missing {approach} row"))
+    }
+
     /// The canonical file name, `BENCH_<name>.json`.
     pub fn file_name(&self) -> String {
         format!("BENCH_{}.json", self.name)

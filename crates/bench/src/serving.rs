@@ -10,8 +10,7 @@
 //! exactly like it guards the kernels; the batching-vs-per-job p99 delta
 //! and the stream scaling are readable straight off the committed report
 //! via the `p99_latency_us` and `jobs_per_sec` columns, and the
-//! light-load row's p99 is re-derived as a gate
-//! ([`check_light_load_report`]).
+//! light-load row's p99 is a gate ([`check_light_load`]).
 //!
 //! [`ServeReport`]: ac_serve::ServeReport
 
@@ -101,9 +100,9 @@ pub fn serving_measurements_with(
 /// stages through pageable host memory) and `serve-steady-pooled` (the
 /// steady-state server — size-classed buffer reuse with pinned host
 /// staging). Both run batched on 4 streams so the only difference is
-/// the allocation/transfer pipeline. The bench gate re-derives
-/// [`check_steady_pool`] from every committed report, making "pooling
-/// pays" a regression-gated claim, not prose.
+/// the allocation/transfer pipeline. The gate table checks
+/// [`check_steady_pool`] on every report, making "pooling pays" a
+/// regression-gated claim, not prose.
 pub fn serve_steady_measurements() -> Result<Measurements, String> {
     let gpu = GpuConfig::gtx285();
     let workload = WorkloadConfig::defaults();
@@ -147,19 +146,12 @@ pub fn serve_steady_measurements() -> Result<Measurements, String> {
     Ok(out)
 }
 
-/// The steady-state acceptance criterion over a set of rows: the pooled
-/// server must beat the churn baseline on jobs/sec (strictly) without
-/// giving back tail latency (p99 no worse). Returns the pooled/unpooled
-/// jobs-per-second ratio.
-pub fn check_steady_pool(m: &Measurements) -> Result<f64, String> {
-    let find = |label: &str| {
-        m.rows
-            .iter()
-            .find(|r| r.approach == label)
-            .ok_or_else(|| format!("missing {label} row"))
-    };
-    let unpooled = find("serve-steady-unpooled")?;
-    let pooled = find("serve-steady-pooled")?;
+/// The steady-state acceptance criterion over a report's rows: the
+/// pooled server must beat the churn baseline on jobs/sec (strictly)
+/// without giving back tail latency (p99 no worse).
+pub fn check_steady_pool(r: &BenchReport) -> Result<String, String> {
+    let unpooled = r.row("serve-steady-unpooled")?;
+    let pooled = r.row("serve-steady-pooled")?;
     if unpooled.jobs_per_sec <= 0.0 {
         return Err("serve-steady-unpooled completed no jobs".into());
     }
@@ -175,55 +167,29 @@ pub fn check_steady_pool(m: &Measurements) -> Result<f64, String> {
             pooled.p99_latency_us, unpooled.p99_latency_us
         ));
     }
-    Ok(pooled.jobs_per_sec / unpooled.jobs_per_sec)
+    Ok(format!(
+        "steady-state pooling pays: pooled at {:.2}x churn jobs/s",
+        pooled.jobs_per_sec / unpooled.jobs_per_sec
+    ))
 }
 
-/// The same criterion re-derived from a committed `BENCH_<grid>.json`
-/// report — the diff gate's view. `None` when the report predates the
-/// steady-state scenario (no `serve-steady-pooled` row).
-pub fn check_steady_pool_report(r: &crate::report::BenchReport) -> Option<Result<f64, String>> {
-    let mut m = Measurements::default();
-    for row in &r.rows {
-        m.rows.push(Measurement {
-            size: row.size,
-            patterns: row.patterns,
-            approach: row.approach.clone(),
-            seconds: 0.0,
-            gbps: row.gbps,
-            cycles: row.cycles,
-            cache_hit_rate: 0.0,
-            shared_conflicts: 0,
-            coalescing_ratio: 0.0,
-            match_events: 0,
-            idle_cycles: row.idle_cycles,
-            stalls: row.stalls,
-            p99_latency_us: row.p99_latency_us,
-            jobs_per_sec: row.jobs_per_sec,
-        });
-    }
-    m.rows
-        .iter()
-        .find(|r| r.approach == "serve-steady-pooled")?;
-    Some(check_steady_pool(&m))
-}
-
-/// The light-load criterion re-derived from a report: at
-/// [`LIGHT_LOAD_RATE`] a job's p99 latency must stay below one mean
-/// inter-arrival gap. A server that holds a finished batch's readback
-/// until the next arrival's upload charges every job about one gap, so
-/// this fails exactly when readbacks wait for traffic instead of kernels.
-/// Returns `(p99, gap)` in µs; `None` when the report predates the row.
-pub fn check_light_load_report(r: &BenchReport) -> Option<Result<(f64, f64), String>> {
-    let row = r.rows.iter().find(|row| row.approach == LIGHT_LOAD_ROW)?;
+/// The light-load criterion over a report's rows: at [`LIGHT_LOAD_RATE`]
+/// a job's p99 latency must stay below one mean inter-arrival gap. A
+/// server that holds a finished batch's readback until the next
+/// arrival's upload charges every job about one gap, so this fails
+/// exactly when readbacks wait for traffic instead of kernels.
+pub fn check_light_load(r: &BenchReport) -> Result<String, String> {
+    let p99 = r.row(LIGHT_LOAD_ROW)?.p99_latency_us;
     let gap_us = 1.0e6 / LIGHT_LOAD_RATE as f64;
-    Some(if row.p99_latency_us < gap_us {
-        Ok((row.p99_latency_us, gap_us))
+    if p99 < gap_us {
+        Ok(format!(
+            "light-load latency holds: p99 {p99:.1}us < one arrival gap {gap_us:.1}us"
+        ))
     } else {
         Err(format!(
-            "{LIGHT_LOAD_ROW} p99 {:.1}us !< one arrival gap {gap_us:.1}us",
-            row.p99_latency_us
+            "{LIGHT_LOAD_ROW} p99 {p99:.1}us !< one arrival gap {gap_us:.1}us"
         ))
-    })
+    }
 }
 
 /// The fixed seed of the committed chaos rows (and the CI smoke soak):
@@ -278,6 +244,7 @@ pub fn serve_chaos_measurements() -> Result<Measurements, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gates::evaluate_gates;
 
     #[test]
     fn serving_rows_meet_the_headline_deltas() {
@@ -306,10 +273,10 @@ mod tests {
     #[test]
     fn light_load_row_passes_its_gate_and_the_gate_bites() {
         let m = serving_measurements().unwrap();
-        let report = crate::report::BenchReport::from_measurements("new", &m);
-        let (p99, gap) = check_light_load_report(&report)
-            .expect("light row present")
-            .unwrap();
+        let report = BenchReport::from_measurements("new", &m);
+        check_light_load(&report).unwrap();
+        let p99 = report.row(LIGHT_LOAD_ROW).unwrap().p99_latency_us;
+        let gap = 1.0e6 / LIGHT_LOAD_RATE as f64;
         assert!(p99 < gap / 2.0, "p99 {p99}us vs gap {gap}us");
         // One arrival gap of extra wait per job (readbacks held for the
         // next upload) trips the gate; a report without the row skips it.
@@ -321,9 +288,9 @@ mod tests {
         {
             row.p99_latency_us += gap;
         }
-        assert!(check_light_load_report(&held).unwrap().is_err());
-        let legacy = crate::report::BenchReport::from_measurements("old", &Measurements::default());
-        assert!(check_light_load_report(&legacy).is_none());
+        assert!(check_light_load(&held).is_err());
+        let legacy = BenchReport::from_measurements("old", &Measurements::default());
+        assert!(evaluate_gates(&legacy).is_empty());
     }
 
     #[test]
@@ -346,19 +313,23 @@ mod tests {
     fn steady_rows_show_pooling_pays_and_are_deterministic() {
         let m = serve_steady_measurements().unwrap();
         assert_eq!(m.rows.len(), 2);
-        let ratio = check_steady_pool(&m).unwrap();
+        let report = BenchReport::from_measurements("new", &m);
+        check_steady_pool(&report).unwrap();
+        let ratio = report.row("serve-steady-pooled").unwrap().jobs_per_sec
+            / report.row("serve-steady-unpooled").unwrap().jobs_per_sec;
         assert!(ratio > 1.0, "ratio {ratio}");
         // Deterministic: the committed rows replay bit-identically.
         let again = serve_steady_measurements().unwrap();
         assert_eq!(m.rows, again.rows);
         // A report missing the marker row predates the scenario: the
-        // gate skips rather than failing old baselines. A fresh report
-        // containing the rows re-derives the same verdict.
-        let legacy = crate::report::BenchReport::from_measurements("old", &Measurements::default());
-        assert!(check_steady_pool_report(&legacy).is_none());
-        let report = crate::report::BenchReport::from_measurements("new", &m);
-        let derived = check_steady_pool_report(&report).expect("marker row present");
-        assert_eq!(derived.unwrap(), ratio);
+        // gate skips rather than failing old baselines. A report
+        // carrying the rows turns the gate on, and it holds.
+        let legacy = BenchReport::from_measurements("old", &Measurements::default());
+        assert!(evaluate_gates(&legacy).is_empty());
+        let outcomes = evaluate_gates(&report);
+        assert_eq!(outcomes.len(), 1);
+        assert_eq!(outcomes[0].gate, "steady-state pool");
+        assert!(outcomes[0].held, "{}", outcomes[0].line);
     }
 
     #[test]

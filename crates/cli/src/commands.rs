@@ -7,7 +7,7 @@ use crate::engines::{
 use crate::opts::{Command, Engine, Options};
 use ac_core::{analysis, dot, AcAutomaton, NfaTables, PatternSet, Trie};
 use ac_gpu::{Approach, GpuAcMatcher, KernelParams, RunOptions};
-use bench::{diff_reports, BenchReport, DiffThresholds};
+use bench::{diff_reports, BenchReport};
 use gpu_sim::{GpuConfig, IntrospectConfig, LaunchStats, StallBreakdown, TraceBuffer, TraceConfig};
 use std::fmt::Write as _;
 use std::path::Path;
@@ -332,9 +332,9 @@ fn launch_stats_text(ac: &AcAutomaton, text: &[u8], cfg: &GpuConfig) -> String {
 }
 
 /// `acsim bench diff OLD NEW`: compare two committed perf reports under
-/// the regression thresholds. A regression (or lost grid coverage) comes
-/// back as `Err`, which the binary turns into a non-zero exit — this is
-/// the CI gate.
+/// the regression thresholds and check the gate table on NEW. A
+/// regression, lost grid coverage or a broken gate comes back as `Err`,
+/// which the binary turns into a non-zero exit — this is the CI gate.
 fn bench_diff_text(opts: &Options) -> Result<String, String> {
     let read = |p: &Path| -> Result<BenchReport, String> {
         let raw =
@@ -343,98 +343,14 @@ fn bench_diff_text(opts: &Options) -> Result<String, String> {
     };
     let old = read(opts.bench_old.as_ref().expect("validated by the parser"))?;
     let new = read(opts.bench_new.as_ref().expect("validated by the parser"))?;
-    let mut thr = DiffThresholds::default();
-    if let Some(pm) = opts.gbps_drop_pm {
-        thr.gbps_drop = pm as f64 / 1000.0;
-    }
-    if let Some(pm) = opts.cycles_rise_pm {
-        thr.cycles_rise = pm as f64 / 1000.0;
-    }
-    if let Some(dpts) = opts.stall_shift_dpts {
-        thr.stall_shift_pts = dpts as f64 / 10.0;
-    }
-    let diff = diff_reports(&old, &new, thr);
+    let diff = diff_reports(&old, &new);
     let mut out = diff.render();
-    // The layout sweep's headline is a *claim about rows*, not a row: at
-    // the largest swept dictionary the best smaller layout must beat
-    // the dense STT with a lower texture-miss stall share. Re-derive it
-    // from the fresh report whenever the sweep rows are present, so the
-    // gate fails on a broken crossover even when every row moved less
-    // than the per-row thresholds.
-    let mut crossover_broken = false;
-    let sweep_point = (
-        bench::LAYOUT_SWEEP_SIZE,
-        *bench::LAYOUT_SWEEP_PATTERNS.last().expect("non-empty"),
-    );
-    match bench::check_layout_crossover_report(&new, sweep_point.0, sweep_point.1) {
-        Some(Ok((label, gbps, share))) => {
-            let _ = writeln!(
-                out,
-                "layout crossover holds at {} patterns: {label} at {gbps:.2} Gb/s, \
-                 {:.0}% tex-miss stall share",
-                sweep_point.1,
-                share * 100.0
-            );
-        }
-        Some(Err(why)) => {
-            crossover_broken = true;
-            let _ = writeln!(out, "LAYOUT CROSSOVER BROKEN: {why}");
-        }
-        None => {}
-    }
-    // Same idea for the fleet: the device-scaling headline (d4 jobs/s at
-    // least 2.5x d1, d1 bit-identical to the single-device serve row) is
-    // re-derived from the candidate report whenever its rows are present.
-    let mut fleet_broken = false;
-    match bench::check_fleet_scaling_report(&new) {
-        Some(Ok(ratio)) => {
-            let _ = writeln!(out, "fleet scaling holds: d4 at {ratio:.2}x d1 jobs/s");
-        }
-        Some(Err(why)) => {
-            fleet_broken = true;
-            let _ = writeln!(out, "FLEET SCALING BROKEN: {why}");
-        }
-        None => {}
-    }
-    // And for the steady-state pool: buffer reuse plus pinned staging
-    // must keep beating the per-batch churn baseline on jobs/s without
-    // giving back p99, whenever the candidate carries the rows.
-    let mut steady_broken = false;
-    match bench::check_steady_pool_report(&new) {
-        Some(Ok(ratio)) => {
-            let _ = writeln!(
-                out,
-                "steady-state pooling pays: pooled at {ratio:.2}x churn jobs/s"
-            );
-        }
-        Some(Err(why)) => {
-            steady_broken = true;
-            let _ = writeln!(out, "STEADY-STATE POOL BROKEN: {why}");
-        }
-        None => {}
-    }
-    // And at light load: a finished batch's readback must not wait for
-    // the next arrival, so p99 stays below one inter-arrival gap.
-    let mut light_broken = false;
-    match bench::check_light_load_report(&new) {
-        Some(Ok((p99, gap))) => {
-            let _ = writeln!(
-                out,
-                "light-load latency holds: p99 {p99:.1}us < one arrival gap {gap:.1}us"
-            );
-        }
-        Some(Err(why)) => {
-            light_broken = true;
-            let _ = writeln!(out, "LIGHT-LOAD LATENCY BROKEN: {why}");
-        }
-        None => {}
-    }
     if let Some(path) = &opts.report_out {
         std::fs::write(path, diff.to_json())
             .map_err(|e| format!("writing {}: {e}", path.display()))?;
         let _ = writeln!(out, "report written: {}", path.display());
     }
-    if diff.has_regressions() || crossover_broken || fleet_broken || steady_broken || light_broken {
+    if diff.has_regressions() {
         Err(out)
     } else {
         Ok(out)
@@ -1845,20 +1761,6 @@ mod tests {
         let artifact = std::fs::read_to_string(&report_p).unwrap();
         assert!(artifact.contains("\"violations\""), "{artifact}");
 
-        // The same diff passes under loose thresholds.
-        let opts = parse([
-            "bench",
-            "diff",
-            old_p.to_str().unwrap(),
-            new_p.to_str().unwrap(),
-            "--max-gbps-drop",
-            "50",
-            "--max-cycles-rise",
-            "50",
-        ])
-        .unwrap();
-        assert!(run(&opts).is_ok());
-
         // Unreadable reports error cleanly.
         let opts = parse([
             "bench",
@@ -1868,6 +1770,50 @@ mod tests {
         ])
         .unwrap();
         assert!(run(&opts).unwrap_err().contains("reading"));
+    }
+
+    #[test]
+    fn bench_diff_verdict_and_artifact_carry_a_broken_gate() {
+        // A candidate whose d4 fleet row only matches d1 on jobs/s moves
+        // no gated row column, so only the fleet-scaling gate breaks.
+        let committed = include_str!("../../../BENCH_smoke.json");
+        let mut flat = BenchReport::from_json(committed).unwrap();
+        let d1 = flat.row("serve-fleet-d1").unwrap().jobs_per_sec;
+        for r in flat
+            .rows
+            .iter_mut()
+            .filter(|r| r.approach == "serve-fleet-d4")
+        {
+            r.jobs_per_sec = d1;
+        }
+        let old_p = write_tmp("BENCH_gate_old.json", committed.as_bytes());
+        let new_p = write_tmp("BENCH_gate_new.json", flat.to_json().as_bytes());
+        let report_p = write_tmp("gate-diff.json", b"");
+        let opts = parse([
+            "bench",
+            "diff",
+            old_p.to_str().unwrap(),
+            new_p.to_str().unwrap(),
+            "--report",
+            report_p.to_str().unwrap(),
+        ])
+        .unwrap();
+        let err = run(&opts).unwrap_err();
+        // The gate line prints above the one verdict, which counts it.
+        let broken = err.find("FLEET SCALING BROKEN").expect("gate line");
+        let verdict = err.find("VERDICT: REGRESSED").expect("verdict");
+        assert!(broken < verdict, "{err}");
+        assert!(!err.contains("VERDICT: ok"), "{err}");
+        assert!(err.contains("fleet scaling below floor"), "{err}");
+        let artifact: bench::DiffReport =
+            serde_json::from_str(&std::fs::read_to_string(&report_p).unwrap()).unwrap();
+        let fleet = artifact
+            .gates
+            .iter()
+            .find(|g| g.gate == "fleet scaling")
+            .expect("the artifact names the gate");
+        assert!(!fleet.held);
+        assert!(artifact.has_regressions());
     }
 
     #[test]

@@ -130,14 +130,6 @@ pub struct Options {
     pub report_out: Option<PathBuf>,
     /// Write the `explain` hot-row fetch counts as CSV here.
     pub csv_out: Option<PathBuf>,
-    /// `bench diff` throughput-drop threshold in per-mille (50 = 5%).
-    /// Stored as an integer so `Options` stays `Eq`.
-    pub gbps_drop_pm: Option<u32>,
-    /// `bench diff` cycle-rise threshold in per-mille.
-    pub cycles_rise_pm: Option<u32>,
-    /// `bench diff` stall-mix shift threshold in tenths of a percentage
-    /// point (100 = 10 pts).
-    pub stall_shift_dpts: Option<u32>,
     /// `serve-sim` jobs to generate.
     pub serve_jobs: u64,
     /// `serve-sim` mean arrival rate, jobs per simulated second. Stored as
@@ -210,8 +202,7 @@ pub const USAGE: &str = "usage:
   acsim stats   --patterns FILE [--input FILE] [--fermi]
   acsim profile --patterns FILE --input FILE [--fermi] [--json]
   acsim explain --patterns FILE --input FILE [--engine gpu:*] [--fermi] [--csv-out FILE]
-  acsim bench diff OLD.json NEW.json [--max-gbps-drop PCT] [--max-cycles-rise PCT]
-                [--max-stall-shift PTS] [--report FILE]
+  acsim bench diff OLD.json NEW.json [--report FILE]
   acsim serve-sim [--jobs N] [--arrival-rate R] [--streams S] [--seed N]
                 [--job-bytes N] [--queue-cap N] [--no-batch] [--deadline-us N]
                 [--p99-target-us N] [--pool | --pool-churn] [--pool-stats FILE]
@@ -323,9 +314,6 @@ where
     let mut positionals: Vec<PathBuf> = Vec::new();
     let mut report_out: Option<PathBuf> = None;
     let mut csv_out: Option<PathBuf> = None;
-    let mut gbps_drop_pm: Option<u32> = None;
-    let mut cycles_rise_pm: Option<u32> = None;
-    let mut stall_shift_dpts: Option<u32> = None;
     let mut serve_jobs = 512u64;
     let mut serve_rate = 1_600_000u64;
     let mut serve_streams = 4u32;
@@ -358,19 +346,6 @@ where
             .as_ref()
             .parse()
             .map_err(|e| ParseError(format!("bad {flag}: {e}")))
-    }
-    // Thresholds arrive as human percentages/points but are stored ×10 as
-    // integers so `Options` can stay `Eq`.
-    fn tenths(flag: &str, raw: Option<impl AsRef<str>>) -> Result<u32, ParseError> {
-        let raw = raw.ok_or_else(|| ParseError(format!("{flag} needs a number")))?;
-        let v: f64 = raw
-            .as_ref()
-            .parse()
-            .map_err(|e| ParseError(format!("bad {flag}: {e}")))?;
-        if !(0.0..=1000.0).contains(&v) {
-            return Err(ParseError(format!("{flag} out of range: {v}")));
-        }
-        Ok((v * 10.0).round() as u32)
     }
     while let Some(a) = it.next() {
         match a.as_ref() {
@@ -523,9 +498,6 @@ where
                         .as_ref(),
                 ))
             }
-            "--max-gbps-drop" => gbps_drop_pm = Some(tenths("--max-gbps-drop", it.next())?),
-            "--max-cycles-rise" => cycles_rise_pm = Some(tenths("--max-cycles-rise", it.next())?),
-            "--max-stall-shift" => stall_shift_dpts = Some(tenths("--max-stall-shift", it.next())?),
             other
                 if !other.starts_with("--")
                     && matches!(command, Command::BenchDiff | Command::SloReport) =>
@@ -558,13 +530,6 @@ where
     } else {
         (None, None)
     };
-    if command != Command::BenchDiff
-        && (gbps_drop_pm.is_some() || cycles_rise_pm.is_some() || stall_shift_dpts.is_some())
-    {
-        return Err(ParseError(
-            "--max-gbps-drop/--max-cycles-rise/--max-stall-shift only apply to `bench diff`".into(),
-        ));
-    }
     if report_out.is_some()
         && !matches!(
             command,
@@ -731,9 +696,6 @@ where
         bench_new,
         report_out,
         csv_out,
-        gbps_drop_pm,
-        cycles_rise_pm,
-        stall_shift_dpts,
         serve_jobs,
         serve_rate,
         serve_streams,
@@ -1048,48 +1010,26 @@ mod tests {
             o.bench_new.as_deref(),
             Some(std::path::Path::new("new.json"))
         );
-        assert_eq!(o.gbps_drop_pm, None);
 
-        let o = p(&[
-            "bench",
-            "diff",
-            "a.json",
-            "b.json",
-            "--max-gbps-drop",
-            "7.5",
-            "--max-cycles-rise",
-            "3",
-            "--max-stall-shift",
-            "12",
-            "--report",
-            "diff.json",
-        ])
-        .unwrap();
-        assert_eq!(o.gbps_drop_pm, Some(75));
-        assert_eq!(o.cycles_rise_pm, Some(30));
-        assert_eq!(o.stall_shift_dpts, Some(120));
+        let o = p(&["bench", "diff", "a.json", "b.json", "--report", "diff.json"]).unwrap();
         assert_eq!(
             o.report_out.as_deref(),
             Some(std::path::Path::new("diff.json"))
         );
+
+        // The thresholds are fixed: there is no flag to loosen them.
+        for flag in ["--max-gbps-drop", "--max-cycles-rise", "--max-stall-shift"] {
+            assert!(
+                p(&["bench", "diff", "a", "b", flag, "25"]).is_err(),
+                "{flag}"
+            );
+        }
 
         // Exactly two paths; a sane subcommand; flags stay scoped.
         assert!(p(&["bench", "diff", "only-one.json"]).is_err());
         assert!(p(&["bench", "diff", "a", "b", "c"]).is_err());
         assert!(p(&["bench"]).is_err());
         assert!(p(&["bench", "run"]).is_err());
-        assert!(p(&["bench", "diff", "a", "b", "--max-gbps-drop", "nope"]).is_err());
-        assert!(p(&["bench", "diff", "a", "b", "--max-gbps-drop", "-2"]).is_err());
-        assert!(p(&[
-            "match",
-            "--patterns",
-            "d",
-            "--input",
-            "i",
-            "--max-gbps-drop",
-            "5"
-        ])
-        .is_err());
         assert!(p(&["match", "--patterns", "d", "--input", "i", "--report", "r"]).is_err());
     }
 

@@ -288,35 +288,6 @@ fn attribution_arming_leaves_launch_stats_bit_identical_and_conserves() {
 }
 
 #[test]
-fn stream_engine_routing_leaves_launch_stats_bit_identical() {
-    use ac_gpu::multistream::{run_multistream, MultiStreamConfig};
-    use ac_gpu::PcieConfig;
-
-    // Routing a run through the multi-stream engine is a scheduling
-    // wrapper, not a different execution: with one stream and one segment
-    // covering the whole input, the kernel's LaunchStats must be
-    // bit-identical to the legacy direct-launch path, and the matches the
-    // same set.
-    let text = text();
-    for approach in Approach::all() {
-        let m = matcher();
-        let plain = m.run(&text, approach).unwrap();
-        let cfg = MultiStreamConfig::new(1, text.len(), PcieConfig::gen2_x16());
-        let r = run_multistream(&m, &text, approach, &cfg).unwrap();
-        assert_eq!(r.segments, 1, "{approach:?}");
-        assert_eq!(
-            r.segment_stats[0], plain.stats,
-            "{approach:?}: stats drifted through the stream engine"
-        );
-        assert_eq!(r.match_events, plain.match_events, "{approach:?}");
-        let mut direct = plain.matches.clone();
-        direct.sort();
-        direct.dedup();
-        assert_eq!(r.matches, direct, "{approach:?}");
-    }
-}
-
-#[test]
 fn serve_telemetry_disarmed_and_armed_runs_are_bit_identical() {
     use ac_serve::{serve, synthetic_workload, ServeConfig, TelemetryConfig, WorkloadConfig};
 
