@@ -45,6 +45,7 @@
 use crate::error::GpuError;
 use crate::kernels::{MatchLanes, Scratch};
 use crate::layout::{DiagonalMap, Plan};
+use crate::upload::{MATCH_BIT, STATE_MASK};
 use ac_core::stt::STT_COLUMNS;
 use ac_core::AcAutomaton;
 use gpu_sim::{StepOutcome, TexId, WarpCtx, WarpGeometry, WarpProgram};
@@ -203,11 +204,7 @@ impl DeviceBandedStt {
         }
 
         let fat = |s: u32| -> u32 {
-            let m = if stt.is_match(s) {
-                crate::upload::MATCH_BIT
-            } else {
-                0
-            };
+            let m = if stt.is_match(s) { MATCH_BIT } else { 0 };
             lo_of[s as usize]
                 | (wcode_of[s as usize] << WCODE_SHIFT)
                 | (offset_of[s as usize] << OFF_SHIFT)
@@ -499,28 +496,23 @@ impl WarpProgram for BandedKernel {
                     if self.scratch.coords[lane].is_none() {
                         continue;
                     }
-                    let e = self.fetched[lane];
+                    let fat = self.fetched[lane] & STATE_MASK;
+                    self.cur[lane] = fat;
                     if !self.took_entry[lane] {
                         // Off-band: step to the failure record, retry the
                         // same byte next round.
-                        self.cur[lane] = e & crate::upload::STATE_MASK;
                         continue;
                     }
-                    self.cur[lane] = e & crate::upload::STATE_MASK;
-                    self.lanes.state[lane] = e & crate::upload::STATE_MASK;
-                    let end = self.lanes.pos[lane] + 1;
-                    if e & crate::upload::MATCH_BIT != 0 {
-                        any_matched = true;
-                        self.lanes.matched[lane] = true;
-                        self.lanes.event_count += 1;
-                        if self.lanes.record {
-                            self.lanes.events.push(crate::kernels::MatchEvent {
-                                end: end as u32,
-                                state: e & crate::upload::STATE_MASK,
-                            });
-                        }
-                    }
-                    self.lanes.pos[lane] = end;
+                    // Unlike the dense kernels, this one reports every
+                    // match state it enters, owned outputs or not: a fat
+                    // pointer has no spare bits for the target's longest
+                    // output length, and a per-record length word cost
+                    // 3.5% (2,000 patterns) and 4.1% (20,000 patterns) of
+                    // this kernel's simulated Gb/s on the acbench scans.
+                    // The host's dedup collapses the overlap copies.
+                    any_matched |=
+                        self.lanes
+                            .consume(lane, fat, self.fetched[lane] & MATCH_BIT != 0);
                     self.has_byte[lane] = false;
                 }
                 self.phase = if any_matched {

@@ -13,7 +13,7 @@ pub use pfac::PfacKernel;
 pub use shared::{SharedKernel, SharedVariant};
 
 use crate::layout::Plan;
-use crate::upload::{MATCH_BIT, STATE_MASK};
+use crate::upload::{longest_output_len, DENSE_STATE_MASK, LEN_SATURATED, MATCH_BIT};
 use gpu_sim::{LaneAttr, WarpGeometry};
 use serde::{Deserialize, Serialize};
 
@@ -31,9 +31,11 @@ pub(crate) const TRANSITION_OVERHEAD: u32 = 6;
 /// state. Like the CUDA implementations, which write (position, state)
 /// pairs to an output buffer and post-process on the host, an event
 /// carries no thread id: every pattern in the state's output set ends at
-/// `end`, so its start is `end - len(pattern)`. The host expands events
-/// into concrete occurrences and collapses the copies that overlapping
-/// scan windows report (see `GpuAcMatcher::expand_events`).
+/// `end`, so its start is `end - len(pattern)`. The dense-table kernels
+/// report only events with at least one output their thread owns; the
+/// host expands events into concrete occurrences and collapses the copies
+/// that overlapping scan windows still report (see
+/// `GpuAcMatcher::expand_events`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct MatchEvent {
     /// Exclusive end offset of the match in the input. Texts are capped
@@ -43,25 +45,40 @@ pub struct MatchEvent {
     pub state: u32,
 }
 
-/// Per-lane DFA-walk state shared by the chunked kernels (global-only and
-/// shared-memory): cursors, scan bounds, automaton states, and the event
-/// sink.
+/// Whether a match state entered at `end` by a thread that owns bytes up
+/// to `owned_end` has an output starting before `owned_end`, given the
+/// state's `longest` output length as the dense STT entry carries it.
+/// The thread started in the root state at its owned start, so every
+/// output starts at or after that; the only unowned ones start at or past
+/// `owned_end`, in the next thread's chunk, which reports them itself —
+/// the rule `ac_core::chunked` and `merge_shard_matches` also apply. A
+/// saturated length is "255 or more", so it never drops an event.
+#[inline]
+pub(crate) fn has_owned_output(end: u64, owned_end: u64, longest: u32) -> bool {
+    end <= owned_end || longest == LEN_SATURATED || u64::from(longest) > end - owned_end
+}
+
+/// Per-lane DFA-walk state shared by the chunked kernels (global-only,
+/// shared-memory and banded): cursors, scan bounds, automaton states, and
+/// the event sink.
 #[derive(Debug)]
 pub(crate) struct MatchLanes {
     /// Next absolute byte offset each lane will consume.
     pub pos: Vec<u64>,
+    /// Exclusive end of each lane's owned chunk.
+    pub owned_end: Vec<u64>,
     /// Exclusive end of each lane's scan window (owned end + overlap).
     pub scan_end: Vec<u64>,
     /// Current DFA state per lane.
     pub state: Vec<u32>,
     /// Byte fetched for the pending transition, per lane.
     pub byte: Vec<u8>,
-    /// Which lanes matched on the last applied transition (drives the
-    /// divergent result-write instruction).
+    /// Which lanes reported a match on the last applied transition
+    /// (drives the divergent result-write instruction).
     pub matched: Vec<bool>,
     /// Recorded events (when `record` is set).
     pub events: Vec<MatchEvent>,
-    /// Total matching positions observed (always counted).
+    /// Match events reported (always counted).
     pub event_count: u64,
     /// Whether to materialize `events` (benches turn this off to bound
     /// memory at paper-scale inputs; timing is unaffected because the
@@ -74,15 +91,18 @@ impl MatchLanes {
     pub fn new(geom: &WarpGeometry, plan: &Plan, record: bool) -> Self {
         let n = geom.warp_size as usize;
         let mut pos = Vec::with_capacity(n);
+        let mut owned_end = Vec::with_capacity(n);
         let mut scan_end = Vec::with_capacity(n);
         for lane in 0..n {
             let t = geom.global_thread(lane as u32);
-            let (start, _) = plan.owned_range(t);
+            let (start, end) = plan.owned_range(t);
             pos.push(start);
+            owned_end.push(end);
             scan_end.push(plan.scan_end(t));
         }
         MatchLanes {
             pos,
+            owned_end,
             scan_end,
             state: vec![0; n],
             byte: vec![0; n],
@@ -125,9 +145,10 @@ impl MatchLanes {
         }
     }
 
-    /// Apply fetched transition entries: update states, record matches,
-    /// advance cursors. Returns true if any lane entered a matching state
-    /// (the kernels then issue the result-write instruction).
+    /// Apply fetched dense STT entries: update states, report the matches
+    /// that have an owned output, advance cursors. Returns true if any
+    /// lane reported (the kernels then issue the result-write
+    /// instruction).
     pub fn apply_transitions(&mut self, fetched: &[u32]) -> bool {
         let mut any = false;
         for (lane, &e) in fetched.iter().enumerate().take(self.pos.len()) {
@@ -135,28 +156,44 @@ impl MatchLanes {
             if !self.active(lane) {
                 continue;
             }
-            self.state[lane] = e & STATE_MASK;
-            let end = self.pos[lane] + 1;
-            if e & MATCH_BIT != 0 {
-                any = true;
-                self.matched[lane] = true;
-                self.event_count += 1;
-                if self.record {
-                    self.events.push(MatchEvent {
-                        end: end as u32,
-                        state: e & STATE_MASK,
-                    });
-                }
-            }
-            self.pos[lane] = end;
+            let report = e & MATCH_BIT != 0
+                && has_owned_output(
+                    self.pos[lane] + 1,
+                    self.owned_end[lane],
+                    longest_output_len(e),
+                );
+            any |= self.consume(lane, e & DENSE_STATE_MASK, report);
         }
         any
+    }
+
+    /// Consume the lane's pending byte: enter `state` and advance the
+    /// cursor. When `report` is set the lane records and counts a match
+    /// event ending after the byte and flags itself for the result write.
+    /// Returns `report`.
+    #[inline]
+    pub fn consume(&mut self, lane: usize, state: u32, report: bool) -> bool {
+        self.state[lane] = state;
+        let end = self.pos[lane] + 1;
+        self.pos[lane] = end;
+        if report {
+            self.matched[lane] = true;
+            self.event_count += 1;
+            if self.record {
+                self.events.push(MatchEvent {
+                    end: end as u32,
+                    state,
+                });
+            }
+        }
+        report
     }
 
     /// Release scratch capacity once the warp finishes (retired programs
     /// are kept alive until host readback; only the events matter then).
     pub fn shrink(&mut self) {
         self.pos = Vec::new();
+        self.owned_end = Vec::new();
         self.scan_end = Vec::new();
         self.state = Vec::new();
         self.byte = Vec::new();
@@ -203,6 +240,7 @@ impl Scratch {
 mod tests {
     use super::*;
     use crate::layout::{KernelParams, Plan};
+    use crate::upload::LEN_SHIFT;
     use ac_core::{AcAutomaton, PatternSet};
     use gpu_sim::GpuConfig;
 
@@ -255,6 +293,61 @@ mod tests {
         assert_eq!(lanes.state[0], 5);
         assert_eq!(lanes.pos[0], 1);
         assert_eq!(lanes.pos[1], 9);
+    }
+
+    #[test]
+    fn lanes_past_their_owned_end_report_only_owned_outputs() {
+        let (geom, plan) = rig();
+        let mut lanes = MatchLanes::new(&geom, &plan, true);
+        // Lanes 0..4 own 8 bytes each and scan 3 more; put each one byte
+        // into its overlap, so the next byte ends 2 past the owned end.
+        for lane in 0..4 {
+            lanes.pos[lane] = lanes.owned_end[lane] + 1;
+        }
+        let entry = |state: u32, longest: u32| state | MATCH_BIT | longest << LEN_SHIFT;
+        let mut fetched = vec![0u32; 32];
+        // Longest output 2 starts exactly at the owned end: unowned.
+        fetched[0] = entry(5, 2);
+        // Longest output 3 starts one byte before it: owned.
+        fetched[1] = entry(6, 3);
+        // Saturated: never dropped.
+        fetched[2] = entry(7, LEN_SATURATED);
+        // Only unowned outputs again, on a different lane.
+        fetched[3] = entry(8, 1);
+        assert!(lanes.apply_transitions(&fetched));
+        assert_eq!(lanes.matched[..4], [false, true, true, false]);
+        assert_eq!(lanes.event_count, 2);
+        assert_eq!(
+            lanes.events,
+            [
+                MatchEvent { end: 18, state: 6 },
+                MatchEvent { end: 26, state: 7 },
+            ]
+        );
+        // Dropped lanes still take the transition and advance.
+        assert_eq!(lanes.state[0], 5);
+        assert_eq!(lanes.pos[0], 10);
+
+        // A warp whose only matches are unowned issues no result write.
+        let mut lanes = MatchLanes::new(&geom, &plan, false);
+        lanes.pos[0] = lanes.owned_end[0] + 1;
+        let mut fetched = vec![0u32; 32];
+        fetched[0] = entry(5, 2);
+        assert!(!lanes.apply_transitions(&fetched));
+        assert!(!lanes.matched[0]);
+        assert_eq!(lanes.event_count, 0);
+    }
+
+    #[test]
+    fn ownership_rule_boundaries() {
+        // Inside the owned range every match is owned.
+        assert!(has_owned_output(8, 8, 0));
+        // One byte past: an output of 1 starts at the owned end.
+        assert!(!has_owned_output(9, 8, 1));
+        assert!(has_owned_output(9, 8, 2));
+        // 300 bytes past: only a saturated length keeps the event.
+        assert!(!has_owned_output(308, 8, 254));
+        assert!(has_owned_output(308, 8, LEN_SATURATED));
     }
 
     #[test]

@@ -137,9 +137,12 @@ pub struct GpuRun {
     /// Expanded, de-duplicated, sorted matches. Empty when the run was
     /// launched in counting mode.
     pub matches: Vec<Match>,
-    /// Number of (state, position) match events the kernels observed
-    /// (counted even in counting mode; ≥ `matches.len()` is not implied
-    /// because one event can expand to several patterns).
+    /// Number of `(end, state)` match events the kernels reported — the
+    /// records a readback carries (counted even in counting mode). The
+    /// dense-table kernels report only events with an owned output; the
+    /// banded kernel reports every match state it enters. It is no bound
+    /// on `matches.len()` either way: one event can expand to several
+    /// patterns, and overlap copies still collapse on the host.
     pub match_events: u64,
     /// Launch statistics (cycles, coalescing, conflicts, texture hit
     /// rate, …).
@@ -310,6 +313,12 @@ impl GpuAcMatcher {
     /// Run `approach` over `text` in counting mode: full timing, match
     /// events counted but not materialized. Use for paper-scale inputs
     /// where hundreds of millions of matches would not fit in host memory.
+    ///
+    /// The count is [`GpuRun::match_events`]: the events a recording run
+    /// would read back, not the number of occurrences. An event names a
+    /// state, which can hold several outputs, and overlap copies survive
+    /// (partly-owned dense events, every banded overlap event), so only
+    /// [`GpuAcMatcher::run`]'s `matches.len()` is an exact count.
     pub fn run_counting(&self, text: &[u8], approach: Approach) -> Result<GpuRun, GpuError> {
         self.run_opts(
             text,
@@ -635,9 +644,13 @@ impl GpuAcMatcher {
     ///   state, so every output it reports is a real occurrence inside its
     ///   window (a PFAC thread reports only occurrences at its anchor);
     /// - windows reach `overlap` bytes past their owned end, so every
-    ///   occurrence is reported by the thread owning its start, and
-    ///   copies from neighbouring windows are the same
-    ///   `(pattern, start, end)` triple, which `dedup` collapses.
+    ///   occurrence is reported by the thread owning its start;
+    /// - the dense-table kernels drop, in place, events whose outputs all
+    ///   start past the owned end, but an event with one owned output
+    ///   still carries that state's unowned (shorter) outputs, and the
+    ///   banded kernel filters nothing. Those copies are the same
+    ///   `(pattern, start, end)` triple the owning thread reports, which
+    ///   `dedup` collapses.
     fn expand_events(&self, events: &[MatchEvent], approach: Approach) -> Vec<Match> {
         let pfac = (approach == Approach::Pfac).then(|| &self.pfac_tables().0);
         let patterns = self.ac.patterns();

@@ -2,14 +2,28 @@
 //!
 //! The paper's Fig. 5 table is uploaded verbatim — one row per state,
 //! column 0 the match flag, columns 1..=256 the next states — with one
-//! standard device-side refinement: **the match flag of each transition's
-//! *target* state is pre-folded into bit 31 of the transition entry**
-//! (possible because state ids are < 2³¹). The kernels therefore learn
-//! "did I just enter a matching state?" from the same texel that gave them
-//! the next state, one texture fetch per input byte, exactly like the
-//! PFAC-family CUDA implementations. Column 0 is retained so the device
-//! table remains the paper's 257-column structure (and so kernels that
-//! *do* consult the flag column — none of ours by default — could).
+//! standard device-side refinement: **each transition word also describes
+//! its *target* state**, so the kernels learn everything they need about
+//! the state they just entered from the same texel that named it, one
+//! texture fetch per input byte, like the PFAC-family CUDA
+//! implementations. A dense transition word packs:
+//!
+//! * bits 0..23 — the target state id ([`DENSE_STATE_MASK`]);
+//! * bits 23..31 — the target's *longest* output length
+//!   ([`longest_output_len`]), saturated at [`LEN_SATURATED`], which
+//!   means "255 or more" (zero for non-matching targets);
+//! * bit 31 — the target is a match state ([`MATCH_BIT`]).
+//!
+//! The length lets a chunked kernel drop, in place, a match event whose
+//! outputs all start in the next thread's chunk (see
+//! `kernels::MatchLanes`). 23 id bits address 2²³ states, whose dense
+//! table (8.6 GB) is already far past any modelled device; larger automata
+//! are a typed [`UploadError`]. Column 0 is retained so the device table
+//! remains the paper's 257-column structure.
+//!
+//! The PFAC goto table keeps the plain layout: a 31-bit state id under
+//! [`MATCH_BIT`] ([`STATE_MASK`]), since a PFAC thread only reports at its
+//! own anchor and has nothing to drop.
 
 use crate::error::UploadError;
 use crate::table::HostTableU32;
@@ -20,16 +34,34 @@ use ac_core::{AcAutomaton, PfacAutomaton};
 /// Bit carrying the folded match flag in a transition entry.
 pub const MATCH_BIT: u32 = 1 << 31;
 
-/// Mask extracting the state id from a transition entry.
+/// Mask extracting the state id from a PFAC (or banded fat-pointer) entry:
+/// every bit below the match flag.
 pub const STATE_MASK: u32 = MATCH_BIT - 1;
+
+/// First bit of the longest-output-length field in a dense STT entry.
+pub const LEN_SHIFT: u32 = 23;
+
+/// The longest-output-length field's ceiling: a stored 255 means "255 or
+/// more", and an event carrying it is never dropped.
+pub const LEN_SATURATED: u32 = 0xFF;
+
+/// Mask extracting the state id from a dense STT entry.
+pub const DENSE_STATE_MASK: u32 = (1 << LEN_SHIFT) - 1;
 
 /// Sentinel for "no transition" in the PFAC goto texture (fits under
 /// [`MATCH_BIT`] and can never be a real state id; construction enforces
 /// state counts < 2³¹ − 1).
 pub const PFAC_STOP: u32 = STATE_MASK;
 
+/// The target state's longest output length carried by a dense STT entry,
+/// saturated at [`LEN_SATURATED`].
+#[inline]
+pub fn longest_output_len(entry: u32) -> u32 {
+    (entry >> LEN_SHIFT) & LEN_SATURATED
+}
+
 /// The host-side image of the device STT texture: a typed
-/// `state_count × 257` table with folded match bits.
+/// `state_count × 257` table of packed transition words.
 #[derive(Debug, Clone)]
 pub struct DeviceStt {
     /// The shaped host table (rows = DFA states, 257 columns).
@@ -38,24 +70,34 @@ pub struct DeviceStt {
 
 impl DeviceStt {
     /// Build the device table from a host automaton. Fails if the
-    /// automaton has ≥ 2³¹ states (the match flag cannot be folded).
+    /// automaton has more than 2²³ states (the ids would overflow
+    /// [`DENSE_STATE_MASK`]).
     pub fn from_automaton(ac: &AcAutomaton) -> Result<Self, UploadError> {
         let stt = ac.stt();
         let n = stt.state_count();
-        if n as u64 >= MATCH_BIT as u64 {
-            return Err(UploadError {
-                states: n,
-                limit: MATCH_BIT as u64 - 1,
-                table: "STT",
-            });
-        }
+        check_dense_states(n)?;
+        let patterns = ac.patterns();
+        // The word each transition into `t` carries besides `t` itself.
+        let tag: Vec<u32> = (0..n as u32)
+            .map(|t| {
+                let longest = ac
+                    .outputs()
+                    .patterns_at(t)
+                    .iter()
+                    .map(|&pid| patterns.len_of(pid))
+                    .max();
+                match longest {
+                    Some(len) => MATCH_BIT | (len.min(LEN_SATURATED as usize) as u32) << LEN_SHIFT,
+                    None => 0,
+                }
+            })
+            .collect();
         let mut entries = Vec::with_capacity(n * STT_COLUMNS);
         for s in 0..n as u32 {
             entries.push(stt.is_match(s) as u32);
             for a in 0..=255u8 {
                 let t = stt.next(s, a);
-                let flag = if stt.is_match(t) { MATCH_BIT } else { 0 };
-                entries.push(t | flag);
+                entries.push(t | tag[t as usize]);
             }
         }
         Ok(DeviceStt {
@@ -68,6 +110,19 @@ impl DeviceStt {
     pub fn size_bytes(&self) -> usize {
         self.table.size_bytes()
     }
+}
+
+/// Reject automata whose state ids do not fit [`DENSE_STATE_MASK`].
+fn check_dense_states(n: usize) -> Result<(), UploadError> {
+    let limit = DENSE_STATE_MASK as u64 + 1;
+    if n as u64 > limit {
+        return Err(UploadError {
+            states: n,
+            limit,
+            table: "STT",
+        });
+    }
+    Ok(())
 }
 
 /// The host-side image of the PFAC goto texture (same 257-column shape;
@@ -134,7 +189,7 @@ mod tests {
             for sym in 0..=255u8 {
                 let e = dev.table.at(s, 1 + sym as u32);
                 let t = stt.next(s, sym);
-                assert_eq!(e & STATE_MASK, t);
+                assert_eq!(e & DENSE_STATE_MASK, t);
                 assert_eq!(e & MATCH_BIT != 0, stt.is_match(t));
             }
         }
@@ -149,12 +204,61 @@ mod tests {
         let mut flags = Vec::new();
         for &b in text {
             let e = dev.table.at(s, 1 + b as u32);
-            s = e & STATE_MASK;
+            s = e & DENSE_STATE_MASK;
             flags.push(e & MATCH_BIT != 0);
         }
         // "ushers": matches end at positions 4 ("she"/"he") and 6
         // ("hers") → flags at indices 3 and 5.
         assert_eq!(flags, vec![false, false, false, true, false, true]);
+    }
+
+    /// The entry reached by walking `word` from the root.
+    fn entry_after(dev: &DeviceStt, word: &[u8]) -> u32 {
+        let mut e = 0;
+        for &b in word {
+            e = dev.table.at(e & DENSE_STATE_MASK, 1 + b as u32);
+        }
+        e
+    }
+
+    #[test]
+    fn entries_carry_the_targets_longest_output_length() {
+        let long = "x".repeat(300);
+        let edge = "y".repeat(255);
+        let below = "z".repeat(254);
+        let ps = PatternSet::from_strs(&["he", "she", "hers", &long, &edge, &below]).unwrap();
+        let dev = DeviceStt::from_automaton(&AcAutomaton::build(&ps)).unwrap();
+        let len = |w: &str| longest_output_len(entry_after(&dev, w.as_bytes()));
+        // Non-matching targets carry no length.
+        assert_eq!(len("h"), 0);
+        assert_eq!(entry_after(&dev, b"h") & MATCH_BIT, 0);
+        assert_eq!(len("he"), 2);
+        // "she" outputs she and he: the longest wins.
+        assert_eq!(len("she"), 3);
+        assert_eq!(len("hers"), 4);
+        // 254 fits; 255 and 300 saturate.
+        assert_eq!(len(&below), 254);
+        assert_eq!(len(&edge), LEN_SATURATED);
+        assert_eq!(len(&long), LEN_SATURATED);
+        // A saturated length never leaks into the match flag or the id.
+        let e = entry_after(&dev, long.as_bytes());
+        assert_ne!(e & MATCH_BIT, 0);
+        assert!(((e & DENSE_STATE_MASK) as usize) < dev.table.rows() as usize);
+    }
+
+    #[test]
+    fn state_ids_past_23_bits_are_a_typed_error() {
+        let limit = 1u64 << 23;
+        assert!(check_dense_states(limit as usize).is_ok());
+        let err = check_dense_states(limit as usize + 1).unwrap_err();
+        assert_eq!(
+            err,
+            UploadError {
+                states: limit as usize + 1,
+                limit,
+                table: "STT",
+            }
+        );
     }
 
     #[test]

@@ -1512,6 +1512,43 @@ mod tests {
     }
 
     #[test]
+    fn match_count_equals_the_materialized_count() {
+        // Nested outputs ("ushers" also ends "hers" and "she"…) and a
+        // 7-byte period, so occurrences straddle every 64-byte chunk
+        // boundary and each overlap window sees its neighbour's matches.
+        let pats = write_tmp("p-count.txt", b"he\nshe\nhers\nusher\nushers\n");
+        let input = write_tmp("i-count.txt", "ushers ".repeat(600).as_bytes());
+        let count_of = |engine: &str, count: bool| {
+            let mut args = vec![
+                "match",
+                "--patterns",
+                pats.to_str().unwrap(),
+                "--input",
+                input.to_str().unwrap(),
+                "--engine",
+                engine,
+            ];
+            if count {
+                args.push("--count");
+            }
+            // The first line is "<N> matches (<engine> engine)".
+            let out = run(&parse(args).unwrap()).unwrap();
+            out.split_whitespace()
+                .next()
+                .unwrap()
+                .parse::<u64>()
+                .unwrap()
+        };
+        // ushers, usher, she, he and hers once per repetition.
+        let want = 5 * 600;
+        assert_eq!(count_of("serial", false), want);
+        for engine in ["serial", "gpu:shared", "gpu:banded", "gpu:pfac"] {
+            assert_eq!(count_of(engine, false), want, "{engine}");
+            assert_eq!(count_of(engine, true), want, "{engine} --count");
+        }
+    }
+
+    #[test]
     fn stats_with_input_profiles_visits() {
         let pats = write_tmp("p4.txt", b"he\n");
         let input = write_tmp("i4.txt", b"hehehe there");

@@ -133,27 +133,30 @@ pub fn run_engine(
         _ => {
             let matcher = GpuAcMatcher::new(*cfg, KernelParams::defaults_for(cfg), ac.clone())?;
             let approach = resolve_gpu_approach(engine, &matcher, text)?;
+            // Always record: counting mode counts read-back events, which
+            // are not occurrences (see `GpuAcMatcher::run_counting`), so
+            // `--count` reports the materialized count, as `parallel` does.
             let mut run = matcher.run_opts(
                 text,
                 approach,
                 RunOptions {
-                    record: !count_only,
+                    record: true,
                     watchdog_cycles: None,
                     trace,
                     introspect: None,
                     attribution: None,
                 },
             )?;
-            let count = if count_only {
-                run.match_events
-            } else {
-                run.matches.len() as u64
-            };
+            let count = run.matches.len() as u64;
             let device_seconds = Some(run.seconds());
             let device_gbps = Some(run.gbps());
             Ok(EngineReport {
                 engine: name,
-                matches: std::mem::take(&mut run.matches),
+                matches: if count_only {
+                    Vec::new()
+                } else {
+                    std::mem::take(&mut run.matches)
+                },
                 count,
                 host_seconds: started.elapsed().as_secs_f64(),
                 device_seconds,

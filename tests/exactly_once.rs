@@ -4,13 +4,16 @@
 //!
 //! Match events carry only `(end, state)`. Neighbouring threads' windows
 //! overlap by `max_len - 1` bytes, so an occurrence that starts in a
-//! thread's overlap tail is reported twice, and the host's sort + dedup
-//! collapses the copies. Each case runs every kernel twice: with faults
-//! disarmed (events go straight to expansion) and with an empty fault
-//! plan armed (events go through the framed readback encode/decode).
+//! thread's overlap tail is seen twice. The dense-table kernels drop, in
+//! place, the events whose outputs all start past the thread's owned end;
+//! the host's sort + dedup collapses the copies that remain. Each case
+//! runs every kernel twice: with faults disarmed (events go straight to
+//! expansion) and with an empty fault plan armed (events go through the
+//! framed readback encode/decode). A second property pins the dense
+//! kernels' event stream itself against a host walk of the same plan.
 
 use ac_core::{naive, AcAutomaton, PatternSet};
-use ac_gpu::{Approach, GpuAcMatcher, KernelParams};
+use ac_gpu::{Approach, GpuAcMatcher, KernelParams, Plan};
 use gpu_sim::{FaultPlan, GpuConfig};
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -67,6 +70,87 @@ proptest! {
                 }
                 prop_assert_eq!(&run.matches, &want, "{:?}, faults armed: {}", approach, armed);
             }
+        }
+    }
+}
+
+/// The approaches that read the dense STT, whose entries carry each
+/// target's longest output length.
+const DENSE: [Approach; 4] = [
+    Approach::GlobalOnly,
+    Approach::SharedNaive,
+    Approach::SharedCoalescedOnly,
+    Approach::SharedDiagonal,
+];
+
+/// The events a dense-table kernel reports under `plan`: each thread
+/// walks its window from the root, and a match state entered at `end`
+/// counts when one of its outputs starts before the thread's owned end.
+fn owned_events(ac: &AcAutomaton, text: &[u8], plan: &Plan) -> u64 {
+    let threads = plan.launch.grid_blocks as u64 * plan.launch.threads_per_block as u64;
+    let mut count = 0;
+    for t in 0..threads {
+        let (start, owned_end) = plan.owned_range(t);
+        let mut state = 0;
+        for pos in start..plan.scan_end(t) {
+            state = ac.stt().next(state, text[pos as usize]);
+            let end = pos + 1;
+            let owned = ac
+                .outputs()
+                .patterns_at(state)
+                .iter()
+                .any(|&p| end - (ac.patterns().len_of(p) as u64) < owned_end);
+            count += owned as u64;
+        }
+    }
+    count
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn dense_kernels_report_exactly_the_owned_events(
+        words in vec("[ab]{1,5}", 1..5),
+        chain in "[ab]{2,8}",
+        // At least 255 bytes: the length field saturates, and every
+        // occurrence reaches more than 255 bytes past some owned end.
+        long in "[ab]{255,300}",
+        pieces in vec(("[ab]{0,48}", 0usize..64), 0..24),
+        // Texts of at most 16 bytes fit one chunk of every kernel.
+        single_chunk in any::<bool>(),
+        cut in 0usize..=16,
+    ) {
+        let mut pats = words;
+        pats.extend((1..=chain.len()).map(|n| chain[..n].to_string()));
+        pats.push(long);
+        let mut text = Vec::new();
+        for (filler, pick) in &pieces {
+            text.extend_from_slice(filler.as_bytes());
+            text.extend_from_slice(pats[pick % pats.len()].as_bytes());
+        }
+        if single_chunk {
+            text.truncate(cut);
+        }
+        let refs: Vec<&str> = pats.iter().map(String::as_str).collect();
+        let ps = PatternSet::from_strs(&refs).unwrap();
+        let want = naive::find_all(&ps, &text);
+        let ac = AcAutomaton::build(&ps);
+        let cfg = GpuConfig::gtx285();
+        let len = text.len() as u64;
+        let m = GpuAcMatcher::new(cfg, PARAMS, ac.clone()).unwrap();
+        for approach in DENSE {
+            let plan = match approach {
+                Approach::GlobalOnly => Plan::global_only(&PARAMS, &cfg, &ac, len),
+                _ => Plan::shared(&PARAMS, &cfg, &ac, len),
+            }
+            .unwrap();
+            let events = owned_events(&ac, &text, &plan);
+            let run = m.run(&text, approach).unwrap();
+            let counted = m.run_counting(&text, approach).unwrap();
+            prop_assert_eq!(run.match_events, events, "{:?} recording", approach);
+            prop_assert_eq!(counted.match_events, events, "{:?} counting", approach);
+            prop_assert_eq!(&run.matches, &want, "{:?}", approach);
         }
     }
 }
