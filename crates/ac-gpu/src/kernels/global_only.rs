@@ -156,6 +156,7 @@ mod tests {
             threads_per_block: 32,
             global_chunk_bytes: 4,
             shared_chunk_bytes: 64,
+            pin_threads_per_block: false,
         };
         let (matches, stats) = build_rig(
             &cfg,

@@ -4,30 +4,57 @@
 use ac_core::AcAutomaton;
 use gpu_sim::{GpuConfig, LaunchConfig};
 use serde::{Deserialize, Serialize};
+use std::cmp::Reverse;
 
 /// Tunable kernel parameters; defaults follow the paper's description.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct KernelParams {
-    /// Threads per block.
+    /// Threads per block. For the shared-memory kernels this is the
+    /// *largest* block the launch planner may pick ([`Plan::shared`]),
+    /// the same way `global_chunk_bytes` caps the global-only chunk;
+    /// `pin_threads_per_block` makes it exact.
     pub threads_per_block: u32,
     /// Bytes owned by each thread in the global-only kernel ("divide the
     /// input text into many chunks and assign one chunk to each thread").
     pub global_chunk_bytes: u32,
     /// Bytes owned by each thread in the shared-memory kernels; the block
-    /// tile is `threads_per_block × shared_chunk_bytes + overlap`, sized to
-    /// the paper's "8~12KB for the input text data out of 16KB".
+    /// tile is `threads × shared_chunk_bytes + overlap`, sized at the
+    /// default 128 threads to the paper's "8~12KB for the input text data
+    /// out of 16KB".
     pub shared_chunk_bytes: u32,
+    /// Launch the shared-memory kernels at exactly `threads_per_block`
+    /// instead of letting the planner pick a smaller block: the paper's
+    /// fixed tile, which the figure reproduction keeps. Set only by
+    /// [`KernelParams::paper`]; params serialized before this field
+    /// existed parse as unpinned.
+    #[serde(default)]
+    pub pin_threads_per_block: bool,
 }
 
 impl KernelParams {
-    /// Paper-flavoured defaults for a device: 128-thread blocks; shared
-    /// tile ≈ 8 KB (128 threads × 64-byte chunks); 4 KB global chunks.
+    /// Paper-flavoured defaults for a device: blocks of up to 128
+    /// threads; shared tile ≈ 8 KB at 128 threads × 64-byte chunks; 4 KB
+    /// global chunks. The planner keeps 128 threads for every launch that
+    /// fits one resident round and shrinks the block only for larger
+    /// scans ([`Plan::shared`]).
     pub fn defaults_for(cfg: &GpuConfig) -> Self {
         let threads_per_block = (4 * cfg.warp_size).max(cfg.warp_size);
         KernelParams {
             threads_per_block,
             global_chunk_bytes: 4096,
             shared_chunk_bytes: 64,
+            pin_threads_per_block: false,
+        }
+    }
+
+    /// The paper's launch shape: [`KernelParams::defaults_for`] with the
+    /// block size pinned, so every shared-memory launch uses the paper's
+    /// 128-thread, ≈ 8 KB tile at any input size. The figure grid uses
+    /// it; serving and the CLI use the planned defaults.
+    pub fn paper(cfg: &GpuConfig) -> Self {
+        KernelParams {
+            pin_threads_per_block: true,
+            ..Self::defaults_for(cfg)
         }
     }
 
@@ -60,7 +87,7 @@ impl KernelParams {
                 self.shared_chunk_bytes
             ));
         }
-        let tile = self.tile_bytes(ac);
+        let tile = self.tile_bytes(self.threads_per_block, ac);
         if tile > cfg.shared_mem_bytes {
             return Err(format!(
                 "staging tile of {tile} bytes exceeds the {}-byte shared memory; \
@@ -71,11 +98,12 @@ impl KernelParams {
         Ok(())
     }
 
-    /// Shared-memory tile size: the block's owned bytes plus the overlap
-    /// tail (staged so the block's last threads can scan past their chunks
-    /// without touching global memory), rounded up to whole words.
-    pub fn tile_bytes(&self, ac: &AcAutomaton) -> u32 {
-        let owned = self.threads_per_block * self.shared_chunk_bytes;
+    /// Shared-memory tile size of a `threads`-thread block: the block's
+    /// owned bytes plus the overlap tail (staged so the block's last
+    /// threads can scan past their chunks without touching global
+    /// memory), rounded up to whole words.
+    pub fn tile_bytes(&self, threads: u32, ac: &AcAutomaton) -> u32 {
+        let owned = threads * self.shared_chunk_bytes;
         let overlap = ac.required_overlap() as u32;
         (owned + overlap).next_multiple_of(4)
     }
@@ -147,6 +175,20 @@ impl Plan {
     }
 
     /// Plan a shared-memory kernel: one tile per block.
+    ///
+    /// Unless `params.pin_threads_per_block` is set, the block size is
+    /// planned: among warp multiples up to `params.threads_per_block`
+    /// whose tile fits shared memory, pick the one that needs the fewest
+    /// resident rounds, breaking ties toward the larger block. Blocks go
+    /// round-robin over the SMs, so the busiest SM holds
+    /// `ceil(full_blocks / num_sms)` blocks and runs them in
+    /// `ceil(that / resident_blocks_per_sm)` rounds. Only *full* blocks
+    /// count: a short tail block finishes long before a full one, and
+    /// counting it would shrink blocks for no gain.
+    ///
+    /// A launch that fits one round keeps the largest block. Spreading
+    /// it as smaller blocks over more SMs gives each SM its own cold
+    /// texture L2, which mostly costs more than it saves (DESIGN.md §4l).
     pub fn shared(
         params: &KernelParams,
         cfg: &GpuConfig,
@@ -154,13 +196,33 @@ impl Plan {
         text_len: u64,
     ) -> Result<Plan, String> {
         params.validate(cfg, ac)?;
-        let tile_owned = params.threads_per_block as u64 * params.shared_chunk_bytes as u64;
-        let grid_blocks = text_len.div_ceil(tile_owned).max(1) as u32;
-        let launch = LaunchConfig {
-            grid_blocks,
-            threads_per_block: params.threads_per_block,
-            shared_bytes_per_block: params.tile_bytes(ac),
+        let chunk = params.shared_chunk_bytes as u64;
+        let launch_at = |threads: u32| LaunchConfig {
+            grid_blocks: text_len.div_ceil(threads as u64 * chunk).max(1) as u32,
+            threads_per_block: threads,
+            shared_bytes_per_block: params.tile_bytes(threads, ac),
             resident_blocks_cap: None,
+        };
+        let launch = if params.pin_threads_per_block {
+            launch_at(params.threads_per_block)
+        } else {
+            // Rounds on the busiest SM, counting full blocks only.
+            let rounds = |launch: &LaunchConfig| {
+                let full_blocks = text_len / (launch.threads_per_block as u64 * chunk);
+                let busiest = full_blocks.div_ceil(cfg.num_sms as u64);
+                busiest.div_ceil(launch.resident_blocks_per_sm(cfg) as u64)
+            };
+            (1..=params.threads_per_block / cfg.warp_size)
+                .map(|warps| launch_at(warps * cfg.warp_size))
+                .filter(|launch| launch.validate(cfg).is_ok())
+                .min_by_key(|launch| (rounds(launch), Reverse(launch.threads_per_block)))
+                .ok_or_else(|| {
+                    format!(
+                        "no block of at most {} threads has a staging tile that fits \
+                         the {}-byte shared memory",
+                        params.threads_per_block, cfg.shared_mem_bytes
+                    )
+                })?
         };
         launch.validate(cfg)?;
         Ok(Plan {
@@ -271,7 +333,7 @@ mod tests {
         p.validate(&cfg(), &ac()).unwrap();
         assert_eq!(p.threads_per_block, 128);
         // Tile ≈ 8 KB, within the paper's 8–12 KB guidance.
-        let tile = p.tile_bytes(&ac());
+        let tile = p.tile_bytes(p.threads_per_block, &ac());
         assert!((8 * 1024..=12 * 1024).contains(&tile), "tile {tile}");
     }
 
@@ -323,7 +385,90 @@ mod tests {
             plan.launch.grid_blocks as u64,
             100_000u64.div_ceil(tile_owned)
         );
-        assert_eq!(plan.launch.shared_bytes_per_block, p.tile_bytes(&ac()));
+        assert_eq!(
+            plan.launch.shared_bytes_per_block,
+            p.tile_bytes(p.threads_per_block, &ac())
+        );
+    }
+
+    /// Block size the planner picks for `len` bytes under the defaults.
+    fn planned_threads(len: u64) -> u32 {
+        let p = KernelParams::defaults_for(&cfg());
+        let plan = Plan::shared(&p, &cfg(), &ac(), len).unwrap();
+        plan.launch.threads_per_block
+    }
+
+    #[test]
+    fn one_round_launches_keep_128_threads() {
+        // 245,760 B is one 8 KiB tile on each of the 30 SMs.
+        for len in [0, 1, 16 * 1024, 245_760] {
+            assert_eq!(planned_threads(len), 128, "{len} bytes");
+        }
+    }
+
+    #[test]
+    fn a_tail_block_is_not_a_round() {
+        // One byte past 30 full tiles: the 31st block is a one-byte tail
+        // on SM 0. Counting it as a second round would pick 96 threads.
+        assert_eq!(planned_threads(245_761), 128);
+    }
+
+    #[test]
+    fn multi_round_scans_shrink_the_block() {
+        // 256 KiB: 32 full 128-thread tiles take two rounds on SMs 0 and
+        // 1; 42 full 96-thread tiles, two resident per SM, take one.
+        assert_eq!(planned_threads(256 * 1024), 96);
+        // 4 MiB: 18 rounds at 128 threads, 10 at 32 (7 resident per SM).
+        let p = KernelParams::defaults_for(&cfg());
+        let plan = Plan::shared(&p, &cfg(), &ac(), 4 << 20).unwrap();
+        assert_eq!(plan.launch.threads_per_block, 32);
+        assert_eq!(plan.launch.resident_blocks_per_sm(&cfg()), 7);
+        assert_eq!(plan.launch.grid_blocks, 2048);
+    }
+
+    #[test]
+    fn unpinned_params_deserialize_from_the_old_format() {
+        let old = r#"{"threads_per_block":128,"global_chunk_bytes":4096,"shared_chunk_bytes":64}"#;
+        let p: KernelParams = serde_json::from_str(old).unwrap();
+        assert_eq!(p, KernelParams::defaults_for(&cfg()));
+        let pinned = KernelParams::paper(&cfg());
+        let back: KernelParams =
+            serde_json::from_str(&serde_json::to_string(&pinned).unwrap()).unwrap();
+        assert_eq!(back, pinned);
+    }
+
+    proptest::proptest! {
+        /// Whatever the planner picks is a warp multiple no larger than
+        /// the maximum, its tile fits shared memory, and the grid covers
+        /// the text.
+        #[test]
+        fn planned_blocks_are_legal(
+            len in 0u64..(8 << 20),
+            max_warps in 1u32..=6,
+            fermi in proptest::prelude::any::<bool>(),
+        ) {
+            let cfg = if fermi { GpuConfig::fermi_c2050() } else { cfg() };
+            let p = KernelParams {
+                threads_per_block: max_warps * cfg.warp_size,
+                ..KernelParams::defaults_for(&cfg)
+            };
+            let plan = Plan::shared(&p, &cfg, &ac(), len).unwrap();
+            let threads = plan.launch.threads_per_block;
+            proptest::prop_assert!(threads > 0 && threads.is_multiple_of(cfg.warp_size));
+            proptest::prop_assert!(threads <= p.threads_per_block);
+            proptest::prop_assert_eq!(plan.launch.shared_bytes_per_block, p.tile_bytes(threads, &ac()));
+            proptest::prop_assert!(plan.launch.shared_bytes_per_block <= cfg.shared_mem_bytes);
+            let covered = plan.launch.grid_blocks as u64 * threads as u64 * p.shared_chunk_bytes as u64;
+            proptest::prop_assert!(covered >= len);
+        }
+
+        /// The paper's params launch exactly 128 threads at every size.
+        #[test]
+        fn paper_params_pin_128_threads(len in 0u64..(16 << 20)) {
+            let p = KernelParams::paper(&cfg());
+            let plan = Plan::shared(&p, &cfg(), &ac(), len).unwrap();
+            proptest::prop_assert_eq!(plan.launch.threads_per_block, 128);
+        }
     }
 
     #[test]

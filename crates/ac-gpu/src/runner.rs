@@ -147,6 +147,9 @@ pub struct GpuRun {
     /// Launch statistics (cycles, coalescing, conflicts, texture hit
     /// rate, …).
     pub stats: LaunchStats,
+    /// The grid that ran: the block size the planner chose (see
+    /// [`Plan::shared`]), grid blocks, and the staging tile.
+    pub launch: LaunchConfig,
     /// Input bytes scanned.
     pub bytes: usize,
     /// Device clock used for unit conversion.
@@ -586,6 +589,7 @@ impl GpuAcMatcher {
             matches,
             match_events: event_count,
             stats,
+            launch,
             bytes: text.len(),
             clock_hz: self.cfg.clock_hz,
             trace: None,
@@ -730,6 +734,7 @@ mod tests {
             threads_per_block: 32,
             global_chunk_bytes: 16,
             shared_chunk_bytes: 64,
+            pin_threads_per_block: false,
         };
         let ac = AcAutomaton::build(&PatternSet::from_strs(pats).unwrap());
         GpuAcMatcher::new(cfg, params, ac).unwrap()
@@ -972,6 +977,7 @@ mod tests {
             threads_per_block: 32,
             global_chunk_bytes: 16,
             shared_chunk_bytes: 4096, // 128 KB tile
+            pin_threads_per_block: false,
         };
         let ac = AcAutomaton::build(&PatternSet::from_strs(&["x"]).unwrap());
         assert!(GpuAcMatcher::new(cfg, params, ac).is_err());
@@ -986,6 +992,12 @@ mod tests {
             stats: LaunchStats {
                 cycles: 1_476_000_000,
                 ..Default::default()
+            },
+            launch: LaunchConfig {
+                grid_blocks: 1,
+                threads_per_block: 32,
+                shared_bytes_per_block: 0,
+                resident_blocks_cap: None,
             },
             bytes: 125_000_000, // 1 Gbit
             clock_hz: 1.476e9,

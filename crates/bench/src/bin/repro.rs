@@ -541,7 +541,7 @@ fn run_ablations(args: &Args) -> Result<(FigureSet, Measurements), String> {
                 pattern_counts: grid.pattern_counts.clone(),
             });
             cfg.gpu = device;
-            cfg.params = ac_gpu::KernelParams::defaults_for(&device);
+            cfg.params = ac_gpu::KernelParams::paper(&device);
             cfg.verbose = args.verbose;
             let engine = Engine::new(cfg);
             let m = engine.run(&["shared-diagonal"])?;

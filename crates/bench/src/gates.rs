@@ -1,6 +1,6 @@
 //! The ride-along scenarios and the gate table over their rows.
 //!
-//! Every `repro` run measures the same five scenarios next to its figure
+//! Every `repro` run measures the same six scenarios next to its figure
 //! grid ([`scenarios`]), so every `BENCH_<grid>.json` carries their rows.
 //! A row-by-row diff catches a row that moved; it cannot catch a claim
 //! *between* rows breaking while each row moves less than its threshold
@@ -13,6 +13,7 @@
 //! regression. Adding a claim is one table entry.
 
 use crate::fleet::{check_fleet_scaling, fleet_measurements};
+use crate::launch_planning::{check_launch_planning, launch_plan_measurements, PLANNED_ROW};
 use crate::layout_sweep::{
     check_layout_crossover, layout_sweep_approaches, layout_sweep_measurements, CROSSOVER_PATTERNS,
     LAYOUT_SWEEP_SIZE,
@@ -54,6 +55,10 @@ pub fn scenarios() -> Vec<Scenario> {
             "STT layout sweep (dictionaries up to 20k patterns)".into(),
             layout_sweep_measurements,
         ),
+        (
+            "launch planning (paper tile vs planned blocks, 1 MiB)".into(),
+            launch_plan_measurements,
+        ),
     ]
 }
 
@@ -69,7 +74,7 @@ pub(crate) struct Gate {
 }
 
 /// Every gate, in the order their lines print.
-pub(crate) const GATES: [Gate; 4] = [
+pub(crate) const GATES: [Gate; 5] = [
     Gate {
         name: "layout crossover",
         marker: |r| {
@@ -93,6 +98,11 @@ pub(crate) const GATES: [Gate; 4] = [
         name: "light-load latency",
         marker: |r| r.approach == LIGHT_LOAD_ROW,
         check: check_light_load,
+    },
+    Gate {
+        name: "launch planning",
+        marker: |r| r.approach == PLANNED_ROW,
+        check: check_launch_planning,
     },
 ];
 

@@ -24,6 +24,7 @@ pub mod diff;
 pub mod figures;
 pub mod fleet;
 pub mod gates;
+pub mod launch_planning;
 pub mod layout_sweep;
 pub mod measure;
 pub mod report;

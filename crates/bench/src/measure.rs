@@ -95,14 +95,15 @@ pub struct EngineConfig {
 }
 
 impl EngineConfig {
-    /// Paper-faithful defaults over the given grid.
+    /// Paper-faithful defaults over the given grid, with the paper's
+    /// pinned 128-thread tile ([`KernelParams::paper`]).
     pub fn new(grid: ExperimentGrid) -> Self {
         let gpu = GpuConfig::gtx285();
         EngineConfig {
             grid,
             gpu,
             cpu: CpuConfig::core2duo_2_2ghz(),
-            params: KernelParams::defaults_for(&gpu),
+            params: KernelParams::paper(&gpu),
             seed: 0xAC_2013,
             verbose: false,
         }

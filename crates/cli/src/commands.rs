@@ -904,14 +904,18 @@ struct ProfileRow {
     seconds: f64,
     gbps: f64,
     busy_pct: f64,
+    threads_per_block: u32,
+    resident_blocks_per_sm: u32,
     idle_cycles: u64,
     stalls: StallBreakdown,
 }
 
 /// The `profile` sweep: run every GPU kernel configuration over `text`
-/// and tabulate cycles, throughput, SM occupancy, and the stall-reason
-/// breakdown, closing with the Fig. 19 narrative for the paper's default
-/// kernel. With `json` the same rows come back machine-readable.
+/// and tabulate cycles, throughput, SM occupancy next to the launched
+/// shape (threads per block, resident blocks per SM), and the
+/// stall-reason breakdown, closing with the Fig. 19 narrative for the
+/// paper's default kernel. With `json` the same rows come back
+/// machine-readable.
 fn profile_text(
     ac: &AcAutomaton,
     text: &[u8],
@@ -928,10 +932,10 @@ fn profile_text(
     );
     let _ = writeln!(
         out,
-        "{:>15} | {:>12} | {:>10} | {:>8} | {:>6} | stall breakdown (% of idle)",
-        "config", "cycles", "device ms", "Gb/s", "busy%"
+        "{:>15} | {:>12} | {:>10} | {:>8} | {:>6} | {:>4} | {:>6} | stall breakdown (% of idle)",
+        "config", "cycles", "device ms", "Gb/s", "busy%", "tpb", "blk/SM"
     );
-    let _ = writeln!(out, "{}", "-".repeat(100));
+    let _ = writeln!(out, "{}", "-".repeat(116));
     let mut shared_stats: Option<LaunchStats> = None;
     let mut json_rows: Vec<ProfileRow> = Vec::new();
     for (engine, name) in Engine::all() {
@@ -952,6 +956,7 @@ fn profile_text(
             )
             .map_err(|e| format!("{name}: {e}"))?;
         let stats = &run.stats;
+        let resident = run.launch.resident_blocks_per_sm(cfg);
         let sm_cycles: u64 = stats.per_sm.iter().map(|s| s.cycles).sum();
         let idle = stats.totals.idle_cycles;
         let busy = if sm_cycles == 0 {
@@ -983,18 +988,22 @@ fn profile_text(
                 seconds: run.seconds(),
                 gbps: run.gbps(),
                 busy_pct: busy,
+                threads_per_block: run.launch.threads_per_block,
+                resident_blocks_per_sm: resident,
                 idle_cycles: idle,
                 stalls: stats.totals.stalls,
             });
         }
         let _ = writeln!(
             out,
-            "{:>15} | {:>12} | {:>10.3} | {:>8.2} | {:>6.1} | {}",
+            "{:>15} | {:>12} | {:>10.3} | {:>8.2} | {:>6.1} | {:>4} | {:>6} | {}",
             name,
             stats.cycles,
             run.seconds() * 1e3,
             run.gbps(),
             busy,
+            run.launch.threads_per_block,
+            resident,
             breakdown.join(", ")
         );
         if approach == Approach::SharedDiagonal {
@@ -1637,6 +1646,11 @@ mod tests {
         }
         assert!(out.contains("stall breakdown"), "{out}");
         assert!(out.contains("Fig. 19"), "{out}");
+        // 3,600 bytes fit one round: the paper's 128-thread block, one
+        // resident per SM.
+        assert!(out.contains("|  tpb | blk/SM |"), "{out}");
+        let shared = out.lines().find(|l| l.contains("gpu:shared")).unwrap();
+        assert!(shared.contains("|  128 |      1 |"), "{shared}");
     }
 
     #[test]
@@ -1710,7 +1724,15 @@ mod tests {
         let rows = rows.as_arr().expect("top-level array");
         assert_eq!(rows.len(), 4, "{out}"); // four GPU configs
         let first = rows[0].as_obj().unwrap();
-        for field in ["config", "cycles", "gbps", "busy_pct", "stalls"] {
+        for field in [
+            "config",
+            "cycles",
+            "gbps",
+            "busy_pct",
+            "threads_per_block",
+            "resident_blocks_per_sm",
+            "stalls",
+        ] {
             assert!(serde::obj_get(first, field).is_some(), "missing {field}");
         }
     }

@@ -346,6 +346,7 @@ mod tests {
                 threads_per_block: 128,
                 global_chunk_bytes: 4096,
                 shared_chunk_bytes: 64,
+                pin_threads_per_block: false,
             },
             ac,
             ResilientConfig::default(),

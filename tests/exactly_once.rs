@@ -10,7 +10,10 @@
 //! runs every kernel twice: with faults disarmed (events go straight to
 //! expansion) and with an empty fault plan armed (events go through the
 //! framed readback encode/decode). A second property pins the dense
-//! kernels' event stream itself against a host walk of the same plan.
+//! kernels' event stream itself against a host walk of the same plan. A
+//! third runs the shared-tile kernels at the block sizes the launch
+//! planner picks on a two-SM device, where a few tens of KiB already span
+//! several resident rounds.
 
 use ac_core::{naive, AcAutomaton, PatternSet};
 use ac_gpu::{Approach, GpuAcMatcher, KernelParams, Plan};
@@ -25,6 +28,7 @@ const PARAMS: KernelParams = KernelParams {
     threads_per_block: 32,
     global_chunk_bytes: 16,
     shared_chunk_bytes: 64,
+    pin_threads_per_block: false,
 };
 
 proptest! {
@@ -151,6 +155,103 @@ proptest! {
             prop_assert_eq!(run.match_events, events, "{:?} recording", approach);
             prop_assert_eq!(counted.match_events, events, "{:?} counting", approach);
             prop_assert_eq!(&run.matches, &want, "{:?}", approach);
+        }
+    }
+}
+
+/// The GTX 285 cut to two SMs: a scan of a few tens of KiB fills several
+/// resident rounds, so the planner launches blocks below its maximum.
+fn two_sm_gtx285() -> GpuConfig {
+    GpuConfig {
+        num_sms: 2,
+        ..GpuConfig::gtx285()
+    }
+}
+
+/// `(maximum threads per block, text bytes, planned threads per block)`
+/// on [`two_sm_gtx285`], for any overlap below 293 bytes. Past one round
+/// the 96-thread block wins ties against 64 at a 128-thread maximum, so
+/// the 64-thread shape is planned under a 64-thread maximum.
+const PLANNED_SHAPES: [(u32, usize, u32); 3] = [
+    (128, 24 * 1024, 96),
+    (64, 16 * 1024, 64),
+    (128, 56 * 1024, 32),
+];
+
+/// The kernels that stage the text in a shared-memory tile.
+const SHARED_TILE: [Approach; 4] = [
+    Approach::SharedNaive,
+    Approach::SharedCoalescedOnly,
+    Approach::SharedDiagonal,
+    Approach::SharedBanded,
+];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4))]
+
+    #[test]
+    fn planned_block_shapes_report_each_occurrence_exactly_once(
+        words in vec("[ab]{1,5}", 1..5),
+        chain in "[ab]{2,8}",
+        // At most one chunk (64 bytes) of overlap, then up to two.
+        short in "[ab]{16,65}",
+        long in "[ab]{66,136}",
+        pieces in vec(("[ab]{0,48}", 0usize..64), 1..24),
+    ) {
+        let mut pats = words;
+        pats.extend((1..=chain.len()).map(|n| chain[..n].to_string()));
+        pats.push(short);
+        let short_set = pats.clone();
+        pats.push(long);
+        for pats in [short_set, pats] {
+            let mut unit = Vec::new();
+            for (filler, pick) in &pieces {
+                unit.extend_from_slice(filler.as_bytes());
+                unit.extend_from_slice(pats[pick % pats.len()].as_bytes());
+            }
+            let refs: Vec<&str> = pats.iter().map(String::as_str).collect();
+            let ps = PatternSet::from_strs(&refs).unwrap();
+            let ac = AcAutomaton::build(&ps);
+            let cfg = two_sm_gtx285();
+            for (max_threads, len, planned) in PLANNED_SHAPES {
+                let text: Vec<u8> = unit.iter().copied().cycle().take(len).collect();
+                let want = naive::find_all(&ps, &text);
+                let params = KernelParams {
+                    threads_per_block: max_threads,
+                    ..KernelParams::defaults_for(&cfg)
+                };
+                let plan = Plan::shared(&params, &cfg, &ac, len as u64).unwrap();
+                prop_assert_eq!(plan.launch.threads_per_block, planned, "{} bytes", len);
+                let m = GpuAcMatcher::new(cfg, params, ac.clone()).unwrap();
+                for approach in SHARED_TILE {
+                    let run = m.run(&text, approach).unwrap();
+                    let counted = m.run_counting(&text, approach).unwrap();
+                    prop_assert_eq!(run.launch, plan.launch, "{:?}", approach);
+                    prop_assert_eq!(&run.matches, &want, "{:?} at {} threads", approach, planned);
+                    prop_assert_eq!(
+                        counted.match_events,
+                        run.match_events,
+                        "{:?} at {} threads",
+                        approach,
+                        planned
+                    );
+                    // The diagonal map covers the owned chunks. A window
+                    // reaching past the next chunk reads the linear
+                    // overlap tail, where two lanes can land 16 words
+                    // apart: that conflicts at every block size, the
+                    // paper's 128 threads included.
+                    if approach == Approach::SharedDiagonal
+                        && ac.required_overlap() <= params.shared_chunk_bytes as usize
+                    {
+                        prop_assert_eq!(
+                            run.stats.totals.shared_conflicts,
+                            0,
+                            "diagonal staging conflicted at {} threads",
+                            planned
+                        );
+                    }
+                }
+            }
         }
     }
 }
