@@ -8,16 +8,28 @@
 //! [`crate::serve`] is the fleet of one in parity mode, so this module
 //! holds the crate's only serve loop.
 //!
-//! # The parity loop
+//! # Queue layouts and the turn rule
 //!
-//! Parity mode (`routing: None`) is a greedy open-loop server over one
-//! shared queue: whenever a stream frees up on any device (lowest device
-//! on ties), every job that has arrived by then is admitted (or rejected
-//! by backpressure), the queue's head run is coalesced up to the batch
-//! limits, and the batch's `h2d → kernel → d2h` chain is dispatched on
-//! that stream. Batch size therefore adapts to backlog — an idle server
-//! launches singleton batches immediately, a busy one amortises launches
-//! over whatever queued up — which is the whole p99 argument for batching.
+//! The loop drains a set of admission queues, each with a server.
+//! [`FleetConfig::routing`] picks the layout:
+//!
+//! * **Parity** (`routing: None`): one queue, served by every device.
+//! * **Routed**: one queue per device, served by that device, plus one
+//!   for the CPU ladder.
+//!
+//! Each turn, a non-empty queue's server is its member device whose next
+//! stream frees earliest (lowest device on ties), and the queue can
+//! dispatch at the later of that free time and its head's arrival. The
+//! loop takes the queue with the earliest dispatch time, lowest queue on
+//! ties. It admits every job that has arrived by then: parity queues it
+//! on its one queue, routing on the tier with the earliest predicted
+//! completion (see *Scaling out*). A full queue rejects it with
+//! backpressure. It then coalesces the queue's head run up to the batch
+//! limits and dispatches the batch's `h2d → kernel → d2h` chain on the
+//! server's stream. Batch size therefore adapts to backlog — an idle
+//! server launches singleton batches immediately, a busy one amortises
+//! launches over whatever queued up — which is the whole p99 argument
+//! for batching.
 //!
 //! Issue order matters on a single-DMA-engine device: the copy engine is
 //! a FIFO, so enqueueing a batch's `d2h` right behind its kernel would
@@ -62,8 +74,9 @@
 //!
 //! Three mechanisms make a fleet more than N copies of one device:
 //!
-//! * **Sharded dispatch** ([`plan_shards`]) — a job whose payload is at
-//!   least `shard_bytes` is split into overlap-padded segments, one per
+//! * **Sharded dispatch** ([`plan_shards`]) — in a routed fleet of two
+//!   or more devices, a job whose payload is at least `shard_bytes` is
+//!   split into overlap-padded segments, one per
 //!   device. Each segment *owns* a half-open byte range and scans
 //!   `required_overlap()` extra bytes past its owned end, so a match
 //!   starting inside the owned range always fits entirely in the scanned
@@ -95,7 +108,9 @@
 //!
 //! Telemetry tags job, control and breaker events with a `device=` arg
 //! only when the fleet has more than one device: a one-device trace is
-//! the plain single-device trace.
+//! the plain single-device trace. A GPU queue's turn carries its server's
+//! device, even when that device's open breaker sends the batch to the
+//! CPU ladder; a batch that cost routing sends to the CPU tier does not.
 
 use crate::batch::{assemble_batch, demux_matches, AssembledBatch};
 use crate::breaker::{BreakerState, BreakerTransition, CircuitBreaker, Route};
@@ -116,6 +131,7 @@ use gpu_sim::{
 use integration::cpu_ladder_scan;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
+use std::ops::Range;
 
 /// One device's slice of a sharded corpus.
 ///
@@ -269,8 +285,8 @@ pub struct FleetConfig {
     /// Per-device serving policy (streams, limits, breaker, …). The
     /// `slo` and `telemetry` hooks arm one *shared* controller/recorder.
     pub device: ServeConfig,
-    /// Calibrated cost routing; `None` = parity mode (one shared queue,
-    /// exact [`crate::serve`] loop semantics).
+    /// Calibrated cost routing; `None` = parity mode (one queue served by
+    /// every device; at one device this is [`crate::serve`]).
     pub routing: Option<RouterConfig>,
     /// Shared host-side PCIe bus model.
     pub bus: BusConfig,
@@ -393,7 +409,30 @@ pub struct FleetRun {
     pub timelines: Vec<StreamTimeline>,
 }
 
-/// Mutable per-fleet state shared by the parity and routed loops.
+/// Where a queue's batches run.
+enum Server {
+    /// Any device in the range: each turn goes to the one whose next
+    /// stream frees earliest, lowest device on ties.
+    Gpus(Range<usize>),
+    /// The CPU ladder.
+    Cpu,
+}
+
+/// One admission queue and the server that drains it.
+struct Queue {
+    jobs: BoundedQueue,
+    server: Server,
+}
+
+/// Routed mode's per-tier state. Tiers are the GPUs in device order, then
+/// the CPU ladder: the same indices as the routed queues.
+struct Router {
+    refine_alpha: f64,
+    models: Vec<CostModel>,
+    tiers: Vec<TierCounts>,
+}
+
+/// Mutable per-fleet state of the serve loop.
 struct FleetState {
     /// The link model every copy is priced with
     /// ([`ServeConfig::effective_pcie`]).
@@ -408,7 +447,16 @@ struct FleetState {
     /// upload delay.
     pool_charged: Vec<u64>,
     arbiter: PcieBusArbiter,
+    /// The queue layout (see the module docs).
+    queues: Vec<Queue>,
+    /// Cost models and traffic rows; `None` in parity mode.
+    router: Option<Router>,
+    /// Jobs at least this large scatter across the fleet (routed fleets
+    /// of two or more devices only).
+    scatter_min: Option<usize>,
     outcomes: Vec<JobOutcome>,
+    rejections: Vec<Overloaded>,
+    expiries: Vec<JobExpiry>,
     slo: Option<AdmissionController>,
     tel: Option<ServeTelemetry>,
     cpu_free: f64,
@@ -494,6 +542,101 @@ impl FleetState {
         }
     }
 
+    /// Queue `q`'s server for its next turn and when it frees: the member
+    /// device (with its next free stream) that frees earliest, lowest
+    /// device on ties, or `None` for the CPU ladder.
+    fn server(&self, q: usize) -> (Option<(usize, u32)>, f64) {
+        match &self.queues[q].server {
+            Server::Cpu => (None, self.cpu_free),
+            Server::Gpus(devices) => devices
+                .clone()
+                .map(|d| {
+                    let (stream, free) = self.engines[d].next_free_stream();
+                    (Some((d, stream)), free)
+                })
+                .min_by(|a, b| a.1.total_cmp(&b.1))
+                .expect("a GPU queue has at least one device"),
+        }
+    }
+
+    /// Admit one arrival at `now`: shed it under SLO pressure, queue it,
+    /// or bounce it off a full queue with a retry hint from the aggregate
+    /// fleet drain rate. Parity queues everything on queue 0. Routed
+    /// stages scatter-eligible jobs on queue 0 and sends the rest to the
+    /// tier predicting the earliest completion given its backlog.
+    fn admit(&mut self, job: ScanJob, now: f64) {
+        let bytes = job.payload.len();
+        let q = match &self.router {
+            Some(r) if self.scatter_min.is_none_or(|m| bytes < m) => {
+                (0..self.queues.len())
+                    .map(|t| {
+                        let backlog = self.queues[t].jobs.queued_bytes() + bytes;
+                        let free = self.server(t).1.max(job.arrival_seconds);
+                        (t, free + r.models[t].predict(backlog))
+                    })
+                    .min_by(|a, b| a.1.total_cmp(&b.1))
+                    .expect("at least one tier")
+                    .0
+            }
+            _ => 0,
+        };
+        if let Some(s) = shed(&mut self.slo, &job) {
+            if let Some(r) = self.router.as_mut() {
+                r.tiers[q].shed += 1;
+            }
+            if let Some(t) = self.tel.as_mut() {
+                t.job_shed(&s);
+            }
+            return;
+        }
+        let (priority, arrival) = (job.priority, job.arrival_seconds);
+        match self.queues[q].jobs.push(job) {
+            Ok(()) => {
+                if let Some(r) = self.router.as_mut() {
+                    r.tiers[q].jobs += 1;
+                    r.tiers[q].bytes += bytes as u64;
+                }
+            }
+            Err(mut e) => {
+                let drain_rate = if now > 0.0 {
+                    self.outcomes.len() as f64 / now
+                } else {
+                    0.0
+                };
+                if drain_rate > 0.0 {
+                    e.retry_after_us = e.capacity as f64 / drain_rate * 1.0e6;
+                }
+                if let Some(t) = self.tel.as_mut() {
+                    t.job_rejected(&e, priority, arrival);
+                }
+                self.rejections.push(e);
+            }
+        }
+    }
+
+    /// Expire every queue's overdue jobs at `now` with a typed
+    /// [`JobExpiry`]. Returns whether any expired.
+    fn expire_overdue(&mut self, now: f64) -> bool {
+        let mut any = false;
+        for (q, queue) in self.queues.iter_mut().enumerate() {
+            let newly = queue.jobs.expire_overdue(now);
+            if newly.is_empty() {
+                continue;
+            }
+            any = true;
+            if let Some(r) = self.router.as_mut() {
+                r.tiers[q].expired += newly.len() as u64;
+            }
+            if let Some(t) = self.tel.as_mut() {
+                for e in &newly {
+                    t.job_expired(e);
+                }
+            }
+            self.expiries.extend(newly);
+        }
+        any
+    }
+
     /// The most severe breaker state across the fleet (for control-plane
     /// ticks taken on the CPU tier, which has no breaker of its own).
     fn worst_breaker_state(&self) -> BreakerState {
@@ -550,10 +693,23 @@ pub fn serve_fleet(
         .map(|j| j.payload.as_slice())
         .find(|p| !p.is_empty())
         .unwrap_or(b"a");
-    let models = cfg
-        .routing
-        .as_ref()
-        .map(|r| fit_tier_models(matcher, dcfg, r, devices, sample));
+    let router = cfg.routing.map(|r| Router {
+        refine_alpha: r.refine_alpha,
+        models: fit_tier_models(matcher, dcfg, &r, devices, sample),
+        tiers: (0..=devices)
+            .map(|t| TierCounts {
+                tier: if t == devices {
+                    "cpu".to_string()
+                } else {
+                    format!("gpu{t}")
+                },
+                jobs: 0,
+                bytes: 0,
+                shed: 0,
+                expired: 0,
+            })
+            .collect(),
+    });
     let replicas: Vec<GpuAcMatcher> = (1..devices).map(|_| matcher.replicate()).collect();
     let matcher_for = |d: usize| -> &GpuAcMatcher {
         if d == 0 {
@@ -563,6 +719,15 @@ pub fn serve_fleet(
         }
     };
 
+    // The queue layout (module docs): parity's one queue served by every
+    // device, or one queue per device plus the CPU ladder's.
+    let layout = match cfg.routing {
+        None => vec![Server::Gpus(0..devices)],
+        Some(_) => (0..devices)
+            .map(|d| Server::Gpus(d..d + 1))
+            .chain([Server::Cpu])
+            .collect(),
+    };
     let mut st = FleetState {
         pcie,
         engines: (0..devices)
@@ -579,7 +744,21 @@ pub fn serve_fleet(
             .collect(),
         pool_charged: vec![0; devices],
         arbiter: PcieBusArbiter::new(cfg.bus),
+        queues: layout
+            .into_iter()
+            .map(|server| Queue {
+                jobs: BoundedQueue::new(dcfg.queue_capacity),
+                server,
+            })
+            .collect(),
+        router,
+        scatter_min: match (cfg.routing, cfg.shard_bytes) {
+            (Some(_), Some(b)) if devices > 1 => Some(b.max(1)),
+            _ => None,
+        },
         outcomes: Vec::with_capacity(jobs.len()),
+        rejections: Vec::new(),
+        expiries: Vec::new(),
         slo: dcfg.slo.map(|s| AdmissionController::new(s, base_max_jobs)),
         tel: dcfg.telemetry.map(|t| ServeTelemetry::new(t, clock_hz)),
         cpu_free: 0.0,
@@ -594,27 +773,7 @@ pub fn serve_fleet(
         scattered_jobs: 0,
     };
 
-    let (rejections, expiries, routing, cost_models) = match (cfg.routing, models) {
-        (Some(router), Some(models)) => {
-            let (rej, exp, tiers, final_models) = run_routed(
-                &mut st,
-                &jobs,
-                cfg,
-                gap,
-                clock_hz,
-                &router,
-                models,
-                &matcher_for,
-            )?;
-            (rej, exp, tiers, final_models)
-        }
-        _ => {
-            let (rej, exp) =
-                run_parity(&mut st, &jobs, dcfg, gap, clock_hz, devices, &matcher_for)?;
-            (rej, exp, Vec::new(), Vec::new())
-        }
-    };
-
+    run_queues(&mut st, &jobs, dcfg, gap, clock_hz, &matcher_for)?;
     st.flush_ready(f64::INFINITY, streams_per_device);
 
     // Drain every device's pool: all leases were released with their
@@ -681,6 +840,23 @@ pub fn serve_fleet(
         }
         run
     });
+    let (routing, cost_models) = match st.router.take() {
+        Some(r) => {
+            let snapshots = r
+                .tiers
+                .iter()
+                .zip(&r.models)
+                .map(|(t, m)| CostModelSnapshot {
+                    tier: t.tier.clone(),
+                    setup_seconds: m.setup_seconds,
+                    bytes_per_sec: m.bytes_per_sec,
+                })
+                .collect();
+            (r.tiers, snapshots)
+        }
+        None => (Vec::new(), Vec::new()),
+    };
+    let (rejections, expiries) = (st.rejections, st.expiries);
     let sheds = st
         .slo
         .as_ref()
@@ -817,124 +993,116 @@ fn fit_tier_models(
     models
 }
 
-/// Parity mode (see the module docs): one shared queue, each turn
-/// dispatched on whichever device frees up first. With one device this is
-/// [`crate::serve`].
-fn run_parity<'a>(
+/// The serve loop (see the module docs): each turn takes the queue whose
+/// head can dispatch earliest, admits every arrival up to that instant,
+/// expires overdue jobs, then scatters the head job or coalesces the head
+/// run into one batch on the server's GPU or the CPU ladder.
+fn run_queues<'a>(
     st: &mut FleetState,
     jobs: &[ScanJob],
     dcfg: &ServeConfig,
     gap: usize,
     clock_hz: f64,
-    devices: usize,
     matcher_for: &dyn Fn(usize) -> &'a GpuAcMatcher,
-) -> Result<(Vec<Overloaded>, Vec<JobExpiry>), GpuError> {
+) -> Result<(), GpuError> {
     let base_max_jobs = dcfg.limits.max_jobs.max(1);
     let streams_per_device = dcfg.streams.max(1);
-    let mut queue = BoundedQueue::new(dcfg.queue_capacity);
-    let mut rejections = Vec::new();
-    let mut expiries: Vec<JobExpiry> = Vec::new();
     let mut next = 0usize;
 
     loop {
-        if queue.is_empty() {
-            if next >= jobs.len() {
-                break;
-            }
-            let job = jobs[next].clone();
-            next += 1;
-            if let Some(s) = shed(&mut st.slo, &job) {
-                if let Some(t) = st.tel.as_mut() {
-                    t.job_shed(&s);
-                }
-                continue;
-            }
-            queue.push(job).expect("empty queue admits one job");
-        }
-        // The fleet's next free stream: argmin over devices, lowest
-        // device on ties (degenerates to `next_free_stream()` at d=1).
-        let (dev, stream, gpu_free) = (0..devices)
-            .map(|d| {
-                let (s, f) = st.engines[d].next_free_stream();
-                (d, s, f)
+        // The turn rule: earliest dispatch time, lowest queue on ties.
+        let turn = (0..st.queues.len())
+            .filter_map(|q| {
+                let head = st.queues[q].jobs.head_arrival()?;
+                let (server, free) = st.server(q);
+                Some((q, server, head, free.max(head)))
             })
-            .min_by(|a, b| a.2.total_cmp(&b.2))
-            .expect("fleet has at least one device");
-        let head = queue.head_arrival().expect("queue is non-empty");
-        let gpu_dispatch = gpu_free.max(head);
-        let route = st.breakers[dev].route_at(gpu_dispatch);
-        let dispatch = match route {
-            Route::Gpu => gpu_dispatch,
-            Route::Cpu => st.cpu_free.max(head),
-        };
-        // Before the new upload, flush every device's finished readbacks
-        // (the reused stream's included) through the bus arbiter.
-        if route == Route::Gpu {
-            st.flush_ready(dispatch, streams_per_device);
-            debug_assert!(st.pendings[dev][stream as usize].is_none());
-        }
-        // Everything that arrived while the tier was busy is admitted now
-        // (shed under SLO pressure, or bounced off the full queue with a
-        // retry hint from the aggregate fleet drain rate).
-        let drain_rate = if dispatch > 0.0 {
-            st.outcomes.len() as f64 / dispatch
-        } else {
-            0.0
-        };
-        while next < jobs.len() && jobs[next].arrival_seconds <= dispatch {
-            let job = jobs[next].clone();
+            .min_by(|a, b| a.3.total_cmp(&b.3));
+        let Some((q, server, head, mut dispatch)) = turn else {
+            // Every queue is empty: admit the next arrival, or finish.
+            let Some(job) = jobs.get(next) else { break };
             next += 1;
-            if let Some(s) = shed(&mut st.slo, &job) {
-                if let Some(t) = st.tel.as_mut() {
-                    t.job_shed(&s);
-                }
-                continue;
+            st.admit(job.clone(), job.arrival_seconds);
+            continue;
+        };
+
+        // A GPU server consults its breaker. An open breaker fails the
+        // batch over to the shared CPU executor, which also runs every
+        // batch of the CPU queue.
+        let gpu = server.filter(|&(dev, _)| st.breakers[dev].route_at(dispatch) == Route::Gpu);
+        match gpu {
+            Some((dev, stream)) => {
+                // Before the new upload, flush every device's finished
+                // readbacks (the reused stream's included) through the bus.
+                st.flush_ready(dispatch, streams_per_device);
+                debug_assert!(st.pendings[dev][stream as usize].is_none());
             }
-            let (priority, arrival) = (job.priority, job.arrival_seconds);
-            if let Err(mut e) = queue.push(job) {
-                if drain_rate > 0.0 {
-                    e.retry_after_us = e.capacity as f64 / drain_rate * 1.0e6;
-                }
-                if let Some(t) = st.tel.as_mut() {
-                    t.job_rejected(&e, priority, arrival);
-                }
-                rejections.push(e);
-            }
+            None => dispatch = st.cpu_free.max(head),
+        }
+
+        // Everything that arrived while the server was busy is admitted
+        // now.
+        while let Some(job) = jobs.get(next).filter(|j| j.arrival_seconds <= dispatch) {
+            next += 1;
+            st.admit(job.clone(), dispatch);
         }
         // Overdue jobs get a typed expiry instead of a batch slot. Any
-        // expiry may have changed the head, so re-plan from the top.
-        let newly_expired = queue.expire_overdue(dispatch);
-        if !newly_expired.is_empty() {
-            if let Some(t) = st.tel.as_mut() {
-                for e in &newly_expired {
-                    t.job_expired(e);
-                }
-            }
-            expiries.extend(newly_expired);
+        // expiry may have changed a head, so re-plan from the top.
+        if st.expire_overdue(dispatch) {
             continue;
         }
 
-        // Coalesce the backlog head into one launch. Under SLO pressure
-        // the controller widens the window beyond the configured base.
+        // Under SLO pressure the controller widens the batch window
+        // beyond the configured base.
         let max_jobs_now = st
             .slo
             .as_ref()
             .map(|c| c.batch_jobs())
             .unwrap_or(base_max_jobs);
-        st.tag_device(Some(dev));
+        // A GPU queue's turn is tagged with its server, whose breaker
+        // decided the route (failover included). A CPU-queue turn is
+        // untagged and ticks the fleet's worst breaker state.
+        let device = server.map(|(d, _)| d);
+        let breaker = match device {
+            Some(d) => st.breakers[d].state(),
+            None => st.worst_breaker_state(),
+        };
+        st.tag_device(device);
+        let queued: usize = st.queues.iter().map(|q| q.jobs.len()).sum();
         if let Some(t) = st.tel.as_mut() {
-            t.tick(
-                dispatch,
-                queue.len(),
-                max_jobs_now,
-                st.breakers[dev].state(),
-            );
+            t.tick(dispatch, queued, max_jobs_now, breaker);
         }
+
+        let scatter_min = st.scatter_min;
+        let queue = &mut st.queues[q].jobs;
+        // Oversized head on a GPU route: scatter it across the fleet.
+        if gpu.is_some()
+            && scatter_min.is_some_and(|m| queue.head_payload_len().is_some_and(|l| l >= m))
+        {
+            let job = queue.pop().expect("head exists");
+            scatter_job(
+                st,
+                job,
+                dispatch,
+                gap,
+                clock_hz,
+                dcfg,
+                streams_per_device,
+                matcher_for,
+            )?;
+            continue;
+        }
+
+        // Coalesce the head run into one launch; a scatter-eligible job
+        // ends the run.
         let mut batch = vec![queue.pop().expect("queue is non-empty")];
         let mut batch_bytes = batch[0].payload.len();
         while batch.len() < max_jobs_now {
             match queue.head_payload_len() {
-                Some(len) if batch_bytes + len <= dcfg.limits.max_bytes => {
+                Some(len)
+                    if batch_bytes + len <= dcfg.limits.max_bytes
+                        && scatter_min.is_none_or(|m| len < m) =>
+                {
                     batch_bytes += len;
                     batch.push(queue.pop().expect("head exists"));
                 }
@@ -947,29 +1115,12 @@ fn run_parity<'a>(
         st.payload_bytes += batch_bytes as u64;
         *st.histogram.entry(batch.len()).or_insert(0) += 1;
         if let Some(t) = st.tel.as_mut() {
-            let route_label = match route {
-                Route::Gpu => "gpu",
-                Route::Cpu => "cpu",
-            };
+            let route_label = if gpu.is_some() { "gpu" } else { "cpu" };
             t.batch_formed(&label, &batch, dispatch, route_label);
         }
 
-        match route {
-            Route::Cpu => {
-                st.cpu_free = run_cpu_batch(
-                    matcher_for(dev),
-                    dcfg,
-                    &assembled,
-                    batch,
-                    dispatch,
-                    &mut st.outcomes,
-                    &mut st.slo,
-                    &mut st.tel,
-                    0,
-                );
-                st.cpu_fallback_batches += 1;
-            }
-            Route::Gpu => {
+        match gpu {
+            Some((dev, stream)) => {
                 dispatch_gpu_batch(
                     st,
                     dev,
@@ -981,20 +1132,40 @@ fn run_parity<'a>(
                     batch,
                     label,
                     dispatch,
-                    None,
                 )?;
+            }
+            None => {
+                let done = run_cpu_batch(
+                    matcher_for(0),
+                    dcfg,
+                    &assembled,
+                    batch,
+                    dispatch,
+                    &mut st.outcomes,
+                    &mut st.slo,
+                    &mut st.tel,
+                    0,
+                );
+                if let Some(r) = st.router.as_mut() {
+                    let cpu = r.models.len() - 1;
+                    r.models[cpu].observe(assembled.data.len(), done - dispatch, r.refine_alpha);
+                }
+                st.cpu_free = done;
+                if device.is_some() {
+                    // Breaker-open failover, not a routed CPU batch.
+                    st.cpu_fallback_batches += 1;
+                }
             }
         }
     }
-    Ok((rejections, expiries))
+    Ok(())
 }
 
 /// Dispatch one assembled batch on `dev`'s GPU under supervision: charge
 /// the `h2d` through the bus, charge the kernel (plus retry penalty),
-/// stage the readback, or fail over to the shared CPU executor. When
-/// `refine` is set the tier's cost model observes the realised service
-/// time. Returns the device's per-batch bookkeeping via `st`; a device
-/// pool too small for the batch is a fatal [`GpuError::Device`].
+/// stage the readback, or fail over to the shared CPU executor. In routed
+/// mode the device's cost model observes the realised service time. A
+/// device pool too small for the batch is a fatal [`GpuError::Device`].
 #[allow(clippy::too_many_arguments)]
 fn dispatch_gpu_batch(
     st: &mut FleetState,
@@ -1007,7 +1178,6 @@ fn dispatch_gpu_batch(
     batch: Vec<ScanJob>,
     label: String,
     dispatch: f64,
-    refine: Option<(&mut CostModel, f64)>,
 ) -> Result<(), GpuError> {
     st.per_dev_batches[dev] += 1;
     let corpus_bytes = assembled.data.len() as u64;
@@ -1043,13 +1213,13 @@ fn dispatch_gpu_batch(
                 0,
             );
             st.breakers[dev].record_success(st.engines[dev].stream_ready(stream));
-            if let Some((model, alpha)) = refine {
+            if let Some(r) = st.router.as_mut() {
                 let h2d = st.pcie.copy_seconds(assembled.data.len());
                 let d2h = st.pcie.copy_seconds(rb_bytes as usize);
-                model.observe(
+                r.models[dev].observe(
                     assembled.data.len(),
                     h2d + sup.run.seconds() + penalty + d2h,
-                    alpha,
+                    r.refine_alpha,
                 );
             }
             st.pendings[dev][stream as usize] = Some(PendingReadback {
@@ -1115,306 +1285,6 @@ fn dispatch_gpu_batch(
         }
     }
     Ok(())
-}
-
-/// Routed mode: per-device GPU queues plus one CPU-ladder queue, each
-/// arrival routed to the tier with the earliest predicted completion
-/// under its calibrated cost model; oversized jobs scatter across every
-/// device as overlap-padded shards.
-#[allow(clippy::too_many_arguments, clippy::type_complexity)]
-fn run_routed<'a>(
-    st: &mut FleetState,
-    jobs: &[ScanJob],
-    cfg: &FleetConfig,
-    gap: usize,
-    clock_hz: f64,
-    router: &RouterConfig,
-    mut models: Vec<CostModel>,
-    matcher_for: &dyn Fn(usize) -> &'a GpuAcMatcher,
-) -> Result<
-    (
-        Vec<Overloaded>,
-        Vec<JobExpiry>,
-        Vec<TierCounts>,
-        Vec<CostModelSnapshot>,
-    ),
-    GpuError,
-> {
-    let dcfg = &cfg.device;
-    let devices = st.engines.len();
-    let cpu_tier = devices; // tier index of the CPU ladder
-    let base_max_jobs = dcfg.limits.max_jobs.max(1);
-    let streams_per_device = dcfg.streams.max(1);
-    let scatter_min = match cfg.shard_bytes {
-        Some(b) if devices > 1 => Some(b.max(1)),
-        _ => None,
-    };
-
-    let mut queues: Vec<BoundedQueue> = (0..=devices)
-        .map(|_| BoundedQueue::new(dcfg.queue_capacity))
-        .collect();
-    let tier_label = |t: usize| -> String {
-        if t == cpu_tier {
-            "cpu".to_string()
-        } else {
-            format!("gpu{t}")
-        }
-    };
-    let mut tiers: Vec<TierCounts> = (0..=devices)
-        .map(|t| TierCounts {
-            tier: tier_label(t),
-            jobs: 0,
-            bytes: 0,
-            shed: 0,
-            expired: 0,
-        })
-        .collect();
-    let mut rejections = Vec::new();
-    let mut expiries: Vec<JobExpiry> = Vec::new();
-    let mut next = 0usize;
-
-    macro_rules! admit_one {
-        ($job:expr, $now:expr) => {{
-            let job: ScanJob = $job;
-            let now: f64 = $now;
-            // Scatter-eligible jobs always stage on tier 0; everything
-            // else goes to the tier predicting the earliest completion.
-            let tier = if scatter_min.is_some_and(|m| job.payload.len() >= m) {
-                0
-            } else {
-                (0..=devices)
-                    .map(|t| {
-                        let tier_free = if t == cpu_tier {
-                            st.cpu_free
-                        } else {
-                            st.engines[t].next_free_stream().1
-                        };
-                        let backlog = queues[t].queued_bytes() + job.payload.len();
-                        (
-                            t,
-                            tier_free.max(job.arrival_seconds) + models[t].predict(backlog),
-                        )
-                    })
-                    .min_by(|a, b| a.1.total_cmp(&b.1))
-                    .expect("at least one tier")
-                    .0
-            };
-            if let Some(s) = shed(&mut st.slo, &job) {
-                tiers[tier].shed += 1;
-                if let Some(t) = st.tel.as_mut() {
-                    t.job_shed(&s);
-                }
-            } else {
-                let (priority, arrival, bytes) =
-                    (job.priority, job.arrival_seconds, job.payload.len());
-                match queues[tier].push(job) {
-                    Ok(()) => {
-                        tiers[tier].jobs += 1;
-                        tiers[tier].bytes += bytes as u64;
-                    }
-                    Err(mut e) => {
-                        let drain_rate = if now > 0.0 {
-                            st.outcomes.len() as f64 / now
-                        } else {
-                            0.0
-                        };
-                        if drain_rate > 0.0 {
-                            e.retry_after_us = e.capacity as f64 / drain_rate * 1.0e6;
-                        }
-                        if let Some(t) = st.tel.as_mut() {
-                            t.job_rejected(&e, priority, arrival);
-                        }
-                        rejections.push(e);
-                    }
-                }
-            }
-        }};
-    }
-
-    loop {
-        // Pick the tier whose head job can dispatch earliest; GPU tiers
-        // win ties over the CPU (and lower devices over higher).
-        let turn = (0..=devices)
-            .filter(|&t| !queues[t].is_empty())
-            .map(|t| {
-                let free = if t == cpu_tier {
-                    st.cpu_free
-                } else {
-                    st.engines[t].next_free_stream().1
-                };
-                (t, free.max(queues[t].head_arrival().expect("non-empty")))
-            })
-            .min_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
-        let (tier, mut dispatch) = match turn {
-            Some(t) => t,
-            None => {
-                if next >= jobs.len() {
-                    break;
-                }
-                let job = jobs[next].clone();
-                next += 1;
-                let now = job.arrival_seconds;
-                admit_one!(job, now);
-                continue;
-            }
-        };
-
-        // GPU tiers consult their breaker; an open breaker fails the
-        // batch over to the shared CPU executor.
-        let mut gpu_arm: Option<(usize, u32)> = None;
-        let mut route = Route::Cpu;
-        if tier != cpu_tier {
-            let (stream, _) = st.engines[tier].next_free_stream();
-            route = st.breakers[tier].route_at(dispatch);
-            match route {
-                Route::Gpu => {
-                    st.flush_ready(dispatch, streams_per_device);
-                    debug_assert!(st.pendings[tier][stream as usize].is_none());
-                    gpu_arm = Some((tier, stream));
-                }
-                Route::Cpu => {
-                    dispatch = st
-                        .cpu_free
-                        .max(queues[tier].head_arrival().expect("non-empty"));
-                }
-            }
-        }
-
-        while next < jobs.len() && jobs[next].arrival_seconds <= dispatch {
-            let job = jobs[next].clone();
-            next += 1;
-            admit_one!(job, dispatch);
-        }
-
-        // Expire every tier's overdue jobs at this dispatch instant;
-        // any expiry may have changed a head, so re-plan from the top.
-        let mut any_expired = false;
-        for (t, q) in queues.iter_mut().enumerate() {
-            let newly = q.expire_overdue(dispatch);
-            if !newly.is_empty() {
-                any_expired = true;
-                tiers[t].expired += newly.len() as u64;
-                if let Some(tel) = st.tel.as_mut() {
-                    for e in &newly {
-                        tel.job_expired(e);
-                    }
-                }
-                expiries.extend(newly);
-            }
-        }
-        if any_expired {
-            continue;
-        }
-
-        let max_jobs_now = st
-            .slo
-            .as_ref()
-            .map(|c| c.batch_jobs())
-            .unwrap_or(base_max_jobs);
-        let queued_total: usize = queues.iter().map(|q| q.len()).sum();
-        let tick_state = match gpu_arm {
-            Some((d, _)) => st.breakers[d].state(),
-            None => st.worst_breaker_state(),
-        };
-        st.tag_device(gpu_arm.map(|(d, _)| d));
-        if let Some(t) = st.tel.as_mut() {
-            t.tick(dispatch, queued_total, max_jobs_now, tick_state);
-        }
-
-        // Oversized head on a GPU tier: scatter it across the fleet.
-        if let Some(min) = scatter_min {
-            if tier != cpu_tier
-                && route == Route::Gpu
-                && queues[tier].head_payload_len().is_some_and(|l| l >= min)
-            {
-                let job = queues[tier].pop().expect("head exists");
-                scatter_job(
-                    st,
-                    job,
-                    dispatch,
-                    gap,
-                    clock_hz,
-                    dcfg,
-                    streams_per_device,
-                    matcher_for,
-                )?;
-                continue;
-            }
-        }
-
-        let mut batch = vec![queues[tier].pop().expect("queue is non-empty")];
-        let mut batch_bytes = batch[0].payload.len();
-        while batch.len() < max_jobs_now {
-            match queues[tier].head_payload_len() {
-                Some(len)
-                    if batch_bytes + len <= dcfg.limits.max_bytes
-                        && scatter_min.is_none_or(|m| len < m) =>
-                {
-                    batch_bytes += len;
-                    batch.push(queues[tier].pop().expect("head exists"));
-                }
-                _ => break,
-            }
-        }
-        let assembled = assemble_batch(&batch, gap);
-        let label = format!("batch{}", st.batches);
-        st.batches += 1;
-        st.payload_bytes += batch_bytes as u64;
-        *st.histogram.entry(batch.len()).or_insert(0) += 1;
-        if let Some(t) = st.tel.as_mut() {
-            let route_label = if gpu_arm.is_some() { "gpu" } else { "cpu" };
-            t.batch_formed(&label, &batch, dispatch, route_label);
-        }
-
-        match gpu_arm {
-            Some((dev, stream)) => {
-                dispatch_gpu_batch(
-                    st,
-                    dev,
-                    stream,
-                    matcher_for(dev),
-                    dcfg,
-                    clock_hz,
-                    assembled,
-                    batch,
-                    label,
-                    dispatch,
-                    Some((&mut models[dev], router.refine_alpha)),
-                )?;
-            }
-            None => {
-                let start = dispatch;
-                let done = run_cpu_batch(
-                    matcher_for(0),
-                    dcfg,
-                    &assembled,
-                    batch,
-                    start,
-                    &mut st.outcomes,
-                    &mut st.slo,
-                    &mut st.tel,
-                    0,
-                );
-                models[cpu_tier].observe(assembled.data.len(), done - start, router.refine_alpha);
-                st.cpu_free = done;
-                if tier != cpu_tier {
-                    // Breaker-open failover, not a routed CPU batch.
-                    st.cpu_fallback_batches += 1;
-                }
-            }
-        }
-    }
-
-    let cost_models = models
-        .iter()
-        .enumerate()
-        .map(|(t, m)| CostModelSnapshot {
-            tier: tier_label(t),
-            setup_seconds: m.setup_seconds,
-            bytes_per_sec: m.bytes_per_sec,
-        })
-        .collect();
-    Ok((rejections, expiries, tiers, cost_models))
 }
 
 /// Serve one oversized job by sharding it across every device: each
@@ -1642,8 +1512,8 @@ struct PendingReadback {
 /// ordered by kernel completion with ties broken by (device, stream).
 /// `pendings[d][s]` is device `d`'s held readback for stream `s`, and
 /// `engines[d]` the device's stream engine. This is the one place the
-/// staged-issue rule lives: both loops, the scatter path and the drain
-/// flush exactly what this returns, in this order.
+/// staged-issue rule lives: the serve loop, the scatter path and the
+/// drain flush exactly what this returns, in this order.
 fn take_ready_readbacks(
     engines: &[StreamEngine],
     pendings: &mut [Vec<Option<PendingReadback>>],
@@ -1971,6 +1841,90 @@ mod tests {
     }
 
     #[test]
+    fn multi_device_parity_schedules_are_pinned() {
+        // Exact schedules of multi-device parity fleets: per-device
+        // (batches, jobs), makespan, p50 and p99 latency (µs). Any change
+        // to which device serves a turn, or when, moves these.
+        let m = matcher();
+        type Pin = (u32, u32, &'static [(u64, u64)], f64, f64, f64);
+        let pins: [Pin; 2] = [
+            (
+                2,
+                2,
+                &[(23, 25), (23, 39)],
+                0.0006624759105691056,
+                67.9669620596207,
+                84.33155284552846,
+            ),
+            (
+                4,
+                1,
+                &[(13, 19), (13, 17), (13, 13), (13, 15)],
+                0.0006550199688346884,
+                60.91529234417332,
+                71.73813143631435,
+            ),
+        ];
+        for (devices, streams, per_device, makespan, p50, p99) in pins {
+            let cfg = FleetConfig::new(devices, ServeConfig::new(streams)).parity();
+            let run = serve_fleet(&m, workload(64), &cfg).unwrap();
+            let got: Vec<(u64, u64)> = run
+                .report
+                .per_device
+                .iter()
+                .map(|d| (d.batches, d.jobs))
+                .collect();
+            let r = &run.serve.report;
+            assert_eq!(got, per_device, "d{devices} s{streams}");
+            assert_eq!(r.makespan_seconds, makespan, "d{devices} s{streams}");
+            assert_eq!(r.p50_latency_us, p50, "d{devices} s{streams}");
+            assert_eq!(r.p99_latency_us, p99, "d{devices} s{streams}");
+        }
+
+        // Device 0's first four launches fail with no retry budget: its
+        // breaker opens, re-opens on a failed half-open probe, then closes.
+        let mut plan = gpu_sim::FaultPlan::none();
+        for i in 0..4 {
+            plan = plan.with_launch_transient(i);
+        }
+        m.set_fault_plan(plan);
+        let mut scfg = ServeConfig::new(1);
+        scfg.supervise.max_retries = 0;
+        let run = serve_fleet(&m, workload(64), &FleetConfig::new(2, scfg).parity());
+        m.clear_fault_plan();
+        let run = run.unwrap();
+        let r = &run.serve.report;
+        assert_eq!(r.cpu_fallback_batches, 18);
+        assert_eq!(r.breaker_opens, 2);
+        assert_eq!(r.jobs_completed, 64);
+        let opens: Vec<u64> = run
+            .report
+            .per_device
+            .iter()
+            .map(|d| d.breaker_opens)
+            .collect();
+        assert_eq!(opens, [2, 0]);
+        let transitions: Vec<(f64, BreakerState)> = run
+            .serve
+            .breaker_transitions
+            .iter()
+            .map(|t| (t.at_seconds, t.to))
+            .collect();
+        assert_eq!(
+            transitions,
+            [
+                (5.1883000000000005e-5, BreakerState::Open),
+                (0.00025991999999999996, BreakerState::HalfOpen),
+                (0.0002701733333333333, BreakerState::Open),
+                (0.0005040499999999999, BreakerState::HalfOpen),
+                (0.000588053598915989, BreakerState::Closed),
+            ]
+        );
+        assert_eq!(r.makespan_seconds, 0.000647929909214092);
+        assert_eq!(r.p99_latency_us, 90.56990921409212);
+    }
+
+    #[test]
     fn routed_fleet_sends_small_jobs_to_cpu_and_large_to_gpu() {
         let m = matcher();
         // Tiny jobs (CPU-friendly: no PCIe/launch setup) interleaved
@@ -2125,6 +2079,68 @@ mod tests {
                 Err(other) => panic!("{name}: expected device OOM, got {other:?}"),
                 Ok(_) => panic!("{name}: served through a 1 KiB pool"),
             }
+        }
+    }
+
+    #[test]
+    fn breaker_failover_batches_are_tagged_with_their_device() {
+        use crate::telemetry::TelemetryConfig;
+        use trace::ArgValue;
+
+        let m = matcher();
+        // Tiny jobs (CPU-friendly) interleaved with large ones.
+        let jobs: Vec<ScanJob> = (0..24u64)
+            .map(|i| {
+                let bytes = if i % 2 == 0 { 64 } else { 128 * 1024 };
+                ScanJob::new(i, vec![b't'; bytes], i as f64 * 50.0e-6)
+            })
+            .collect();
+        let mut scfg = ServeConfig::new(1).with_telemetry(TelemetryConfig::default());
+        scfg.supervise.max_retries = 0;
+        scfg.breaker.cooldown_seconds = 1.0; // never half-opens in-run
+        for (mode, fcfg) in [
+            ("parity", FleetConfig::new(2, scfg).parity()),
+            ("routed", FleetConfig::new(2, scfg)),
+        ] {
+            // Device 0 fails every launch after the routed warmup probes.
+            let mut plan = gpu_sim::FaultPlan::none();
+            for i in 2..64 {
+                plan = plan.with_launch_transient(i);
+            }
+            m.set_fault_plan(plan);
+            let run = serve_fleet(&m, jobs.clone(), &fcfg);
+            m.clear_fault_plan();
+            let run = run.unwrap();
+            let r = &run.serve.report;
+            assert_eq!(r.jobs_completed, 24, "{mode}");
+            assert_eq!(run.report.per_device[0].breaker_opens, 1, "{mode}");
+            let tel = run.serve.telemetry.as_ref().unwrap();
+            let cpu_batches: Vec<Option<u64>> = tel
+                .trace
+                .events()
+                .iter()
+                .filter(|e| e.name == "batch-formed")
+                .filter(|e| {
+                    e.args
+                        .iter()
+                        .any(|(k, v)| k == "route" && *v == ArgValue::Str("cpu".into()))
+                })
+                .map(|e| {
+                    e.args.iter().find_map(|(k, v)| match v {
+                        ArgValue::U64(d) if k == "device" => Some(*d),
+                        _ => None,
+                    })
+                })
+                .collect();
+            // Each breaker failover names device 0; the rest of the
+            // fallbacks are GPU batches that failed (one fault each).
+            let failovers = cpu_batches.iter().filter(|d| **d == Some(0)).count() as u64;
+            assert!(failovers > 0, "{mode}: no breaker failover");
+            assert_eq!(failovers + r.faults_fired, r.cpu_fallback_batches, "{mode}");
+            assert!(cpu_batches.iter().all(|d| *d != Some(1)), "{mode}");
+            // Only cost routing sends batches to the CPU tier, untagged.
+            let routed_to_cpu = cpu_batches.iter().filter(|d| d.is_none()).count();
+            assert_eq!(routed_to_cpu > 0, mode == "routed", "{mode}");
         }
     }
 

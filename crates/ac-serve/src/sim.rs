@@ -4,11 +4,12 @@
 //! [`serve`] *is* the one-device parity fleet: it calls
 //! [`crate::serve_fleet`] with one device and routing off, so there is
 //! exactly one admit → batch → dispatch → staged-readback loop in the
-//! crate, and it lives in [`crate::fleet`]. The module docs there describe
-//! it: the staged readback issue that keeps one DMA engine from
-//! false-serialising uploads behind running kernels, supervised execution
-//! with CPU-ladder failover behind a circuit breaker, deadline expiry, and
-//! SLO admission control.
+//! crate, and it lives in [`crate::fleet`]; parity and routed fleets are
+//! two queue layouts of it. The module docs there describe it: the queue
+//! layouts and the turn rule, the staged readback issue that keeps one
+//! DMA engine from false-serialising uploads behind running kernels,
+//! supervised execution with CPU-ladder failover behind a circuit
+//! breaker, deadline expiry, and SLO admission control.
 
 use crate::batch::BatchLimits;
 use crate::breaker::{BreakerConfig, BreakerTransition};
@@ -630,6 +631,50 @@ mod tests {
         assert_oracle_matches(&m, &workload_at(4_000), &light);
     }
 
+    /// Jobs cut from a fixed text: `(gap_us, len)` per job, arrivals
+    /// accumulating the gaps.
+    fn jobs_from(arrivals: &[(u32, usize)]) -> Vec<ScanJob> {
+        let text: Vec<u8> = b"the king and her mother were singing a motion "
+            .iter()
+            .cycle()
+            .take(4096)
+            .copied()
+            .collect();
+        let mut clock = 0.0;
+        arrivals
+            .iter()
+            .enumerate()
+            .map(|(id, &(gap_us, len))| {
+                clock += gap_us as f64 * 1.0e-6;
+                let skip = id * 7;
+                ScanJob::new(id as u64, text[skip..skip + len].to_vec(), clock)
+            })
+            .collect()
+    }
+
+    /// One terminal event per job: every id answered, rejected, expired
+    /// or shed exactly once, the report's counts agree, and every answer
+    /// equals the oracle's.
+    fn assert_one_terminal_event_each(m: &GpuAcMatcher, jobs: &[ScanJob], run: &ServeRun) {
+        let mut ids: Vec<u64> = run.outcomes.iter().map(|o| o.id).collect();
+        ids.extend(run.rejections.iter().map(|r| r.job_id));
+        ids.extend(run.expiries.iter().map(|e| e.job_id));
+        ids.extend(run.sheds.iter().map(|s| s.job_id));
+        ids.sort_unstable();
+        assert_eq!(ids, (0..jobs.len() as u64).collect::<Vec<_>>());
+        let r = &run.report;
+        assert_eq!(
+            r.jobs_completed + r.jobs_rejected + r.jobs_expired + r.jobs_shed,
+            r.jobs_submitted
+        );
+        let answered: Vec<ScanJob> = jobs
+            .iter()
+            .filter(|j| run.outcomes.iter().any(|o| o.id == j.id))
+            .cloned()
+            .collect();
+        assert_oracle_matches(m, &answered, run);
+    }
+
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(16))]
 
@@ -640,42 +685,69 @@ mod tests {
             pooled in proptest::prelude::any::<bool>(),
         ) {
             let m = matcher();
-            let text: Vec<u8> = b"the king and her mother were singing a motion "
-                .iter()
-                .cycle()
-                .take(4096)
-                .copied()
-                .collect();
-            let mut clock = 0.0;
-            let jobs: Vec<ScanJob> = arrivals
-                .iter()
-                .enumerate()
-                .map(|(id, &(gap_us, len))| {
-                    clock += gap_us as f64 * 1.0e-6;
-                    let skip = id * 7;
-                    ScanJob::new(id as u64, text[skip..skip + len].to_vec(), clock)
-                })
-                .collect();
+            let jobs = jobs_from(&arrivals);
             let mut cfg = ServeConfig::new(streams);
             if pooled {
                 cfg = cfg.with_pool(ServePoolConfig::pooled(DEFAULT_POOL_CAPACITY));
             }
             // A leaked lease would panic in the pool drain inside serve.
             let run = serve(&m, jobs.clone(), &cfg).unwrap();
-
-            // One terminal event per job: every id answered exactly once.
-            let mut ids: Vec<u64> = run.outcomes.iter().map(|o| o.id).collect();
-            ids.extend(run.rejections.iter().map(|r| r.job_id));
-            ids.extend(run.expiries.iter().map(|e| e.job_id));
-            ids.extend(run.sheds.iter().map(|s| s.job_id));
-            ids.sort_unstable();
-            proptest::prop_assert_eq!(ids, (0..jobs.len() as u64).collect::<Vec<_>>());
-            assert_oracle_matches(&m, &jobs, &run);
+            assert_one_terminal_event_each(&m, &jobs, &run);
+            proptest::prop_assert_eq!(run.report.jobs_completed, jobs.len() as u64);
             if let Some(pool) = run.report.pool {
                 proptest::prop_assert_eq!(pool.acquires, 2 * run.report.batches);
                 proptest::prop_assert_eq!(pool.releases, pool.acquires);
             } else {
                 proptest::prop_assert!(!pooled);
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(32))]
+
+        #[test]
+        fn every_fleet_layout_answers_every_job_once(
+            arrivals in proptest::collection::vec((0u32..40, 1usize..1500), 1..16),
+            devices in 1u32..=3,
+            routing in proptest::prelude::any::<bool>(),
+            shard_bytes in proptest::sample::select(vec![None, Some(512usize), Some(1024)]),
+            pooled in proptest::prelude::any::<bool>(),
+            queue_capacity in 1usize..=8,
+            deadline_us in proptest::sample::select(vec![None, Some(5u32), Some(60)]),
+        ) {
+            let m = matcher();
+            let jobs: Vec<ScanJob> = jobs_from(&arrivals)
+                .into_iter()
+                .map(|j| match deadline_us {
+                    Some(d) => {
+                        let deadline = j.arrival_seconds + d as f64 * 1.0e-6;
+                        j.with_deadline(deadline)
+                    }
+                    None => j,
+                })
+                .collect();
+            let mut dev = ServeConfig::new(1);
+            dev.queue_capacity = queue_capacity;
+            if pooled {
+                dev = dev.with_pool(ServePoolConfig::pooled(DEFAULT_POOL_CAPACITY));
+            }
+            let mut cfg = FleetConfig::new(devices, dev);
+            if !routing {
+                cfg = cfg.parity();
+            }
+            cfg.shard_bytes = shard_bytes;
+            // A leaked lease would panic in the per-device pool drains.
+            let run = serve_fleet(&m, jobs.clone(), &cfg).unwrap();
+            assert_one_terminal_event_each(&m, &jobs, &run.serve);
+            if let Some(pool) = run.serve.report.pool {
+                proptest::prop_assert_eq!(pool.releases, pool.acquires);
+            } else {
+                proptest::prop_assert!(!pooled);
+            }
+            // Only a routed fleet of two or more devices scatters.
+            if !routing || devices < 2 || shard_bytes.is_none() {
+                proptest::prop_assert_eq!(run.report.scattered_jobs, 0);
             }
         }
     }

@@ -257,6 +257,7 @@ shared PCIe-bus arbiter, and --shard-bytes scatters oversized jobs across all
 devices as overlap-padded shards merged exactly-once. --devices sets the
 fleet size (--streams is per device); --no-routing uses parity dispatch
 (least-loaded stream), which at --devices 1 is bit-identical to serve-sim;
+--shard-bytes needs routing and at least two devices (an error otherwise);
 --report writes the FleetReport (per-device, per-tier and bus statistics) as
 JSON; --trace-out/--metrics-out export fleet telemetry (per-device track
 groups, device-tagged breaker transitions).
@@ -559,6 +560,13 @@ where
         }
         if fleet_shard_bytes == Some(0) {
             return Err(ParseError("--shard-bytes must be positive".into()));
+        }
+        if fleet_shard_bytes.is_some() && (fleet_no_routing || fleet_devices < 2) {
+            return Err(ParseError(
+                "--shard-bytes needs cost routing and at least two devices \
+                 (drop --no-routing and use --devices 2 or more)"
+                    .into(),
+            ));
         }
         if serve_chaos {
             return Err(ParseError(
@@ -1200,7 +1208,6 @@ mod tests {
             "fleet-sim",
             "--devices",
             "4",
-            "--no-routing",
             "--shard-bytes",
             "65536",
             "--jobs",
@@ -1214,7 +1221,7 @@ mod tests {
         ])
         .unwrap();
         assert_eq!(o.fleet_devices, 4);
-        assert!(o.fleet_no_routing);
+        assert!(!o.fleet_no_routing);
         assert_eq!(o.fleet_shard_bytes, Some(65536));
         assert_eq!(o.serve_jobs, 128);
         assert_eq!(o.serve_streams, 1);
@@ -1223,6 +1230,35 @@ mod tests {
             Some(std::path::Path::new("fleet.json"))
         );
         assert_eq!(o.trace_out.as_deref(), Some(std::path::Path::new("t.json")));
+
+        let o = p(&["fleet-sim", "--devices", "3", "--no-routing"]).unwrap();
+        assert_eq!(o.fleet_devices, 3);
+        assert!(o.fleet_no_routing);
+    }
+
+    #[test]
+    fn shard_bytes_needs_routing_and_two_devices() {
+        // Parity dispatch and a lone device never scatter, so the flag
+        // would be silently ignored.
+        for args in [
+            &[
+                "fleet-sim",
+                "--devices",
+                "2",
+                "--no-routing",
+                "--shard-bytes",
+                "1024",
+            ][..],
+            &["fleet-sim", "--devices", "1", "--shard-bytes", "1024"][..],
+        ] {
+            let err = p(args).unwrap_err();
+            assert!(
+                err.0
+                    .contains("--shard-bytes needs cost routing and at least two devices"),
+                "{args:?}: {err:?}"
+            );
+        }
+        assert!(p(&["fleet-sim", "--devices", "2", "--shard-bytes", "1024"]).is_ok());
     }
 
     #[test]
