@@ -21,6 +21,9 @@ pub enum AcError {
     },
     /// A chunking plan was requested with a zero-byte chunk size.
     ZeroChunkSize,
+    /// A parallel or interleaved matcher was asked to run with zero
+    /// workers.
+    ZeroWorkers,
     /// A chunking plan's overlap is too small for the pattern set: patterns
     /// straddling a chunk boundary would be silently missed.
     OverlapTooSmall {
@@ -48,6 +51,7 @@ impl fmt::Display for AcError {
                 )
             }
             AcError::ZeroChunkSize => write!(f, "chunk size must be at least 1 byte"),
+            AcError::ZeroWorkers => write!(f, "a parallel matcher needs at least 1 worker"),
             AcError::OverlapTooSmall {
                 requested,
                 required,
@@ -75,6 +79,7 @@ mod tests {
             AcError::EmptyPatternSet.to_string(),
             AcError::EmptyPattern { index: 3 }.to_string(),
             AcError::ZeroChunkSize.to_string(),
+            AcError::ZeroWorkers.to_string(),
             AcError::OverlapTooSmall {
                 requested: 2,
                 required: 7,
@@ -88,7 +93,7 @@ mod tests {
         for m in &msgs {
             assert!(!m.is_empty());
         }
-        assert!(msgs[3].contains('7'));
+        assert!(msgs[4].contains('7'));
         assert!(msgs[1].contains('3'));
     }
 }

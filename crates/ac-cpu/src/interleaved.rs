@@ -24,7 +24,7 @@ pub fn interleaved_find_all(
     ways: usize,
 ) -> Result<Vec<Match>, AcError> {
     if ways == 0 {
-        return Err(AcError::ZeroChunkSize);
+        return Err(AcError::ZeroWorkers);
     }
     if text.is_empty() {
         return Ok(Vec::new());
@@ -118,7 +118,10 @@ mod tests {
     #[test]
     fn zero_ways_rejected_and_empty_ok() {
         let ac = ac(&["x"]);
-        assert!(interleaved_find_all(&ac, b"xx", 0).is_err());
+        assert_eq!(
+            interleaved_find_all(&ac, b"xx", 0),
+            Err(AcError::ZeroWorkers)
+        );
         assert!(interleaved_find_all(&ac, b"", 4).unwrap().is_empty());
     }
 

@@ -39,7 +39,7 @@ pub fn par_find_all(
     cfg: &ParallelConfig,
 ) -> Result<Vec<Match>, AcError> {
     if cfg.threads == 0 {
-        return Err(AcError::ZeroChunkSize); // zero workers is as degenerate as zero-byte chunks
+        return Err(AcError::ZeroWorkers);
     }
     let plan = ChunkPlan::for_automaton(text.len(), cfg.chunk_size, ac)?;
     let n_chunks = plan.chunk_count();
@@ -107,15 +107,17 @@ mod tests {
     #[test]
     fn zero_threads_rejected() {
         let ac = ac(&["x"]);
-        assert!(par_find_all(
-            &ac,
-            b"xx",
-            &ParallelConfig {
-                threads: 0,
-                chunk_size: 8
-            }
-        )
-        .is_err());
+        assert_eq!(
+            par_find_all(
+                &ac,
+                b"xx",
+                &ParallelConfig {
+                    threads: 0,
+                    chunk_size: 8
+                }
+            ),
+            Err(AcError::ZeroWorkers)
+        );
     }
 
     #[test]

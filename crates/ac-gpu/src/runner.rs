@@ -286,6 +286,16 @@ impl GpuAcMatcher {
             .unwrap_or_default()
     }
 
+    /// Run `f` with the armed fault state set aside, then put it back
+    /// unchanged: an observer replay neither fires scheduled faults nor
+    /// advances the plan's operation counters.
+    pub fn without_faults<R>(&self, f: impl FnOnce(&Self) -> R) -> R {
+        let saved = self.fault.lock().unwrap().take();
+        let out = f(self);
+        *self.fault.lock().unwrap() = saved;
+        out
+    }
+
     /// The underlying automaton.
     pub fn automaton(&self) -> &AcAutomaton {
         &self.ac
@@ -809,6 +819,20 @@ mod tests {
         assert!(m.run(text, Approach::SharedDiagonal).is_err());
         assert!(r.run(text, Approach::SharedDiagonal).is_ok());
         assert!(r.fault_log().is_empty());
+        m.clear_fault_plan();
+    }
+
+    #[test]
+    fn runs_without_faults_leave_the_armed_plan_untouched() {
+        let m = matcher(&["he", "she"]);
+        let text = b"she ushers";
+        m.set_fault_plan(FaultPlan::none().with_launch_transient(0));
+        let clean = m.without_faults(|m| m.run(text, Approach::SharedDiagonal));
+        assert!(clean.is_ok());
+        assert!(m.fault_log().is_empty());
+        // Launch 0 is still scheduled: the set-aside run did not consume it.
+        assert!(m.run(text, Approach::SharedDiagonal).is_err());
+        assert_eq!(m.fault_log().len(), 1);
         m.clear_fault_plan();
     }
 

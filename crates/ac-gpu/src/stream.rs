@@ -14,7 +14,6 @@
 
 use crate::error::{GpuError, PcieError};
 use crate::runner::{Approach, GpuAcMatcher};
-use crate::supervise::{run_supervised, SuperviseConfig, SuperviseReport};
 use ac_core::Match;
 use gpu_sim::HostMemory;
 use serde::{Deserialize, Serialize};
@@ -139,39 +138,6 @@ pub fn run_streamed(
     segment_bytes: usize,
     pcie: &PcieConfig,
 ) -> Result<StreamedRun, GpuError> {
-    run_streamed_inner(matcher, text, approach, segment_bytes, pcie, None).map(|(r, _)| r)
-}
-
-/// [`run_streamed`] with per-segment supervision: each segment's kernel is
-/// retried under `supervise` so one faulted segment doesn't lose the scan.
-/// Returns the streamed result plus the supervision trace of every
-/// segment.
-pub fn run_streamed_supervised(
-    matcher: &GpuAcMatcher,
-    text: &[u8],
-    approach: Approach,
-    segment_bytes: usize,
-    pcie: &PcieConfig,
-    supervise: &SuperviseConfig,
-) -> Result<(StreamedRun, Vec<SuperviseReport>), GpuError> {
-    run_streamed_inner(
-        matcher,
-        text,
-        approach,
-        segment_bytes,
-        pcie,
-        Some(supervise),
-    )
-}
-
-fn run_streamed_inner(
-    matcher: &GpuAcMatcher,
-    text: &[u8],
-    approach: Approach,
-    segment_bytes: usize,
-    pcie: &PcieConfig,
-    supervise: Option<&SuperviseConfig>,
-) -> Result<(StreamedRun, Vec<SuperviseReport>), GpuError> {
     pcie.validate()?;
     if segment_bytes == 0 {
         return Err(PcieError::ZeroSegment.into());
@@ -181,7 +147,6 @@ fn run_streamed_inner(
 
     let mut kernel_times = Vec::with_capacity(n_segments);
     let mut copy_times = Vec::with_capacity(n_segments);
-    let mut reports = Vec::new();
     let mut matches = Vec::new();
     for i in 0..n_segments {
         let start = i * segment_bytes;
@@ -190,18 +155,7 @@ fn run_streamed_inner(
         let window = &text[start..scan_end];
         // The copy ships the whole scanned window (owned + overlap).
         copy_times.push(pcie.copy_seconds(window.len()));
-        let run = match supervise {
-            Some(cfg) => {
-                let s =
-                    run_supervised(matcher, window, approach, cfg).map_err(|(err, report)| {
-                        reports.push(report);
-                        err
-                    })?;
-                reports.push(s.report);
-                s.run
-            }
-            None => matcher.run(window, approach)?,
-        };
+        let run = matcher.run(window, approach)?;
         kernel_times.push(run.seconds());
         for m in run.matches {
             if start + m.start < owned_end {
@@ -246,18 +200,15 @@ fn run_streamed_inner(
 
     let stt_copy_seconds = pcie.copy_seconds(matcher.automaton().stt().size_bytes());
 
-    Ok((
-        StreamedRun {
-            segments: n_segments,
-            kernel_seconds: kernel_times.iter().sum(),
-            copy_seconds: copy_times.iter().sum(),
-            stt_copy_seconds,
-            pipelined_seconds: pipelined,
-            matches,
-            bytes: text.len(),
-        },
-        reports,
-    ))
+    Ok(StreamedRun {
+        segments: n_segments,
+        kernel_seconds: kernel_times.iter().sum(),
+        copy_seconds: copy_times.iter().sum(),
+        stt_copy_seconds,
+        pipelined_seconds: pipelined,
+        matches,
+        bytes: text.len(),
+    })
 }
 
 #[cfg(test)]
@@ -346,41 +297,6 @@ mod tests {
         }
         .validate()
         .is_err());
-    }
-
-    #[test]
-    fn supervised_streaming_survives_per_segment_faults() {
-        use gpu_sim::FaultPlan;
-        let m = matcher();
-        let text: Vec<u8> = b"ushers rush home; his shelf, her shoes "
-            .iter()
-            .cycle()
-            .take(20_000)
-            .copied()
-            .collect();
-        let mut whole = m.automaton().find_all(&text);
-        whole.sort();
-        // Fault the first launch of segments 0 and 2 (launch indices
-        // advance per attempt: 0 fails, 1 retries seg 0, 2 runs seg 1,
-        // 3 fails, 4 retries seg 2, ...).
-        m.set_fault_plan(
-            FaultPlan::none()
-                .with_launch_transient(0)
-                .with_launch_transient(3),
-        );
-        let (r, reports) = run_streamed_supervised(
-            &m,
-            &text,
-            Approach::SharedDiagonal,
-            4096,
-            &PcieConfig::gen2_x16(),
-            &SuperviseConfig::default(),
-        )
-        .unwrap();
-        assert_eq!(r.matches, whole);
-        assert_eq!(reports.len(), r.segments);
-        let total_retries: u32 = reports.iter().map(|rep| rep.retries).sum();
-        assert_eq!(total_retries, 2);
     }
 
     #[test]

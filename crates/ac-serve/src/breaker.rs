@@ -4,12 +4,15 @@
 //! *clusters* of them. Once `failure_threshold` consecutive batches have
 //! exhausted their retry budgets, continuing to probe the GPU only burns
 //! backoff time on every batch — the breaker opens instead, and batches
-//! fail over to the CPU ladder (`integration::cpu_ladder_scan`) for
+//! fail over to the CPU ladder ([`crate::cpu_ladder_scan`]) for
 //! `cooldown_seconds` of simulated time. After the cooldown the next
 //! batch runs as a half-open probe: `half_open_successes` consecutive
 //! probe wins close the breaker, a single probe loss re-opens it. All
 //! transitions are recorded with their simulated timestamps so the chaos
-//! soak can delimit the degraded window exactly.
+//! soak can delimit the degraded window exactly. An opening transition's
+//! reason ends with the last failed batch's GPU error; with
+//! `failure_threshold: 1` that is the first failure's, which is how
+//! `acsim match --resilient` reports why the GPU rung was abandoned.
 
 use std::fmt;
 

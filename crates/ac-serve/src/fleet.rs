@@ -52,11 +52,15 @@
 //! cost ([`ac_gpu::supervise::SuperviseReport::penalty_cycles`]) is
 //! charged to the stream's simulated clock so faults are never free. A
 //! batch that exhausts its retry budget is *not* lost: it fails over to
-//! the CPU ladder ([`integration::cpu_ladder_scan`] — parallel CPU, then
-//! the serial oracle) on a separate simulated CPU clock, and feeds the
-//! device's [`CircuitBreaker`]. While the breaker is open, subsequent
-//! batches skip the GPU and run on the CPU tier until a cooldown elapses
-//! and half-open probes re-earn trust.
+//! the CPU ladder ([`cpu_ladder_scan`] — parallel CPU, then the serial
+//! oracle) on a separate simulated CPU clock, and feeds the device's
+//! [`CircuitBreaker`]. While the breaker is open, subsequent batches skip
+//! the GPU and run on the CPU tier until a cooldown elapses and half-open
+//! probes re-earn trust. The ladder is defined once, here: each job's
+//! [`JobOutcome::served_by`] names the rung that answered it, and a
+//! one-job run on a breaker that opens on its first failure is the
+//! whole-scan GPU → parallel CPU → serial ladder (`acsim match
+//! --resilient`).
 //!
 //! Admitted jobs whose deadline passes while still queued are expired
 //! with a typed [`JobExpiry`] — an answer distinct from backpressure
@@ -120,7 +124,8 @@ use crate::report::{percentile, BatchBucket, PoolStatsReport, ServeReport};
 use crate::sim::{ServeConfig, ServeRun};
 use crate::slo::{AdmissionController, SheddedJob};
 use crate::telemetry::ServeTelemetry;
-use ac_core::Match;
+use ac_core::{AcAutomaton, Match};
+use ac_cpu::{par_find_all, ParallelConfig};
 use ac_gpu::readback::readback_bytes;
 use ac_gpu::supervise::SuperviseReport;
 use ac_gpu::{run_supervised, DevicePool, GpuAcMatcher, GpuError, PcieConfig, PooledBuffer};
@@ -128,7 +133,6 @@ use cpu_sim::simulate_multicore;
 use gpu_sim::{
     BusConfig, BusStats, EngineKind, PcieBusArbiter, StreamEngine, StreamOpKind, StreamTimeline,
 };
-use integration::cpu_ladder_scan;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::ops::Range;
@@ -1443,11 +1447,31 @@ fn tally(rep: &SuperviseReport, gpu_retries: &mut u64, faults_fired: &mut u64) {
     *faults_fired += rep.faults.len() as u64;
 }
 
-/// Run one batch on the CPU ladder: matches from
-/// [`integration::cpu_ladder_scan`] (parallel rung, serial-oracle floor),
-/// wall time from the multicore model on a fixed core count. Outcomes are
-/// recorded immediately — the CPU tier has no deferred readback. Returns
-/// the completion time (the executor's next free instant).
+/// The CPU half of the degradation ladder: the parallel matcher first,
+/// the serial oracle as the floor it falls to when the parallel rung
+/// fails. Infallible. The matches come back sorted, bit-identical to the
+/// serial oracle's, with the rung that answered
+/// ([`ServedBy::CpuParallel`] or [`ServedBy::CpuSerial`]).
+pub fn cpu_ladder_scan(
+    ac: &AcAutomaton,
+    text: &[u8],
+    parallel: &ParallelConfig,
+) -> (Vec<Match>, ServedBy) {
+    match par_find_all(ac, text, parallel) {
+        Ok(matches) => (matches, ServedBy::CpuParallel),
+        Err(_) => {
+            let mut matches = ac.find_all(text);
+            matches.sort();
+            (matches, ServedBy::CpuSerial)
+        }
+    }
+}
+
+/// Run one batch on the CPU ladder: matches and the answering rung from
+/// [`cpu_ladder_scan`], wall time from the multicore model on a fixed
+/// core count. Outcomes are recorded immediately — the CPU tier has no
+/// deferred readback. Returns the completion time (the executor's next
+/// free instant).
 #[allow(clippy::too_many_arguments)]
 fn run_cpu_batch(
     matcher: &GpuAcMatcher,
@@ -1461,8 +1485,8 @@ fn run_cpu_batch(
     gpu_retries: u64,
 ) -> f64 {
     let ac = matcher.automaton();
-    let ladder = cpu_ladder_scan(ac, &assembled.data, &cfg.parallel);
-    let per_job = demux_matches(&ladder.matches, &assembled.spans);
+    let (matches, served_by) = cpu_ladder_scan(ac, &assembled.data, &cfg.parallel);
+    let per_job = demux_matches(&matches, &assembled.spans);
     let timing = simulate_multicore(
         &cfg.cpu,
         ac.stt(),
@@ -1473,7 +1497,7 @@ fn run_cpu_batch(
     let done = start + timing.seconds(&cfg.cpu);
     record_outcomes(
         done,
-        ServedBy::CpuLadder,
+        served_by,
         0,
         batch,
         per_job,
@@ -1944,7 +1968,7 @@ mod tests {
             .serve
             .outcomes
             .iter()
-            .filter(|o| o.served_by == ServedBy::CpuLadder)
+            .filter(|o| o.served_by == ServedBy::CpuParallel)
             .count();
         let gpu_jobs = fleet
             .serve

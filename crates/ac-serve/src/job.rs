@@ -46,14 +46,29 @@ impl ScanJob {
     }
 }
 
-/// Which execution tier produced a job's answer.
+/// The rung of the degradation ladder that produced a job's answer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ServedBy {
     /// The supervised GPU path (possibly after retries).
     Gpu,
-    /// The CPU failover ladder (circuit breaker open, or the batch's GPU
-    /// attempt exhausted its retries).
-    CpuLadder,
+    /// The CPU ladder's parallel rung: the circuit breaker was open, the
+    /// batch's GPU attempt exhausted its retries, or cost routing sent
+    /// the batch to the CPU tier.
+    CpuParallel,
+    /// The CPU ladder's serial-oracle floor, after the parallel rung
+    /// failed.
+    CpuSerial,
+}
+
+impl ServedBy {
+    /// Stable label for reports and CLI output.
+    pub fn label(&self) -> &'static str {
+        match self {
+            ServedBy::Gpu => "gpu",
+            ServedBy::CpuParallel => "cpu-parallel",
+            ServedBy::CpuSerial => "cpu-serial",
+        }
+    }
 }
 
 /// The served result of one job.

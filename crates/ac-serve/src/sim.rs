@@ -362,7 +362,7 @@ mod tests {
         assert!(run
             .outcomes
             .iter()
-            .all(|o| o.served_by == ServedBy::CpuLadder));
+            .all(|o| o.served_by == ServedBy::CpuParallel));
         // No admitted job was lost, and answers match the oracle.
         assert_oracle_matches(&m, &jobs, &run);
         assert!(!run.breaker_transitions.is_empty());
@@ -475,6 +475,27 @@ mod tests {
             "missing pattern section: {report}"
         );
         assert!(report.contains("the"), "{report}");
+    }
+
+    #[test]
+    fn attribution_replay_runs_outside_the_armed_fault_plan() {
+        // Seed 0 schedules faults the served batch never reaches (it is
+        // served clean on its first launch); the post-run replay must not
+        // reach them either, and must attribute as on a disarmed matcher.
+        let m = matcher();
+        let jobs = vec![ScanJob::new(0, b"the king and her mother".repeat(64), 0.0)];
+        let mut cfg = ServeConfig::new(1);
+        cfg.telemetry = Some(TelemetryConfig::default());
+        let clean = serve(&m, jobs.clone(), &cfg).unwrap();
+        m.set_fault_plan(FaultPlan::generate(0));
+        let faulted = serve(&m, jobs, &cfg).unwrap();
+        let fired = m.fault_log();
+        m.clear_fault_plan();
+        assert_eq!(faulted.report.faults_fired, 0, "the batch itself ran clean");
+        assert!(fired.is_empty(), "the replay fired {fired:?}");
+        let costs = |run: &ServeRun| run.telemetry.as_ref().unwrap().pattern_costs.clone();
+        assert!(!costs(&clean).is_empty());
+        assert_eq!(costs(&faulted), costs(&clean));
     }
 
     #[test]

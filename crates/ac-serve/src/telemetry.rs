@@ -385,10 +385,7 @@ impl ServeTelemetry {
         dispatch_seconds: f64,
         retries: u64,
     ) {
-        let tier = match outcome.served_by {
-            ServedBy::Gpu => "gpu",
-            ServedBy::CpuLadder => "cpu-ladder",
-        };
+        let tier = served_by_arg(outcome.served_by);
         let ts = self.cycles(dispatch_seconds);
         let dur = self.cycles(outcome.completed_seconds).saturating_sub(ts);
         let mut args = vec![
@@ -581,10 +578,7 @@ impl ServeTelemetry {
         for ex in &exemplars {
             let ts = self.cycles(ex.arrival_seconds);
             let dur = self.cycles(ex.completed_seconds).saturating_sub(ts);
-            let tier = match ex.served_by {
-                ServedBy::Gpu => "gpu",
-                ServedBy::CpuLadder => "cpu-ladder",
-            };
+            let tier = served_by_arg(ex.served_by);
             self.trace.span(
                 &format!("exemplar:job{}", ex.job_id),
                 "slo-exemplar",
@@ -635,6 +629,15 @@ impl ServeTelemetry {
     }
 }
 
+/// The `served_by` trace arg. Both CPU rungs write `cpu-ladder`, so a
+/// trace reads the same whichever rung answered.
+fn served_by_arg(served_by: ServedBy) -> &'static str {
+    match served_by {
+        ServedBy::Gpu => "gpu",
+        ServedBy::CpuParallel | ServedBy::CpuSerial => "cpu-ladder",
+    }
+}
+
 /// One pattern's share of the attributed device cycles in the post-run
 /// observer replay (see [`TelemetryRun::attribute_pattern_costs`]).
 #[derive(Debug, Clone, PartialEq)]
@@ -675,9 +678,10 @@ pub struct TelemetryRun {
 impl TelemetryRun {
     /// Charge the sampled traffic's device cycles to the dictionary:
     /// replay the payload sample through `matcher` with workload
-    /// attribution armed (a fresh device — the serve run's timing is
-    /// already final and cannot move), fold per-state cycles through the
-    /// trie's state→pattern ownership, and record the result three ways:
+    /// attribution armed (a fresh device with any fault plan set aside —
+    /// the serve run's timing is already final and cannot move), fold
+    /// per-state cycles through the trie's state→pattern ownership, and
+    /// record the result three ways:
     /// [`TelemetryRun::pattern_costs`], `pattern-cost:<pattern>`
     /// control-plane counters in the trace (so `acsim slo-report` can
     /// name the classes that dominated a degraded window), and — via
@@ -698,7 +702,10 @@ impl TelemetryRun {
             attribution: Some(gpu_sim::AttributionConfig::default()),
             ..ac_gpu::RunOptions::default()
         };
-        let Ok(run) = matcher.run_opts(&self.payload_sample, approach, opts) else {
+        // Any armed fault plan is set aside: the replay must neither fire
+        // the serve run's scheduled faults nor consume their op indices.
+        let replay = matcher.without_faults(|m| m.run_opts(&self.payload_sample, approach, opts));
+        let Ok(run) = replay else {
             return;
         };
         let Some(w) = run.attribution else {

@@ -2,15 +2,16 @@
 
 use crate::engines::{
     device, gpu_approach, resolve_gpu_approach, run_engine, run_resilient, EngineReport,
-    ResilientReport,
 };
 use crate::opts::{Command, Engine, Options};
-use ac_core::{analysis, dot, AcAutomaton, NfaTables, PatternSet, Trie};
+use ac_core::{analysis, dot, AcAutomaton, Match, NfaTables, PatternSet, Trie};
+use ac_cpu::ParallelConfig;
 use ac_gpu::{Approach, GpuAcMatcher, KernelParams, RunOptions};
 use bench::{diff_reports, BenchReport};
 use gpu_sim::{GpuConfig, IntrospectConfig, LaunchStats, StallBreakdown, TraceBuffer, TraceConfig};
 use std::fmt::Write as _;
 use std::path::Path;
+use trace::MetricsSnapshot;
 
 /// Run a parsed invocation, returning the text to print.
 pub fn run(opts: &Options) -> Result<String, String> {
@@ -64,17 +65,7 @@ pub fn run(opts: &Options) -> Result<String, String> {
             let cfg = device(opts.fermi);
             let trace_cfg = opts.trace_out.as_ref().map(|_| TraceConfig::default());
             if opts.resilient {
-                let report = run_resilient(&ac, &text, &cfg, opts.fault_seed, trace_cfg);
-                let mut out = resilient_text(&report, &ac, opts);
-                write_exports(
-                    opts,
-                    report.run.trace.as_ref(),
-                    report.run.stats.as_ref(),
-                    &cfg,
-                    text.len() as u64,
-                    &mut out,
-                )?;
-                return Ok(out);
+                return resilient_text(opts, &ac, &text, &cfg);
             }
             // `gpu:auto` sits outside `Engine::all()` (it resolves to a
             // concrete layout), so name it directly.
@@ -210,10 +201,9 @@ pub fn decode_escapes(s: &str) -> Result<Vec<u8>, String> {
     Ok(out)
 }
 
-/// Write the requested trace/metrics exports, appending a note per file
-/// to `out`. Returns an error only when a write fails; a missing buffer
-/// (e.g. the resilient ladder answered from a CPU rung with no device
-/// stats) is reported in the output instead.
+/// Write a GPU engine run's trace/metrics exports, appending a note per
+/// file to `out`. Returns an error only when a write fails; a missing
+/// trace buffer is reported in the output instead.
 fn write_exports(
     opts: &Options,
     trace: Option<&TraceBuffer>,
@@ -241,36 +231,32 @@ fn write_exports(
             }
         }
     }
-    if let Some(path) = &opts.metrics_out {
-        match stats {
-            Some(stats) => {
-                let snap = stats.metrics(cfg.clock_hz, input_bytes);
-                let prom = path.extension().and_then(|e| e.to_str()).is_some_and(|e| {
-                    e.eq_ignore_ascii_case("prom") || e.eq_ignore_ascii_case("txt")
-                });
-                let body = if prom {
-                    snap.to_prometheus()
-                } else {
-                    snap.to_json()
-                };
-                std::fs::write(path, body)
-                    .map_err(|e| format!("writing {}: {e}", path.display()))?;
-                let _ = writeln!(
-                    out,
-                    "metrics written: {} ({} series, {})",
-                    path.display(),
-                    snap.len(),
-                    if prom { "prometheus" } else { "json" }
-                );
-            }
-            None => {
-                let _ = writeln!(
-                    out,
-                    "metrics not written: no device stats (answered by a CPU rung)"
-                );
-            }
-        }
+    if let (Some(path), Some(stats)) = (&opts.metrics_out, stats) {
+        write_metrics(path, &stats.metrics(cfg.clock_hz, input_bytes), out)?;
     }
+    Ok(())
+}
+
+/// Write a metrics snapshot (Prometheus text for `.prom`/`.txt` paths,
+/// else JSON) and append a note to `out`.
+fn write_metrics(path: &Path, snap: &MetricsSnapshot, out: &mut String) -> Result<(), String> {
+    let prom = path
+        .extension()
+        .and_then(|e| e.to_str())
+        .is_some_and(|e| e.eq_ignore_ascii_case("prom") || e.eq_ignore_ascii_case("txt"));
+    let body = if prom {
+        snap.to_prometheus()
+    } else {
+        snap.to_json()
+    };
+    std::fs::write(path, body).map_err(|e| format!("writing {}: {e}", path.display()))?;
+    let _ = writeln!(
+        out,
+        "metrics written: {} ({} series, {})",
+        path.display(),
+        snap.len(),
+        if prom { "prometheus" } else { "json" }
+    );
     Ok(())
 }
 
@@ -689,24 +675,7 @@ fn write_serve_exports(
         );
     }
     if let Some(path) = &opts.metrics_out {
-        let snap = tel.metrics_snapshot(report);
-        let prom = path
-            .extension()
-            .and_then(|e| e.to_str())
-            .is_some_and(|e| e.eq_ignore_ascii_case("prom") || e.eq_ignore_ascii_case("txt"));
-        let body = if prom {
-            snap.to_prometheus()
-        } else {
-            snap.to_json()
-        };
-        std::fs::write(path, body).map_err(|e| format!("writing {}: {e}", path.display()))?;
-        let _ = writeln!(
-            out,
-            "metrics written: {} ({} series, {})",
-            path.display(),
-            snap.len(),
-            if prom { "prometheus" } else { "json" }
-        );
+        write_metrics(path, &tel.metrics_snapshot(report), out)?;
     }
     Ok(())
 }
@@ -1267,52 +1236,87 @@ fn stats_text(patterns: &PatternSet, ac: &AcAutomaton, cfg: &GpuConfig) -> Strin
     out
 }
 
-fn resilient_text(report: &ResilientReport, ac: &AcAutomaton, opts: &Options) -> String {
-    let run = &report.run;
+/// `match --resilient`: the count and the rung that answered, the GPU
+/// supervision summary and fired faults, why the GPU rung was abandoned
+/// (if it was), the matches, then the serve telemetry exports. When the
+/// GPU rung cannot even be built, the CPU ladder answers alone.
+fn resilient_text(
+    opts: &Options,
+    ac: &AcAutomaton,
+    text: &[u8],
+    cfg: &GpuConfig,
+) -> Result<String, String> {
+    let telemetry = opts.trace_out.is_some() || opts.metrics_out.is_some();
+    let (matches, served_by, served) =
+        match run_resilient(ac, text, cfg, opts.fault_seed, telemetry) {
+            Ok((mut run, fired)) => {
+                let outcome = run.outcomes.pop().expect("one admitted job, one outcome");
+                (outcome.matches, outcome.served_by, Ok((run, fired)))
+            }
+            Err(e) => {
+                let (matches, served_by) =
+                    ac_serve::cpu_ladder_scan(ac, text, &ParallelConfig::default_for_host());
+                (matches, served_by, Err(e))
+            }
+        };
     let mut out = String::new();
     let _ = writeln!(
         out,
         "{} matches (resilient, answered by {})",
-        run.matches.len(),
-        run.tier.label()
+        matches.len(),
+        served_by.label()
     );
-    if let Some(gpu) = &run.report.gpu {
-        let _ = writeln!(
-            out,
-            "gpu supervision: {} attempt(s), {} retried, {} fault(s) injected",
-            gpu.attempts,
-            gpu.retries,
-            gpu.faults.len()
-        );
-        for f in &gpu.faults {
-            let _ = writeln!(out, "  fired: {f}");
+    match &served {
+        Ok((run, fired)) => {
+            let retries = run.report.gpu_retries;
+            let _ = writeln!(
+                out,
+                "gpu supervision: {} attempt(s), {retries} retried, {} fault(s) injected",
+                retries + 1,
+                run.report.faults_fired
+            );
+            for f in fired {
+                let _ = writeln!(out, "  fired: {f}");
+            }
+            for t in &run.breaker_transitions {
+                let _ = writeln!(out, "gpu rung abandoned: {}", t.reason);
+            }
         }
-    }
-    if let Some(e) = &run.report.gpu_error {
-        let _ = writeln!(out, "gpu rung abandoned: {e}");
-    }
-    if let Some(e) = &run.report.cpu_parallel_error {
-        let _ = writeln!(out, "cpu-parallel rung abandoned: {e}");
+        Err(e) => {
+            let _ = writeln!(out, "gpu rung abandoned: {e}");
+        }
     }
     if !opts.count_only {
-        for m in run.matches.iter().take(opts.limit) {
-            let _ = writeln!(
-                out,
-                "{:>10}..{:<10} {}",
-                m.start,
-                m.end,
-                String::from_utf8_lossy(ac.patterns().get(m.pattern))
-            );
-        }
-        if run.matches.len() > opts.limit {
-            let _ = writeln!(
-                out,
-                "... {} more (raise --limit)",
-                run.matches.len() - opts.limit
-            );
-        }
+        push_match_list(&mut out, &matches, ac, opts);
     }
-    out
+    match &served {
+        Ok((run, _)) => write_serve_exports(opts, run.telemetry.as_ref(), &run.report, &mut out)?,
+        Err(_) if telemetry => {
+            let _ = writeln!(out, "exports not written: nothing was served on the GPU");
+        }
+        Err(_) => {}
+    }
+    Ok(out)
+}
+
+/// Append up to `--limit` matches, one per line, to `out`.
+fn push_match_list(out: &mut String, matches: &[Match], ac: &AcAutomaton, opts: &Options) {
+    for m in matches.iter().take(opts.limit) {
+        let _ = writeln!(
+            out,
+            "{:>10}..{:<10} {}",
+            m.start,
+            m.end,
+            String::from_utf8_lossy(ac.patterns().get(m.pattern))
+        );
+    }
+    if matches.len() > opts.limit {
+        let _ = writeln!(
+            out,
+            "... {} more (raise --limit)",
+            matches.len() - opts.limit
+        );
+    }
 }
 
 fn match_text(report: &EngineReport, ac: &AcAutomaton, opts: &Options) -> String {
@@ -1326,22 +1330,7 @@ fn match_text(report: &EngineReport, ac: &AcAutomaton, opts: &Options) -> String
         );
     }
     if !opts.count_only {
-        for m in report.matches.iter().take(opts.limit) {
-            let _ = writeln!(
-                out,
-                "{:>10}..{:<10} {}",
-                m.start,
-                m.end,
-                String::from_utf8_lossy(ac.patterns().get(m.pattern))
-            );
-        }
-        if report.matches.len() > opts.limit {
-            let _ = writeln!(
-                out,
-                "... {} more (raise --limit)",
-                report.matches.len() - opts.limit
-            );
-        }
+        push_match_list(&mut out, &report.matches, ac, opts);
     }
     out
 }
@@ -1702,8 +1691,78 @@ mod tests {
         .unwrap();
         let out = run(&opts).unwrap();
         assert!(out.contains("metrics written:"), "{out}");
+        // The serve metrics of the one-job run, not launch metrics.
         let json = std::fs::read_to_string(&metrics_path).unwrap();
-        assert!(json.contains("acsim_launch_cycles"), "{json}");
+        assert!(json.contains("acsim_serve_jobs_completed"), "{json}");
+        assert!(!json.contains("acsim_launch_cycles"), "{json}");
+    }
+
+    #[test]
+    fn resilient_match_trace_feeds_slo_report() {
+        let pats = write_tmp("p10t.txt", b"he\nshe\n");
+        let input = write_tmp("i10t.txt", b"ushers everywhere");
+        let trace_path = write_tmp("t10t.json", b"");
+        let opts = parse([
+            "match",
+            "--patterns",
+            pats.to_str().unwrap(),
+            "--input",
+            input.to_str().unwrap(),
+            "--resilient",
+            "--fault-seed",
+            "2",
+            "--trace-out",
+            trace_path.to_str().unwrap(),
+        ])
+        .unwrap();
+        let out = run(&opts).unwrap();
+        assert!(out.contains("trace written:"), "{out}");
+        assert!(
+            out.contains("gpu supervision: 3 attempt(s), 2 retried"),
+            "{out}"
+        );
+        let opts = parse(["slo-report", trace_path.to_str().unwrap()]).unwrap();
+        let report = run(&opts).unwrap();
+        assert!(report.contains("breaker: no transitions"), "{report}");
+        assert!(report.contains("exemplars:"), "{report}");
+    }
+
+    #[test]
+    fn resilient_match_answers_from_the_cpu_when_the_gpu_cannot_be_built() {
+        // A 12,000-byte pattern needs a staging tile larger than shared
+        // memory, so the GPU matcher cannot be built.
+        let mut dict = b"he\n".to_vec();
+        dict.extend(std::iter::repeat_n(b'a', 12_000));
+        dict.push(b'\n');
+        let pats = write_tmp("p10c.txt", &dict);
+        let input = write_tmp("i10c.txt", b"ushers everywhere");
+        let metrics_path = write_tmp("m10c.json", b"");
+        let opts = parse([
+            "match",
+            "--patterns",
+            pats.to_str().unwrap(),
+            "--input",
+            input.to_str().unwrap(),
+            "--resilient",
+            "--count",
+            "--metrics-out",
+            metrics_path.to_str().unwrap(),
+        ])
+        .unwrap();
+        let out = run(&opts).unwrap();
+        let mut lines = out.lines();
+        assert_eq!(
+            lines.next(),
+            Some("2 matches (resilient, answered by cpu-parallel)")
+        );
+        assert!(
+            lines
+                .next()
+                .is_some_and(|l| l.starts_with("gpu rung abandoned: staging tile of")),
+            "{out}"
+        );
+        assert!(out.contains("exports not written"), "{out}");
+        assert!(!out.contains("gpu supervision:"), "{out}");
     }
 
     #[test]

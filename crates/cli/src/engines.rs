@@ -4,9 +4,9 @@
 use crate::opts::Engine;
 use ac_core::{AcAutomaton, Match};
 use ac_cpu::ParallelConfig;
-use ac_gpu::{Approach, GpuAcMatcher, KernelParams, RunOptions, SuperviseConfig};
-use gpu_sim::{FaultPlan, GpuConfig, LaunchStats, TraceBuffer, TraceConfig};
-use integration::{ResilientConfig, ResilientMatcher, ResilientRun};
+use ac_gpu::{Approach, GpuAcMatcher, KernelParams, RunOptions};
+use ac_serve::{serve, BatchLimits, ScanJob, ServeConfig, ServeRun, TelemetryConfig};
+use gpu_sim::{FaultPlan, GpuConfig, InjectedFault, LaunchStats, TraceBuffer, TraceConfig};
 use std::time::Instant;
 
 /// Uniform result of one engine run.
@@ -168,46 +168,38 @@ pub fn run_engine(
     }
 }
 
-/// Result of a resilient (degrading) run.
-#[derive(Debug, Clone)]
-pub struct ResilientReport {
-    /// The scan outcome: matches, answering tier, degradation trace.
-    pub run: ResilientRun,
-    /// Host wall seconds spent.
-    pub host_seconds: f64,
-}
-
-/// Execute the supervised GPU → parallel CPU → serial ladder over `text`.
-/// `fault_seed` arms a deterministic fault plan on the GPU rung first;
-/// `trace` arms the recorder on the supervised GPU rung.
+/// Run `match --resilient`: `text` as one job through [`serve`] on one
+/// stream, with per-job batches and a circuit breaker that opens on the
+/// first exhausted batch. The serve loop's degradation ladder then
+/// answers from the first rung that holds: supervised GPU, parallel CPU,
+/// serial oracle. `fault_seed` arms [`FaultPlan::generate`] on the GPU
+/// first; `telemetry` arms serve telemetry for the trace and metrics
+/// exports. Returns the run and the faults that fired.
+///
+/// # Errors
+/// The GPU rung could not be built (or could not serve at all); the
+/// caller answers from [`ac_serve::cpu_ladder_scan`] instead.
 pub fn run_resilient(
     ac: &AcAutomaton,
     text: &[u8],
     cfg: &GpuConfig,
     fault_seed: Option<u64>,
-    trace: Option<TraceConfig>,
-) -> ResilientReport {
-    let started = Instant::now();
-    let matcher = ResilientMatcher::new(
-        *cfg,
-        KernelParams::defaults_for(cfg),
-        ac.clone(),
-        ResilientConfig {
-            supervise: SuperviseConfig {
-                trace,
-                ..SuperviseConfig::default()
-            },
-            ..ResilientConfig::default()
-        },
-    );
+    telemetry: bool,
+) -> Result<(ServeRun, Vec<InjectedFault>), String> {
+    let matcher = GpuAcMatcher::new(*cfg, KernelParams::defaults_for(cfg), ac.clone())
+        .map_err(|e| e.to_string())?;
+    let mut serve_cfg = ServeConfig::new(1);
+    serve_cfg.limits = BatchLimits::per_job();
+    serve_cfg.breaker.failure_threshold = 1;
+    if telemetry {
+        serve_cfg.telemetry = Some(TelemetryConfig::default());
+    }
     if let Some(seed) = fault_seed {
         matcher.set_fault_plan(FaultPlan::generate(seed));
     }
-    let run = matcher.scan(text);
-    ResilientReport {
-        run,
-        host_seconds: started.elapsed().as_secs_f64(),
-    }
+    let job = ScanJob::new(0, text.to_vec(), 0.0);
+    let run = serve(&matcher, vec![job], &serve_cfg).map_err(|e| e.to_string())?;
+    Ok((run, matcher.fault_log()))
 }
 
 #[cfg(test)]
@@ -314,14 +306,16 @@ mod tests {
         let cfg = device(false);
         let mut want = ac.find_all(text);
         want.sort();
-        let clean = run_resilient(&ac, text, &cfg, None, None);
-        assert_eq!(clean.run.matches, want);
-        assert_eq!(clean.run.tier.label(), "gpu");
-        let faulted = run_resilient(&ac, text, &cfg, Some(3), None);
-        assert_eq!(faulted.run.matches, want);
-        let traced = run_resilient(&ac, text, &cfg, None, Some(TraceConfig::default()));
-        assert_eq!(traced.run.matches, want);
-        assert!(traced.run.trace.is_some());
+        let (clean, fired) = run_resilient(&ac, text, &cfg, None, false).unwrap();
+        assert_eq!(clean.outcomes[0].matches, want);
+        assert_eq!(clean.outcomes[0].served_by.label(), "gpu");
+        assert!(fired.is_empty());
+        assert!(clean.telemetry.is_none());
+        let (faulted, _) = run_resilient(&ac, text, &cfg, Some(3), false).unwrap();
+        assert_eq!(faulted.outcomes[0].matches, want);
+        let (traced, _) = run_resilient(&ac, text, &cfg, None, true).unwrap();
+        assert_eq!(traced.outcomes[0].matches, want);
+        assert!(traced.telemetry.is_some());
     }
 
     #[test]

@@ -308,16 +308,19 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar; the input is a &str so the
-                    // bytes are valid UTF-8 by construction.
+                    // Copy the run up to the next quote or escape in one
+                    // go. Both are ASCII, so the run ends on a char
+                    // boundary of the (valid UTF-8) input, and parsing
+                    // stays linear in the input length.
                     let rest = &self.bytes[self.pos..];
-                    let c = std::str::from_utf8(rest)
-                        .map_err(|_| self.err("invalid UTF-8"))?
-                        .chars()
-                        .next()
-                        .unwrap();
-                    s.push(c);
-                    self.pos += c.len_utf8();
+                    let run = rest
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .unwrap_or(rest.len());
+                    let text =
+                        std::str::from_utf8(&rest[..run]).map_err(|_| self.err("invalid UTF-8"))?;
+                    s.push_str(text);
+                    self.pos += run;
                 }
             }
         }
@@ -409,5 +412,15 @@ mod tests {
     fn unicode_escapes() {
         let s: String = from_str(r#""A😀""#).unwrap();
         assert_eq!(s, "A😀");
+    }
+
+    #[test]
+    fn raw_runs_keep_multibyte_text_between_escapes() {
+        let s: String = from_str(r#""héllo \"wörld\" ☃\n""#).unwrap();
+        assert_eq!(s, "héllo \"wörld\" ☃\n");
+        // A long document of long strings parses (linear in its length).
+        let big = vec!["x".repeat(1 << 10); 4096];
+        let back: Vec<String> = from_str(&to_string(&big).unwrap()).unwrap();
+        assert_eq!(back, big);
     }
 }

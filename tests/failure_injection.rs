@@ -38,15 +38,17 @@ fn chunk_plan_rejects_unsafe_geometry() {
 #[test]
 fn parallel_matcher_rejects_zero_workers() {
     let ac = ac_core::AcAutomaton::build(&PatternSet::from_strs(&["x"]).unwrap());
-    assert!(par_find_all(
-        &ac,
-        b"xx",
-        &ParallelConfig {
-            threads: 0,
-            chunk_size: 4
-        }
-    )
-    .is_err());
+    assert_eq!(
+        par_find_all(
+            &ac,
+            b"xx",
+            &ParallelConfig {
+                threads: 0,
+                chunk_size: 4
+            }
+        ),
+        Err(AcError::ZeroWorkers)
+    );
 }
 
 type Mutation = Box<dyn Fn(&mut GpuConfig)>;

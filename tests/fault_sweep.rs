@@ -1,14 +1,15 @@
-//! The recovery invariant, swept: under every seeded `FaultPlan`, the
-//! resilient matcher's output is byte-identical to the serial CPU oracle
-//! on realistic corpora — and every rung of the degradation ladder is
-//! exercised somewhere in the sweep.
+//! The recovery invariant, swept: under every seeded `FaultPlan`, a
+//! one-job `serve()` on a breaker that opens on its first failure (the
+//! degradation ladder behind `acsim match --resilient`) answers
+//! byte-identically to the serial CPU oracle on realistic corpora — and
+//! every rung of the ladder is exercised somewhere in the sweep.
 
 use ac_core::AcAutomaton;
 use ac_cpu::ParallelConfig;
 use ac_gpu::{pick_layout, run_supervised, Approach, GpuAcMatcher, KernelParams, SuperviseConfig};
+use ac_serve::{serve, BatchLimits, JobOutcome, ScanJob, ServeConfig, ServeRun, ServedBy};
 use corpus::{extract_patterns, DnaGenerator, ExtractConfig, SignatureGenerator, TextGenerator};
-use gpu_sim::{FaultKind, FaultPlan, GpuConfig};
-use integration::{ResilientConfig, ResilientMatcher, Tier};
+use gpu_sim::{FaultKind, FaultPlan, GpuConfig, InjectedFault};
 use std::collections::HashSet;
 
 /// One corpus scenario: an automaton and a text to scan.
@@ -52,17 +53,42 @@ fn scenario(idx: u64) -> (AcAutomaton, Vec<u8>) {
     }
 }
 
-fn resilient(ac: AcAutomaton, parallel: ParallelConfig) -> ResilientMatcher {
+/// What one laddered scan produced: the job's outcome, the serve run,
+/// and the faults that fired.
+struct Laddered {
+    outcome: JobOutcome,
+    run: ServeRun,
+    fired: Vec<InjectedFault>,
+}
+
+/// Scan `text` as one job through `serve()` with per-job batches and a
+/// breaker that opens on the first exhausted batch, under `plan`, with
+/// `threads` parallel-CPU workers.
+fn laddered(ac: AcAutomaton, text: &[u8], plan: FaultPlan, threads: usize) -> Laddered {
     let gpu_cfg = GpuConfig::gtx285();
-    ResilientMatcher::new(
-        gpu_cfg,
-        KernelParams::defaults_for(&gpu_cfg),
-        ac,
-        ResilientConfig {
-            parallel,
-            ..ResilientConfig::default()
-        },
-    )
+    let m = GpuAcMatcher::new(gpu_cfg, KernelParams::defaults_for(&gpu_cfg), ac).unwrap();
+    let mut cfg = ServeConfig::new(1);
+    cfg.limits = BatchLimits::per_job();
+    cfg.breaker.failure_threshold = 1;
+    cfg.parallel = ParallelConfig {
+        threads,
+        chunk_size: 1024,
+    };
+    m.set_fault_plan(plan);
+    let mut run = serve(&m, vec![ScanJob::new(0, text.to_vec(), 0.0)], &cfg).unwrap();
+    let fired = m.fault_log();
+    assert_eq!(run.outcomes.len(), 1, "one job, one outcome");
+    let outcome = run.outcomes.pop().unwrap();
+    Laddered {
+        outcome,
+        run,
+        fired,
+    }
+}
+
+/// Every launch the retry budget could reach fails.
+fn exhaust() -> FaultPlan {
+    (0..64).fold(FaultPlan::none(), |p, i| p.with_launch_transient(i))
 }
 
 #[test]
@@ -70,7 +96,7 @@ fn seeded_sweep_matches_oracle_under_every_plan() {
     const PLANS: u64 = 120;
     let mut kinds_fired: HashSet<FaultKind> = HashSet::new();
     let mut kinds_scheduled: HashSet<FaultKind> = HashSet::new();
-    let mut tiers: HashSet<Tier> = HashSet::new();
+    let mut rungs: HashSet<ServedBy> = HashSet::new();
 
     for seed in 0..PLANS {
         let plan = FaultPlan::generate(seed);
@@ -81,24 +107,19 @@ fn seeded_sweep_matches_oracle_under_every_plan() {
         let mut want = ac.find_all(&text);
         want.sort();
 
-        let m = resilient(
-            ac,
-            ParallelConfig {
-                threads: 2,
-                chunk_size: 1024,
-            },
-        );
-        m.set_fault_plan(plan);
-        let run = m.scan(&text);
+        let l = laddered(ac, &text, plan, 2);
         assert_eq!(
-            run.matches, want,
-            "seed {seed}: resilient output diverged from the serial oracle (tier {:?})",
-            run.tier
+            l.outcome.matches, want,
+            "seed {seed}: laddered output diverged from the serial oracle (rung {:?})",
+            l.outcome.served_by
         );
-        tiers.insert(run.tier);
-        if let Some(gpu) = &run.report.gpu {
-            kinds_fired.extend(gpu.faults.iter().map(|f| f.kind));
-        }
+        assert_eq!(
+            l.run.report.faults_fired,
+            l.fired.len() as u64,
+            "seed {seed}"
+        );
+        rungs.insert(l.outcome.served_by);
+        kinds_fired.extend(l.fired.iter().map(|f| f.kind));
     }
 
     for kind in FaultKind::all() {
@@ -112,7 +133,7 @@ fn seeded_sweep_matches_oracle_under_every_plan() {
         );
     }
     assert!(
-        tiers.contains(&Tier::Gpu),
+        rungs.contains(&ServedBy::Gpu),
         "no plan let the GPU rung answer"
     );
 }
@@ -123,45 +144,28 @@ fn every_rung_of_the_ladder_is_reachable() {
     let (ac, text) = scenario(0);
     let mut want = ac.find_all(&text);
     want.sort();
-    let m = resilient(
-        ac.clone(),
-        ParallelConfig {
-            threads: 2,
-            chunk_size: 1024,
-        },
-    );
-    let run = m.scan(&text);
-    assert_eq!(run.tier, Tier::Gpu);
-    assert_eq!(run.matches, want);
+    let l = laddered(ac.clone(), &text, FaultPlan::none(), 2);
+    assert_eq!(l.outcome.served_by, ServedBy::Gpu);
+    assert_eq!(l.outcome.matches, want);
+    assert!(l.run.breaker_transitions.is_empty());
 
     // Rung 2: GPU retries exhausted → parallel CPU.
-    let exhaust = (0..64).fold(FaultPlan::none(), |p, i| p.with_launch_transient(i));
-    let m = resilient(
-        ac.clone(),
-        ParallelConfig {
-            threads: 2,
-            chunk_size: 1024,
-        },
-    );
-    m.set_fault_plan(exhaust.clone());
-    let run = m.scan(&text);
-    assert_eq!(run.tier, Tier::CpuParallel);
-    assert_eq!(run.matches, want);
+    let l = laddered(ac.clone(), &text, exhaust(), 2);
+    assert_eq!(l.outcome.served_by, ServedBy::CpuParallel);
+    assert_eq!(l.outcome.matches, want);
 
     // Rung 3: GPU exhausted AND parallel rung broken → serial oracle.
-    let m = resilient(
-        ac,
-        ParallelConfig {
-            threads: 0,
-            chunk_size: 1024,
-        },
+    let l = laddered(ac, &text, exhaust(), 0);
+    assert_eq!(l.outcome.served_by, ServedBy::CpuSerial);
+    assert_eq!(l.outcome.matches, want);
+    // The abandoned GPU rung's last error rides on the breaker opening.
+    let open = &l.run.breaker_transitions[0];
+    assert!(
+        open.reason
+            .starts_with("1 consecutive batch failures (last: "),
+        "{}",
+        open.reason
     );
-    m.set_fault_plan(exhaust);
-    let run = m.scan(&text);
-    assert_eq!(run.tier, Tier::CpuSerial);
-    assert_eq!(run.matches, want);
-    assert!(run.report.gpu_error.is_some());
-    assert!(run.report.cpu_parallel_error.is_some());
 }
 
 #[test]
@@ -216,42 +220,25 @@ fn compressed_layout_kernels_recover_under_supervision() {
 
 #[test]
 fn sweep_is_deterministic() {
-    // Same seed → same plan, same tier, same degradation trace.
+    // Same seed → same plan, same rung, same degradation trace.
     for seed in [0u64, 1, 2, 3, 17, 63] {
-        let once = {
+        let once = || {
             let (ac, text) = scenario(seed);
-            let m = resilient(
-                ac,
-                ParallelConfig {
-                    threads: 2,
-                    chunk_size: 1024,
-                },
-            );
-            m.set_fault_plan(FaultPlan::generate(seed));
-            let run = m.scan(&text);
+            let l = laddered(ac, &text, FaultPlan::generate(seed), 2);
+            let reasons: Vec<String> = l
+                .run
+                .breaker_transitions
+                .into_iter()
+                .map(|t| t.reason)
+                .collect();
             (
-                run.tier,
-                run.matches,
-                run.report.gpu.map(|g| (g.attempts, g.faults)),
+                l.outcome.served_by,
+                l.outcome.matches,
+                l.run.report.gpu_retries,
+                l.fired,
+                reasons,
             )
         };
-        let twice = {
-            let (ac, text) = scenario(seed);
-            let m = resilient(
-                ac,
-                ParallelConfig {
-                    threads: 2,
-                    chunk_size: 1024,
-                },
-            );
-            m.set_fault_plan(FaultPlan::generate(seed));
-            let run = m.scan(&text);
-            (
-                run.tier,
-                run.matches,
-                run.report.gpu.map(|g| (g.attempts, g.faults)),
-            )
-        };
-        assert_eq!(once, twice, "seed {seed}");
+        assert_eq!(once(), once(), "seed {seed}");
     }
 }
