@@ -17,7 +17,7 @@ use crate::upload::{DevicePfac, DeviceStt};
 use ac_core::{AcAutomaton, Match, PfacAutomaton};
 use gpu_sim::{
     Attribution, AttributionConfig, FaultPlan, FaultState, GpuConfig, GpuDevice, InjectedFault,
-    IntrospectConfig, Introspection, LaunchConfig, LaunchStats,
+    IntrospectConfig, Introspection, LaunchConfig, LaunchStats, Observer,
 };
 use serde::{Deserialize, Serialize};
 use std::sync::{Mutex, OnceLock};
@@ -379,15 +379,11 @@ impl GpuAcMatcher {
         if let Some(state) = self.fault.lock().unwrap().take() {
             dev.arm_faults(state);
         }
-        if let Some(tcfg) = opts.trace {
-            dev.arm_trace(tcfg);
-        }
-        if let Some(icfg) = opts.introspect {
-            dev.arm_introspection(icfg);
-        }
-        if let Some(acfg) = opts.attribution {
-            dev.arm_attribution(acfg);
-        }
+        dev.arm_observer(Observer {
+            trace: opts.trace.map(TraceBuffer::new),
+            introspection: opts.introspect.map(|_| Introspection::default()),
+            attribution: opts.attribution.map(|_| Attribution::default()),
+        });
         let result = self.run_on_device(&mut dev, text, approach, opts.record);
         if let Some(state) = dev.disarm_faults() {
             *self.fault.lock().unwrap() = Some(state);
@@ -395,9 +391,10 @@ impl GpuAcMatcher {
         // Attach the device trace plus the host-phase pseudo-timeline
         // (simulated phases have no wall clock: upload at cycle 0, the
         // kernel spanning the launch, readback at completion). A failed
-        // run's device trace is dropped with the device.
+        // run's observations are dropped with the device.
         result.map(|mut run| {
-            if let Some(mut tb) = dev.take_trace() {
+            let seen = dev.take_observer();
+            if let Some(mut tb) = seen.trace {
                 tb.instant(
                     "upload",
                     "host",
@@ -428,10 +425,10 @@ impl GpuAcMatcher {
                 );
                 run.trace = Some(tb);
             }
-            run.introspection = dev.take_introspection();
-            if let Some(raw) = dev.take_attribution() {
-                run.attribution = Some(self.fold_attribution(raw, approach));
-            }
+            run.introspection = seen.introspection;
+            run.attribution = seen
+                .attribution
+                .map(|raw| self.fold_attribution(raw, approach));
             run
         })
     }
@@ -888,7 +885,7 @@ mod tests {
                     a,
                     RunOptions {
                         record: true,
-                        introspect: Some(IntrospectConfig::default()),
+                        introspect: Some(IntrospectConfig),
                         ..Default::default()
                     },
                 )
@@ -919,7 +916,7 @@ mod tests {
                 Approach::SharedDiagonal,
                 RunOptions {
                     record: false,
-                    introspect: Some(IntrospectConfig::default()),
+                    introspect: Some(IntrospectConfig),
                     ..Default::default()
                 },
             )
@@ -949,7 +946,7 @@ mod tests {
                     a,
                     RunOptions {
                         record: true,
-                        attribution: Some(AttributionConfig::default()),
+                        attribution: Some(AttributionConfig),
                         ..Default::default()
                     },
                 )

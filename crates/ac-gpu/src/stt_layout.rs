@@ -186,7 +186,7 @@ pub fn pick_layout(m: &GpuAcMatcher, sample: &[u8]) -> Result<LayoutChoice, GpuE
             approach,
             RunOptions {
                 record: false,
-                introspect: Some(IntrospectConfig::default()),
+                introspect: Some(IntrospectConfig),
                 ..Default::default()
             },
         )?;

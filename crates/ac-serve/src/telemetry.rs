@@ -699,7 +699,7 @@ impl TelemetryRun {
             return;
         }
         let opts = ac_gpu::RunOptions {
-            attribution: Some(gpu_sim::AttributionConfig::default()),
+            attribution: Some(gpu_sim::AttributionConfig),
             ..ac_gpu::RunOptions::default()
         };
         // Any armed fault plan is set aside: the replay must neither fire

@@ -48,5 +48,5 @@ pub use serving::{
     serving_measurements_with, CHAOS_SEED, LIGHT_LOAD_RATE, LIGHT_LOAD_ROW, SERVING_SCENARIOS,
 };
 pub use verdict::{evaluate, render, Outcome, Verdict};
-pub use whatif::{explain, explain_label, Knob, WhatIfReport, WhatIfRow};
+pub use whatif::{explain, Knob, WhatIfReport, WhatIfRow};
 pub use workload::Workload;

@@ -9,10 +9,8 @@
 //! twice as large, this kernel would gain X Gbit/s" is a one-knob rerun
 //! of the deterministic simulator, not an estimate.
 
-use crate::measure::approach_from_label;
-use ac_core::AcAutomaton;
-use ac_gpu::{Approach, GpuAcMatcher, KernelParams};
-use gpu_sim::GpuConfig;
+use ac_gpu::{Approach, GpuAcMatcher, GpuRun, RunOptions};
+use gpu_sim::{GpuConfig, IntrospectConfig};
 use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
 
@@ -194,17 +192,25 @@ fn dominant_label(stats: &gpu_sim::LaunchStats) -> String {
 }
 
 /// Run the counterfactual sweep for `approach` over `text`: a baseline
-/// counting run, then one rerun per applicable [`Knob`] with only that
-/// knob turned. `params` is shared by every run so the knob is the sole
-/// difference.
+/// counting run on `matcher`, then one rerun per applicable [`Knob`] with
+/// only that knob turned. The matcher's kernel parameters are shared by
+/// every run so the knob is the sole difference. The baseline run comes
+/// back with the report, introspection armed, so callers can show its
+/// spatial view without simulating it again.
 pub fn explain(
-    cfg: &GpuConfig,
-    params: KernelParams,
-    ac: &AcAutomaton,
+    matcher: &GpuAcMatcher,
     text: &[u8],
     approach: Approach,
-) -> Result<WhatIfReport, String> {
-    let baseline = GpuAcMatcher::new(*cfg, params, ac.clone())?.run_counting(text, approach)?;
+) -> Result<(WhatIfReport, GpuRun), String> {
+    let (cfg, params, ac) = (matcher.config(), *matcher.params(), matcher.automaton());
+    let baseline = matcher.run_opts(
+        text,
+        approach,
+        RunOptions {
+            introspect: Some(IntrospectConfig),
+            ..RunOptions::default()
+        },
+    )?;
     let mut report = WhatIfReport {
         approach: approach.label().into(),
         bytes: text.len(),
@@ -263,21 +269,7 @@ pub fn explain(
     report
         .rows
         .sort_by(|a, b| b.delta_gbps.partial_cmp(&a.delta_gbps).expect("finite"));
-    Ok(report)
-}
-
-/// Convenience wrapper taking an approach label (as used by reports and
-/// the CLI) instead of the enum.
-pub fn explain_label(
-    cfg: &GpuConfig,
-    params: KernelParams,
-    ac: &AcAutomaton,
-    text: &[u8],
-    label: &str,
-) -> Result<WhatIfReport, String> {
-    let approach =
-        approach_from_label(label).ok_or_else(|| format!("unknown approach '{label}'"))?;
-    explain(cfg, params, ac, text, approach)
+    Ok((report, baseline))
 }
 
 impl WhatIfReport {
@@ -347,9 +339,9 @@ mod tests {
     use super::*;
     use crate::workload::Workload;
 
-    fn fixture() -> (GpuConfig, KernelParams, AcAutomaton, Vec<u8>) {
+    fn fixture() -> (GpuAcMatcher, Vec<u8>) {
         let cfg = GpuConfig::gtx285();
-        let params = KernelParams {
+        let params = ac_gpu::KernelParams {
             threads_per_block: 32,
             global_chunk_bytes: 16,
             shared_chunk_bytes: 64,
@@ -358,7 +350,7 @@ mod tests {
         let w = Workload::prepare(16 * 1024, 7);
         let ac = w.automaton(20);
         let text = w.input(16 * 1024).to_vec();
-        (cfg, params, ac, text)
+        (GpuAcMatcher::new(cfg, params, ac).unwrap(), text)
     }
 
     #[test]
@@ -408,10 +400,14 @@ mod tests {
 
     #[test]
     fn explain_ranks_counterfactuals_and_is_deterministic() {
-        let (cfg, params, ac, text) = fixture();
-        let r = explain(&cfg, params, &ac, &text, Approach::SharedDiagonal).unwrap();
+        let (m, text) = fixture();
+        let (r, baseline) = explain(&m, &text, Approach::SharedDiagonal).unwrap();
         assert!(r.baseline_gbps > 0.0);
         assert!(!r.rows.is_empty());
+        // The report describes the baseline run it hands back, which
+        // carries the introspection snapshot.
+        assert_eq!(r.baseline_cycles, baseline.stats.cycles);
+        assert!(baseline.introspection.is_some());
         // Rows are sorted best-first.
         for pair in r.rows.windows(2) {
             assert!(pair[0].delta_gbps >= pair[1].delta_gbps);
@@ -430,7 +426,7 @@ mod tests {
         // The dense baseline always has a smaller layout to try.
         assert!(r.rows.iter().any(|x| x.knob == Knob::SttLayout));
         // The simulator is deterministic, so the sweep replays exactly.
-        let again = explain(&cfg, params, &ac, &text, Approach::SharedDiagonal).unwrap();
+        let (again, _) = explain(&m, &text, Approach::SharedDiagonal).unwrap();
         assert_eq!(again, r);
         let rendered = r.render();
         assert!(rendered.contains("what-if sweep"), "{rendered}");
@@ -438,23 +434,9 @@ mod tests {
     }
 
     #[test]
-    fn explain_label_round_trips_and_rejects_unknowns() {
-        let (cfg, params, ac, text) = fixture();
-        let r = explain_label(&cfg, params, &ac, &text, "pfac").unwrap();
-        assert_eq!(r.approach, "pfac");
-        // PFAC has no diagonal staging; the knob lands in `skipped`.
-        assert!(
-            r.skipped.iter().any(|s| s.contains("diagonal off")),
-            "{:?}",
-            r.skipped
-        );
-        assert!(explain_label(&cfg, params, &ac, &text, "warp-drive").is_err());
-    }
-
-    #[test]
     fn host_memory_counterfactual_prices_the_transfer_pipeline() {
-        let (cfg, params, ac, text) = fixture();
-        let r = explain(&cfg, params, &ac, &text, Approach::SharedDiagonal).unwrap();
+        let (m, text) = fixture();
+        let (r, _) = explain(&m, &text, Approach::SharedDiagonal).unwrap();
         // Pinned staging transfers at full link speed; pageable pays a
         // bounce copy at reduced bandwidth, so end-to-end it must be
         // strictly slower — and both bound below the kernel-only figure.
@@ -487,13 +469,32 @@ mod tests {
     }
 
     #[test]
-    fn layout_knob_skips_when_already_smallest() {
-        let (cfg, params, ac, text) = fixture();
-        let r = explain(&cfg, params, &ac, &text, Approach::SharedBanded).unwrap();
+    fn explain_label_round_trips_and_rejects_unknowns() {
+        let (m, text) = fixture();
+        // Reports and the CLI name approaches by label; the report names
+        // the approach it swept by the same label.
+        let approach = crate::measure::approach_from_label("pfac").unwrap();
+        let (r, _) = explain(&m, &text, approach).unwrap();
+        assert_eq!(r.approach, "pfac");
+        // PFAC has no diagonal staging; the knob lands in `skipped`.
         assert!(
             r.skipped
                 .iter()
-                .any(|s| s.contains("already the smallest layout")),
+                .any(|s| s == "diagonal off: not applicable here"),
+            "{:?}",
+            r.skipped
+        );
+        assert!(crate::measure::approach_from_label("warp-drive").is_none());
+    }
+
+    #[test]
+    fn layout_knob_skips_when_already_smallest() {
+        let (m, text) = fixture();
+        let (r, _) = explain(&m, &text, Approach::SharedBanded).unwrap();
+        assert!(
+            r.skipped
+                .iter()
+                .any(|s| s == "stt-layout next: already the smallest layout"),
             "{:?}",
             r.skipped
         );

@@ -8,7 +8,7 @@ use ac_core::{analysis, dot, AcAutomaton, Match, NfaTables, PatternSet, Trie};
 use ac_cpu::ParallelConfig;
 use ac_gpu::{Approach, GpuAcMatcher, KernelParams, RunOptions};
 use bench::{diff_reports, BenchReport};
-use gpu_sim::{GpuConfig, IntrospectConfig, LaunchStats, StallBreakdown, TraceBuffer, TraceConfig};
+use gpu_sim::{GpuConfig, LaunchStats, StallBreakdown, TraceBuffer, TraceConfig};
 use std::fmt::Write as _;
 use std::path::Path;
 use trace::MetricsSnapshot;
@@ -799,23 +799,11 @@ fn explain_text(
     let params = KernelParams::defaults_for(cfg);
     let matcher = GpuAcMatcher::new(*cfg, params, ac.clone())?;
     let approach = resolve_gpu_approach(opts.engine, &matcher, text)?;
-    let report = bench::explain(cfg, params, ac, text, approach)?;
+    let (report, baseline) = bench::explain(&matcher, text, approach)?;
     let mut out = report.render();
-
-    let run = matcher.run_opts(
-        text,
-        approach,
-        RunOptions {
-            record: false,
-            watchdog_cycles: None,
-            trace: None,
-            introspect: Some(IntrospectConfig::default()),
-            attribution: None,
-        },
-    )?;
-    let intro = run
+    let intro = baseline
         .introspection
-        .expect("introspection was armed for this run");
+        .expect("explain arms introspection on its baseline");
     let fetches = intro.row_fetches(0);
     out.push('\n');
     out.push_str(&trace::render_heatmap(
@@ -1044,7 +1032,7 @@ fn hot_text(
         approach,
         RunOptions {
             record: false,
-            attribution: Some(gpu_sim::AttributionConfig::default()),
+            attribution: Some(gpu_sim::AttributionConfig),
             ..Default::default()
         },
     )?;

@@ -10,11 +10,10 @@
 //! issue slot and every idle gap across the labels of the step that
 //! occupied or ended it.
 //!
-//! Same zero-cost-when-disabled contract as the fault/trace/introspect
-//! hooks: the device holds an `Option<Box<AttributionState>>`, every charge
-//! is a single branch when disarmed, and observation never feeds back into
-//! timing — armed and disarmed launches produce bit-identical
-//! `LaunchStats`.
+//! It is one of the collectors of the device's [`crate::Observer`]: armed,
+//! each SM's observer owns an [`SmAttrSink`] and the SM's ledger joins
+//! [`Attribution::per_sm`] when it retires. Disarmed, every charge is one
+//! branch, and armed or not, observation never feeds back into timing.
 //!
 //! Accounting is conservative by construction: for each SM,
 //! `Σ state_cycles + unattributed_cycles + drain_cycles == cycles`.
@@ -43,22 +42,14 @@ impl LaneAttr {
     }
 }
 
-/// Bounds on what the attribution collectors retain.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct AttributionConfig {
-    /// Largest label index tracked per SM; charges to labels at or past
-    /// this bound fall into `unattributed_cycles` instead of growing the
-    /// vectors without limit.
-    pub max_labels: usize,
-}
+/// Labels tracked per SM; charges to labels at or past this bound fall
+/// into `unattributed_cycles` instead of growing the vectors without limit.
+pub const MAX_LABELS: usize = 1 << 20;
 
-impl Default for AttributionConfig {
-    fn default() -> Self {
-        AttributionConfig {
-            max_labels: 1 << 20,
-        }
-    }
-}
+/// Arms workload attribution for a run. It has no settings: the one bound
+/// is [`MAX_LABELS`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct AttributionConfig;
 
 /// One SM's attribution ledger, harvested when the SM retires its last
 /// block. Vectors are indexed by label and sized to the largest label the
@@ -86,7 +77,8 @@ pub struct SmAttribution {
     pub cycles: u64,
 }
 
-/// Device-wide attribution: one ledger per SM plus fold-up helpers.
+/// Device-wide attribution: one ledger per SM plus its totals. The host
+/// folds per-label vectors itself (`ac_gpu` remaps kernel labels first).
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct Attribution {
     /// Per-SM ledgers, in SM order.
@@ -94,40 +86,6 @@ pub struct Attribution {
 }
 
 impl Attribution {
-    fn fold(per_sm: impl Iterator<Item = impl AsRef<[u64]>>) -> Vec<u64> {
-        let mut out: Vec<u64> = Vec::new();
-        for v in per_sm {
-            let v = v.as_ref();
-            if out.len() < v.len() {
-                out.resize(v.len(), 0);
-            }
-            for (o, &x) in out.iter_mut().zip(v) {
-                *o += x;
-            }
-        }
-        out
-    }
-
-    /// Cycles charged per label, summed over SMs.
-    pub fn state_cycles(&self) -> Vec<u64> {
-        Self::fold(self.per_sm.iter().map(|s| &s.state_cycles))
-    }
-
-    /// Failure-chain cycles per label, summed over SMs.
-    pub fn fail_cycles(&self) -> Vec<u64> {
-        Self::fold(self.per_sm.iter().map(|s| &s.fail_cycles))
-    }
-
-    /// Texture fetches per label, summed over SMs.
-    pub fn tex_fetches(&self) -> Vec<u64> {
-        Self::fold(self.per_sm.iter().map(|s| &s.tex_fetches))
-    }
-
-    /// Texture-L1 misses per label, summed over SMs.
-    pub fn tex_misses(&self) -> Vec<u64> {
-        Self::fold(self.per_sm.iter().map(|s| &s.tex_misses))
-    }
-
     /// Unattributed cycles summed over SMs.
     pub fn unattributed_cycles(&self) -> u64 {
         self.per_sm.iter().map(|s| s.unattributed_cycles).sum()
@@ -144,30 +102,12 @@ impl Attribution {
     }
 }
 
-/// The armed hook held by the device (mirrors `IntrospectState`).
-#[derive(Debug, Clone)]
-pub struct AttributionState {
-    pub(crate) cfg: AttributionConfig,
-    pub(crate) result: Attribution,
-}
-
-impl AttributionState {
-    /// Fresh state with nothing collected yet.
-    pub fn new(cfg: AttributionConfig) -> Self {
-        AttributionState {
-            cfg,
-            result: Attribution::default(),
-        }
-    }
-}
-
-/// Armed-only per-SM collection sink. The scheduler clears the per-lane
-/// step labels before each warp step; the kernel fills them through
-/// [`crate::WarpCtx::attribute`]; the scheduler then charges the step's
-/// issue cycles (and any idle gap the warp later ends) across them.
+/// Armed-only per-SM collection sink. The kernel fills the per-lane step
+/// labels through [`crate::WarpCtx::attribute`]; after the step the SM's
+/// observer charges its issue cycles (and any idle gap the warp later
+/// ends) across them and clears them.
 #[derive(Debug)]
 pub(crate) struct SmAttrSink {
-    max_labels: usize,
     /// Labels of the step currently being issued, indexed by lane.
     step: Vec<Option<LaneAttr>>,
     pub(crate) state_cycles: Vec<u64>,
@@ -178,9 +118,8 @@ pub(crate) struct SmAttrSink {
 }
 
 impl SmAttrSink {
-    pub(crate) fn new(cfg: &AttributionConfig, warp_size: u32) -> Self {
+    pub(crate) fn new(warp_size: u32) -> Self {
         SmAttrSink {
-            max_labels: cfg.max_labels,
             step: vec![None; warp_size as usize],
             state_cycles: Vec::new(),
             fail_cycles: Vec::new(),
@@ -188,11 +127,6 @@ impl SmAttrSink {
             tex_misses: Vec::new(),
             unattributed: 0,
         }
-    }
-
-    /// Reset the per-lane labels ahead of one warp step.
-    pub(crate) fn begin_step(&mut self) {
-        self.step.fill(None);
     }
 
     /// Record the step's per-lane labels (called by the kernel, at most
@@ -208,7 +142,7 @@ impl SmAttrSink {
             return;
         };
         let label = attr.label as usize;
-        if label >= self.max_labels {
+        if label >= MAX_LABELS {
             return;
         }
         if self.tex_fetches.len() <= label {
@@ -221,16 +155,14 @@ impl SmAttrSink {
         }
     }
 
-    /// Charge the step's issue cycles across its labels.
-    pub(crate) fn charge_step(&mut self, cycles: u64) {
-        let labels: Vec<LaneAttr> = self.step.iter().flatten().copied().collect();
-        self.charge_labels(&labels, cycles);
-    }
-
-    /// The step's active labels, for the scheduler to remember as the
-    /// warp's last attribution (idle gaps it later ends charge there).
-    pub(crate) fn step_labels(&self) -> impl Iterator<Item = LaneAttr> + '_ {
-        self.step.iter().flatten().copied()
+    /// Charge a finished step's issue `cycles` across its labels, leave
+    /// those labels in `last` (an idle gap the warp later ends is charged
+    /// there) and clear them for the next step.
+    pub(crate) fn end_step(&mut self, cycles: u64, last: &mut Vec<LaneAttr>) {
+        last.clear();
+        last.extend(self.step.iter().flatten().copied());
+        self.charge_labels(last, cycles);
+        self.step.fill(None);
     }
 
     /// Split `cycles` integer-exactly across `labels` (quotient each, the
@@ -250,7 +182,7 @@ impl SmAttrSink {
                 continue;
             }
             let label = attr.label as usize;
-            if label >= self.max_labels {
+            if label >= MAX_LABELS {
                 self.unattributed += share;
                 continue;
             }
@@ -285,7 +217,7 @@ mod tests {
     use super::*;
 
     fn sink() -> SmAttrSink {
-        SmAttrSink::new(&AttributionConfig::default(), 4)
+        SmAttrSink::new(4)
     }
 
     #[test]
@@ -300,9 +232,9 @@ mod tests {
 
     #[test]
     fn empty_and_overbound_labels_go_unattributed() {
-        let mut s = SmAttrSink::new(&AttributionConfig { max_labels: 2 }, 4);
+        let mut s = sink();
         s.charge_labels(&[], 7);
-        s.charge_labels(&[LaneAttr::state(5), LaneAttr::state(1)], 4);
+        s.charge_labels(&[LaneAttr::state(MAX_LABELS as u32), LaneAttr::state(1)], 4);
         assert_eq!(s.unattributed, 7 + 2);
         assert_eq!(s.state_cycles, vec![0, 2]);
     }
@@ -327,7 +259,6 @@ mod tests {
     #[test]
     fn step_labels_flow_through_tex_counting() {
         let mut s = sink();
-        s.begin_step();
         s.set_lanes(&[
             Some(LaneAttr::state(2)),
             None,
@@ -339,10 +270,14 @@ mod tests {
         s.note_tex_fetch(2, true);
         assert_eq!(s.tex_fetches, vec![1, 0, 1]);
         assert_eq!(s.tex_misses, vec![0, 0, 1]);
-        let labels: Vec<LaneAttr> = s.step_labels().collect();
-        assert_eq!(labels.len(), 2);
-        s.begin_step();
-        assert_eq!(s.step_labels().count(), 0);
+        let mut last = Vec::new();
+        s.end_step(5, &mut last);
+        assert_eq!(last, [LaneAttr::state(2), LaneAttr::state(0)]);
+        assert_eq!(s.state_cycles, vec![2, 0, 3]);
+        // The labels are cleared: the next step is unattributed.
+        s.end_step(4, &mut last);
+        assert!(last.is_empty());
+        assert_eq!(s.unattributed, 4);
     }
 
     #[test]
@@ -360,10 +295,6 @@ mod tests {
         let a = Attribution {
             per_sm: vec![sm(0), sm(1)],
         };
-        assert_eq!(a.state_cycles(), vec![10, 0, 14]);
-        assert_eq!(a.fail_cycles(), vec![2, 0, 0]);
-        assert_eq!(a.tex_fetches(), vec![4, 4]);
-        assert_eq!(a.tex_misses(), vec![0, 2]);
         assert_eq!(a.unattributed_cycles(), 6);
         assert_eq!(a.drain_cycles(), 10);
         assert_eq!(a.total_cycles(), 40);

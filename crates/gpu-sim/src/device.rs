@@ -2,20 +2,18 @@
 //! kernel launches.
 
 use crate::alloc::{AllocStats, DeviceAllocator};
-use crate::attrib::{Attribution, AttributionConfig, AttributionState};
 use crate::config::GpuConfig;
 use crate::constant::{ConstId, ConstantBuffer};
 use crate::error::{DeviceError, LaunchError};
 use crate::fault::{FaultState, InjectedFault, LaunchFault, HANG_CYCLES};
 use crate::global::GlobalMemory;
-use crate::introspect::{IntrospectConfig, IntrospectState, Introspection};
 use crate::kernel::{WarpGeometry, WarpProgram};
+use crate::observe::Observer;
 use crate::scheduler::run_sm;
 use crate::stats::{LaunchStats, SmStats};
 use crate::texture::{TexId, Texture2d};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
-use trace::{TraceBuffer, TraceConfig};
 
 /// Grid/block geometry of one kernel launch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -112,19 +110,11 @@ pub struct GpuDevice {
     /// (injected hang or genuine runaway) fails with
     /// [`DeviceError::Watchdog`].
     watchdog: Option<u64>,
-    /// Armed trace recorder, if any. Same zero-cost-when-disabled pattern
-    /// as `fault`: `None` (the default) keeps every probe a single branch,
-    /// and recording never feeds back into simulated timing, so armed and
-    /// disarmed launches produce bit-identical statistics.
-    trace: Option<Box<TraceBuffer>>,
-    /// Armed spatial introspection (per-set cache counters, bank
-    /// histograms, DRAM busy intervals, hot-row fetch counts), if any.
-    /// Same zero-cost-when-disabled contract as `fault` and `trace`.
-    introspect: Option<Box<IntrospectState>>,
-    /// Armed workload attribution (per-label cycle/fetch ledgers fed by
-    /// kernel `WarpCtx::attribute` calls), if any. Same
-    /// zero-cost-when-disabled contract as `fault`, `trace`, `introspect`.
-    attribution: Option<Box<AttributionState>>,
+    /// The armed observer, if any. `None` (the default) keeps every
+    /// observation hook a single branch, and observation never feeds back
+    /// into simulated timing, so observed and unobserved launches produce
+    /// bit-identical statistics.
+    observer: Option<Box<Observer>>,
 }
 
 impl GpuDevice {
@@ -141,9 +131,7 @@ impl GpuDevice {
             constant_bytes: 0,
             fault: None,
             watchdog: None,
-            trace: None,
-            introspect: None,
-            attribution: None,
+            observer: None,
         })
     }
 
@@ -177,68 +165,23 @@ impl GpuDevice {
         self.watchdog = budget;
     }
 
-    /// Arm trace recording: subsequent launches append scheduler/DRAM
-    /// events to a fresh buffer configured by `cfg`. Recording is
-    /// observation-only — armed and disarmed launches produce bit-identical
-    /// [`LaunchStats`].
-    pub fn arm_trace(&mut self, cfg: TraceConfig) {
-        self.trace = Some(Box::new(TraceBuffer::new(cfg)));
-    }
-
-    /// Disarm tracing, returning whatever was recorded since [`arm_trace`].
+    /// Arm observation: every launch until [`take_observer`] feeds the
+    /// collectors `observer` has armed (its `Some` fields). Observation
+    /// never feeds back into timing — observed and unobserved launches
+    /// produce bit-identical [`LaunchStats`]. An observer with nothing
+    /// armed disarms.
     ///
-    /// [`arm_trace`]: GpuDevice::arm_trace
-    pub fn take_trace(&mut self) -> Option<TraceBuffer> {
-        self.trace.take().map(|b| *b)
+    /// [`take_observer`]: GpuDevice::take_observer
+    pub fn arm_observer(&mut self, observer: Observer) {
+        self.observer = observer.is_armed().then(|| Box::new(observer));
     }
 
-    /// Whether trace recording is currently armed.
-    pub fn trace_armed(&self) -> bool {
-        self.trace.is_some()
-    }
-
-    /// Arm spatial introspection: subsequent launches collect per-set
-    /// texture-cache counters, shared-bank histograms, DRAM busy intervals,
-    /// and per-row texture fetch counts into one [`Introspection`] per
-    /// device. Observation-only — armed and disarmed launches produce
-    /// bit-identical [`LaunchStats`].
-    pub fn arm_introspection(&mut self, cfg: IntrospectConfig) {
-        self.introspect = Some(Box::new(IntrospectState::new(cfg)));
-    }
-
-    /// Disarm introspection, returning whatever was collected since
-    /// [`arm_introspection`].
+    /// Disarm observation, returning what the armed collectors recorded
+    /// since [`arm_observer`] (all `None` when nothing was armed).
     ///
-    /// [`arm_introspection`]: GpuDevice::arm_introspection
-    pub fn take_introspection(&mut self) -> Option<Introspection> {
-        self.introspect.take().map(|b| b.result)
-    }
-
-    /// Whether spatial introspection is currently armed.
-    pub fn introspection_armed(&self) -> bool {
-        self.introspect.is_some()
-    }
-
-    /// Arm workload attribution: subsequent launches charge every issue
-    /// slot and idle gap to the per-lane labels kernels declare through
-    /// [`crate::WarpCtx::attribute`], into one [`Attribution`] per device.
-    /// Observation-only — armed and disarmed launches produce bit-identical
-    /// [`LaunchStats`].
-    pub fn arm_attribution(&mut self, cfg: AttributionConfig) {
-        self.attribution = Some(Box::new(AttributionState::new(cfg)));
-    }
-
-    /// Disarm attribution, returning whatever was collected since
-    /// [`arm_attribution`].
-    ///
-    /// [`arm_attribution`]: GpuDevice::arm_attribution
-    pub fn take_attribution(&mut self) -> Option<Attribution> {
-        self.attribution.take().map(|b| b.result)
-    }
-
-    /// Whether workload attribution is currently armed.
-    pub fn attribution_armed(&self) -> bool {
-        self.attribution.is_some()
+    /// [`arm_observer`]: GpuDevice::arm_observer
+    pub fn take_observer(&mut self) -> Observer {
+        self.observer.take().map(|b| *b).unwrap_or_default()
     }
 
     /// Copy a device→host readback buffer "across the bus": counts one
@@ -254,17 +197,19 @@ impl GpuDevice {
     /// before the capacity frontier grows; fails when no contiguous
     /// region fits.
     pub fn alloc_global(&mut self, bytes: u64) -> Result<u64, DeviceError> {
+        let base = self.reserve(bytes)?;
+        self.global.grow_to((base + bytes) as usize);
+        Ok(base)
+    }
+
+    /// Charge `bytes` against device memory without backing them in the
+    /// byte arena (a bound texture is read through its own `Arc`). Counts
+    /// as one allocation for fault injection.
+    fn reserve(&mut self, bytes: u64) -> Result<u64, DeviceError> {
         if let Some(fault) = self.fault.as_mut().and_then(|f| f.on_alloc()) {
             return Err(DeviceError::Fault(fault));
         }
-        let base = self.alloc.alloc(bytes)?;
-        let end = (base + bytes) as usize;
-        if end > self.global.len() {
-            let mut data = std::mem::take(&mut self.global).into_bytes();
-            data.resize(end, 0);
-            self.global = GlobalMemory::from_bytes(data);
-        }
-        Ok(base)
+        self.alloc.alloc(bytes)
     }
 
     /// Release a block obtained from [`alloc_global`], making its space
@@ -287,9 +232,7 @@ impl GpuDevice {
     /// Copy host bytes into global memory at `addr` (the `cudaMemcpy`
     /// host→device of the paper; excluded from kernel timing, as in §V).
     pub fn write_global(&mut self, addr: u64, data: &[u8]) {
-        let mut bytes = std::mem::take(&mut self.global).into_bytes();
-        bytes[addr as usize..addr as usize + data.len()].copy_from_slice(data);
-        self.global = GlobalMemory::from_bytes(bytes);
+        self.global.write(addr, data);
     }
 
     /// Read back a global-memory range (device→host result copy).
@@ -305,8 +248,7 @@ impl GpuDevice {
         rows: u32,
         cols: u32,
     ) -> Result<TexId, DeviceError> {
-        // Account for capacity without materializing a copy.
-        self.alloc_global(data.len() as u64 * 4)?;
+        self.reserve(data.len() as u64 * 4)?;
         self.textures.push(Texture2d::new(data, rows, cols));
         Ok(TexId(self.textures.len() - 1))
     }
@@ -367,9 +309,7 @@ impl GpuDevice {
                 &mut factory,
                 &mut retired,
                 sm,
-                self.trace.as_deref_mut(),
-                self.introspect.as_deref_mut(),
-                self.attribution.as_deref_mut(),
+                self.observer.as_deref_mut(),
             );
             per_sm_cycles.push(sm_stats.cycles);
             totals.merge(&sm_stats);
@@ -400,13 +340,6 @@ impl GpuDevice {
             },
             programs: retired,
         })
-    }
-}
-
-impl GlobalMemory {
-    /// Consume into the raw byte vector (device resize helper).
-    fn into_bytes(self) -> Vec<u8> {
-        self.bytes().to_vec()
     }
 }
 
@@ -618,6 +551,19 @@ mod tests {
         let data = Arc::new(vec![0u32; 200_000]); // 800 KB
         dev.bind_texture_2d(data.clone(), 1000, 200).unwrap();
         assert!(dev.bind_texture_2d(data, 1000, 200).is_err());
+    }
+
+    #[test]
+    fn texture_binding_charges_memory_without_backing_bytes() {
+        let mut dev = GpuDevice::new(GpuConfig::tiny_test()).unwrap();
+        dev.alloc_global(100).unwrap();
+        let arena = dev.global.len();
+        let live = dev.alloc_stats().live_bytes;
+        let texels = 1000 * 50;
+        dev.bind_texture_2d(Arc::new(vec![7u32; texels]), 1000, 50)
+            .unwrap();
+        assert_eq!(dev.alloc_stats().live_bytes, live + 4 * texels as u64);
+        assert_eq!(dev.global.len(), arena);
     }
 
     #[test]

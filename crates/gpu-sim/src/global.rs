@@ -63,6 +63,19 @@ impl GlobalMemory {
         self.data[a..a + 4].copy_from_slice(&value.to_le_bytes());
     }
 
+    /// Zero-extend to at least `len` bytes.
+    pub fn grow_to(&mut self, len: usize) {
+        if len > self.data.len() {
+            self.data.resize(len, 0);
+        }
+    }
+
+    /// Copy host bytes in at `addr`.
+    pub fn write(&mut self, addr: u64, bytes: &[u8]) {
+        let a = addr as usize;
+        self.data[a..a + bytes.len()].copy_from_slice(bytes);
+    }
+
     /// Borrow the raw bytes (host-side result readback).
     pub fn bytes(&self) -> &[u8] {
         &self.data

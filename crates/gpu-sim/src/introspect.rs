@@ -5,31 +5,25 @@
 //! states stay resident (the texture-locality story of paper Figs. 13–17),
 //! which shared-memory banks serialize, and how bursty the DRAM channel is.
 //!
-//! Same zero-cost-when-disabled contract as the fault and trace hooks: the
-//! device holds an `Option<Box<IntrospectState>>`, every probe is a single
-//! branch when disarmed, and observation never feeds back into timing —
-//! armed and disarmed launches produce bit-identical `LaunchStats`.
+//! It is one of the collectors of the device's [`crate::Observer`]: armed,
+//! each SM's observer owns an [`SmProbe`] the kernel context feeds, and
+//! the SM's snapshot joins [`Introspection::per_sm`] when it retires.
+//! Disarmed, every probe is one branch, and armed or not, observation
+//! never feeds back into timing.
 
 use crate::config::GpuConfig;
 use crate::texture::Texture2d;
-use mem_sim::{BankHistogram, BusyInterval, CacheStats, SetStats};
+use mem_sim::{BankHistogram, BusyInterval, Cache, CacheStats, DramChannel, SetStats};
 use serde::{Deserialize, Serialize};
 
-/// What to collect and how much of it to keep.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct IntrospectConfig {
-    /// Merged DRAM busy intervals retained per SM (burstiness beyond the
-    /// cap is counted in `DramStats` but not stored).
-    pub max_busy_intervals: usize,
-}
+/// Merged DRAM busy intervals retained per SM (burstiness beyond the cap
+/// is counted in `DramStats` but not stored).
+pub const MAX_BUSY_INTERVALS: usize = 4096;
 
-impl Default for IntrospectConfig {
-    fn default() -> Self {
-        IntrospectConfig {
-            max_busy_intervals: 4096,
-        }
-    }
-}
+/// Arms spatial introspection for a run. It has no settings: the one
+/// bound is [`MAX_BUSY_INTERVALS`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct IntrospectConfig;
 
 /// One SM's spatial snapshot, harvested when the SM retires its last block.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
@@ -82,11 +76,6 @@ impl Introspection {
     /// Texture-L1 per-set counters summed over SMs.
     pub fn tex_l1_sets(&self) -> Vec<SetStats> {
         Self::fold_sets(self.per_sm.iter().map(|s| &s.tex_l1_sets))
-    }
-
-    /// Texture-L2 per-set counters summed over SMs.
-    pub fn tex_l2_sets(&self) -> Vec<SetStats> {
-        Self::fold_sets(self.per_sm.iter().map(|s| &s.tex_l2_sets))
     }
 
     fn fold_sets<'a>(per_sm: impl Iterator<Item = &'a Vec<SetStats>>) -> Vec<SetStats> {
@@ -166,55 +155,10 @@ impl Introspection {
         let (fetches, hits) = self.tex_hit_counts(tex);
         (fetches > 0).then(|| hits as f64 / fetches as f64)
     }
-
-    /// `(L2 accesses, L2 hits)` for texture `tex`, summed over SMs. L2
-    /// accesses are exactly the texture's L1 misses.
-    pub fn tex_l2_counts(&self, tex: usize) -> (u64, u64) {
-        let (fetches, l1_hits) = self.tex_hit_counts(tex);
-        let mut hits = 0u64;
-        for s in &self.per_sm {
-            hits += s.tex_l2_hits.get(tex).copied().unwrap_or(0);
-        }
-        (fetches - l1_hits, hits)
-    }
-
-    /// Texture-L2 hit rate of texture `tex` alone — of this texture's L1
-    /// misses, the share served on-chip rather than by a DRAM line fill.
-    /// `None` when every fetch hit L1 (or the texture saw none).
-    pub fn tex_l2_hit_rate(&self, tex: usize) -> Option<f64> {
-        let (accesses, hits) = self.tex_l2_counts(tex);
-        (accesses > 0).then(|| hits as f64 / accesses as f64)
-    }
-
-    /// Total DRAM busy cycles summed over SM channel slices.
-    pub fn dram_busy_cycles(&self) -> u64 {
-        self.per_sm
-            .iter()
-            .flat_map(|s| &s.dram_busy)
-            .map(|b| b.cycles())
-            .sum()
-    }
 }
 
-/// The armed hook held by the device (mirrors `FaultState`/`TraceBuffer`).
-#[derive(Debug, Clone)]
-pub struct IntrospectState {
-    pub(crate) cfg: IntrospectConfig,
-    pub(crate) result: Introspection,
-}
-
-impl IntrospectState {
-    /// Fresh state with nothing collected yet.
-    pub fn new(cfg: IntrospectConfig) -> Self {
-        IntrospectState {
-            cfg,
-            result: Introspection::default(),
-        }
-    }
-}
-
-/// Armed-only collection sink threaded into the kernel context. Created per
-/// SM by the scheduler when introspection is armed; the extra scans it
+/// Armed-only per-SM collection sink the kernel context feeds. Created by
+/// the SM's observer when introspection is armed; the extra scans it
 /// implies (per-bank word counts, per-row fetch counts) run only on that
 /// path.
 #[derive(Debug)]
@@ -242,6 +186,51 @@ impl SmProbe {
             tex_fetches: vec![0; textures.len()],
             tex_l1_hits: vec![0; textures.len()],
             tex_l2_hits: vec![0; textures.len()],
+        }
+    }
+
+    /// Count one fetch of `row` in texture `tex` and the cache level that
+    /// served it.
+    pub(crate) fn note_tex_fetch(&mut self, tex: usize, row: u32, l1_hit: bool, l2_hit: bool) {
+        if let Some(slot) = self
+            .row_fetches
+            .get_mut(tex)
+            .and_then(|rows| rows.get_mut(row as usize))
+        {
+            *slot += 1;
+        }
+        if let Some(total) = self.tex_fetches.get_mut(tex) {
+            *total += 1;
+            if l1_hit {
+                self.tex_l1_hits[tex] += 1;
+            } else if l2_hit {
+                self.tex_l2_hits[tex] += 1;
+            }
+        }
+    }
+
+    /// Seal SM `sm`'s snapshot when it retires, harvesting the caches' set
+    /// profiles and residency and the DRAM channel's busy intervals.
+    pub(crate) fn finish(
+        self,
+        sm: u32,
+        tex_cache: &Cache,
+        tex_l2: &Cache,
+        dram: &mut DramChannel,
+    ) -> SmIntrospection {
+        SmIntrospection {
+            sm,
+            tex_l1: tex_cache.stats(),
+            tex_l1_sets: tex_cache.set_profile().unwrap_or_default().to_vec(),
+            tex_l2: tex_l2.stats(),
+            tex_l2_sets: tex_l2.set_profile().unwrap_or_default().to_vec(),
+            tex_resident_lines: tex_cache.resident_lines(),
+            banks: self.banks,
+            dram_busy: dram.take_busy_intervals(),
+            row_fetches: self.row_fetches,
+            tex_fetches: self.tex_fetches,
+            tex_l1_hits: self.tex_l1_hits,
+            tex_l2_hits: self.tex_l2_hits,
         }
     }
 }
@@ -289,7 +278,6 @@ mod tests {
         assert_eq!(intro.tex_hit_counts(0), (24, 18));
         assert_eq!(intro.tex_l1_hit_rate(0), Some(0.75));
         assert_eq!(intro.tex_l1_hit_rate(7), None);
-        assert_eq!(intro.dram_busy_cycles(), 20);
     }
 
     #[test]

@@ -11,11 +11,11 @@
 //! multithreaded latency hiding of paper Fig. 19 — without coroutines or
 //! threads.
 
-use crate::attrib::{LaneAttr, SmAttrSink};
+use crate::attrib::LaneAttr;
 use crate::config::GpuConfig;
 use crate::constant::{broadcast_degree, ConstId, ConstantBuffer};
 use crate::global::{coalesce_halfwarp, GlobalMemory};
-use crate::introspect::SmProbe;
+use crate::observe::SmObserver;
 use crate::shared::{conflict_passes, conflict_passes_profiled, SharedMemory};
 use crate::stats::SmStats;
 use crate::texture::{TexId, Texture2d};
@@ -102,11 +102,9 @@ pub struct WarpCtx<'a> {
     pub(crate) const_cache: &'a mut Cache,
     pub(crate) dram: &'a mut DramChannel,
     pub(crate) stats: &'a mut SmStats,
-    /// Armed-only introspection sink; `None` on the disarmed (timing
-    /// baseline) path, where every probe is a single branch.
-    pub(crate) probe: Option<&'a mut SmProbe>,
-    /// Armed-only workload-attribution sink; same contract as `probe`.
-    pub(crate) attr: Option<&'a mut SmAttrSink>,
+    /// The SM's observer when the device is observed; `None` on the
+    /// disarmed (timing baseline) path, where every hook is one branch.
+    pub(crate) obs: Option<&'a mut SmObserver>,
     pub(crate) now: Cycle,
     pub(crate) issue: u32,
     pub(crate) ready_at: Cycle,
@@ -127,8 +125,7 @@ impl<'a> WarpCtx<'a> {
         const_cache: &'a mut Cache,
         dram: &'a mut DramChannel,
         stats: &'a mut SmStats,
-        probe: Option<&'a mut SmProbe>,
-        attr: Option<&'a mut SmAttrSink>,
+        obs: Option<&'a mut SmObserver>,
         now: Cycle,
     ) -> Self {
         let issue = cfg.issue_cycles;
@@ -143,8 +140,7 @@ impl<'a> WarpCtx<'a> {
             const_cache,
             dram,
             stats,
-            probe,
-            attr,
+            obs,
             now,
             issue,
             ready_at: now + issue as Cycle,
@@ -196,7 +192,7 @@ impl<'a> WarpCtx<'a> {
     /// the same step are counted per label. A single branch when
     /// attribution is disarmed; never feeds back into timing.
     pub fn attribute(&mut self, lanes: &[Option<LaneAttr>]) {
-        if let Some(sink) = self.attr.as_deref_mut() {
+        if let Some(sink) = self.obs.as_deref_mut().and_then(|o| o.attr.as_mut()) {
             sink.set_lanes(lanes);
         }
     }
@@ -297,7 +293,7 @@ impl<'a> WarpCtx<'a> {
             if scratch.is_empty() {
                 continue;
             }
-            let p = match self.probe.as_deref_mut() {
+            let p = match self.obs.as_deref_mut().and_then(|o| o.probe.as_mut()) {
                 Some(probe) => conflict_passes_profiled(self.cfg, &scratch, &mut probe.banks),
                 None => conflict_passes(self.cfg, &scratch),
             };
@@ -326,7 +322,7 @@ impl<'a> WarpCtx<'a> {
             if scratch.is_empty() {
                 continue;
             }
-            let p = match self.probe.as_deref_mut() {
+            let p = match self.obs.as_deref_mut().and_then(|o| o.probe.as_mut()) {
                 Some(probe) => conflict_passes_profiled(self.cfg, &scratch, &mut probe.banks),
                 None => conflict_passes(self.cfg, &scratch),
             };
@@ -415,25 +411,8 @@ impl<'a> WarpCtx<'a> {
             }
             // Armed-only observation; the cache access above is identical
             // either way.
-            if let Some(sink) = self.attr.as_deref_mut() {
-                sink.note_tex_fetch(lane, l1_hit);
-            }
-            if let Some(probe) = self.probe.as_deref_mut() {
-                if let Some(slot) = probe
-                    .row_fetches
-                    .get_mut(tex.0)
-                    .and_then(|rows| rows.get_mut(row as usize))
-                {
-                    *slot += 1;
-                }
-                if let Some(total) = probe.tex_fetches.get_mut(tex.0) {
-                    *total += 1;
-                    if l1_hit {
-                        probe.tex_l1_hits[tex.0] += 1;
-                    } else if l2_hit {
-                        probe.tex_l2_hits[tex.0] += 1;
-                    }
-                }
+            if let Some(obs) = self.obs.as_deref_mut() {
+                obs.tex_fetch(tex.0, row, lane, l1_hit, l2_hit);
             }
         }
         self.stats.tex_l2_misses += l2_misses_this_op as u64;
@@ -452,6 +431,8 @@ impl<'a> WarpCtx<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::attrib::SmAttrSink;
+    use crate::introspect::SmProbe;
     use mem_sim::DramConfig;
     use std::sync::Arc;
 
@@ -502,12 +483,11 @@ mod tests {
                 &mut self.dram,
                 &mut self.stats,
                 None,
-                None,
                 now,
             )
         }
 
-        fn attr_ctx<'a>(&'a mut self, sink: &'a mut SmAttrSink, now: Cycle) -> WarpCtx<'a> {
+        fn observed_ctx<'a>(&'a mut self, obs: &'a mut SmObserver, now: Cycle) -> WarpCtx<'a> {
             WarpCtx::new(
                 &self.cfg,
                 &mut self.global,
@@ -519,26 +499,7 @@ mod tests {
                 &mut self.cc,
                 &mut self.dram,
                 &mut self.stats,
-                None,
-                Some(sink),
-                now,
-            )
-        }
-
-        fn probed_ctx<'a>(&'a mut self, probe: &'a mut SmProbe, now: Cycle) -> WarpCtx<'a> {
-            WarpCtx::new(
-                &self.cfg,
-                &mut self.global,
-                &mut self.shared,
-                &self.textures,
-                &self.constants,
-                &mut self.cache,
-                &mut self.l2,
-                &mut self.cc,
-                &mut self.dram,
-                &mut self.stats,
-                Some(probe),
-                None,
+                Some(obs),
                 now,
             )
         }
@@ -766,13 +727,14 @@ mod tests {
 
         let mut plain = Rig::new();
         let mut probed = Rig::new();
-        let mut probe = SmProbe::new(&probed.cfg, &probed.textures);
+        let mut obs = SmObserver::default();
+        obs.probe = Some(SmProbe::new(&probed.cfg, &probed.textures));
 
         let mut out8 = vec![0u8; 32];
         let mut ctx = plain.ctx(0);
         ctx.shared_read_u8(&conflicted, &mut out8);
         let plain_cost = ctx.into_cost();
-        let mut ctx = probed.probed_ctx(&mut probe, 0);
+        let mut ctx = probed.observed_ctx(&mut obs, 0);
         ctx.shared_read_u8(&conflicted, &mut out8);
         assert_eq!(ctx.into_cost(), plain_cost);
 
@@ -780,11 +742,12 @@ mod tests {
         let mut ctx = plain.ctx(500);
         ctx.tex_fetch(TexId(0), &coords, &mut out32);
         let plain_cost = ctx.into_cost();
-        let mut ctx = probed.probed_ctx(&mut probe, 500);
+        let mut ctx = probed.observed_ctx(&mut obs, 500);
         ctx.tex_fetch(TexId(0), &coords, &mut out32);
         assert_eq!(ctx.into_cost(), plain_cost);
 
         assert_eq!(plain.stats, probed.stats);
+        let probe = obs.probe.unwrap();
         // The conflicted read put 16 distinct words in bank 0 per half-warp.
         assert_eq!(probe.banks.bank_words[0], 32);
         assert_eq!(probe.banks.degree_counts[16], 2);
@@ -794,25 +757,25 @@ mod tests {
 
     #[test]
     fn armed_attribution_counts_labelled_tex_fetches_without_timing_drift() {
-        use crate::attrib::AttributionConfig;
         let coords: Vec<Option<(u32, u32)>> = (0..32).map(|l| Some((l % 4, l % 8))).collect();
         let labels: Vec<Option<LaneAttr>> = (0..32).map(|l| Some(LaneAttr::state(l % 4))).collect();
 
         let mut plain = Rig::new();
         let mut attributed = Rig::new();
-        let mut sink = SmAttrSink::new(&AttributionConfig::default(), attributed.cfg.warp_size);
+        let mut obs = SmObserver::default();
+        obs.attr = Some(SmAttrSink::new(attributed.cfg.warp_size));
 
         let mut out32 = vec![0u32; 32];
         let mut ctx = plain.ctx(0);
         ctx.tex_fetch(TexId(0), &coords, &mut out32);
         let plain_cost = ctx.into_cost();
 
-        sink.begin_step();
-        let mut ctx = attributed.attr_ctx(&mut sink, 0);
+        let mut ctx = attributed.observed_ctx(&mut obs, 0);
         ctx.attribute(&labels);
         ctx.tex_fetch(TexId(0), &coords, &mut out32);
         assert_eq!(ctx.into_cost(), plain_cost);
         assert_eq!(plain.stats, attributed.stats);
+        let sink = obs.attr.unwrap();
 
         // 8 fetches under each of the 4 labels; per-label misses sum to
         // the SM aggregate.

@@ -24,7 +24,12 @@
 //!   texture binding and kernel launches with CUDA-style occupancy limits;
 //! * **streams** ([`stream`]) — in-order command queues overlapping
 //!   copies with compute across the GT200's single DMA engine plus one
-//!   compute engine, with events and a Chrome-trace timeline export.
+//!   compute engine, with events and a Chrome-trace timeline export;
+//! * **observer** ([`observe`]) — one armed hook,
+//!   [`GpuDevice::arm_observer`], for the trace recorder, spatial
+//!   introspection ([`introspect`]) and workload attribution ([`attrib`]);
+//!   [`GpuDevice::take_observer`] returns what they recorded. Observation
+//!   never feeds back into timing.
 //!
 //! Timing is cycle-based and fully deterministic. Functional state (bytes
 //! in global/shared memory, texels) is real, so kernels produce real
@@ -66,6 +71,7 @@ pub mod global;
 pub mod hostmem;
 pub mod introspect;
 pub mod kernel;
+pub mod observe;
 pub mod scheduler;
 pub mod shared;
 pub mod stats;
@@ -84,6 +90,7 @@ pub use global::GlobalMemory;
 pub use hostmem::{HostMemory, PAGEABLE_STAGING_BYTES_PER_SEC};
 pub use introspect::{IntrospectConfig, Introspection, SmIntrospection};
 pub use kernel::{StepOutcome, WarpCtx, WarpGeometry, WarpProgram};
+pub use observe::Observer;
 pub use shared::SharedMemory;
 pub use stats::{LaunchStats, LoadImbalance, SmStats};
 pub use stream::{

@@ -14,22 +14,17 @@
 //! next pending block is activated in its place, reusing the hardware the
 //! way a real GT200 does.
 
-use crate::attrib::{AttributionState, LaneAttr, SmAttrSink};
 use crate::config::GpuConfig;
 use crate::constant::ConstantBuffer;
 use crate::device::LaunchConfig;
 use crate::global::GlobalMemory;
-use crate::introspect::{IntrospectState, SmIntrospection, SmProbe};
 use crate::kernel::{StepOutcome, WarpCtx, WarpGeometry, WarpProgram};
+use crate::observe::{Observer, SmObserver};
 use crate::shared::SharedMemory;
 use crate::stats::SmStats;
 use crate::texture::Texture2d;
 use mem_sim::{Cache, Cycle, DramChannel};
-use trace::{ArgValue, StallReason, TraceBuffer, PID_DEVICE};
-
-/// Trace track offset separating each SM's DRAM-channel events from its
-/// scheduler events (same pid, distinct tid lane).
-const DRAM_TID_BASE: u32 = 1000;
+use trace::StallReason;
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum WarpRun {
@@ -48,9 +43,6 @@ struct WarpSlot<P> {
     /// Why the warp is waiting until `ready_at` (None = issue-bound). An
     /// idle gap ending at this warp's wake-up is charged to this reason.
     wait: Option<StallReason>,
-    /// Armed-attribution only: the labels of this warp's last step; an
-    /// idle gap ending at this warp's wake-up is charged to these labels.
-    attr_last: Vec<LaneAttr>,
 }
 
 struct ActiveBlock {
@@ -61,9 +53,10 @@ struct ActiveBlock {
 
 /// Simulate one SM executing `block_ids` of the launch. Returns the SM's
 /// statistics; finished warp programs are appended to `retired` for
-/// host-side result extraction. When `trace` is armed, scheduler and DRAM
-/// events are recorded against SM `sm_id`'s tracks — recording never feeds
-/// back into timing, so traced and untraced runs produce identical stats.
+/// host-side result extraction. When the device is observed, the SM's
+/// observer sees its blocks, steps and idle gaps and its share lands in
+/// `observer` at retirement — observation never feeds back into timing,
+/// so observed and unobserved runs produce identical stats.
 #[allow(clippy::too_many_arguments)] // the SM's full memory system is threaded through explicitly
 pub(crate) fn run_sm<P, F>(
     cfg: &GpuConfig,
@@ -75,9 +68,7 @@ pub(crate) fn run_sm<P, F>(
     factory: &mut F,
     retired: &mut Vec<(WarpGeometry, P)>,
     sm_id: u32,
-    mut trace: Option<&mut TraceBuffer>,
-    introspect: Option<&mut IntrospectState>,
-    attribution: Option<&mut AttributionState>,
+    mut observer: Option<&mut Observer>,
 ) -> SmStats
 where
     P: WarpProgram,
@@ -94,25 +85,9 @@ where
     let mut tex_l2 = Cache::new(cfg.tex_l2);
     let mut const_cache = Cache::new(cfg.const_cache);
     let mut dram = DramChannel::new(cfg.dram);
-    if let Some(tb) = trace.as_deref_mut() {
-        if tb.config().dram {
-            dram.enable_log(tb.config().max_events);
-        }
-    }
-    // Armed introspection: turn on the spatial collectors. None of them
-    // feeds back into timing (pure counters/logs), so the disarmed path
-    // stays the bit-identical baseline.
-    let mut probe = introspect.as_ref().map(|st| {
-        tex_cache.enable_set_profile();
-        tex_l2.enable_set_profile();
-        dram.enable_busy_tracking(st.cfg.max_busy_intervals);
-        SmProbe::new(cfg, textures)
-    });
-    // Armed attribution: the per-SM ledger the kernel labels feed. Like
-    // the probe, it observes without feeding back into timing.
-    let mut attr_sink = attribution
-        .as_ref()
-        .map(|st| SmAttrSink::new(&st.cfg, cfg.warp_size));
+    let mut obs = observer
+        .as_deref_mut()
+        .map(|o| o.begin_sm(sm_id, cfg, textures, &mut tex_cache, &mut tex_l2, &mut dram));
 
     let mut pending = block_ids.iter().copied();
     let mut blocks: Vec<ActiveBlock> = Vec::with_capacity(resident_blocks);
@@ -126,7 +101,7 @@ where
                     live: &mut Vec<usize>,
                     factory: &mut F,
                     now: Cycle,
-                    trace: Option<&mut TraceBuffer>|
+                    obs: Option<&mut SmObserver>|
      -> ActiveBlock {
         for w in 0..warps_per_block {
             let geom = WarpGeometry {
@@ -143,21 +118,11 @@ where
                 run: WarpRun::Ready,
                 block_slot,
                 wait: None,
-                attr_last: Vec::new(),
             });
             live.push(slots.len() - 1);
         }
-        if let Some(tb) = trace {
-            if tb.config().scheduler {
-                tb.instant(
-                    "block-activate",
-                    "sched",
-                    PID_DEVICE,
-                    sm_id,
-                    now,
-                    vec![("block".to_string(), ArgValue::U64(block_id as u64))],
-                );
-            }
+        if let Some(o) = obs {
+            o.block_activated(block_id, now);
         }
         ActiveBlock {
             shared: SharedMemory::new(lc.shared_bytes_per_block, cfg.shared_banks),
@@ -170,15 +135,7 @@ where
         let id = pending
             .next()
             .expect("resident_blocks bounded by block count");
-        let ab = activate(
-            id,
-            slot,
-            &mut slots,
-            &mut live,
-            factory,
-            0,
-            trace.as_deref_mut(),
-        );
+        let ab = activate(id, slot, &mut slots, &mut live, factory, 0, obs.as_mut());
         blocks.push(ab);
     }
 
@@ -219,15 +176,8 @@ where
                     let reason = slots[ender].wait.unwrap_or(StallReason::NoReadyWarp);
                     stats.idle_cycles += gap;
                     stats.stalls.add(reason, gap);
-                    if let Some(sink) = attr_sink.as_mut() {
-                        // The gap is the fault of whatever the ender's last
-                        // step was working on.
-                        sink.charge_labels(&slots[ender].attr_last, gap);
-                    }
-                    if let Some(tb) = trace.as_deref_mut() {
-                        if tb.config().scheduler {
-                            tb.stall(sm_id, now, gap, reason);
-                        }
+                    if let Some(o) = obs.as_mut() {
+                        o.idle(ender, now, gap, reason);
                     }
                     now = t;
                     continue;
@@ -249,9 +199,6 @@ where
 
         // Step the warp.
         let (outcome, cost) = {
-            if let Some(sink) = attr_sink.as_mut() {
-                sink.begin_step();
-            }
             let block = &mut blocks[block_slot];
             let mut ctx = WarpCtx::new(
                 cfg,
@@ -264,8 +211,7 @@ where
                 &mut const_cache,
                 &mut dram,
                 &mut stats,
-                probe.as_mut(),
-                attr_sink.as_mut(),
+                obs.as_mut(),
                 now,
             );
             let program = slots[slot_idx]
@@ -276,31 +222,12 @@ where
             (outcome, ctx.into_cost())
         };
         stats.instructions += 1;
-        if let Some(sink) = attr_sink.as_mut() {
-            sink.charge_step(cost.issue as u64);
-            let last = &mut slots[slot_idx].attr_last;
-            last.clear();
-            last.extend(sink.step_labels());
+        if let Some(o) = obs.as_mut() {
+            o.end_step(slot_idx, slots[slot_idx].geom, now, cost.issue);
         }
         issue_free = now + cost.issue as Cycle;
         slots[slot_idx].ready_at = cost.ready_at.max(issue_free);
         slots[slot_idx].wait = cost.stall;
-        if let Some(tb) = trace.as_deref_mut() {
-            if tb.config().issues {
-                let geom = slots[slot_idx].geom;
-                tb.instant(
-                    "issue",
-                    "sched",
-                    PID_DEVICE,
-                    sm_id,
-                    now,
-                    vec![
-                        ("block".to_string(), ArgValue::U64(geom.block_id as u64)),
-                        ("warp".to_string(), ArgValue::U64(geom.warp_in_block as u64)),
-                    ],
-                );
-            }
-        }
 
         match outcome {
             StepOutcome::Continue => {}
@@ -344,7 +271,7 @@ where
                             &mut live,
                             factory,
                             now,
-                            trace.as_deref_mut(),
+                            obs.as_mut(),
                         );
                         blocks[block_slot] = ab;
                     }
@@ -360,71 +287,15 @@ where
         // Account for in-flight memory of the final instructions.
         slots.iter().map(|s| s.ready_at).max().unwrap_or(0),
     );
-    if let Some(tb) = trace {
-        if tb.config().scheduler {
-            tb.span(
-                "sm",
-                "sched",
-                PID_DEVICE,
-                sm_id,
-                0,
-                stats.cycles,
-                vec![
-                    ("blocks".to_string(), ArgValue::U64(block_ids.len() as u64)),
-                    (
-                        "instructions".to_string(),
-                        ArgValue::U64(stats.instructions),
-                    ),
-                    ("idle_cycles".to_string(), ArgValue::U64(stats.idle_cycles)),
-                ],
-            );
-        }
-        if tb.config().dram {
-            for txn in dram.take_log() {
-                tb.span(
-                    "dram-txn",
-                    "mem",
-                    PID_DEVICE,
-                    DRAM_TID_BASE + sm_id,
-                    txn.start,
-                    txn.done - txn.start,
-                    vec![
-                        ("bytes".to_string(), ArgValue::U64(txn.bytes as u64)),
-                        (
-                            "queue_cycles".to_string(),
-                            ArgValue::U64(txn.start - txn.issued),
-                        ),
-                    ],
-                );
-            }
-        }
-    }
-    if let Some(st) = attribution {
-        let sink = attr_sink.take().expect("sink exists whenever armed");
-        // Every advance of the clock was either an issue slot (charged at
-        // step time) or an idle gap (charged at jump time); what remains
-        // is the in-flight memory drain past the final issue.
-        let busy = now.max(issue_free);
-        st.result
-            .per_sm
-            .push(sink.finish(sm_id, stats.cycles - busy, stats.cycles));
-    }
-    if let Some(st) = introspect {
-        let probe = probe.take().expect("probe exists whenever armed");
-        st.result.per_sm.push(SmIntrospection {
-            sm: sm_id,
-            tex_l1: tex_cache.stats(),
-            tex_l1_sets: tex_cache.set_profile().unwrap_or_default().to_vec(),
-            tex_l2: tex_l2.stats(),
-            tex_l2_sets: tex_l2.set_profile().unwrap_or_default().to_vec(),
-            tex_resident_lines: tex_cache.resident_lines(),
-            banks: probe.banks,
-            dram_busy: dram.take_busy_intervals(),
-            row_fetches: probe.row_fetches,
-            tex_fetches: probe.tex_fetches,
-            tex_l1_hits: probe.tex_l1_hits,
-            tex_l2_hits: probe.tex_l2_hits,
-        });
+    if let (Some(o), Some(out)) = (obs, observer) {
+        o.finish(
+            out,
+            &stats,
+            now.max(issue_free),
+            &tex_cache,
+            &tex_l2,
+            &mut dram,
+        );
     }
     stats
 }

@@ -1,13 +1,13 @@
-//! The fault and trace hooks cost nothing when disabled: every
+//! The fault hook and the observer cost nothing when disabled: every
 //! benchmark-visible timing/statistics output is bit-identical whether
 //! injection is (a) never armed, (b) armed with an empty plan, or (c)
-//! wrapped in a supervisor — and whether trace recording is armed or not.
+//! wrapped in a supervisor — and whatever set of observers is armed.
 //! The paper's throughput figures therefore cannot drift from merely
 //! *having* the robustness or observability layers.
 
 use ac_core::{AcAutomaton, PatternSet};
 use ac_gpu::{run_supervised, Approach, GpuAcMatcher, KernelParams, RunOptions, SuperviseConfig};
-use gpu_sim::{FaultPlan, GpuConfig, IntrospectConfig, TraceConfig};
+use gpu_sim::{AttributionConfig, FaultPlan, GpuConfig, IntrospectConfig, TraceConfig};
 
 fn matcher() -> GpuAcMatcher {
     let cfg = GpuConfig::gtx285();
@@ -104,187 +104,126 @@ fn supervision_does_not_perturb_fault_free_timing() {
     assert_eq!(watched.stats, plain.stats, "watchdog arming drifted stats");
 }
 
-#[test]
-fn trace_arming_leaves_launch_stats_bit_identical() {
+/// Arm `set` of the device's observer collectors and check the run
+/// against a plain one. The trace recorder (scheduler + DRAM + per-issue
+/// instants), spatial introspection and workload attribution each only
+/// observe the simulation, so every stat — cycles, idle, stall breakdown,
+/// per-SM figures — plus the matches and match events are bit-identical
+/// to the plain run; and each armed collector's output is internally
+/// consistent.
+fn assert_observers_leave_runs_bit_identical(
+    set: &str,
+    trace: Option<TraceConfig>,
+    introspect: Option<IntrospectConfig>,
+    attribution: Option<AttributionConfig>,
+) {
     let text = text();
     for approach in Approach::all() {
         let plain = matcher().run(&text, approach).unwrap();
-
-        // Recording armed (scheduler + DRAM + per-issue instants): the
-        // recorder observes the simulation but must never feed back into
-        // it, so every stat — cycles, idle, stall attribution, per-SM
-        // breakdowns — is bit-identical to the untraced run.
-        let cfg = TraceConfig {
-            issues: true,
-            ..TraceConfig::default()
-        };
-        let traced = matcher()
-            .run_opts(
-                &text,
-                approach,
-                RunOptions {
-                    record: true,
-                    watchdog_cycles: None,
-                    trace: Some(cfg),
-                    introspect: None,
-                    attribution: None,
-                },
-            )
-            .unwrap();
-        assert_eq!(
-            traced.stats, plain.stats,
-            "{approach:?}: stats drifted with trace armed"
-        );
-        assert_eq!(traced.matches, plain.matches, "{approach:?}");
-        assert_eq!(traced.match_events, plain.match_events, "{approach:?}");
-        let tb = traced.trace.as_ref().expect("trace requested");
-        assert!(!tb.is_empty(), "{approach:?}: armed trace recorded nothing");
-
-        // Disarmed run through the same entry point carries no buffer.
-        let untraced = matcher()
-            .run_opts(
-                &text,
-                approach,
-                RunOptions {
-                    record: true,
-                    watchdog_cycles: None,
-                    trace: None,
-                    introspect: None,
-                    attribution: None,
-                },
-            )
-            .unwrap();
-        assert!(untraced.trace.is_none());
-        assert_eq!(
-            untraced.stats, plain.stats,
-            "{approach:?}: disarmed run drifted"
-        );
-    }
-}
-
-#[test]
-fn introspection_arming_leaves_launch_stats_bit_identical() {
-    let text = text();
-    for approach in Approach::all() {
-        let plain = matcher().run(&text, approach).unwrap();
-
-        // Introspection armed (per-set cache counters, bank histograms,
-        // DRAM busy intervals, per-row fetch counts): the probe observes
-        // the simulation but never feeds back into it, so every stat is
-        // bit-identical to the unprobed run.
-        let probed = matcher()
-            .run_opts(
-                &text,
-                approach,
-                RunOptions {
-                    record: true,
-                    watchdog_cycles: None,
-                    trace: None,
-                    introspect: Some(IntrospectConfig::default()),
-                    attribution: None,
-                },
-            )
-            .unwrap();
-        assert_eq!(
-            probed.stats, plain.stats,
-            "{approach:?}: stats drifted with introspection armed"
-        );
-        assert_eq!(probed.matches, plain.matches, "{approach:?}");
-        assert_eq!(probed.match_events, plain.match_events, "{approach:?}");
+        assert!(plain.trace.is_none());
         assert!(plain.introspection.is_none());
+        assert!(plain.attribution.is_none());
+        let seen = matcher()
+            .run_opts(
+                &text,
+                approach,
+                RunOptions {
+                    record: true,
+                    watchdog_cycles: None,
+                    trace,
+                    introspect,
+                    attribution,
+                },
+            )
+            .unwrap();
+        let what = format!("{approach:?} observed by {set}");
+        assert_eq!(seen.stats, plain.stats, "{what}: stats drifted");
+        assert_eq!(seen.matches, plain.matches, "{what}");
+        assert_eq!(seen.match_events, plain.match_events, "{what}");
+        assert_eq!(seen.trace.is_some(), trace.is_some(), "{what}");
+        assert_eq!(seen.introspection.is_some(), introspect.is_some(), "{what}");
+        assert_eq!(seen.attribution.is_some(), attribution.is_some(), "{what}");
 
-        // The snapshot is present and internally consistent: per-set
-        // counters sum exactly to each cache's aggregate stats.
-        let intro = probed.introspection.expect("introspection requested");
-        assert!(!intro.per_sm.is_empty(), "{approach:?}: empty snapshot");
-        for sm in &intro.per_sm {
-            for (sets, agg, which) in [
-                (&sm.tex_l1_sets, &sm.tex_l1, "L1"),
-                (&sm.tex_l2_sets, &sm.tex_l2, "L2"),
-            ] {
-                let accesses: u64 = sets.iter().map(|s| s.accesses).sum();
-                let hits: u64 = sets.iter().map(|s| s.hits).sum();
-                let evictions: u64 = sets.iter().map(|s| s.evictions).sum();
-                assert_eq!(
-                    accesses, agg.accesses,
-                    "{approach:?} SM {} {which}: per-set accesses != aggregate",
-                    sm.sm
-                );
-                assert_eq!(hits, agg.hits, "{approach:?} SM {} {which}", sm.sm);
-                assert!(
-                    evictions <= agg.misses,
-                    "{approach:?} SM {} {which}: more evictions than misses",
-                    sm.sm
-                );
+        if let Some(tb) = &seen.trace {
+            assert!(!tb.is_empty(), "{what}: armed trace recorded nothing");
+        }
+        // Introspection: per-set counters sum exactly to each cache's
+        // aggregate stats.
+        if let Some(intro) = &seen.introspection {
+            assert!(!intro.per_sm.is_empty(), "{what}: empty snapshot");
+            for sm in &intro.per_sm {
+                for (sets, agg, which) in [
+                    (&sm.tex_l1_sets, &sm.tex_l1, "L1"),
+                    (&sm.tex_l2_sets, &sm.tex_l2, "L2"),
+                ] {
+                    let accesses: u64 = sets.iter().map(|s| s.accesses).sum();
+                    let hits: u64 = sets.iter().map(|s| s.hits).sum();
+                    let evictions: u64 = sets.iter().map(|s| s.evictions).sum();
+                    assert_eq!(
+                        accesses, agg.accesses,
+                        "{what} SM {} {which}: per-set accesses != aggregate",
+                        sm.sm
+                    );
+                    assert_eq!(hits, agg.hits, "{what} SM {} {which}", sm.sm);
+                    assert!(
+                        evictions <= agg.misses,
+                        "{what} SM {} {which}: more evictions than misses",
+                        sm.sm
+                    );
+                }
             }
+        }
+        // Attribution conserves: every SM cycle lands in exactly one
+        // bucket — charged to a state, unattributed, or post-retire
+        // drain — and texture traffic folds onto the kernel's own
+        // counters.
+        if let Some(w) = &seen.attribution {
+            assert_eq!(
+                w.attributed_cycles() + w.unattributed_cycles + w.drain_cycles,
+                w.total_sm_cycles,
+                "{what}: cycles leaked from the attribution ledger"
+            );
+            assert!(w.attributed_cycles() > 0, "{what}: nothing was charged");
+            let fetches: u64 = w.tex_fetches.iter().sum();
+            assert_eq!(
+                fetches, seen.stats.totals.tex_fetches,
+                "{what}: per-state tex fetches disagree with LaunchStats"
+            );
         }
     }
 }
 
+fn issue_trace() -> Option<TraceConfig> {
+    Some(TraceConfig {
+        issues: true,
+        ..TraceConfig::default()
+    })
+}
+
+#[test]
+fn trace_arming_leaves_launch_stats_bit_identical() {
+    assert_observers_leave_runs_bit_identical("trace", issue_trace(), None, None);
+}
+
+#[test]
+fn introspection_arming_leaves_launch_stats_bit_identical() {
+    assert_observers_leave_runs_bit_identical("introspection", None, Some(IntrospectConfig), None);
+}
+
 #[test]
 fn attribution_arming_leaves_launch_stats_bit_identical_and_conserves() {
-    let text = text();
-    for approach in Approach::all() {
-        let plain = matcher().run(&text, approach).unwrap();
+    assert_observers_leave_runs_bit_identical("attribution", None, None, Some(AttributionConfig));
+}
 
-        // Attribution armed: every fetch/stall cycle is charged to the
-        // DFA state being visited, but the ledger only observes — stats,
-        // matches, and events must be bit-identical to the plain run.
-        let charged = matcher()
-            .run_opts(
-                &text,
-                approach,
-                RunOptions {
-                    record: true,
-                    attribution: Some(gpu_sim::AttributionConfig::default()),
-                    ..RunOptions::default()
-                },
-            )
-            .unwrap();
-        assert_eq!(
-            charged.stats, plain.stats,
-            "{approach:?}: stats drifted with attribution armed"
-        );
-        assert_eq!(charged.matches, plain.matches, "{approach:?}");
-        assert_eq!(charged.match_events, plain.match_events, "{approach:?}");
-        assert!(plain.attribution.is_none());
-
-        // Conservation: every SM cycle lands in exactly one bucket —
-        // charged to a state, unattributed, or post-retire drain.
-        let w = charged.attribution.expect("attribution requested");
-        assert_eq!(
-            w.attributed_cycles() + w.unattributed_cycles + w.drain_cycles,
-            w.total_sm_cycles,
-            "{approach:?}: cycles leaked from the attribution ledger"
-        );
-        assert!(
-            w.attributed_cycles() > 0,
-            "{approach:?}: nothing was charged"
-        );
-        // Texture traffic folds exactly onto the kernel's own counters.
-        let fetches: u64 = w.tex_fetches.iter().sum();
-        assert_eq!(
-            fetches, charged.stats.totals.tex_fetches,
-            "{approach:?}: per-state tex fetches disagree with LaunchStats"
-        );
-
-        // Disarmed run through the same entry point carries no ledger.
-        let disarmed = matcher()
-            .run_opts(
-                &text,
-                approach,
-                RunOptions {
-                    record: true,
-                    ..RunOptions::default()
-                },
-            )
-            .unwrap();
-        assert!(disarmed.attribution.is_none());
-        assert_eq!(
-            disarmed.stats, plain.stats,
-            "{approach:?}: disarmed run drifted"
-        );
-    }
+#[test]
+fn observer_arming_leaves_runs_bit_identical() {
+    // The device's one observer arms all three collectors together.
+    assert_observers_leave_runs_bit_identical(
+        "all",
+        issue_trace(),
+        Some(IntrospectConfig),
+        Some(AttributionConfig),
+    );
 }
 
 #[test]
