@@ -43,7 +43,7 @@
 //! pays a DRAM line fill for most transitions.
 
 use crate::error::GpuError;
-use crate::kernels::{MatchLanes, Scratch};
+use crate::kernels::{MatchLanes, Scratch, WarpReadback};
 use crate::layout::{DiagonalMap, Plan};
 use crate::upload::{MATCH_BIT, STATE_MASK};
 use ac_core::stt::STT_COLUMNS;
@@ -346,18 +346,15 @@ impl BandedKernel {
         }
     }
 
-    /// The accumulated match events (fat-pointer states; the runner maps
-    /// them back through `new_to_old`).
-    pub fn take_results(&mut self) -> (Vec<crate::kernels::MatchEvent>, u64) {
-        (
-            std::mem::take(&mut self.lanes.events),
-            self.lanes.event_count,
-        )
+    /// The warp's readback (fat-pointer states; the runner maps them
+    /// back through `new_to_old`).
+    pub fn take_results(&mut self) -> WarpReadback {
+        self.lanes.reports.take()
     }
 
     fn finish(&mut self) -> StepOutcome {
         self.phase = Phase::Done;
-        self.lanes.shrink();
+        self.lanes.shrink(&self.geom);
         self.scratch.shrink();
         self.staged = Vec::new();
         self.staged_addr = Vec::new();
@@ -523,14 +520,8 @@ impl WarpProgram for BandedKernel {
                 StepOutcome::Continue
             }
             Phase::WriteMatches => {
-                for lane in 0..n {
-                    self.scratch.writes[lane] = if self.lanes.matched[lane] {
-                        let t = self.geom.global_thread(lane as u32);
-                        Some((self.out_base + t * 4, self.lanes.pos[lane] as u32))
-                    } else {
-                        None
-                    };
-                }
+                self.lanes
+                    .fill_result_writes(&self.geom, self.out_base, &mut self.scratch.writes);
                 ctx.global_write_u32(&self.scratch.writes);
                 self.phase = self.next_scan_phase();
                 StepOutcome::Continue

@@ -12,7 +12,7 @@
 //! 2. a texture fetch of the transition entry,
 //! 3. when any lane matched, a result write to global memory.
 
-use crate::kernels::{MatchLanes, Scratch};
+use crate::kernels::{MatchLanes, Scratch, WarpReadback};
 use crate::layout::Plan;
 use gpu_sim::{StepOutcome, TexId, WarpCtx, WarpGeometry, WarpProgram};
 
@@ -62,17 +62,14 @@ impl GlobalOnlyKernel {
         }
     }
 
-    /// The lanes' accumulated match events (host readback after launch).
-    pub fn take_results(&mut self) -> (Vec<crate::kernels::MatchEvent>, u64) {
-        (
-            std::mem::take(&mut self.lanes.events),
-            self.lanes.event_count,
-        )
+    /// The lanes' readback (host readback after launch).
+    pub fn take_results(&mut self) -> WarpReadback {
+        self.lanes.reports.take()
     }
 
     fn finish(&mut self) -> StepOutcome {
         self.phase = Phase::Done;
-        self.lanes.shrink();
+        self.lanes.shrink(&self.geom);
         self.scratch.shrink();
         StepOutcome::Finished
     }
@@ -118,19 +115,12 @@ impl WarpProgram for GlobalOnlyKernel {
                 StepOutcome::Continue
             }
             Phase::ReportMatches => {
-                // Matched lanes write their (position) to the per-thread
+                // Matched lanes write their event word to the per-thread
                 // result slot. The slots are a chunk apart per thread, so
                 // these writes are also scattered — faithfully charging
                 // the cost of result reporting.
-                for lane in 0..n {
-                    // `pos` was already advanced; the match ended at pos.
-                    self.scratch.writes[lane] = if self.lanes.matched[lane] {
-                        let t = self.geom.global_thread(lane as u32);
-                        Some((self.out_base + t * 4, self.lanes.pos[lane] as u32))
-                    } else {
-                        None
-                    };
-                }
+                self.lanes
+                    .fill_result_writes(&self.geom, self.out_base, &mut self.scratch.writes);
                 ctx.global_write_u32(&self.scratch.writes);
                 self.phase = Phase::LoadByte;
                 StepOutcome::Continue

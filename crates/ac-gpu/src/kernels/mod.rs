@@ -13,6 +13,7 @@ pub use pfac::PfacKernel;
 pub use shared::{SharedKernel, SharedVariant};
 
 use crate::layout::Plan;
+use crate::readback::{ThreadTally, WordCoding};
 use crate::upload::{longest_output_len, DENSE_STATE_MASK, LEN_SATURATED, MATCH_BIT};
 use gpu_sim::{LaneAttr, WarpGeometry};
 use serde::{Deserialize, Serialize};
@@ -28,14 +29,16 @@ pub(crate) const BYTE_LOAD_OVERHEAD: u32 = 2;
 pub(crate) const TRANSITION_OVERHEAD: u32 = 6;
 
 /// A raw match event reported by a kernel: the DFA entered a matching
-/// state. Like the CUDA implementations, which write (position, state)
-/// pairs to an output buffer and post-process on the host, an event
-/// carries no thread id: every pattern in the state's output set ends at
-/// `end`, so its start is `end - len(pattern)`. The dense-table kernels
-/// report only events with at least one output their thread owns; the
-/// host expands events into concrete occurrences and collapses the copies
-/// that overlapping scan windows still report (see
-/// `GpuAcMatcher::expand_events`).
+/// state. Like the CUDA implementations, which write one result word per
+/// match and post-process on the host, an event names a position and a
+/// state, not a pattern: every pattern in the state's output set ends at
+/// `end`, so its start is `end - len(pattern)`. On the device each event
+/// is one delta-coded 32-bit word in its thread's run of the readback
+/// frame (see [`crate::readback`]); the host decodes it back to this
+/// pair. The dense-table kernels report only events with at least one
+/// output their thread owns; the host expands events into concrete
+/// occurrences and collapses the copies that overlapping scan windows
+/// still report (see `GpuAcMatcher::expand_events`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct MatchEvent {
     /// Exclusive end offset of the match in the input. Texts are capped
@@ -43,6 +46,116 @@ pub struct MatchEvent {
     pub end: u32,
     /// Matching state (mask already applied).
     pub state: u32,
+}
+
+/// One reporting thread's share of a retired warp's readback.
+#[derive(Debug)]
+pub struct ThreadReadback {
+    /// Global thread id.
+    pub thread: u64,
+    /// Event and zero words its events cost in the frame.
+    pub words: u64,
+    /// Its events in report order (empty in counting mode).
+    pub events: Vec<MatchEvent>,
+}
+
+/// What a retired warp hands the host: its reporting threads in thread
+/// order and the events it observed.
+#[derive(Debug)]
+pub struct WarpReadback {
+    /// Lanes that reported at least one event, in lane order.
+    pub threads: Vec<ThreadReadback>,
+    /// Match events reported (always counted).
+    pub event_count: u64,
+}
+
+/// Per-lane result reporting shared by every kernel: each lane's frame
+/// tally, the event word its last report stores, and (when recording)
+/// its events.
+#[derive(Debug)]
+pub(crate) struct LaneReports {
+    coding: WordCoding,
+    /// Whether to materialize events (benches turn this off to bound
+    /// memory at paper-scale inputs; timing is unaffected because the
+    /// result-write instructions are issued either way, and the tallies
+    /// run in both modes).
+    record: bool,
+    tally: Vec<ThreadTally>,
+    /// The event word of each lane's last report: the value its result
+    /// store writes.
+    pub word: Vec<u32>,
+    events: Vec<Vec<MatchEvent>>,
+    /// Match events reported (always counted).
+    pub event_count: u64,
+    /// The compacted readback, once the warp retires.
+    retired: Vec<ThreadReadback>,
+}
+
+impl LaneReports {
+    /// Empty reports for the warp's lanes, each tallied from its thread's
+    /// owned start.
+    pub fn new(geom: &WarpGeometry, coding: WordCoding, record: bool) -> Self {
+        let n = geom.warp_size as usize;
+        LaneReports {
+            coding,
+            record,
+            tally: (0..n)
+                .map(|lane| ThreadTally::new(coding, geom.global_thread(lane as u32)))
+                .collect(),
+            word: vec![0; n],
+            events: if record {
+                vec![Vec::new(); n]
+            } else {
+                Vec::new()
+            },
+            event_count: 0,
+            retired: Vec::new(),
+        }
+    }
+
+    /// Report a match event of `lane` ending at `end` in `state`.
+    #[inline]
+    pub fn report(&mut self, lane: usize, end: u64, state: u32) {
+        self.event_count += 1;
+        self.word[lane] = self.coding.report(&mut self.tally[lane], end, state);
+        if self.record {
+            self.events[lane].push(MatchEvent {
+                end: end as u32,
+                state,
+            });
+        }
+    }
+
+    /// The lane's recorded events so far.
+    #[cfg(test)]
+    pub fn events(&self, lane: usize) -> &[MatchEvent] {
+        self.events.get(lane).map_or(&[], Vec::as_slice)
+    }
+
+    /// Compact the per-lane state into the reporting threads' readback
+    /// (retired programs are kept alive until host readback).
+    pub fn retire(&mut self, geom: &WarpGeometry) {
+        let mut events = std::mem::take(&mut self.events).into_iter();
+        for (lane, tally) in std::mem::take(&mut self.tally).into_iter().enumerate() {
+            let evs = events.next().unwrap_or_default();
+            if tally.words() > 0 {
+                self.retired.push(ThreadReadback {
+                    thread: geom.global_thread(lane as u32),
+                    words: tally.words(),
+                    events: evs,
+                });
+            }
+        }
+        self.word = Vec::new();
+    }
+
+    /// Hand the retired readback to the host.
+    pub fn take(&mut self) -> WarpReadback {
+        WarpReadback {
+            threads: std::mem::take(&mut self.retired),
+            event_count: self.event_count,
+        }
+    }
 }
 
 /// Whether a match state entered at `end` by a thread that owns bytes up
@@ -60,7 +173,7 @@ pub(crate) fn has_owned_output(end: u64, owned_end: u64, longest: u32) -> bool {
 
 /// Per-lane DFA-walk state shared by the chunked kernels (global-only,
 /// shared-memory and banded): cursors, scan bounds, automaton states, and
-/// the event sink.
+/// the result reports.
 #[derive(Debug)]
 pub(crate) struct MatchLanes {
     /// Next absolute byte offset each lane will consume.
@@ -76,14 +189,8 @@ pub(crate) struct MatchLanes {
     /// Which lanes reported a match on the last applied transition
     /// (drives the divergent result-write instruction).
     pub matched: Vec<bool>,
-    /// Recorded events (when `record` is set).
-    pub events: Vec<MatchEvent>,
-    /// Match events reported (always counted).
-    pub event_count: u64,
-    /// Whether to materialize `events` (benches turn this off to bound
-    /// memory at paper-scale inputs; timing is unaffected because the
-    /// result-write instructions are issued either way).
-    pub record: bool,
+    /// The lanes' result reports.
+    pub reports: LaneReports,
 }
 
 impl MatchLanes {
@@ -107,9 +214,7 @@ impl MatchLanes {
             state: vec![0; n],
             byte: vec![0; n],
             matched: vec![false; n],
-            events: Vec::new(),
-            event_count: 0,
-            record,
+            reports: LaneReports::new(geom, plan.coding, record),
         }
     }
 
@@ -168,9 +273,9 @@ impl MatchLanes {
     }
 
     /// Consume the lane's pending byte: enter `state` and advance the
-    /// cursor. When `report` is set the lane records and counts a match
-    /// event ending after the byte and flags itself for the result write.
-    /// Returns `report`.
+    /// cursor. When `report` is set the lane reports a match event ending
+    /// after the byte and flags itself for the result write. Returns
+    /// `report`.
     #[inline]
     pub fn consume(&mut self, lane: usize, state: u32, report: bool) -> bool {
         self.state[lane] = state;
@@ -178,27 +283,42 @@ impl MatchLanes {
         self.pos[lane] = end;
         if report {
             self.matched[lane] = true;
-            self.event_count += 1;
-            if self.record {
-                self.events.push(MatchEvent {
-                    end: end as u32,
-                    state,
-                });
-            }
+            self.reports.report(lane, end, state);
         }
         report
     }
 
+    /// The result-write instruction's per-lane stores: each lane that
+    /// reported on the last transition writes its event word to its
+    /// thread's 32-bit result slot at `out_base`. The model prices the
+    /// store's address, width and count and charges no cycles to form
+    /// the word, as it never charged forming the bare end offset the
+    /// store used to carry. (The banded kernel's word carries its fat
+    /// pointer's low bits; the host translates states before framing.)
+    pub fn fill_result_writes(
+        &self,
+        geom: &WarpGeometry,
+        out_base: u64,
+        writes: &mut [Option<(u64, u32)>],
+    ) {
+        for (lane, write) in writes.iter_mut().enumerate().take(self.matched.len()) {
+            *write = self.matched[lane].then(|| {
+                let t = geom.global_thread(lane as u32);
+                (out_base + t * 4, self.reports.word[lane])
+            });
+        }
+    }
+
     /// Release scratch capacity once the warp finishes (retired programs
-    /// are kept alive until host readback; only the events matter then).
-    pub fn shrink(&mut self) {
+    /// are kept alive until host readback; only the reports matter then).
+    pub fn shrink(&mut self, geom: &WarpGeometry) {
         self.pos = Vec::new();
         self.owned_end = Vec::new();
         self.scan_end = Vec::new();
         self.state = Vec::new();
         self.byte = Vec::new();
         self.matched = Vec::new();
-        self.events.shrink_to_fit();
+        self.reports.retire(geom);
     }
 }
 
@@ -288,9 +408,10 @@ mod tests {
         fetched[1] = 2;
         let any = lanes.apply_transitions(&fetched);
         assert!(any);
-        assert_eq!(lanes.event_count, 1);
-        assert_eq!(lanes.events.len(), 1);
-        assert_eq!(lanes.events[0], MatchEvent { end: 1, state: 5 });
+        assert_eq!(lanes.reports.event_count, 1);
+        assert_eq!(lanes.reports.events(0), [MatchEvent { end: 1, state: 5 }]);
+        // The store carries the event word: delta 1 from the owned start.
+        assert_eq!(lanes.reports.word[0], 1 << 16 | 5);
         assert_eq!(lanes.state[0], 5);
         assert_eq!(lanes.pos[0], 1);
         assert_eq!(lanes.pos[1], 9);
@@ -317,14 +438,10 @@ mod tests {
         fetched[3] = entry(8, 1);
         assert!(lanes.apply_transitions(&fetched));
         assert_eq!(lanes.matched[..4], [false, true, true, false]);
-        assert_eq!(lanes.event_count, 2);
-        assert_eq!(
-            lanes.events,
-            [
-                MatchEvent { end: 18, state: 6 },
-                MatchEvent { end: 26, state: 7 },
-            ]
-        );
+        assert_eq!(lanes.reports.event_count, 2);
+        assert_eq!(lanes.reports.events(1), [MatchEvent { end: 18, state: 6 }]);
+        assert_eq!(lanes.reports.events(2), [MatchEvent { end: 26, state: 7 }]);
+        assert!(lanes.reports.events(0).is_empty());
         // Dropped lanes still take the transition and advance.
         assert_eq!(lanes.state[0], 5);
         assert_eq!(lanes.pos[0], 10);
@@ -336,7 +453,7 @@ mod tests {
         fetched[0] = entry(5, 2);
         assert!(!lanes.apply_transitions(&fetched));
         assert!(!lanes.matched[0]);
-        assert_eq!(lanes.event_count, 0);
+        assert_eq!(lanes.reports.event_count, 0);
     }
 
     #[test]
@@ -357,8 +474,24 @@ mod tests {
         let mut lanes = MatchLanes::new(&geom, &plan, false);
         let fetched = vec![MATCH_BIT | 1; 32];
         lanes.apply_transitions(&fetched);
-        assert!(lanes.events.is_empty());
-        assert!(lanes.event_count > 0);
+        lanes.apply_transitions(&fetched);
+        assert!(lanes.reports.events(0).is_empty());
+        assert!(lanes.reports.event_count > 0);
+        // The tallies run in counting mode too.
+        lanes.shrink(&geom);
+        let rb = lanes.reports.take();
+        assert_eq!(rb.event_count, lanes_active(&geom, &plan) * 2);
+        assert!(rb
+            .threads
+            .iter()
+            .all(|t| t.words == 2 && t.events.is_empty()));
+    }
+
+    /// Lanes of `geom` with bytes to scan under `plan`.
+    fn lanes_active(geom: &WarpGeometry, plan: &Plan) -> u64 {
+        (0..geom.warp_size)
+            .filter(|&l| plan.owned_range(geom.global_thread(l)).0 < plan.text_len)
+            .count() as u64
     }
 
     #[test]

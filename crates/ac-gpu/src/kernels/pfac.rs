@@ -8,7 +8,8 @@
 //! is read `walk_length` times from global memory. The `repro
 //! ablation-pfac` experiment quantifies that trade.
 
-use crate::kernels::{MatchEvent, Scratch};
+use crate::kernels::{LaneReports, Scratch, WarpReadback};
+use crate::layout::Plan;
 use crate::upload::{MATCH_BIT, PFAC_STOP, STATE_MASK};
 use gpu_sim::{StepOutcome, TexId, WarpCtx, WarpGeometry, WarpProgram};
 
@@ -37,22 +38,22 @@ pub struct PfacKernel {
     byte: Vec<u8>,
     matched: Vec<bool>,
     scratch: Scratch,
-    events: Vec<MatchEvent>,
-    event_count: u64,
-    record: bool,
+    reports: LaneReports,
 }
 
 impl PfacKernel {
-    /// Build the warp's program.
+    /// Build the warp's program. `plan` is one-byte chunks: a thread's
+    /// owned start is its anchor.
     pub fn new(
         geom: WarpGeometry,
-        text_len: u64,
+        plan: Plan,
         text_base: u64,
         out_base: u64,
         tex: TexId,
         record_events: bool,
     ) -> Self {
         let n = geom.warp_size as usize;
+        let text_len = plan.text_len;
         let mut off = vec![0u64; n];
         for (lane, o) in off.iter_mut().enumerate() {
             if geom.global_thread(lane as u32) >= text_len {
@@ -71,15 +72,13 @@ impl PfacKernel {
             byte: vec![0; n],
             matched: vec![false; n],
             scratch: Scratch::new(geom.warp_size),
-            events: Vec::new(),
-            event_count: 0,
-            record: record_events,
+            reports: LaneReports::new(&geom, plan.coding, record_events),
         }
     }
 
-    /// The accumulated match events.
-    pub fn take_results(&mut self) -> (Vec<MatchEvent>, u64) {
-        (std::mem::take(&mut self.events), self.event_count)
+    /// The warp's readback.
+    pub fn take_results(&mut self) -> WarpReadback {
+        self.reports.take()
     }
 
     #[inline]
@@ -105,7 +104,7 @@ impl PfacKernel {
         self.byte = Vec::new();
         self.matched = Vec::new();
         self.scratch.shrink();
-        self.events.shrink_to_fit();
+        self.reports.retire(&self.geom);
         StepOutcome::Finished
     }
 }
@@ -161,13 +160,8 @@ impl WarpProgram for PfacKernel {
                     if e & MATCH_BIT != 0 {
                         any = true;
                         self.matched[lane] = true;
-                        self.event_count += 1;
-                        if self.record {
-                            self.events.push(MatchEvent {
-                                end: (self.geom.global_thread(lane as u32) + self.off[lane]) as u32,
-                                state: e & STATE_MASK,
-                            });
-                        }
+                        let end = self.geom.global_thread(lane as u32) + self.off[lane];
+                        self.reports.report(lane, end, e & STATE_MASK);
                     }
                 }
                 self.phase = if any {
@@ -181,7 +175,7 @@ impl WarpProgram for PfacKernel {
                 for lane in 0..n {
                     self.scratch.writes[lane] = if self.matched[lane] {
                         let t = self.geom.global_thread(lane as u32);
-                        Some((self.out_base + t * 4, self.off[lane] as u32))
+                        Some((self.out_base + t * 4, self.reports.word[lane]))
                     } else {
                         None
                     };

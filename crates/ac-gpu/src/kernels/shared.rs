@@ -20,7 +20,7 @@
 //!   conflict-free. This is the paper's proposed kernel; Fig. 23 measures
 //!   its speedup over the conflicting variants.
 
-use crate::kernels::{MatchLanes, Scratch};
+use crate::kernels::{MatchLanes, Scratch, WarpReadback};
 use crate::layout::{DiagonalMap, Plan};
 use gpu_sim::{StepOutcome, TexId, WarpCtx, WarpGeometry, WarpProgram};
 use serde::{Deserialize, Serialize};
@@ -149,12 +149,9 @@ impl SharedKernel {
         }
     }
 
-    /// The lanes' accumulated match events (host readback after launch).
-    pub fn take_results(&mut self) -> (Vec<crate::kernels::MatchEvent>, u64) {
-        (
-            std::mem::take(&mut self.lanes.events),
-            self.lanes.event_count,
-        )
+    /// The lanes' readback (host readback after launch).
+    pub fn take_results(&mut self) -> WarpReadback {
+        self.lanes.reports.take()
     }
 
     /// Map a tile-relative byte offset to its shared-memory address under
@@ -194,7 +191,7 @@ impl SharedKernel {
 
     fn finish(&mut self) -> StepOutcome {
         self.phase = Phase::Done;
-        self.lanes.shrink();
+        self.lanes.shrink(&self.geom);
         self.scratch.shrink();
         self.staged = Vec::new();
         self.staged_addr = Vec::new();
@@ -283,14 +280,8 @@ impl WarpProgram for SharedKernel {
                 StepOutcome::Continue
             }
             Phase::ReportMatches => {
-                for lane in 0..n {
-                    self.scratch.writes[lane] = if self.lanes.matched[lane] {
-                        let t = self.geom.global_thread(lane as u32);
-                        Some((self.out_base + t * 4, self.lanes.pos[lane] as u32))
-                    } else {
-                        None
-                    };
-                }
+                self.lanes
+                    .fill_result_writes(&self.geom, self.out_base, &mut self.scratch.writes);
                 ctx.global_write_u32(&self.scratch.writes);
                 self.phase = Phase::LoadByte;
                 StepOutcome::Continue

@@ -1,6 +1,7 @@
 //! Host-side launch planning: chunk sizes, grid geometry, and the shared
 //! staging layout (including the paper's diagonal bank mapping).
 
+use crate::readback::WordCoding;
 use ac_core::AcAutomaton;
 use gpu_sim::{GpuConfig, LaunchConfig};
 use serde::{Deserialize, Serialize};
@@ -120,6 +121,8 @@ pub struct Plan {
     pub overlap: u32,
     /// Input length in bytes.
     pub text_len: u64,
+    /// How the readback frame codes this launch's match events.
+    pub coding: WordCoding,
 }
 
 impl Plan {
@@ -171,6 +174,7 @@ impl Plan {
             chunk_bytes: chunk,
             overlap: ac.required_overlap() as u32,
             text_len,
+            coding: WordCoding::new(chunk, ac.state_count()),
         })
     }
 
@@ -230,6 +234,7 @@ impl Plan {
             chunk_bytes: params.shared_chunk_bytes,
             overlap: ac.required_overlap() as u32,
             text_len,
+            coding: WordCoding::new(params.shared_chunk_bytes, ac.state_count()),
         })
     }
 

@@ -1,44 +1,205 @@
-//! Readback integrity: sentinel + checksum framing of the match-event
-//! buffer.
+//! Readback integrity and size: the delta-coded word frame of the match
+//! events, with its sentinel and checksum.
 //!
-//! The device's answer to a scan is the list of match events, each an
-//! 8-byte `(end: u32, state: u32)` record — the (position, state) pair the
-//! CUDA implementations write. When fault injection is armed, that list
-//! travels to the host through [`gpu_sim::GpuDevice::dma_to_host`], where
-//! the plan may flip one bit in flight. This module frames the event list
-//! so any single-bit corruption is *detected* rather than silently
-//! expanded into wrong matches:
+//! The device's answer to a scan is its match events. Each one leaves the
+//! device as a single 32-bit word, the value the reporting lane's result
+//! store writes. The words come in thread order and are delta-coded
+//! within each reporting thread:
 //!
 //! ```text
-//! magic (4) | n (8) | n × (end u32 | state u32) | event_count (8) | crc32 (4) | sentinel (4)
+//! magic (4) | w (8) | chunk_bytes (4) | s (4) | w × word u32 | event_count (8) | crc32 (4) | sentinel (4)
 //! ```
 //!
-//! `n` is the number of materialized records and `event_count` the total
-//! the kernel observed (the two differ in counting mode). [`readback_bytes`]
-//! is the frame's exact length, `28 + 8n`; every layer that prices the
-//! device→host copy (serving, fleet, what-if) uses it, so
-//! the copy the model charges is the buffer this module writes.
+//! A word splits into a delta field (its high `32 - s` bits) and a
+//! payload (its low `s` bits):
+//!
+//! * a *thread word* has delta 0 and payload `k ≥ 1`: the events that
+//!   follow belong to the thread `k` after the previous one (the first
+//!   thread word names thread `k - 1`);
+//! * an *event word* has delta `≥ 1` and the match state as payload: the
+//!   event ends `delta` bytes after the same thread's previous event, or
+//!   after the thread's owned start `thread × chunk_bytes` for its first;
+//! * the all-zero word advances the thread's cursor by the largest delta.
+//!   Only a gap that overflows the delta field needs it.
+//!
+//! `s = max(16, bits(state_count - 1))` ([`WordCoding::new`]): the floor
+//! lets one thread word skip 65,535 threads, and dense state ids stay
+//! below 2²³, so deltas keep at least 9 bits. The header records `s` and
+//! `chunk_bytes`, so [`decode`] needs no plan. `w` counts words and
+//! `event_count` the events the kernel observed (counting mode observes
+//! them without materializing). The frame is `36 + 4w` bytes.
+//!
+//! The kernels keep the frame's length as a tally, never the frame: each
+//! lane's `ThreadTally` counts its event and gap words as it reports,
+//! and `FrameTally` adds the thread words in thread order. The runner
+//! reports that length as `GpuRun::readback_bytes`, and every layer that
+//! prices the device→host copy (serving, fleet, what-if) uses it, so the
+//! copy the model charges is the buffer [`encode`] writes.
 //!
 //! CRC-32 (IEEE 802.3) detects **every** single-bit error by construction
 //! (any `x^k` is not divisible by the generator polynomial), which is
-//! exactly the injected fault class; the magic word and tail sentinel
-//! additionally catch truncation and framing slips. Verification runs only
-//! when faults are armed, keeping the fault-free path untouched.
+//! exactly the injected fault class; the magic word, the word count and
+//! the tail sentinel additionally catch truncation and framing slips. The
+//! frame is built and verified only when faults are armed, keeping the
+//! fault-free path a tally.
 
 use crate::kernels::MatchEvent;
 use std::fmt;
 
-const MAGIC: u32 = 0x4143_4742; // "ACGB"
+const MAGIC: u32 = 0x4143_4757; // "ACGW"
 const SENTINEL: u32 = 0x5EA1_ED0C;
-const EVENT_BYTES: usize = 8; // end u32 + state u32
-const HEADER_BYTES: usize = 12; // magic + record count
+const WORD_BYTES: usize = 4;
+const HEADER_BYTES: usize = 20; // magic + word count + chunk_bytes + s
 const COUNT_BYTES: usize = 8; // observed event_count
 const TRAILER_BYTES: usize = 8; // crc + sentinel
+const FRAME_BYTES: usize = HEADER_BYTES + COUNT_BYTES + TRAILER_BYTES;
+/// The payload floor: one thread word skips up to `2^16 - 1` threads.
+const MIN_STATE_BITS: u32 = 16;
 
-/// Framed readback bytes for `events` match events: exactly the length of
-/// the buffer [`encode`] writes for them, `28 + 8 * events`.
-pub fn readback_bytes(events: u64) -> u64 {
-    (HEADER_BYTES + COUNT_BYTES + TRAILER_BYTES) as u64 + EVENT_BYTES as u64 * events
+/// The exact length of a frame of `words` words: `36 + 4 * words`.
+fn frame_bytes(words: u64) -> u64 {
+    FRAME_BYTES as u64 + WORD_BYTES as u64 * words
+}
+
+/// How a frame codes its words: the owned chunk each thread's first delta
+/// counts from, and the payload width `s`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct WordCoding {
+    chunk_bytes: u32,
+    state_bits: u32,
+}
+
+impl WordCoding {
+    /// The coding for an automaton of `states` states scanned in
+    /// `chunk_bytes`-byte owned chunks: `s = max(16, bits(states - 1))`.
+    pub fn new(chunk_bytes: u32, states: usize) -> Self {
+        let bits = usize::BITS - states.saturating_sub(1).leading_zeros();
+        Self::with_state_bits(chunk_bytes, bits.max(MIN_STATE_BITS))
+    }
+
+    /// A coding with an explicit payload width.
+    ///
+    /// # Panics
+    /// When `state_bits` is outside `16..=31`: the delta field needs at
+    /// least one bit.
+    pub fn with_state_bits(chunk_bytes: u32, state_bits: u32) -> Self {
+        assert!(
+            (MIN_STATE_BITS..32).contains(&state_bits),
+            "payload width {state_bits} outside 16..=31"
+        );
+        WordCoding {
+            chunk_bytes,
+            state_bits,
+        }
+    }
+
+    /// The largest payload: a state id, or a thread word's skip.
+    fn max_payload(&self) -> u64 {
+        (1 << self.state_bits) - 1
+    }
+
+    /// The largest delta an event word holds, and the advance of a zero
+    /// word.
+    fn max_delta(&self) -> u64 {
+        (1 << (32 - self.state_bits)) - 1
+    }
+
+    /// Account an event of `tally`'s thread ending at `end` in `state`,
+    /// and return its event word: the value the lane's result store
+    /// writes. The event costs one word plus one zero word per full
+    /// `max_delta` its gap overflows.
+    #[inline]
+    pub(crate) fn report(&self, tally: &mut ThreadTally, end: u64, state: u32) -> u32 {
+        let delta = end - tally.last_end;
+        debug_assert!(
+            delta >= 1,
+            "events of one thread end in strictly rising order"
+        );
+        // Gaps past the delta field are rare: keep the division off the
+        // per-event path.
+        let gaps = if delta > self.max_delta() {
+            (delta - 1) / self.max_delta()
+        } else {
+            0
+        };
+        tally.last_end = end;
+        tally.words += gaps + 1;
+        ((delta - gaps * self.max_delta()) << self.state_bits) as u32
+            | (state & self.max_payload() as u32)
+    }
+
+    /// Thread words that move the frame from `prev` (none yet) to
+    /// `thread`.
+    fn thread_words(&self, prev: Option<u64>, thread: u64) -> u64 {
+        skip(prev, thread).div_ceil(self.max_payload())
+    }
+}
+
+/// How many threads `thread` lies past `prev`; the first thread word
+/// counts from thread −1.
+fn skip(prev: Option<u64>, thread: u64) -> u64 {
+    match prev {
+        Some(p) => thread - p,
+        None => thread + 1,
+    }
+}
+
+/// One thread's running share of a frame: the end of its last reported
+/// event and the event and zero words it has cost so far.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct ThreadTally {
+    last_end: u64,
+    words: u64,
+}
+
+impl ThreadTally {
+    /// A tally for `thread`, whose first delta counts from its owned
+    /// start.
+    pub fn new(coding: WordCoding, thread: u64) -> Self {
+        ThreadTally {
+            last_end: thread * coding.chunk_bytes as u64,
+            words: 0,
+        }
+    }
+
+    /// Event and zero words reported so far (thread words excluded).
+    pub fn words(&self) -> u64 {
+        self.words
+    }
+}
+
+/// A frame's running word count, with threads added in thread order.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct FrameTally {
+    coding: WordCoding,
+    prev: Option<u64>,
+    words: u64,
+}
+
+impl FrameTally {
+    /// An empty frame.
+    pub fn new(coding: WordCoding) -> Self {
+        FrameTally {
+            coding,
+            prev: None,
+            words: 0,
+        }
+    }
+
+    /// Add `thread`, whose events cost `words` ([`ThreadTally::words`]).
+    /// Threads come in ascending order; one without words adds nothing.
+    pub fn add(&mut self, thread: u64, words: u64) {
+        if words == 0 {
+            return;
+        }
+        self.words += self.coding.thread_words(self.prev, thread) + words;
+        self.prev = Some(thread);
+    }
+
+    /// The frame's exact length in bytes.
+    pub fn bytes(&self) -> u64 {
+        frame_bytes(self.words)
+    }
 }
 
 /// Why a readback buffer was rejected.
@@ -48,12 +209,15 @@ pub enum ReadbackCorruption {
     Truncated,
     /// The magic word at the head is wrong.
     BadMagic,
-    /// The event count does not match the buffer length.
+    /// The word count does not match the buffer length.
     BadLength,
-    /// The CRC-32 over header + events does not match.
+    /// The CRC-32 over header + words does not match.
     BadChecksum,
     /// The tail sentinel is wrong.
     BadSentinel,
+    /// The words do not decode: a bad payload width, an event before any
+    /// thread word, or an end past `u32::MAX`.
+    BadWord,
 }
 
 impl fmt::Display for ReadbackCorruption {
@@ -64,6 +228,7 @@ impl fmt::Display for ReadbackCorruption {
             ReadbackCorruption::BadLength => "length mismatch",
             ReadbackCorruption::BadChecksum => "checksum mismatch",
             ReadbackCorruption::BadSentinel => "bad tail sentinel",
+            ReadbackCorruption::BadWord => "undecodable word",
         };
         write!(f, "corrupted readback: {what}")
     }
@@ -71,15 +236,37 @@ impl fmt::Display for ReadbackCorruption {
 
 impl std::error::Error for ReadbackCorruption {}
 
-/// Serialize events (plus the total observed-event count, which counting
-/// mode reports without materializing) into a framed buffer.
-pub fn encode(events: &[MatchEvent], event_count: u64) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(readback_bytes(events.len() as u64) as usize);
+/// Serialize thread-grouped events (plus the total observed-event count,
+/// which counting mode reports without materializing) into a framed
+/// buffer. `threads` holds `(global thread, events)` in ascending thread
+/// order, each thread's events in rising `end` order after its owned
+/// start.
+pub fn encode(coding: WordCoding, threads: &[(u64, Vec<MatchEvent>)], event_count: u64) -> Vec<u8> {
+    let mut words: Vec<u32> = Vec::new();
+    let mut prev = None;
+    for (thread, events) in threads.iter().filter(|(_, evs)| !evs.is_empty()) {
+        let mut k = skip(prev, *thread);
+        while k > coding.max_payload() {
+            words.push(coding.max_payload() as u32);
+            k -= coding.max_payload();
+        }
+        words.push(k as u32);
+        prev = Some(*thread);
+        let mut tally = ThreadTally::new(coding, *thread);
+        for ev in events {
+            let before = tally.words;
+            let word = coding.report(&mut tally, ev.end as u64, ev.state);
+            words.extend((before + 1..tally.words).map(|_| 0));
+            words.push(word);
+        }
+    }
+    let mut buf = Vec::with_capacity(frame_bytes(words.len() as u64) as usize);
     buf.extend_from_slice(&MAGIC.to_le_bytes());
-    buf.extend_from_slice(&(events.len() as u64).to_le_bytes());
-    for ev in events {
-        buf.extend_from_slice(&ev.end.to_le_bytes());
-        buf.extend_from_slice(&ev.state.to_le_bytes());
+    buf.extend_from_slice(&(words.len() as u64).to_le_bytes());
+    buf.extend_from_slice(&coding.chunk_bytes.to_le_bytes());
+    buf.extend_from_slice(&coding.state_bits.to_le_bytes());
+    for w in &words {
+        buf.extend_from_slice(&w.to_le_bytes());
     }
     buf.extend_from_slice(&event_count.to_le_bytes());
     let crc = crc32(&buf);
@@ -89,9 +276,9 @@ pub fn encode(events: &[MatchEvent], event_count: u64) -> Vec<u8> {
 }
 
 /// Verify and deserialize a framed buffer back into `(events,
-/// event_count)`.
+/// event_count)`, the events in thread order.
 pub fn decode(buf: &[u8]) -> Result<(Vec<MatchEvent>, u64), ReadbackCorruption> {
-    if buf.len() < readback_bytes(0) as usize {
+    if buf.len() < FRAME_BYTES {
         return Err(ReadbackCorruption::Truncated);
     }
     let (body, trailer) = buf.split_at(buf.len() - TRAILER_BYTES);
@@ -101,21 +288,48 @@ pub fn decode(buf: &[u8]) -> Result<(Vec<MatchEvent>, u64), ReadbackCorruption> 
     if u32::from_le_bytes(trailer[0..4].try_into().unwrap()) != crc32(body) {
         return Err(ReadbackCorruption::BadChecksum);
     }
-    if u32::from_le_bytes(body[0..4].try_into().unwrap()) != MAGIC {
+    let u32_at = |at: usize| u32::from_le_bytes(body[at..at + 4].try_into().unwrap());
+    if u32_at(0) != MAGIC {
         return Err(ReadbackCorruption::BadMagic);
     }
     let n = u64::from_le_bytes(body[4..12].try_into().unwrap()) as usize;
-    if n.checked_mul(EVENT_BYTES) != Some(body.len() - HEADER_BYTES - COUNT_BYTES) {
+    if n.checked_mul(WORD_BYTES) != Some(body.len() - HEADER_BYTES - COUNT_BYTES) {
         return Err(ReadbackCorruption::BadLength);
     }
-    let (records, count) = body[HEADER_BYTES..].split_at(n * EVENT_BYTES);
-    let events = records
-        .chunks_exact(EVENT_BYTES)
-        .map(|r| MatchEvent {
-            end: u32::from_le_bytes(r[0..4].try_into().unwrap()),
-            state: u32::from_le_bytes(r[4..8].try_into().unwrap()),
-        })
-        .collect();
+    let (chunk_bytes, state_bits) = (u32_at(12), u32_at(16));
+    if !(MIN_STATE_BITS..32).contains(&state_bits) {
+        return Err(ReadbackCorruption::BadWord);
+    }
+    let coding = WordCoding::with_state_bits(chunk_bytes, state_bits);
+    let (words, count) = body[HEADER_BYTES..].split_at(n * WORD_BYTES);
+    let mut events = Vec::new();
+    let mut thread: Option<u64> = None;
+    let mut cursor = 0u64;
+    for w in words.chunks_exact(WORD_BYTES) {
+        let w = u32::from_le_bytes(w.try_into().unwrap());
+        let (delta, payload) = ((w >> state_bits) as u64, w & coding.max_payload() as u32);
+        if delta == 0 && payload != 0 {
+            let t = match thread {
+                None => Some(payload as u64 - 1),
+                Some(t) => t.checked_add(payload as u64),
+            };
+            cursor = t
+                .and_then(|t| t.checked_mul(chunk_bytes as u64))
+                .ok_or(ReadbackCorruption::BadWord)?;
+            thread = t;
+            continue;
+        }
+        if thread.is_none() {
+            return Err(ReadbackCorruption::BadWord);
+        }
+        cursor += if w == 0 { coding.max_delta() } else { delta };
+        if w != 0 {
+            events.push(MatchEvent {
+                end: u32::try_from(cursor).map_err(|_| ReadbackCorruption::BadWord)?,
+                state: payload,
+            });
+        }
+    }
     let event_count = u64::from_le_bytes(count.try_into().unwrap());
     Ok((events, event_count))
 }
@@ -137,49 +351,116 @@ fn crc32(data: &[u8]) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::collection::vec;
+    use proptest::prelude::*;
 
-    fn sample() -> Vec<MatchEvent> {
+    /// A 64-byte chunk and 16-bit payloads: deltas up to 65,535.
+    const CODING: WordCoding = WordCoding {
+        chunk_bytes: 64,
+        state_bits: 16,
+    };
+
+    /// Three reporting threads and an empty one: the first event of
+    /// thread 0, a jump of 70,000 threads (two thread words), and a
+    /// 200,000-byte gap (three zero words).
+    fn sample() -> Vec<(u64, Vec<MatchEvent>)> {
+        let last = 70_002u64;
+        let start = last * 64;
         vec![
-            MatchEvent { end: 17, state: 3 },
-            MatchEvent {
-                end: u32::MAX,
-                state: 9,
-            },
-            MatchEvent {
-                end: 0,
-                state: u32::MAX,
-            },
+            (
+                0,
+                vec![
+                    MatchEvent { end: 17, state: 3 },
+                    MatchEvent { end: 18, state: 0 },
+                ],
+            ),
+            (1, vec![]),
+            (
+                2,
+                vec![MatchEvent {
+                    end: 130,
+                    state: 0xFFFF,
+                }],
+            ),
+            (
+                last,
+                vec![
+                    MatchEvent {
+                        end: (start + 5) as u32,
+                        state: 9,
+                    },
+                    MatchEvent {
+                        end: (start + 200_005) as u32,
+                        state: 1,
+                    },
+                ],
+            ),
         ]
+    }
+
+    fn flat(threads: &[(u64, Vec<MatchEvent>)]) -> Vec<MatchEvent> {
+        threads
+            .iter()
+            .flat_map(|(_, evs)| evs.iter().copied())
+            .collect()
+    }
+
+    /// The frame length the kernels' tallies report for `threads`.
+    fn tallied(coding: WordCoding, threads: &[(u64, Vec<MatchEvent>)]) -> u64 {
+        let mut frame = FrameTally::new(coding);
+        for (thread, events) in threads {
+            let mut lane = ThreadTally::new(coding, *thread);
+            for ev in events {
+                coding.report(&mut lane, ev.end as u64, ev.state);
+            }
+            frame.add(*thread, lane.words());
+        }
+        frame.bytes()
     }
 
     #[test]
     fn readback_bytes_is_the_encoded_length() {
-        let events = sample();
-        for n in 0..=events.len() {
-            let buf = encode(&events[..n], 99);
-            assert_eq!(readback_bytes(n as u64), buf.len() as u64);
+        let threads = sample();
+        for n in 0..=threads.len() {
+            let buf = encode(CODING, &threads[..n], 99);
+            assert_eq!(tallied(CODING, &threads[..n]), buf.len() as u64);
         }
-        assert_eq!(readback_bytes(0), 28);
-        assert_eq!(readback_bytes(1000), 28 + 8 * 1000);
+        assert_eq!(frame_bytes(0), 36);
+        assert_eq!(encode(CODING, &[], 0).len(), 36);
+        // 1 + 1 + 2 thread words, 5 event words, 3 zero words.
+        assert_eq!(tallied(CODING, &threads), 36 + 4 * 12);
     }
 
     #[test]
     fn roundtrip() {
-        let events = sample();
-        let buf = encode(&events, 123);
+        let threads = sample();
+        let buf = encode(CODING, &threads, 123);
         let (back, count) = decode(&buf).unwrap();
-        assert_eq!(back, events);
+        assert_eq!(back, flat(&threads));
         assert_eq!(count, 123);
         // Empty list round-trips too.
-        let buf = encode(&[], 0);
+        let buf = encode(CODING, &[], 0);
         let (back, count) = decode(&buf).unwrap();
         assert!(back.is_empty());
         assert_eq!(count, 0);
+        // So does an event at the largest offset, 16 zero words past its
+        // thread's 1 MiB chunk start.
+        let coding = WordCoding::with_state_bits(1 << 20, 16);
+        let top = vec![(
+            4095,
+            vec![MatchEvent {
+                end: u32::MAX,
+                state: 7,
+            }],
+        )];
+        let buf = encode(coding, &top, 1);
+        assert_eq!(buf.len() as u64, frame_bytes(1 + 16 + 1));
+        assert_eq!(decode(&buf).unwrap(), (flat(&top), 1));
     }
 
     #[test]
     fn any_single_bit_flip_is_detected() {
-        let buf = encode(&sample(), 7);
+        let buf = encode(CODING, &sample(), 7);
         for bit in 0..buf.len() * 8 {
             let mut bad = buf.clone();
             bad[bit / 8] ^= 1 << (bit % 8);
@@ -189,7 +470,7 @@ mod tests {
 
     #[test]
     fn truncation_is_detected() {
-        let buf = encode(&sample(), 7);
+        let buf = encode(CODING, &sample(), 7);
         for cut in 0..buf.len() {
             assert!(
                 decode(&buf[..cut]).is_err(),
@@ -202,5 +483,62 @@ mod tests {
     fn crc32_reference_vector() {
         // The canonical IEEE check value.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+    }
+
+    #[test]
+    fn payload_width_follows_the_state_count() {
+        assert_eq!(WordCoding::new(64, 1).state_bits, 16);
+        assert_eq!(WordCoding::new(64, 1 << 16).state_bits, 16);
+        assert_eq!(WordCoding::new(64, (1 << 16) + 1).state_bits, 17);
+        assert_eq!(WordCoding::new(64, 1 << 23).state_bits, 23);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        #[test]
+        fn frames_round_trip_and_detect_every_flip_and_cut(
+            state_bits in 16u32..=31,
+            chunk in 0usize..4,
+            // (threads skipped, [(bytes past the previous end, state)])
+            groups in vec((0u64..200_000, vec((1u64..300_000, any::<u32>()), 0..4)), 0..5),
+            event_count in any::<u64>(),
+        ) {
+            let chunk_bytes = [1u32, 16, 64, 4096][chunk];
+            let coding = WordCoding::with_state_bits(chunk_bytes, state_bits);
+            let mut threads = Vec::new();
+            let mut thread = 0u64;
+            for (skip, deltas) in groups {
+                thread += skip;
+                let mut end = thread * chunk_bytes as u64;
+                let mut events = Vec::new();
+                for (delta, state) in deltas {
+                    // Up to four zero words per event at every width.
+                    end += 1 + delta % (4 * coding.max_delta());
+                    if end > u32::MAX as u64 {
+                        break;
+                    }
+                    events.push(MatchEvent {
+                        end: end as u32,
+                        state: state & coding.max_payload() as u32,
+                    });
+                }
+                threads.push((thread, events));
+                thread += 1;
+            }
+            let buf = encode(coding, &threads, event_count);
+            prop_assert_eq!(tallied(coding, &threads), buf.len() as u64);
+            let (back, count) = decode(&buf).unwrap();
+            prop_assert_eq!(back, flat(&threads));
+            prop_assert_eq!(count, event_count);
+            for bit in 0..buf.len() * 8 {
+                let mut bad = buf.clone();
+                bad[bit / 8] ^= 1 << (bit % 8);
+                prop_assert!(decode(&bad).is_err(), "flip at bit {} went undetected", bit);
+            }
+            for cut in 0..buf.len() {
+                prop_assert!(decode(&buf[..cut]).is_err(), "cut to {} went undetected", cut);
+            }
+        }
     }
 }

@@ -9,15 +9,15 @@
 use crate::error::GpuError;
 use crate::kernels::{
     BandedKernel, DeviceBandedStt, GlobalOnlyKernel, MatchEvent, PfacKernel, SharedKernel,
-    SharedVariant,
+    SharedVariant, WarpReadback,
 };
 use crate::layout::{KernelParams, Plan};
-use crate::readback;
+use crate::readback::{self, FrameTally, WordCoding};
 use crate::upload::{DevicePfac, DeviceStt};
 use ac_core::{AcAutomaton, Match, PfacAutomaton};
 use gpu_sim::{
     Attribution, AttributionConfig, FaultPlan, FaultState, GpuConfig, GpuDevice, InjectedFault,
-    IntrospectConfig, Introspection, LaunchConfig, LaunchStats, Observer,
+    IntrospectConfig, Introspection, LaunchConfig, LaunchStats, Launched, Observer,
 };
 use serde::{Deserialize, Serialize};
 use std::sync::{Mutex, OnceLock};
@@ -138,12 +138,17 @@ pub struct GpuRun {
     /// launched in counting mode.
     pub matches: Vec<Match>,
     /// Number of `(end, state)` match events the kernels reported — the
-    /// records a readback carries (counted even in counting mode). The
-    /// dense-table kernels report only events with an owned output; the
-    /// banded kernel reports every match state it enters. It is no bound
-    /// on `matches.len()` either way: one event can expand to several
-    /// patterns, and overlap copies still collapse on the host.
+    /// event words a readback carries (counted even in counting mode).
+    /// The dense-table kernels report only events with an owned output;
+    /// the banded kernel reports every match state it enters. It is no
+    /// bound on `matches.len()` either way: one event can expand to
+    /// several patterns, and overlap copies still collapse on the host.
     pub match_events: u64,
+    /// Exact length in bytes of the delta-coded readback frame of those
+    /// events (see [`crate::readback`]): `36 + 4w` for `w` words, tallied
+    /// in recording and counting mode alike. Every layer that prices the
+    /// device→host copy uses it.
+    pub readback_bytes: u64,
     /// Launch statistics (cycles, coalescing, conflicts, texture hit
     /// rate, …).
     pub stats: LaunchStats,
@@ -421,7 +426,10 @@ impl GpuAcMatcher {
                     PID_HOST,
                     0,
                     run.stats.cycles,
-                    vec![("match_events".to_string(), ArgValue::U64(run.match_events))],
+                    vec![
+                        ("match_events".to_string(), ArgValue::U64(run.match_events)),
+                        ("bytes".to_string(), ArgValue::U64(run.readback_bytes)),
+                    ],
                 );
                 run.trace = Some(tb);
             }
@@ -509,13 +517,20 @@ impl GpuAcMatcher {
         let threads = launch.grid_blocks as u64 * launch.threads_per_block as u64;
         let out_base = dev.alloc_global(threads * 4)?;
 
-        let (events, event_count, stats) = match approach {
+        let (
+            Collected {
+                threads: thread_events,
+                event_count,
+                bytes: readback_bytes,
+            },
+            stats,
+        ) = match approach {
             Approach::GlobalOnly => {
                 let stt = self.dev_stt.table.bind(dev)?;
                 let launched = dev.launch(launch, |geom| {
                     GlobalOnlyKernel::new(geom, plan, text_base, out_base, stt.tex, record)
                 })?;
-                collect(launched.programs, launched.stats, |p| p.take_results())
+                collect(launched, plan.coding, GlobalOnlyKernel::take_results)
             }
             Approach::SharedNaive | Approach::SharedCoalescedOnly | Approach::SharedDiagonal => {
                 let variant = match approach {
@@ -527,22 +542,15 @@ impl GpuAcMatcher {
                 let launched = dev.launch(launch, |geom| {
                     SharedKernel::new(variant, geom, plan, text_base, out_base, stt.tex, record)
                 })?;
-                collect(launched.programs, launched.stats, |p| p.take_results())
+                collect(launched, plan.coding, SharedKernel::take_results)
             }
             Approach::Pfac => {
                 let (_, dev_pfac) = self.pfac_tables();
                 let goto = dev_pfac.table.bind(dev)?;
                 let launched = dev.launch(launch, |geom| {
-                    PfacKernel::new(
-                        geom,
-                        text.len() as u64,
-                        text_base,
-                        out_base,
-                        goto.tex,
-                        record,
-                    )
+                    PfacKernel::new(geom, plan, text_base, out_base, goto.tex, record)
                 })?;
-                collect(launched.programs, launched.stats, |p| p.take_results())
+                collect(launched, plan.coding, PfacKernel::take_results)
             }
             Approach::SharedBanded => {
                 let tables = self.banded_tables()?;
@@ -555,33 +563,34 @@ impl GpuAcMatcher {
                 let launched = dev.launch(launch, |geom| {
                     BandedKernel::new(geom, plan, text_base, out_base, tex_words, root_fat, record)
                 })?;
-                let (events, count, stats) =
-                    collect(launched.programs, launched.stats, |p| p.take_results());
+                let (mut rb, stats) = collect(launched, plan.coding, BandedKernel::take_results);
                 // The kernel reports fat pointers, whose offset field
                 // indexes `new_to_old`; translate back to the automaton's
-                // ids before host-side output expansion.
-                let events = events
-                    .into_iter()
-                    .map(|ev| MatchEvent {
-                        state: tables.new_to_old
-                            [crate::kernels::banded::fat_off(ev.state) as usize],
-                        ..ev
-                    })
-                    .collect();
-                (events, count, stats)
+                // ids before framing and host-side output expansion.
+                for ev in rb.threads.iter_mut().flat_map(|(_, evs)| evs) {
+                    ev.state =
+                        tables.new_to_old[crate::kernels::banded::fat_off(ev.state) as usize];
+                }
+                (rb, stats)
             }
         };
 
         // Model the device→host result copy when faults are armed: frame
-        // the event buffer, ship it across the (corruptible) bus, and
+        // the events, ship the frame across the (corruptible) bus, and
         // verify integrity on arrival. A scheduled bit-flip surfaces here
         // as a typed corruption error — never as silently wrong matches.
-        // Unarmed runs skip this entirely (zero-cost hook).
+        // Unarmed runs skip this entirely (zero-cost hook): their copy is
+        // priced from the tally alone.
         let (events, event_count) = if dev.faults_armed() {
-            let mut buf = readback::encode(&events, event_count);
+            let mut buf = readback::encode(plan.coding, &thread_events, event_count);
+            debug_assert!(
+                !record || buf.len() as u64 == readback_bytes,
+                "the tally prices the frame encode writes"
+            );
             dev.dma_to_host(&mut buf);
             readback::decode(&buf)?
         } else {
+            let events = thread_events.into_iter().flat_map(|(_, evs)| evs).collect();
             (events, event_count)
         };
 
@@ -595,6 +604,7 @@ impl GpuAcMatcher {
             approach,
             matches,
             match_events: event_count,
+            readback_bytes,
             stats,
             launch,
             bytes: text.len(),
@@ -635,6 +645,7 @@ impl GpuAcMatcher {
                     chunk_bytes: 1,
                     overlap: 0,
                     text_len: len,
+                    coding: WordCoding::new(1, self.ac.state_count()),
                 };
                 Ok((plan, launch))
             }
@@ -686,20 +697,44 @@ impl GpuAcMatcher {
     }
 }
 
-/// Drain results from retired programs.
+/// A launch's readback as the host drains it.
+struct Collected {
+    /// `(global thread, events)` of every thread that recorded events, in
+    /// thread order (empty in counting mode).
+    threads: Vec<(u64, Vec<MatchEvent>)>,
+    /// Match events the kernels observed.
+    event_count: u64,
+    /// The frame's exact length: the threads' tallied words plus the
+    /// thread words between them.
+    bytes: u64,
+}
+
+/// Drain retired programs' readbacks. Programs come in `(block,
+/// warp_in_block)` order, which is thread order, so the frame tally adds
+/// the thread words as it goes.
 fn collect<P>(
-    programs: Vec<(gpu_sim::WarpGeometry, P)>,
-    stats: LaunchStats,
-    mut take: impl FnMut(&mut P) -> (Vec<MatchEvent>, u64),
-) -> (Vec<MatchEvent>, u64, LaunchStats) {
-    let mut events = Vec::new();
-    let mut count = 0u64;
-    for (_, mut p) in programs {
-        let (ev, c) = take(&mut p);
-        events.extend(ev);
-        count += c;
+    launched: Launched<P>,
+    coding: WordCoding,
+    mut take: impl FnMut(&mut P) -> WarpReadback,
+) -> (Collected, LaunchStats) {
+    let mut frame = FrameTally::new(coding);
+    let mut out = Collected {
+        threads: Vec::new(),
+        event_count: 0,
+        bytes: 0,
+    };
+    for (_, mut p) in launched.programs {
+        let rb = take(&mut p);
+        out.event_count += rb.event_count;
+        for t in rb.threads {
+            frame.add(t.thread, t.words);
+            if !t.events.is_empty() {
+                out.threads.push((t.thread, t.events));
+            }
+        }
     }
-    (events, count, stats)
+    out.bytes = frame.bytes();
+    (out, launched.stats)
 }
 
 /// Test-only helper shared by the kernel unit tests.
@@ -769,6 +804,7 @@ mod tests {
         let counted = m.run_counting(text, Approach::SharedDiagonal).unwrap();
         assert!(counted.matches.is_empty());
         assert_eq!(counted.match_events, full.match_events);
+        assert_eq!(counted.readback_bytes, full.readback_bytes);
         assert_eq!(
             counted.stats.cycles, full.stats.cycles,
             "timing must not depend on recording"
@@ -870,6 +906,18 @@ mod tests {
             assert!(names.contains(&host_phase), "missing {host_phase} event");
         }
         assert!(names.contains(&"sm"), "missing per-SM spans");
+        // The readback instant prices the frame the run reports.
+        let readback = tb.events().iter().find(|e| e.name == "readback").unwrap();
+        assert_eq!(
+            readback.args,
+            [
+                (
+                    "match_events".to_string(),
+                    ArgValue::U64(plain.match_events)
+                ),
+                ("bytes".to_string(), ArgValue::U64(plain.readback_bytes)),
+            ]
+        );
     }
 
     #[test]
@@ -1010,6 +1058,7 @@ mod tests {
             approach: Approach::GlobalOnly,
             matches: vec![],
             match_events: 0,
+            readback_bytes: 36,
             stats: LaunchStats {
                 cycles: 1_476_000_000,
                 ..Default::default()

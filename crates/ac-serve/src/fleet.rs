@@ -36,7 +36,9 @@
 //! park the engine until that kernel finishes and block the *next*
 //! batch's `h2d` (the classic GT200 false-serialisation). The loop
 //! therefore issues staged: a batch's `d2h` is held only while its kernel
-//! is still running at the next dispatch. Before every new upload,
+//! is still running at the next dispatch, and so is each segment `d2h`
+//! of a scattered job, which completes when its last one lands. Before
+//! every new upload,
 //! `take_ready_readbacks` releases each held readback whose kernel has
 //! finished by the dispatch instant, in kernel-completion order — what a
 //! host woken by kernel-end callbacks would have issued — so a finished
@@ -126,7 +128,6 @@ use crate::slo::{AdmissionController, SheddedJob};
 use crate::telemetry::ServeTelemetry;
 use ac_core::{AcAutomaton, Match};
 use ac_cpu::{par_find_all, ParallelConfig};
-use ac_gpu::readback::readback_bytes;
 use ac_gpu::supervise::SuperviseReport;
 use ac_gpu::{run_supervised, DevicePool, GpuAcMatcher, GpuError, PcieConfig, PooledBuffer};
 use cpu_sim::simulate_multicore;
@@ -469,10 +470,14 @@ struct FleetState {
     faults_fired: u64,
     batches: u64,
     payload_bytes: u64,
+    readback_bytes: u64,
     histogram: BTreeMap<usize, u64>,
     per_dev_batches: Vec<u64>,
     per_dev_jobs: Vec<u64>,
     scattered_jobs: u64,
+    /// Scattered jobs with segment readbacks still held, by scatter
+    /// number.
+    scatters: BTreeMap<u64, HeldScatter>,
 }
 
 impl FleetState {
@@ -508,8 +513,9 @@ impl FleetState {
         }
     }
 
-    /// Flush one held readback through the bus and record its outcomes
-    /// under the fleet-global stream id.
+    /// Flush one held readback through the bus and record what it
+    /// answers: a batch's outcomes under the fleet-global stream id, or
+    /// a scattered job's once its last segment lands.
     fn flush_pending(&mut self, device: usize, streams_per_device: u32, p: PendingReadback) {
         self.tag_device(Some(device));
         let local = p.stream;
@@ -522,15 +528,54 @@ impl FleetState {
             0.0,
         );
         let done = self.engines[device].stream_ready(local);
-        self.per_dev_jobs[device] += p.batch.len() as u64;
+        match p.lands {
+            Landing::Batch {
+                batch,
+                per_job,
+                dispatch_seconds,
+                retries,
+            } => {
+                self.per_dev_jobs[device] += batch.len() as u64;
+                record_outcomes(
+                    done,
+                    ServedBy::Gpu,
+                    device as u32 * streams_per_device + local,
+                    batch,
+                    per_job,
+                    dispatch_seconds,
+                    retries,
+                    &mut self.outcomes,
+                    &mut self.slo,
+                    &mut self.tel,
+                );
+            }
+            Landing::Shard(key) => self.land_shard(key, done),
+        }
+    }
+
+    /// One segment readback of held scattered job `key` ended at `done`;
+    /// the last one completes the job at the slowest segment's end.
+    fn land_shard(&mut self, key: u64, done: f64) {
+        let held = self
+            .scatters
+            .get_mut(&key)
+            .expect("a shard readback belongs to a held scatter");
+        held.done = held.done.max(done);
+        held.outstanding -= 1;
+        if held.outstanding > 0 {
+            return;
+        }
+        let held = self.scatters.remove(&key).expect("present above");
+        self.per_dev_jobs[held.first_device] += 1;
+        self.tag_device(None);
         record_outcomes(
-            done,
+            held.done,
             ServedBy::Gpu,
-            device as u32 * streams_per_device + local,
-            p.batch,
-            p.per_job,
-            p.dispatch_seconds,
-            p.retries,
+            held.first_stream,
+            vec![held.job],
+            vec![held.matches],
+            held.dispatch_seconds,
+            0,
             &mut self.outcomes,
             &mut self.slo,
             &mut self.tel,
@@ -771,10 +816,12 @@ pub fn serve_fleet(
         faults_fired: 0,
         batches: 0,
         payload_bytes: 0,
+        readback_bytes: 0,
         histogram: BTreeMap::new(),
         per_dev_batches: vec![0; devices],
         per_dev_jobs: vec![0; devices],
         scattered_jobs: 0,
+        scatters: BTreeMap::new(),
     };
 
     run_queues(&mut st, &jobs, dcfg, gap, clock_hz, &matcher_for)?;
@@ -891,6 +938,7 @@ pub fn serve_fleet(
         jobs_per_sec: rate(st.outcomes.len() as f64, makespan),
         effective_gbps: rate(st.payload_bytes as f64 * 8.0 / 1.0e9, makespan),
         payload_bytes: st.payload_bytes,
+        readback_bytes: st.readback_bytes,
         copy_utilisation: merged.utilisation(EngineKind::Copy),
         compute_utilisation: merged.utilisation(EngineKind::Compute),
         batch_histogram: std::mem::take(&mut st.histogram)
@@ -967,7 +1015,7 @@ fn fit_tier_models(
         let payload = probe_payload(bytes);
         let sup = run_supervised(matcher, &payload, dcfg.approach, &dcfg.supervise).ok()?;
         let h2d = pcie.copy_seconds(bytes);
-        let d2h = pcie.copy_seconds(readback_bytes(sup.run.match_events) as usize);
+        let d2h = pcie.copy_seconds(sup.run.readback_bytes as usize);
         Some(h2d + sup.run.seconds() + d2h)
     };
     let gpu_model = match (gpu_probe(small), gpu_probe(large)) {
@@ -1191,7 +1239,8 @@ fn dispatch_gpu_batch(
             let penalty =
                 sup.report.penalty_cycles(dcfg.supervise.watchdog_cycles) as f64 / clock_hz;
             let per_job = demux_matches(&sup.run.matches, &assembled.spans);
-            let rb_bytes = readback_bytes(sup.run.match_events);
+            let rb_bytes = sup.run.readback_bytes;
+            st.readback_bytes += rb_bytes;
             let (lease, setup) = lease_batch_buffers(
                 st.pools[dev].as_ref(),
                 &mut st.pool_charged[dev],
@@ -1230,10 +1279,12 @@ fn dispatch_gpu_batch(
                 stream,
                 label,
                 rb_bytes,
-                batch,
-                per_job,
-                dispatch_seconds: dispatch,
-                retries: sup.report.retries as u64,
+                lands: Landing::Batch {
+                    batch,
+                    per_job,
+                    dispatch_seconds: dispatch,
+                    retries: sup.report.retries as u64,
+                },
                 _lease: lease,
             });
         }
@@ -1293,11 +1344,11 @@ fn dispatch_gpu_batch(
 
 /// Serve one oversized job by sharding it across every device: each
 /// segment's `h2d`/kernel/`d2h` chain runs on its device's next free
-/// stream, and the job completes when the slowest segment does. The
-/// chains are issued one device after another, but the bus grants in
-/// time order, so each upload goes ahead of the readbacks already
-/// reserved at earlier segments' kernel ends and the segments run in
-/// parallel. Any segment failure fails the whole job
+/// stream, and the job completes when the slowest segment does. Each
+/// segment's `d2h` is held under the staged-issue rule, exactly like a
+/// batch's, so the next job's uploads are not parked behind it on a
+/// FIFO copy engine; the bus grants in time order, so the segments run
+/// in parallel. Any segment failure fails the whole job
 /// over to the CPU ladder — shard results are all-or-nothing. A device
 /// pool too small for a shard is a fatal [`GpuError::Device`].
 #[allow(clippy::too_many_arguments)]
@@ -1361,15 +1412,27 @@ fn scatter_job<'a>(
         }
     }
 
-    let mut done_max = dispatch;
-    let mut first_stream = 0u32;
+    // The job is at least `scatter_min` (≥ 1) bytes long, so it has a
+    // segment; it completes when the last segment's readback lands.
+    let first = segments[0].device as usize;
     let per_segment: Vec<Vec<Match>> = runs.iter().map(|sup| sup.run.matches.clone()).collect();
-    for (i, (seg, sup)) in segments.iter().zip(&runs).enumerate() {
+    let key = st.batches - 1;
+    st.scatters.insert(
+        key,
+        HeldScatter {
+            matches: merge_shard_matches(&segments, &per_segment),
+            first_device: first,
+            first_stream: first as u32 * streams_per_device
+                + st.engines[first].next_free_stream().0,
+            dispatch_seconds: dispatch,
+            outstanding: segments.len(),
+            done: dispatch,
+            job,
+        },
+    );
+    for (seg, sup) in segments.iter().zip(&runs) {
         let d = seg.device as usize;
         let (stream, _) = st.engines[d].next_free_stream();
-        if i == 0 {
-            first_stream = d as u32 * streams_per_device + stream;
-        }
         if let Some(p) = st.pendings[d][stream as usize].take() {
             st.flush_pending(d, streams_per_device, p);
         }
@@ -1377,7 +1440,8 @@ fn scatter_job<'a>(
         let label = format!("{label_base}-d{d}");
         let bytes = seg.scan_end - seg.scan_start;
         let penalty = sup.report.penalty_cycles(dcfg.supervise.watchdog_cycles) as f64 / clock_hz;
-        let rb_bytes = readback_bytes(sup.run.match_events);
+        let rb_bytes = sup.run.readback_bytes;
+        st.readback_bytes += rb_bytes;
         let (lease, setup) = lease_batch_buffers(
             st.pools[d].as_ref(),
             &mut st.pool_charged[d],
@@ -1400,38 +1464,20 @@ fn scatter_job<'a>(
             sup.run.seconds() + penalty,
             0,
         );
-        // Scatter readbacks are not staged: the job is latency-bound on
-        // its slowest segment, so the `d2h` goes straight onto the bus.
-        st.submit_copy(d, stream, StreamOpKind::CopyD2H, &label, rb_bytes, 0.0);
-        drop(lease);
-        let done = st.engines[d].stream_ready(stream);
-        st.breakers[d].record_success(done);
+        st.breakers[d].record_success(st.engines[d].stream_ready(stream));
         st.per_dev_batches[d] += 1;
-        done_max = done_max.max(done);
+        // Staged like a batch's: held while the kernel runs, so the next
+        // job's upload is not parked behind it on the FIFO copy engine.
+        st.pendings[d][stream as usize] = Some(PendingReadback {
+            stream,
+            label,
+            rb_bytes,
+            lands: Landing::Shard(key),
+            _lease: lease,
+        });
     }
 
-    let matches = merge_shard_matches(&segments, &per_segment);
-    let latency = done_max - job.arrival_seconds;
-    if let Some(c) = st.slo.as_mut() {
-        c.observe(latency);
-    }
-    let outcome = JobOutcome {
-        id: job.id,
-        matches,
-        completed_seconds: done_max,
-        latency_seconds: latency,
-        batch_jobs: 1,
-        stream: first_stream,
-        served_by: ServedBy::Gpu,
-    };
-    if !segments.is_empty() {
-        st.per_dev_jobs[segments[0].device as usize] += 1;
-    }
     st.tag_device(None);
-    if let Some(t) = st.tel.as_mut() {
-        t.job_completed(&job, &outcome, dispatch, 0);
-    }
-    st.outcomes.push(outcome);
     st.scattered_jobs += 1;
     Ok(())
 }
@@ -1510,25 +1556,56 @@ fn run_cpu_batch(
     done
 }
 
-/// A batch whose kernel has been issued but whose readback is held only
-/// while its kernel is still running at the next dispatch (staged issue,
-/// see module docs). Each device holds one slot per stream.
+/// A batch or shard whose kernel has been issued but whose readback is
+/// held only while its kernel is still running at the next dispatch
+/// (staged issue, see module docs). Each device holds one slot per
+/// stream.
 struct PendingReadback {
     stream: u32,
     label: String,
     /// Logical readback bytes (the `d2h` is priced and recorded at this
     /// size; the bus arbiter derives its own traffic from it).
     rb_bytes: u64,
-    batch: Vec<ScanJob>,
-    per_job: Vec<Vec<Match>>,
-    /// When the batch was dispatched (host bookkeeping for the service
-    /// span; never fed back into timing).
-    dispatch_seconds: f64,
-    /// Supervised retries the batch absorbed.
-    retries: u64,
-    /// The batch's pooled device buffers, held only to keep the blocks
-    /// leased; dropping the readback returns them to the pool.
+    /// What the readback answers when it lands.
+    lands: Landing,
+    /// The pooled device buffers, held only to keep the blocks leased;
+    /// dropping the readback returns them to the pool.
     _lease: Option<BatchLease>,
+}
+
+/// What a held readback answers when its `d2h` ends.
+enum Landing {
+    /// A batch: every job's outcome is recorded at the `d2h`'s end.
+    Batch {
+        batch: Vec<ScanJob>,
+        per_job: Vec<Vec<Match>>,
+        /// When the batch was dispatched (host bookkeeping for the
+        /// service span; never fed back into timing).
+        dispatch_seconds: f64,
+        /// Supervised retries the batch absorbed.
+        retries: u64,
+    },
+    /// One segment of the scattered job held under this key in
+    /// `FleetState::scatters`.
+    Shard(u64),
+}
+
+/// A scattered job whose segments' readbacks have not all landed: it
+/// completes when the last one does.
+struct HeldScatter {
+    job: ScanJob,
+    /// The merged, exactly-once matches of every segment.
+    matches: Vec<Match>,
+    /// Device of the first segment, which the job is counted against.
+    first_device: usize,
+    /// Fleet-global stream of the first segment.
+    first_stream: u32,
+    dispatch_seconds: f64,
+    /// Segments whose readback is still held.
+    outstanding: usize,
+    /// The latest end of a landed segment readback (the dispatch instant
+    /// before any lands).
+    done: f64,
 }
 
 /// Take every held readback whose kernel has finished by `now`
@@ -1876,17 +1953,17 @@ mod tests {
                 2,
                 2,
                 &[(23, 25), (23, 39)],
-                0.0006624759105691056,
-                67.9669620596207,
-                84.33155284552846,
+                0.0006624105772357723,
+                67.88037669376695,
+                84.23088617886182,
             ),
             (
                 4,
                 1,
-                &[(13, 19), (13, 17), (13, 13), (13, 15)],
-                0.0006550199688346884,
-                60.91529234417332,
-                71.73813143631435,
+                &[(13, 19), (13, 16), (13, 15), (12, 14)],
+                0.0006428212222222225,
+                59.919873644986396,
+                71.322798102981,
             ),
         ];
         for (devices, streams, per_device, makespan, p50, p99) in pins {
@@ -1941,11 +2018,11 @@ mod tests {
                 (0.00025991999999999996, BreakerState::HalfOpen),
                 (0.0002701733333333333, BreakerState::Open),
                 (0.0005040499999999999, BreakerState::HalfOpen),
-                (0.000588053598915989, BreakerState::Closed),
+                (0.000587985598915989, BreakerState::Closed),
             ]
         );
-        assert_eq!(r.makespan_seconds, 0.000647929909214092);
-        assert_eq!(r.p99_latency_us, 90.56990921409212);
+        assert_eq!(r.makespan_seconds, 0.0006474899092140922);
+        assert_eq!(r.p99_latency_us, 90.12990921409224);
     }
 
     #[test]
@@ -2029,10 +2106,10 @@ mod tests {
 
     #[test]
     fn scattered_shards_run_in_parallel() {
-        // Each device's readback is reserved on the bus at its kernel's
-        // end before the next device's upload is acquired. The upload
-        // must take the free bus ahead of it, so the segments overlap
-        // instead of running one after another.
+        // Each segment's readback is held while its kernel runs, so every
+        // device's upload is acquired before any readback and none has to
+        // backfill ahead of one. The segments must overlap instead of
+        // running one after another.
         let m = matcher();
         let payload: Vec<u8> = b"the king and her mother were singing a motion "
             .iter()
@@ -2060,7 +2137,7 @@ mod tests {
                 h2d.start
             );
         }
-        assert_eq!(fleet.report.bus.backfilled, 3);
+        assert_eq!(fleet.report.bus.backfilled, 0);
         // Uploads still share the bus, but the job takes well under two
         // segments' chains, where serialised shards would take four.
         let d0 = &fleet.timelines[0];
@@ -2070,6 +2147,46 @@ mod tests {
             latency < 2.0 * chain,
             "latency {latency}s is not below two segment chains of {chain}s"
         );
+    }
+
+    #[test]
+    fn scattered_readbacks_do_not_park_the_next_upload() {
+        // Two sharded jobs at once on two streams per device: the second
+        // job's upload must run while the first job's kernel does, not
+        // wait on the FIFO copy engine behind the first job's readback.
+        let m = matcher();
+        let payload: Vec<u8> = b"the king and her mother were singing a motion "
+            .iter()
+            .cycle()
+            .take(256 * 1024)
+            .copied()
+            .collect();
+        let jobs = vec![
+            ScanJob::new(0, payload.clone(), 0.0),
+            ScanJob::new(1, payload, 1.0e-6),
+        ];
+        let mut fcfg = FleetConfig::new(4, ServeConfig::new(2));
+        fcfg.shard_bytes = Some(64 * 1024);
+        let fleet = serve_fleet(&m, jobs, &fcfg).unwrap();
+        assert_eq!(fleet.report.scattered_jobs, 2);
+        assert_eq!(fleet.serve.report.jobs_completed, 2);
+        for (d, t) in fleet.timelines.iter().enumerate() {
+            let op = |label: &str, kind: StreamOpKind| {
+                t.ops
+                    .iter()
+                    .find(|op| op.label == label && op.kind == kind)
+                    .unwrap()
+                    .clone()
+            };
+            let first_d2h = op(&format!("scatter0-d{d}"), StreamOpKind::CopyD2H);
+            let second_h2d = op(&format!("scatter1-d{d}"), StreamOpKind::CopyH2D);
+            assert!(
+                second_h2d.end <= first_d2h.start,
+                "device {d}: the second upload ends at {}s, after the first readback starts at {}s",
+                second_h2d.end,
+                first_d2h.start
+            );
+        }
     }
 
     #[test]

@@ -115,6 +115,11 @@ pub struct ServeReport {
     pub effective_gbps: f64,
     /// Total payload bytes of completed jobs.
     pub payload_bytes: u64,
+    /// Readback frame bytes copied device→host, summed over GPU batches
+    /// and scatter segments (`#[serde(default)]`: absent in reports from
+    /// before the word frame).
+    #[serde(default)]
+    pub readback_bytes: u64,
     /// Fraction of the makespan the DMA engine was busy.
     pub copy_utilisation: f64,
     /// Fraction of the makespan the compute engine was busy.
@@ -293,6 +298,7 @@ mod tests {
             jobs_per_sec: 18.0,
             effective_gbps: 1.5,
             payload_bytes: 9000,
+            readback_bytes: 4_321,
             copy_utilisation: 0.4,
             compute_utilisation: 0.8,
             batch_histogram: vec![BatchBucket { jobs: 3, count: 3 }],
@@ -414,6 +420,7 @@ mod tests {
             jobs_per_sec: 10.0,
             effective_gbps: 0.1,
             payload_bytes: 100,
+            readback_bytes: 0,
             copy_utilisation: 0.1,
             compute_utilisation: 0.2,
             batch_histogram: vec![],
@@ -426,6 +433,7 @@ mod tests {
             "\"cpu_fallback_batches\"",
             "\"gpu_retries\"",
             "\"faults_fired\"",
+            "\"readback_bytes\"",
         ];
         // Drop the (interior) resilience lines from the pretty JSON to
         // reconstruct what an old artifact looked like.

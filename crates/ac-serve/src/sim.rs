@@ -266,6 +266,16 @@ mod tests {
         assert!(run.outcomes.iter().all(|o| o.latency_seconds > 0.0));
         let hist_total: u64 = run.report.batch_histogram.iter().map(|b| b.count).sum();
         assert_eq!(hist_total, run.report.batches);
+        // The report's readback total is what the `d2h` ops copied.
+        let d2h_bytes: u64 = run
+            .timeline
+            .ops
+            .iter()
+            .filter(|op| op.kind == StreamOpKind::CopyD2H)
+            .map(|op| op.bytes)
+            .sum();
+        assert_eq!(run.report.readback_bytes, d2h_bytes);
+        assert!(d2h_bytes >= 36 * run.report.batches);
     }
 
     #[test]
@@ -724,6 +734,34 @@ mod tests {
         }
     }
 
+    /// The fleet harness's dictionaries: 0 the default, 1 one that never
+    /// matches the harness text (empty readback frames), 2 a one-byte
+    /// pattern (two states: the frame's payload width at its 16-bit
+    /// floor), 3 the default plus the longest pattern the default
+    /// `KernelParams` accept (an overlap as long as the shared tile
+    /// allows, so every window reaches across many chunks).
+    fn fleet_matcher(dictionary: usize) -> GpuAcMatcher {
+        let cfg = GpuConfig::gtx285();
+        let params = KernelParams::defaults_for(&cfg);
+        let longest = "the king and her mother were singing a motion "
+            .repeat(200)
+            .chars()
+            .take(
+                (cfg.shared_mem_bytes - params.threads_per_block * params.shared_chunk_bytes)
+                    as usize
+                    + 1,
+            )
+            .collect::<String>();
+        let pats: Vec<&str> = match dictionary {
+            0 => return matcher(),
+            1 => vec!["qqq"],
+            2 => vec!["a"],
+            _ => vec!["the", "and", "ing", "tion", "her", &longest],
+        };
+        let ac = AcAutomaton::build(&PatternSet::from_strs(&pats).unwrap());
+        GpuAcMatcher::new(cfg, params, ac).unwrap()
+    }
+
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(32))]
 
@@ -736,8 +774,15 @@ mod tests {
             pooled in proptest::prelude::any::<bool>(),
             queue_capacity in 1usize..=8,
             deadline_us in proptest::sample::select(vec![None, Some(5u32), Some(60)]),
+            dictionary in 0usize..4,
+            fault_seed in 0u64..16,
         ) {
-            let m = matcher();
+            let m = fleet_matcher(dictionary);
+            // Seeds 0..8 arm a generated plan, so readback bit flips cross
+            // the frame decoder on the serving path; 8..16 run clean.
+            if fault_seed < 8 {
+                m.set_fault_plan(gpu_sim::FaultPlan::generate(fault_seed));
+            }
             let jobs: Vec<ScanJob> = jobs_from(&arrivals)
                 .into_iter()
                 .map(|j| match deadline_us {
@@ -758,6 +803,13 @@ mod tests {
                 cfg = cfg.parity();
             }
             cfg.shard_bytes = shard_bytes;
+            if let (3, Some(router)) = (dictionary, cfg.routing.as_mut()) {
+                // Every lane of a 64 KiB calibration probe would scan the
+                // 8 KiB overlap; probes at the jobs' scale keep the case
+                // fast.
+                router.probe_small_bytes = 512;
+                router.probe_large_bytes = 4 << 10;
+            }
             // A leaked lease would panic in the per-device pool drains.
             let run = serve_fleet(&m, jobs.clone(), &cfg).unwrap();
             assert_one_terminal_event_each(&m, &jobs, &run.serve);

@@ -226,7 +226,7 @@ pub fn explain(
     // cycles are host-memory-independent, so the end-to-end pipeline is
     // the baseline kernel time plus each model's serial h2d + d2h cost.
     let kernel_seconds = baseline.seconds();
-    let rb_bytes = ac_gpu::readback::readback_bytes(baseline.match_events) as usize;
+    let rb_bytes = baseline.readback_bytes as usize;
     let e2e = |pcie: ac_gpu::PcieConfig| -> f64 {
         let total = pcie.copy_seconds(text.len()) + kernel_seconds + pcie.copy_seconds(rb_bytes);
         text.len() as f64 * 8.0 / total / 1.0e9

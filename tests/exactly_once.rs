@@ -9,14 +9,17 @@
 //! the host's sort + dedup collapses the copies that remain. Each case
 //! runs every kernel twice: with faults disarmed (events go straight to
 //! expansion) and with an empty fault plan armed (events go through the
-//! framed readback encode/decode). A second property pins the dense
+//! framed readback encode/decode), and checks that a counting run prices
+//! the same readback frame. A second property pins the dense
 //! kernels' event stream itself against a host walk of the same plan. A
 //! third runs the shared-tile kernels at the block sizes the launch
 //! planner picks on a two-SM device, where a few tens of KiB already span
-//! several resident rounds.
+//! several resident rounds. A last test bounds the readback frame on
+//! corpus text.
 
 use ac_core::{naive, AcAutomaton, PatternSet};
 use ac_gpu::{Approach, GpuAcMatcher, KernelParams, Plan};
+use corpus::{extract_patterns, ExtractConfig, TextGenerator};
 use gpu_sim::{FaultPlan, GpuConfig};
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -73,6 +76,10 @@ proptest! {
                     m.clear_fault_plan();
                 }
                 prop_assert_eq!(&run.matches, &want, "{:?}, faults armed: {}", approach, armed);
+                // The frame is tallied as lanes report, in counting mode
+                // too, so both modes price the same readback.
+                let counted = m.run_counting(&text, approach).unwrap();
+                prop_assert_eq!(counted.readback_bytes, run.readback_bytes, "{:?}", approach);
             }
         }
     }
@@ -251,6 +258,54 @@ proptest! {
                         );
                     }
                 }
+            }
+        }
+    }
+}
+
+/// The delta-coded frame costs at most two words per event (a thread word
+/// and an event word) on sparse and tiny dictionaries over corpus text:
+/// never more than `36 + 8 × match_events` bytes, the budget of one
+/// 8-byte record per event plus the frame.
+#[test]
+fn readback_frames_stay_within_two_words_per_event() {
+    let text = TextGenerator::new(3).generate(256 << 10);
+    let elsewhere = TextGenerator::new(11).generate(64 << 10);
+    let sparse = extract_patterns(
+        &elsewhere,
+        &ExtractConfig {
+            min_len: 8,
+            ..ExtractConfig::paper_default(200, 5)
+        },
+    );
+    let tiny = PatternSet::from_strs(&["the", "of"]).unwrap();
+    // DEL never occurs in generated text: an empty, 36-byte frame.
+    let never = PatternSet::from_strs(&["\u{7f}"]).unwrap();
+    let cfg = GpuConfig::gtx285();
+    for (name, ps) in [("sparse", sparse), ("tiny", tiny), ("never", never)] {
+        let m = GpuAcMatcher::new(
+            cfg,
+            KernelParams::defaults_for(&cfg),
+            AcAutomaton::build(&ps),
+        )
+        .unwrap();
+        for approach in Approach::all() {
+            let run = m.run_counting(&text, approach).unwrap();
+            let bound = 36 + 8 * run.match_events;
+            assert!(
+                run.readback_bytes <= bound,
+                "{name} {approach:?}: {} frame bytes for {} events",
+                run.readback_bytes,
+                run.match_events
+            );
+            if name == "never" {
+                assert_eq!(
+                    (run.match_events, run.readback_bytes),
+                    (0, 36),
+                    "{approach:?}"
+                );
+            } else {
+                assert!(run.match_events > 0, "{name} {approach:?} matched nothing");
             }
         }
     }

@@ -59,6 +59,7 @@ fn disabled_and_empty_plan_runs_are_bit_identical() {
         );
         assert_eq!(run.matches, plain.matches, "{approach:?}");
         assert_eq!(run.match_events, plain.match_events, "{approach:?}");
+        assert_eq!(run.readback_bytes, plain.readback_bytes, "{approach:?}");
 
         // Same matcher after disarming: still identical.
         armed.clear_fault_plan();
@@ -140,6 +141,7 @@ fn assert_observers_leave_runs_bit_identical(
         assert_eq!(seen.stats, plain.stats, "{what}: stats drifted");
         assert_eq!(seen.matches, plain.matches, "{what}");
         assert_eq!(seen.match_events, plain.match_events, "{what}");
+        assert_eq!(seen.readback_bytes, plain.readback_bytes, "{what}");
         assert_eq!(seen.trace.is_some(), trace.is_some(), "{what}");
         assert_eq!(seen.introspection.is_some(), introspect.is_some(), "{what}");
         assert_eq!(seen.attribution.is_some(), attribution.is_some(), "{what}");
@@ -342,4 +344,5 @@ fn counting_mode_timing_unaffected_by_armed_empty_plan() {
     let counted = armed.run_counting(&text, Approach::SharedDiagonal).unwrap();
     assert_eq!(counted.stats, plain.stats);
     assert_eq!(counted.match_events, plain.match_events);
+    assert_eq!(counted.readback_bytes, plain.readback_bytes);
 }
