@@ -636,7 +636,7 @@ mod tests {
             threads_per_block: 32,
             global_chunk_bytes: 64,
             shared_chunk_bytes: 64,
-            pin_threads_per_block: false,
+            pin_paper_launch: false,
         };
         let ps = PatternSet::from_strs(&["he", "she", "his", "hers"]).unwrap();
         let ac = AcAutomaton::build(&ps);

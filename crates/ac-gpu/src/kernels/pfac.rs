@@ -203,7 +203,7 @@ mod tests {
             threads_per_block: 32,
             global_chunk_bytes: 8,
             shared_chunk_bytes: 64,
-            pin_threads_per_block: false,
+            pin_paper_launch: false,
         };
         let (matches, stats) = build_rig(
             &cfg,

@@ -1,7 +1,9 @@
-//! Host-side launch planning: chunk sizes, grid geometry, and the shared
-//! staging layout (including the paper's diagonal bank mapping).
+//! Host-side launch planning: which kernel a launch runs, chunk sizes,
+//! grid geometry, and the shared staging layout (including the paper's
+//! diagonal bank mapping).
 
 use crate::readback::WordCoding;
+use crate::runner::Approach;
 use ac_core::AcAutomaton;
 use gpu_sim::{GpuConfig, LaunchConfig};
 use serde::{Deserialize, Serialize};
@@ -13,7 +15,7 @@ pub struct KernelParams {
     /// Threads per block. For the shared-memory kernels this is the
     /// *largest* block the launch planner may pick ([`Plan::shared`]),
     /// the same way `global_chunk_bytes` caps the global-only chunk;
-    /// `pin_threads_per_block` makes it exact.
+    /// `pin_paper_launch` makes it exact.
     pub threads_per_block: u32,
     /// Bytes owned by each thread in the global-only kernel ("divide the
     /// input text into many chunks and assign one chunk to each thread").
@@ -23,38 +25,42 @@ pub struct KernelParams {
     /// default 128 threads to the paper's "8~12KB for the input text data
     /// out of 16KB".
     pub shared_chunk_bytes: u32,
-    /// Launch the shared-memory kernels at exactly `threads_per_block`
-    /// instead of letting the planner pick a smaller block: the paper's
-    /// fixed tile, which the figure reproduction keeps. Set only by
-    /// [`KernelParams::paper`]; params serialized before this field
-    /// existed parse as unpinned.
-    #[serde(default)]
-    pub pin_threads_per_block: bool,
+    /// Pin the paper's launch shape: the shared-memory kernels run at
+    /// exactly `threads_per_block` instead of a planned smaller block,
+    /// and every launch runs the kernel it names instead of switching to
+    /// PFAC for one-round launches ([`Plan::kernel`]). The figure
+    /// reproduction keeps this shape. Set only by [`KernelParams::paper`];
+    /// params serialized before this field existed parse as unpinned, and
+    /// its earlier name `pin_threads_per_block` still parses.
+    #[serde(default, alias = "pin_threads_per_block")]
+    pub pin_paper_launch: bool,
 }
 
 impl KernelParams {
     /// Paper-flavoured defaults for a device: blocks of up to 128
     /// threads; shared tile ≈ 8 KB at 128 threads × 64-byte chunks; 4 KB
-    /// global chunks. The planner keeps 128 threads for every launch that
-    /// fits one resident round and shrinks the block only for larger
-    /// scans ([`Plan::shared`]).
+    /// global chunks. The planner runs PFAC for launches whose
+    /// one-thread-per-byte grid fits one resident round ([`Plan::kernel`]),
+    /// keeps 128 threads for every shared launch that fits one round, and
+    /// shrinks the block only for larger scans ([`Plan::shared`]).
     pub fn defaults_for(cfg: &GpuConfig) -> Self {
         let threads_per_block = (4 * cfg.warp_size).max(cfg.warp_size);
         KernelParams {
             threads_per_block,
             global_chunk_bytes: 4096,
             shared_chunk_bytes: 64,
-            pin_threads_per_block: false,
+            pin_paper_launch: false,
         }
     }
 
     /// The paper's launch shape: [`KernelParams::defaults_for`] with the
-    /// block size pinned, so every shared-memory launch uses the paper's
-    /// 128-thread, ≈ 8 KB tile at any input size. The figure grid uses
-    /// it; serving and the CLI use the planned defaults.
+    /// shape pinned, so every shared-memory launch uses the paper's
+    /// 128-thread, ≈ 8 KB tile at any input size and no launch switches
+    /// kernels. The figure grid uses it; serving and the CLI use the
+    /// planned defaults.
     pub fn paper(cfg: &GpuConfig) -> Self {
         KernelParams {
-            pin_threads_per_block: true,
+            pin_paper_launch: true,
             ..Self::defaults_for(cfg)
         }
     }
@@ -126,6 +132,72 @@ pub struct Plan {
 }
 
 impl Plan {
+    /// The kernel a launch of `text_len` bytes runs when the caller
+    /// configured `configured`: PFAC when its one-thread-per-byte grid
+    /// fits one resident round, that is when `text_len ≤ num_sms ×
+    /// resident_blocks_per_sm × threads_per_block` (30,720 B on the
+    /// GTX 285), else `configured`. Pinned params never switch.
+    ///
+    /// A one-round launch leaves most SMs idle under the chunked kernels:
+    /// 16 KiB is two 128-thread tiles on 2 of the 30 SMs, each thread
+    /// making 64 + X dependent texture fetches. PFAC spreads the same
+    /// bytes over every SM with one short walk per thread (DESIGN.md §4l).
+    pub fn kernel(
+        params: &KernelParams,
+        cfg: &GpuConfig,
+        configured: Approach,
+        text_len: u64,
+    ) -> Approach {
+        match Self::pfac_limit(params, cfg) {
+            Some(limit) if text_len <= limit => Approach::Pfac,
+            _ => configured,
+        }
+    }
+
+    /// The longest launch [`Plan::kernel`] runs as PFAC: one resident
+    /// round of PFAC's one-thread-per-byte grid, or `None` for pinned
+    /// params, which never switch.
+    pub fn pfac_limit(params: &KernelParams, cfg: &GpuConfig) -> Option<u64> {
+        if params.pin_paper_launch {
+            return None;
+        }
+        let per_block = Self::pfac_launch(params, 0);
+        Some(
+            cfg.num_sms as u64
+                * per_block.resident_blocks_per_sm(cfg) as u64
+                * params.threads_per_block as u64,
+        )
+    }
+
+    /// PFAC's grid: one thread per byte in `threads_per_block` blocks.
+    fn pfac_launch(params: &KernelParams, text_len: u64) -> LaunchConfig {
+        LaunchConfig {
+            grid_blocks: text_len.div_ceil(params.threads_per_block as u64).max(1) as u32,
+            threads_per_block: params.threads_per_block,
+            shared_bytes_per_block: 0,
+            resident_blocks_cap: None,
+        }
+    }
+
+    /// Plan the PFAC kernel: one thread per byte, each walking the
+    /// failureless trie from its anchor (no chunk, no overlap).
+    pub fn pfac(
+        params: &KernelParams,
+        cfg: &GpuConfig,
+        ac: &AcAutomaton,
+        text_len: u64,
+    ) -> Result<Plan, String> {
+        let launch = Self::pfac_launch(params, text_len);
+        launch.validate(cfg)?;
+        Ok(Plan {
+            launch,
+            chunk_bytes: 1,
+            overlap: 0,
+            text_len,
+            coding: WordCoding::new(1, ac.state_count()),
+        })
+    }
+
     /// Plan the global-only kernel: one chunk per thread, grid sized to
     /// cover the text.
     ///
@@ -180,7 +252,7 @@ impl Plan {
 
     /// Plan a shared-memory kernel: one tile per block.
     ///
-    /// Unless `params.pin_threads_per_block` is set, the block size is
+    /// Unless `params.pin_paper_launch` is set, the block size is
     /// planned: among warp multiples up to `params.threads_per_block`
     /// whose tile fits shared memory, pick the one that needs the fewest
     /// resident rounds, breaking ties toward the larger block. Blocks go
@@ -207,7 +279,7 @@ impl Plan {
             shared_bytes_per_block: params.tile_bytes(threads, ac),
             resident_blocks_cap: None,
         };
-        let launch = if params.pin_threads_per_block {
+        let launch = if params.pin_paper_launch {
             launch_at(params.threads_per_block)
         } else {
             // Rounds on the busiest SM, counting full blocks only.
@@ -412,6 +484,31 @@ mod tests {
     }
 
     #[test]
+    fn pfac_runs_exactly_the_launches_that_fit_one_round() {
+        // One round of 128-thread PFAC blocks: 30 SMs × 8 resident on the
+        // GTX 285, 14 SMs × 8 on the C2050 (its 48 warps would hold 12,
+        // the 8-block limit binds first).
+        for (cfg, round) in [
+            (GpuConfig::gtx285(), 30_720),
+            (GpuConfig::fermi_c2050(), 14_336),
+        ] {
+            let planned = KernelParams::defaults_for(&cfg);
+            let pinned = KernelParams::paper(&cfg);
+            assert_eq!(Plan::pfac_limit(&planned, &cfg), Some(round));
+            assert_eq!(Plan::pfac_limit(&pinned, &cfg), None);
+            for approach in [Approach::SharedDiagonal, Approach::SharedBanded] {
+                for len in [0, 1, round - 1, round] {
+                    assert_eq!(Plan::kernel(&planned, &cfg, approach, len), Approach::Pfac);
+                }
+                assert_eq!(Plan::kernel(&planned, &cfg, approach, round + 1), approach);
+                for len in [0, round - 1, round, round + 1] {
+                    assert_eq!(Plan::kernel(&pinned, &cfg, approach, len), approach);
+                }
+            }
+        }
+    }
+
+    #[test]
     fn a_tail_block_is_not_a_round() {
         // One byte past 30 full tiles: the 31st block is a one-byte tail
         // on SM 0. Counting it as a second round would pick 96 threads.
@@ -440,6 +537,9 @@ mod tests {
         let back: KernelParams =
             serde_json::from_str(&serde_json::to_string(&pinned).unwrap()).unwrap();
         assert_eq!(back, pinned);
+        let old_pinned = r#"{"threads_per_block":128,"global_chunk_bytes":4096,"shared_chunk_bytes":64,"pin_threads_per_block":true}"#;
+        let p: KernelParams = serde_json::from_str(old_pinned).unwrap();
+        assert_eq!(p, pinned);
     }
 
     proptest::proptest! {
@@ -467,12 +567,15 @@ mod tests {
             proptest::prop_assert!(covered >= len);
         }
 
-        /// The paper's params launch exactly 128 threads at every size.
+        /// The paper's params launch exactly 128 threads of the kernel
+        /// they name at every size.
         #[test]
         fn paper_params_pin_128_threads(len in 0u64..(16 << 20)) {
             let p = KernelParams::paper(&cfg());
             let plan = Plan::shared(&p, &cfg(), &ac(), len).unwrap();
             proptest::prop_assert_eq!(plan.launch.threads_per_block, 128);
+            let kernel = Plan::kernel(&p, &cfg(), Approach::SharedDiagonal, len);
+            proptest::prop_assert_eq!(kernel, Approach::SharedDiagonal);
         }
     }
 

@@ -214,7 +214,10 @@ pub struct GpuAcMatcher {
     params: KernelParams,
     ac: AcAutomaton,
     dev_stt: DeviceStt,
-    pfac: OnceLock<(PfacAutomaton, DevicePfac)>,
+    /// Built on first use; an `Err` records that the trie does not fit
+    /// the goto table, so every PFAC run fails the same typed way and the
+    /// planner keeps the configured kernel.
+    pfac: OnceLock<Result<(PfacAutomaton, DevicePfac), GpuError>>,
     /// Built on first use; an `Err` records that the automaton does not
     /// fit the layout, so every banded run fails the same typed way.
     banded: OnceLock<Result<DeviceBandedStt, GpuError>>,
@@ -316,6 +319,28 @@ impl GpuAcMatcher {
         &self.params
     }
 
+    /// The kernel a launch of `len` bytes runs when `configured` is the
+    /// caller's kernel: [`Plan::kernel`]'s choice, except that a matcher
+    /// whose PFAC tables cannot be built keeps `configured`. The serve
+    /// loop plans every launch through this; [`GpuAcMatcher::run`] and
+    /// friends run exactly the approach they are given.
+    pub fn plan_kernel(&self, configured: Approach, len: usize) -> Approach {
+        match self.pfac_limit(configured) {
+            Some(limit) if len <= limit => Approach::Pfac,
+            _ => configured,
+        }
+    }
+
+    /// The longest launch [`GpuAcMatcher::plan_kernel`] runs as PFAC
+    /// instead of `configured`, or `None` when it never switches (pinned
+    /// params, `configured` already PFAC, or no PFAC tables).
+    pub fn pfac_limit(&self, configured: Approach) -> Option<usize> {
+        if configured == Approach::Pfac || self.pfac_tables().is_err() {
+            return None;
+        }
+        Plan::pfac_limit(&self.params, &self.cfg).map(|l| l as usize)
+    }
+
     /// Run `approach` over `text`, materializing matches.
     pub fn run(&self, text: &[u8], approach: Approach) -> Result<GpuRun, GpuError> {
         self.run_opts(
@@ -348,15 +373,18 @@ impl GpuAcMatcher {
         )
     }
 
-    fn pfac_tables(&self) -> &(PfacAutomaton, DevicePfac) {
-        self.pfac.get_or_init(|| {
-            let pfac = PfacAutomaton::build(self.ac.patterns());
-            // A failureless trie never has more states than the AC DFA,
-            // whose size `new` already validated.
-            let dev = DevicePfac::from_pfac(&pfac)
-                .expect("PFAC trie is no larger than the validated AC DFA");
-            (pfac, dev)
-        })
+    /// The failureless trie and its goto table, built on first use. `Err`
+    /// when the trie has too many states for the table (see
+    /// [`DevicePfac::from_pfac`]).
+    fn pfac_tables(&self) -> Result<&(PfacAutomaton, DevicePfac), GpuError> {
+        self.pfac
+            .get_or_init(|| {
+                let pfac = PfacAutomaton::build(self.ac.patterns());
+                let dev = DevicePfac::from_pfac(&pfac)?;
+                Ok((pfac, dev))
+            })
+            .as_ref()
+            .map_err(Clone::clone)
     }
 
     /// The failure-banded tables, built on first use. `Err` when the
@@ -509,7 +537,8 @@ impl GpuAcMatcher {
         approach: Approach,
         record: bool,
     ) -> Result<GpuRun, GpuError> {
-        let (plan, launch) = self.plan_for(approach, text.len() as u64)?;
+        let plan = self.plan_for(approach, text.len() as u64)?;
+        let launch = plan.launch;
         // +4 guard bytes: the staging loop reads whole 32-bit words and
         // may touch up to 3 bytes past an unaligned tile end.
         let text_base = dev.alloc_global(text.len() as u64 + 4)?;
@@ -545,7 +574,7 @@ impl GpuAcMatcher {
                 collect(launched, plan.coding, SharedKernel::take_results)
             }
             Approach::Pfac => {
-                let (_, dev_pfac) = self.pfac_tables();
+                let (_, dev_pfac) = self.pfac_tables()?;
                 let goto = dev_pfac.table.bind(dev)?;
                 let launched = dev.launch(launch, |geom| {
                     PfacKernel::new(geom, plan, text_base, out_base, goto.tex, record)
@@ -595,7 +624,7 @@ impl GpuAcMatcher {
         };
 
         let matches = if record {
-            self.expand_events(&events, approach)
+            self.expand_events(&events, approach)?
         } else {
             Vec::new()
         };
@@ -615,7 +644,7 @@ impl GpuAcMatcher {
         })
     }
 
-    fn plan_for(&self, approach: Approach, len: u64) -> Result<(Plan, LaunchConfig), GpuError> {
+    fn plan_for(&self, approach: Approach, len: u64) -> Result<Plan, GpuError> {
         // Match events carry `u32` end offsets (see `MatchEvent`).
         if len > u32::MAX as u64 {
             return Err(GpuError::InvalidParams(format!(
@@ -623,38 +652,12 @@ impl GpuAcMatcher {
                 u32::MAX
             )));
         }
-        match approach {
-            Approach::GlobalOnly => {
-                let plan = Plan::global_only(&self.params, &self.cfg, &self.ac, len)
-                    .map_err(GpuError::InvalidParams)?;
-                Ok((plan, plan.launch))
-            }
-            Approach::Pfac => {
-                // One thread per byte; the Plan is only used for geometry.
-                let tpb = self.params.threads_per_block;
-                let grid_blocks = len.div_ceil(tpb as u64).max(1) as u32;
-                let launch = LaunchConfig {
-                    grid_blocks,
-                    threads_per_block: tpb,
-                    shared_bytes_per_block: 0,
-                    resident_blocks_cap: None,
-                };
-                launch.validate(&self.cfg)?;
-                let plan = Plan {
-                    launch,
-                    chunk_bytes: 1,
-                    overlap: 0,
-                    text_len: len,
-                    coding: WordCoding::new(1, self.ac.state_count()),
-                };
-                Ok((plan, launch))
-            }
-            _ => {
-                let plan = Plan::shared(&self.params, &self.cfg, &self.ac, len)
-                    .map_err(GpuError::InvalidParams)?;
-                Ok((plan, plan.launch))
-            }
-        }
+        let plan = match approach {
+            Approach::GlobalOnly => Plan::global_only(&self.params, &self.cfg, &self.ac, len),
+            Approach::Pfac => Plan::pfac(&self.params, &self.cfg, &self.ac, len),
+            _ => Plan::shared(&self.params, &self.cfg, &self.ac, len),
+        };
+        plan.map_err(GpuError::InvalidParams)
     }
 
     /// Expand match events into sorted, de-duplicated matches. Each
@@ -673,8 +676,15 @@ impl GpuAcMatcher {
     ///   banded kernel filters nothing. Those copies are the same
     ///   `(pattern, start, end)` triple the owning thread reports, which
     ///   `dedup` collapses.
-    fn expand_events(&self, events: &[MatchEvent], approach: Approach) -> Vec<Match> {
-        let pfac = (approach == Approach::Pfac).then(|| &self.pfac_tables().0);
+    fn expand_events(
+        &self,
+        events: &[MatchEvent],
+        approach: Approach,
+    ) -> Result<Vec<Match>, GpuError> {
+        let pfac = match approach {
+            Approach::Pfac => Some(&self.pfac_tables()?.0),
+            _ => None,
+        };
         let patterns = self.ac.patterns();
         let mut out = Vec::with_capacity(events.len());
         for ev in events {
@@ -693,7 +703,7 @@ impl GpuAcMatcher {
         }
         out.sort_unstable();
         out.dedup();
-        out
+        Ok(out)
     }
 }
 
@@ -776,7 +786,7 @@ mod tests {
             threads_per_block: 32,
             global_chunk_bytes: 16,
             shared_chunk_bytes: 64,
-            pin_threads_per_block: false,
+            pin_paper_launch: false,
         };
         let ac = AcAutomaton::build(&PatternSet::from_strs(pats).unwrap());
         GpuAcMatcher::new(cfg, params, ac).unwrap()
@@ -831,6 +841,36 @@ mod tests {
             let run = m.run(b"", a).unwrap();
             assert!(run.matches.is_empty(), "{a:?}");
         }
+    }
+
+    #[test]
+    fn the_planner_keeps_the_configured_kernel_without_pfac_tables() {
+        use crate::error::UploadError;
+        let m = matcher(&["he", "she", "hers"]);
+        let text = b"she ushers her heirs";
+        assert_eq!(
+            m.plan_kernel(Approach::SharedDiagonal, text.len()),
+            Approach::Pfac
+        );
+        assert!(m.pfac_limit(Approach::SharedDiagonal).is_some());
+        assert_eq!(m.pfac_limit(Approach::Pfac), None);
+        let m = matcher(&["he", "she", "hers"]);
+        let unbuildable = UploadError {
+            states: 9,
+            limit: 8,
+            table: "PFAC",
+        };
+        m.pfac.set(Err(unbuildable.into())).unwrap();
+        for a in [Approach::SharedDiagonal, Approach::SharedBanded] {
+            assert_eq!(m.plan_kernel(a, text.len()), a);
+            assert_eq!(m.pfac_limit(a), None);
+            assert!(m.run(text, a).is_ok(), "{a:?}");
+        }
+        // A named PFAC run gets the typed error, never a panic.
+        assert_eq!(
+            m.run(text, Approach::Pfac).unwrap_err(),
+            GpuError::Upload(unbuildable)
+        );
     }
 
     #[test]
@@ -1046,7 +1086,7 @@ mod tests {
             threads_per_block: 32,
             global_chunk_bytes: 16,
             shared_chunk_bytes: 4096, // 128 KB tile
-            pin_threads_per_block: false,
+            pin_paper_launch: false,
         };
         let ac = AcAutomaton::build(&PatternSet::from_strs(&["x"]).unwrap());
         assert!(GpuAcMatcher::new(cfg, params, ac).is_err());

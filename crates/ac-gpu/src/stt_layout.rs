@@ -231,7 +231,7 @@ mod tests {
             threads_per_block: 32,
             global_chunk_bytes: 16,
             shared_chunk_bytes: 64,
-            pin_threads_per_block: false,
+            pin_paper_launch: false,
         };
         let ac = AcAutomaton::build(&PatternSet::from_strs(pats).unwrap());
         GpuAcMatcher::new(cfg, params, ac).unwrap()

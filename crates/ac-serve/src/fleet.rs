@@ -25,11 +25,23 @@
 //! on its one queue, routing on the tier with the earliest predicted
 //! completion (see *Scaling out*). A full queue rejects it with
 //! backpressure. It then coalesces the queue's head run up to the batch
-//! limits and dispatches the batch's `h2d → kernel → d2h` chain on the
+//! limits into a batch, which leaves the queue at once. A GPU batch stays
+//! open until the device's copy engine has drained the transfers queued
+//! before the turn (its upload could not start earlier), and jobs
+//! arriving until then join it while the limits allow. A one-stream
+//! server's copy engine is idle whenever its stream frees, so its
+//! batches seal at once. The pool's driver calls for a batch run from
+//! the moment it opened, so they overlap the copy engine's queue. The
+//! loop then dispatches the batch's `h2d → kernel → d2h` chain on the
 //! server's stream. Batch size therefore adapts to backlog — an idle
 //! server launches singleton batches immediately, a busy one amortises
-//! launches over whatever queued up — which is the whole p99 argument
-//! for batching.
+//! launches over whatever queued up or arrived while the copy engine
+//! was busy — which is the whole p99 argument for batching.
+//!
+//! Every one of these decisions reads the schedule without pool driver
+//! setup (`Unpooled`, kept only when pools are armed), so arming a pool
+//! never regroups jobs: its driver cycles only delay the realised
+//! schedule.
 //!
 //! Issue order matters on a single-DMA-engine device: the copy engine is
 //! a FIFO, so enqueueing a batch's `d2h` right behind its kernel would
@@ -95,7 +107,9 @@
 //!   `t(bytes) = setup + bytes / bandwidth`, learned from a two-point
 //!   warmup probe of the first offered job's bytes run off the simulated
 //!   clock and refined online from
-//!   observed service times (EWMA on the setup term). Arrivals are routed
+//!   observed service times (EWMA on the setup term). A GPU whose planner
+//!   switches to PFAC between the two probes gets one such line per
+//!   kernel, each probed on its own side of the switch. Arrivals are routed
 //!   to the tier with the earliest predicted completion given its queued
 //!   backlog: small jobs land on the CPU (no PCIe or launch setup), large
 //!   jobs on the least-loaded GPU.
@@ -129,7 +143,9 @@ use crate::telemetry::ServeTelemetry;
 use ac_core::{AcAutomaton, Match};
 use ac_cpu::{par_find_all, ParallelConfig};
 use ac_gpu::supervise::SuperviseReport;
-use ac_gpu::{run_supervised, DevicePool, GpuAcMatcher, GpuError, PcieConfig, PooledBuffer};
+use ac_gpu::{
+    run_supervised, Approach, DevicePool, GpuAcMatcher, GpuError, PcieConfig, PooledBuffer,
+};
 use cpu_sim::simulate_multicore;
 use gpu_sim::{
     BusConfig, BusStats, EngineKind, PcieBusArbiter, StreamEngine, StreamOpKind, StreamTimeline,
@@ -433,8 +449,51 @@ struct Queue {
 /// the CPU ladder: the same indices as the routed queues.
 struct Router {
     refine_alpha: f64,
-    models: Vec<CostModel>,
+    models: Vec<TierModel>,
     tiers: Vec<TierCounts>,
+}
+
+/// A tier's fitted cost. A GPU whose planner runs PFAC up to `limit`
+/// bytes and the configured kernel beyond ([`GpuAcMatcher::pfac_limit`])
+/// has a second line, `pfac`, for launches up to that limit; each line
+/// predicts and refines only the launches its kernel runs.
+#[derive(Debug, Clone, Copy)]
+struct TierModel {
+    line: CostModel,
+    pfac: Option<(usize, CostModel)>,
+}
+
+impl TierModel {
+    fn single(line: CostModel) -> Self {
+        TierModel { line, pfac: None }
+    }
+
+    /// The line that prices a `bytes`-long launch.
+    fn line_for(&mut self, bytes: usize) -> &mut CostModel {
+        match &mut self.pfac {
+            Some((limit, pfac)) if bytes <= *limit => pfac,
+            _ => &mut self.line,
+        }
+    }
+
+    fn predict(mut self, bytes: usize) -> f64 {
+        self.line_for(bytes).predict(bytes)
+    }
+
+    fn observe(&mut self, bytes: usize, seconds: f64, alpha: f64) {
+        self.line_for(bytes).observe(bytes, seconds, alpha);
+    }
+}
+
+/// The schedule a fleet with pools armed would run without their driver
+/// setup. Every batching decision reads it — which stream serves a turn,
+/// when a batch seals, which readbacks flush, what the breakers record —
+/// so arming a pool never regroups jobs: it only delays the realised
+/// schedule ([`FleetState::engines`]), where each op starts no earlier
+/// than here.
+struct Unpooled {
+    engines: Vec<StreamEngine>,
+    arbiter: PcieBusArbiter,
 }
 
 /// Mutable per-fleet state of the serve loop.
@@ -442,7 +501,12 @@ struct FleetState {
     /// The link model every copy is priced with
     /// ([`ServeConfig::effective_pcie`]).
     pcie: PcieConfig,
+    /// Each device's realised schedule, pool driver setup included.
     engines: Vec<StreamEngine>,
+    /// With pools armed, the same ops issued without pool driver setup
+    /// ([`Unpooled`]); `None` without pools, where the two schedules
+    /// would be identical.
+    unpooled: Option<Unpooled>,
     breakers: Vec<CircuitBreaker>,
     pendings: Vec<Vec<Option<PendingReadback>>>,
     /// One device-memory pool per device when the per-device config arms
@@ -451,6 +515,9 @@ struct FleetState {
     /// Per-device cursor of pool driver cycles already converted into
     /// upload delay.
     pool_charged: Vec<u64>,
+    /// The device clock pool driver cycles and kernel penalties convert
+    /// through.
+    clock_hz: f64,
     arbiter: PcieBusArbiter,
     /// The queue layout (see the module docs).
     queues: Vec<Queue>,
@@ -474,6 +541,8 @@ struct FleetState {
     histogram: BTreeMap<usize, u64>,
     per_dev_batches: Vec<u64>,
     per_dev_jobs: Vec<u64>,
+    /// GPU batches and scatter segments per planned kernel label.
+    kernel_launches: BTreeMap<String, u64>,
     scattered_jobs: u64,
     /// Scattered jobs with segment readbacks still held, by scatter
     /// number.
@@ -481,13 +550,23 @@ struct FleetState {
 }
 
 impl FleetState {
+    /// The stream engines batching decisions read: the unpooled schedule
+    /// when pools are armed, else the realised one.
+    fn clocks(&self) -> &[StreamEngine] {
+        self.unpooled.as_ref().map_or(&self.engines, |u| &u.engines)
+    }
+
     /// Submit a `bytes`-long `h2d`/`d2h` through the shared bus: the
-    /// transfer starts no earlier than the bus grants it. The arbiter is
-    /// charged the bus traffic ([`PcieConfig::bus_bytes`]); the stream op
-    /// records the logical bytes. With one device the grant is always the
-    /// engine's own earliest start (the arbiter's aggregate bandwidth
-    /// covers the link and it charges no setup), so the bus never moves a
-    /// single-device schedule.
+    /// transfer starts no earlier than `not_before` and than the bus
+    /// grants it. In the realised schedule it also waits for `setup_end`,
+    /// when the pool's driver setup for it ends (pass `not_before` when
+    /// there is none). The arbiter is charged the bus traffic
+    /// ([`PcieConfig::bus_bytes`]); the stream op records the logical
+    /// bytes. With one device the grant is always the engine's own
+    /// earliest start (the arbiter's aggregate bandwidth covers the link
+    /// and it charges no setup), so the bus never moves a single-device
+    /// schedule.
+    #[allow(clippy::too_many_arguments)]
     fn submit_copy(
         &mut self,
         device: usize,
@@ -496,11 +575,47 @@ impl FleetState {
         label: &str,
         bytes: u64,
         not_before: f64,
+        setup_end: f64,
     ) {
         let seconds = self.pcie.copy_seconds(bytes as usize);
-        let earliest = self.engines[device].earliest_start(stream, kind, not_before);
-        let release = self.arbiter.acquire(earliest, self.pcie.bus_bytes(bytes));
-        self.engines[device].submit_at(stream, kind, label, seconds, bytes, release);
+        let bus_bytes = self.pcie.bus_bytes(bytes);
+        let release = not_before.max(setup_end);
+        let earliest = self.engines[device].earliest_start(stream, kind, release);
+        let grant = self.arbiter.acquire(earliest, bus_bytes);
+        self.engines[device].submit_at(stream, kind, label, seconds, bytes, grant);
+        if let Some(u) = self.unpooled.as_mut() {
+            let earliest = u.engines[device].earliest_start(stream, kind, not_before);
+            let grant = u.arbiter.acquire(earliest, bus_bytes);
+            u.engines[device].submit_at(stream, kind, label, seconds, bytes, grant);
+        }
+    }
+
+    /// Issue a batch's or segment's kernel op on `device`'s `stream`,
+    /// naming the kernel that ran, and count the launch.
+    fn submit_kernel(
+        &mut self,
+        device: usize,
+        stream: u32,
+        label: &str,
+        approach: Approach,
+        seconds: f64,
+    ) {
+        self.engines[device].submit_kernel(stream, label, approach.label(), seconds);
+        if let Some(u) = self.unpooled.as_mut() {
+            u.engines[device].submit_kernel(stream, label, approach.label(), seconds);
+        }
+        *self
+            .kernel_launches
+            .entry(approach.label().to_string())
+            .or_insert(0) += 1;
+    }
+
+    /// Charge a failed batch's retry penalty to `device`'s `stream`.
+    fn submit_penalty(&mut self, device: usize, stream: u32, label: &str, seconds: f64) {
+        self.engines[device].submit(stream, StreamOpKind::Kernel, label, seconds, 0);
+        if let Some(u) = self.unpooled.as_mut() {
+            u.engines[device].submit(stream, StreamOpKind::Kernel, label, seconds, 0);
+        }
     }
 
     /// Tag subsequent telemetry events with `device`. Only a multi-device
@@ -525,6 +640,7 @@ impl FleetState {
             StreamOpKind::CopyD2H,
             &p.label,
             p.rb_bytes,
+            0.0,
             0.0,
         );
         let done = self.engines[device].stream_ready(local);
@@ -586,7 +702,8 @@ impl FleetState {
     /// finished by `now` ([`take_ready_readbacks`]; `f64::INFINITY` is
     /// the drain).
     fn flush_ready(&mut self, now: f64, streams_per_device: u32) {
-        for (d, p) in take_ready_readbacks(&self.engines, &mut self.pendings, now) {
+        let clocks = self.unpooled.as_ref().map_or(&self.engines, |u| &u.engines);
+        for (d, p) in take_ready_readbacks(clocks, &mut self.pendings, now) {
             self.flush_pending(d, streams_per_device, p);
         }
     }
@@ -600,7 +717,7 @@ impl FleetState {
             Server::Gpus(devices) => devices
                 .clone()
                 .map(|d| {
-                    let (stream, free) = self.engines[d].next_free_stream();
+                    let (stream, free) = self.clocks()[d].next_free_stream();
                     (Some((d, stream)), free)
                 })
                 .min_by(|a, b| a.1.total_cmp(&b.1))
@@ -782,6 +899,12 @@ pub fn serve_fleet(
         engines: (0..devices)
             .map(|_| StreamEngine::new(dcfg.streams))
             .collect(),
+        unpooled: dcfg.pool.map(|_| Unpooled {
+            engines: (0..devices)
+                .map(|_| StreamEngine::new(dcfg.streams))
+                .collect(),
+            arbiter: PcieBusArbiter::new(cfg.bus),
+        }),
         breakers: (0..devices)
             .map(|_| CircuitBreaker::new(dcfg.breaker))
             .collect(),
@@ -792,6 +915,7 @@ pub fn serve_fleet(
             .map(|_| dcfg.pool.map(|p| DevicePool::new(p.device_pool_config())))
             .collect(),
         pool_charged: vec![0; devices],
+        clock_hz,
         arbiter: PcieBusArbiter::new(cfg.bus),
         queues: layout
             .into_iter()
@@ -820,11 +944,12 @@ pub fn serve_fleet(
         histogram: BTreeMap::new(),
         per_dev_batches: vec![0; devices],
         per_dev_jobs: vec![0; devices],
+        kernel_launches: BTreeMap::new(),
         scattered_jobs: 0,
         scatters: BTreeMap::new(),
     };
 
-    run_queues(&mut st, &jobs, dcfg, gap, clock_hz, &matcher_for)?;
+    run_queues(&mut st, &jobs, dcfg, gap, &matcher_for)?;
     st.flush_ready(f64::INFINITY, streams_per_device);
 
     // Drain every device's pool: all leases were released with their
@@ -885,7 +1010,8 @@ pub fn serve_fleet(
             .zip(&timelines)
             .collect();
         let mut run = t.finish(&per_device);
-        run.attribute_pattern_costs(matcher, dcfg.approach, makespan);
+        let replay = matcher.plan_kernel(dcfg.approach, run.payload_sample.len());
+        run.attribute_pattern_costs(matcher, replay, makespan);
         if let Some(ps) = pool_report {
             run.record_pool_stats(&ps, makespan);
         }
@@ -899,8 +1025,8 @@ pub fn serve_fleet(
                 .zip(&r.models)
                 .map(|(t, m)| CostModelSnapshot {
                     tier: t.tier.clone(),
-                    setup_seconds: m.setup_seconds,
-                    bytes_per_sec: m.bytes_per_sec,
+                    setup_seconds: m.line.setup_seconds,
+                    bytes_per_sec: m.line.bytes_per_sec,
                 })
                 .collect();
             (r.tiers, snapshots)
@@ -946,6 +1072,7 @@ pub fn serve_fleet(
             .map(|(jobs, count)| BatchBucket { jobs, count })
             .collect(),
         pool: pool_report,
+        kernel_launches: std::mem::take(&mut st.kernel_launches),
     };
 
     let per_device: Vec<DeviceReport> = (0..devices)
@@ -995,7 +1122,9 @@ pub fn serve_fleet(
 
 /// Warmup calibration: probe each tier with two payload sizes *off the
 /// simulated clock* and fit one [`CostModel`] per tier (each GPU starts
-/// from the same fit; online refinement then specialises them). Probes
+/// from the same fit; online refinement then specialises them). A GPU
+/// whose planner switches to PFAC between the probes gets one line per
+/// kernel ([`TierModel`]), probed at the switch point's neighbours too. Probes
 /// scan `sample` (the first offered job's payload) cycled to the probe
 /// size, so the fit prices the readback of the workload's real match
 /// density, not that of a text that matches nothing.
@@ -1005,7 +1134,7 @@ fn fit_tier_models(
     router: &RouterConfig,
     devices: usize,
     sample: &[u8],
-) -> Vec<CostModel> {
+) -> Vec<TierModel> {
     let small = router.probe_small_bytes.max(1);
     let large = router.probe_large_bytes.max(small + 1);
     let pcie = dcfg.effective_pcie();
@@ -1013,19 +1142,30 @@ fn fit_tier_models(
         |bytes: usize| -> Vec<u8> { sample.iter().copied().cycle().take(bytes).collect() };
     let gpu_probe = |bytes: usize| -> Option<f64> {
         let payload = probe_payload(bytes);
-        let sup = run_supervised(matcher, &payload, dcfg.approach, &dcfg.supervise).ok()?;
+        let approach = matcher.plan_kernel(dcfg.approach, bytes);
+        let sup = run_supervised(matcher, &payload, approach, &dcfg.supervise).ok()?;
         let h2d = pcie.copy_seconds(bytes);
         let d2h = pcie.copy_seconds(sup.run.readback_bytes as usize);
         Some(h2d + sup.run.seconds() + d2h)
     };
-    let gpu_model = match (gpu_probe(small), gpu_probe(large)) {
-        (Some(t1), Some(t2)) => CostModel::fit(small, t1, large, t2),
+    let gpu_line = |b1: usize, b2: usize| match (gpu_probe(b1), gpu_probe(b2)) {
+        (Some(t1), Some(t2)) => CostModel::fit(b1, t1, b2, t2),
         // A faulting probe leaves a pessimistic default; online
         // refinement repairs it from real service times.
         _ => CostModel {
             setup_seconds: 100.0e-6,
             bytes_per_sec: 1.0e9,
         },
+    };
+    // When the planner switches kernels between the probes, fit each
+    // kernel from its own side of the switch: the probes and the switch
+    // point's two neighbours.
+    let gpu_model = match matcher.pfac_limit(dcfg.approach) {
+        Some(limit) if small < limit && limit < large => TierModel {
+            line: gpu_line(limit + 1, large),
+            pfac: Some((limit, gpu_line(small, limit))),
+        },
+        _ => TierModel::single(gpu_line(small, large)),
     };
     let ac = matcher.automaton();
     let cpu_probe = |bytes: usize| -> f64 {
@@ -1041,7 +1181,7 @@ fn fit_tier_models(
     };
     let cpu_model = CostModel::fit(small, cpu_probe(small), large, cpu_probe(large));
     let mut models = vec![gpu_model; devices];
-    models.push(cpu_model);
+    models.push(TierModel::single(cpu_model));
     models
 }
 
@@ -1054,7 +1194,6 @@ fn run_queues<'a>(
     jobs: &[ScanJob],
     dcfg: &ServeConfig,
     gap: usize,
-    clock_hz: f64,
     matcher_for: &dyn Fn(usize) -> &'a GpuAcMatcher,
 ) -> Result<(), GpuError> {
     let base_max_jobs = dcfg.limits.max_jobs.max(1);
@@ -1082,6 +1221,10 @@ fn run_queues<'a>(
         // batch over to the shared CPU executor, which also runs every
         // batch of the CPU queue.
         let gpu = server.filter(|&(dev, _)| st.breakers[dev].route_at(dispatch) == Route::Gpu);
+        // A GPU batch stays open until the device's copy engine has
+        // drained the transfers queued before this turn.
+        let seal_at =
+            gpu.map(|(dev, _)| dispatch.max(st.clocks()[dev].engine_free(EngineKind::Copy)));
         match gpu {
             Some((dev, stream)) => {
                 // Before the new upload, flush every device's finished
@@ -1137,7 +1280,6 @@ fn run_queues<'a>(
                 job,
                 dispatch,
                 gap,
-                clock_hz,
                 dcfg,
                 streams_per_device,
                 matcher_for,
@@ -1161,6 +1303,27 @@ fn run_queues<'a>(
                 _ => break,
             }
         }
+        // Arrivals until the seal join the open batch while the limits
+        // allow and the queue holds nothing ahead of them.
+        let sealed = seal_at.unwrap_or(dispatch);
+        while batch.len() < max_jobs_now && st.queues[q].jobs.is_empty() {
+            let Some(job) = jobs.get(next).filter(|j| j.arrival_seconds <= sealed) else {
+                break;
+            };
+            next += 1;
+            st.admit(job.clone(), sealed);
+            let queue = &mut st.queues[q].jobs;
+            match queue.head_payload_len() {
+                Some(len)
+                    if batch_bytes + len <= dcfg.limits.max_bytes
+                        && scatter_min.is_none_or(|m| len < m) =>
+                {
+                    batch_bytes += len;
+                    batch.push(queue.pop().expect("head exists"));
+                }
+                _ => {}
+            }
+        }
         let assembled = assemble_batch(&batch, gap);
         let label = format!("batch{}", st.batches);
         st.batches += 1;
@@ -1168,7 +1331,7 @@ fn run_queues<'a>(
         *st.histogram.entry(batch.len()).or_insert(0) += 1;
         if let Some(t) = st.tel.as_mut() {
             let route_label = if gpu.is_some() { "gpu" } else { "cpu" };
-            t.batch_formed(&label, &batch, dispatch, route_label);
+            t.batch_formed(&label, &batch, sealed, route_label);
         }
 
         match gpu {
@@ -1179,11 +1342,11 @@ fn run_queues<'a>(
                     stream,
                     matcher_for(dev),
                     dcfg,
-                    clock_hz,
                     assembled,
                     batch,
                     label,
                     dispatch,
+                    sealed,
                 )?;
             }
             None => {
@@ -1213,11 +1376,16 @@ fn run_queues<'a>(
     Ok(())
 }
 
-/// Dispatch one assembled batch on `dev`'s GPU under supervision: charge
-/// the `h2d` through the bus, charge the kernel (plus retry penalty),
-/// stage the readback, or fail over to the shared CPU executor. In routed
-/// mode the device's cost model observes the realised service time. A
-/// device pool too small for the batch is a fatal [`GpuError::Device`].
+/// Dispatch one assembled batch on `dev`'s GPU under supervision, through
+/// the kernel the planner picks for its length
+/// ([`GpuAcMatcher::plan_kernel`]): charge the `h2d` through the bus,
+/// charge the kernel (plus retry penalty), stage the readback, or fail
+/// over to the shared CPU executor. The batch opened at `opened` and was
+/// sealed at `sealed`; its pool driver setup runs from `opened`, so the
+/// upload is released at the later of `sealed` and the setup's end. In
+/// routed mode the device's cost model observes the realised service
+/// time. A device pool too small for the batch is a fatal
+/// [`GpuError::Device`].
 #[allow(clippy::too_many_arguments)]
 fn dispatch_gpu_batch(
     st: &mut FleetState,
@@ -1225,15 +1393,17 @@ fn dispatch_gpu_batch(
     stream: u32,
     matcher: &GpuAcMatcher,
     dcfg: &ServeConfig,
-    clock_hz: f64,
     assembled: AssembledBatch,
     batch: Vec<ScanJob>,
     label: String,
-    dispatch: f64,
+    opened: f64,
+    sealed: f64,
 ) -> Result<(), GpuError> {
     st.per_dev_batches[dev] += 1;
     let corpus_bytes = assembled.data.len() as u64;
-    match run_supervised(matcher, &assembled.data, dcfg.approach, &dcfg.supervise) {
+    let clock_hz = st.clock_hz;
+    let approach = matcher.plan_kernel(dcfg.approach, assembled.data.len());
+    match run_supervised(matcher, &assembled.data, approach, &dcfg.supervise) {
         Ok(sup) => {
             tally(&sup.report, &mut st.gpu_retries, &mut st.faults_fired);
             let penalty =
@@ -1254,18 +1424,14 @@ fn dispatch_gpu_batch(
                 StreamOpKind::CopyH2D,
                 &label,
                 corpus_bytes,
-                dispatch + setup,
+                sealed,
+                opened + setup,
             );
             // Retry penalty (backoff + watchdog-burned budgets) is charged
             // to the stream: faults cost real time.
-            st.engines[dev].submit(
-                stream,
-                StreamOpKind::Kernel,
-                &label,
-                sup.run.seconds() + penalty,
-                0,
-            );
-            st.breakers[dev].record_success(st.engines[dev].stream_ready(stream));
+            st.submit_kernel(dev, stream, &label, approach, sup.run.seconds() + penalty);
+            let kernel_end = st.clocks()[dev].stream_ready(stream);
+            st.breakers[dev].record_success(kernel_end);
             if let Some(r) = st.router.as_mut() {
                 let h2d = st.pcie.copy_seconds(assembled.data.len());
                 let d2h = st.pcie.copy_seconds(rb_bytes as usize);
@@ -1282,7 +1448,7 @@ fn dispatch_gpu_batch(
                 lands: Landing::Batch {
                     batch,
                     per_job,
-                    dispatch_seconds: dispatch,
+                    dispatch_seconds: sealed,
                     retries: sup.report.retries as u64,
                 },
                 _lease: lease,
@@ -1309,19 +1475,14 @@ fn dispatch_gpu_batch(
                 StreamOpKind::CopyH2D,
                 &format!("{label}-failed"),
                 corpus_bytes,
-                dispatch + setup,
+                sealed,
+                opened + setup,
             );
             drop(lease);
             if penalty > 0.0 {
-                st.engines[dev].submit(
-                    stream,
-                    StreamOpKind::Kernel,
-                    &format!("{label}-failed"),
-                    penalty,
-                    0,
-                );
+                st.submit_penalty(dev, stream, &format!("{label}-failed"), penalty);
             }
-            let failed_at = st.engines[dev].stream_ready(stream);
+            let failed_at = st.clocks()[dev].stream_ready(stream);
             st.breakers[dev].record_failure(failed_at, &err.to_string());
             // The batch is admitted work: it fails over to the CPU ladder
             // rather than being dropped.
@@ -1357,7 +1518,6 @@ fn scatter_job<'a>(
     job: ScanJob,
     dispatch: f64,
     gap: usize,
-    clock_hz: f64,
     dcfg: &ServeConfig,
     streams_per_device: u32,
     matcher_for: &dyn Fn(usize) -> &'a GpuAcMatcher,
@@ -1379,20 +1539,17 @@ fn scatter_job<'a>(
     let mut runs = Vec::with_capacity(segments.len());
     for seg in &segments {
         let window = &job.payload[seg.scan_start..seg.scan_end];
-        match run_supervised(
-            matcher_for(seg.device as usize),
-            window,
-            dcfg.approach,
-            &dcfg.supervise,
-        ) {
+        let matcher = matcher_for(seg.device as usize);
+        let approach = matcher.plan_kernel(dcfg.approach, window.len());
+        match run_supervised(matcher, window, approach, &dcfg.supervise) {
             Ok(sup) => {
                 tally(&sup.report, &mut st.gpu_retries, &mut st.faults_fired);
-                runs.push(sup);
+                runs.push((approach, sup));
             }
             Err((err, rep)) => {
                 tally(&rep, &mut st.gpu_retries, &mut st.faults_fired);
                 let d = seg.device as usize;
-                let failed_at = st.engines[d].next_free_stream().1.max(dispatch);
+                let failed_at = st.clocks()[d].next_free_stream().1.max(dispatch);
                 st.breakers[d].record_failure(failed_at, &err.to_string());
                 let assembled = assemble_batch(std::slice::from_ref(&job), gap);
                 st.cpu_free = run_cpu_batch(
@@ -1415,7 +1572,10 @@ fn scatter_job<'a>(
     // The job is at least `scatter_min` (≥ 1) bytes long, so it has a
     // segment; it completes when the last segment's readback lands.
     let first = segments[0].device as usize;
-    let per_segment: Vec<Vec<Match>> = runs.iter().map(|sup| sup.run.matches.clone()).collect();
+    let per_segment: Vec<Vec<Match>> = runs
+        .iter()
+        .map(|(_, sup)| sup.run.matches.clone())
+        .collect();
     let key = st.batches - 1;
     st.scatters.insert(
         key,
@@ -1423,23 +1583,24 @@ fn scatter_job<'a>(
             matches: merge_shard_matches(&segments, &per_segment),
             first_device: first,
             first_stream: first as u32 * streams_per_device
-                + st.engines[first].next_free_stream().0,
+                + st.clocks()[first].next_free_stream().0,
             dispatch_seconds: dispatch,
             outstanding: segments.len(),
             done: dispatch,
             job,
         },
     );
-    for (seg, sup) in segments.iter().zip(&runs) {
+    for (seg, (approach, sup)) in segments.iter().zip(&runs) {
         let d = seg.device as usize;
-        let (stream, _) = st.engines[d].next_free_stream();
+        let (stream, _) = st.clocks()[d].next_free_stream();
         if let Some(p) = st.pendings[d][stream as usize].take() {
             st.flush_pending(d, streams_per_device, p);
         }
         st.tag_device(Some(d));
         let label = format!("{label_base}-d{d}");
         let bytes = seg.scan_end - seg.scan_start;
-        let penalty = sup.report.penalty_cycles(dcfg.supervise.watchdog_cycles) as f64 / clock_hz;
+        let penalty =
+            sup.report.penalty_cycles(dcfg.supervise.watchdog_cycles) as f64 / st.clock_hz;
         let rb_bytes = sup.run.readback_bytes;
         st.readback_bytes += rb_bytes;
         let (lease, setup) = lease_batch_buffers(
@@ -1447,7 +1608,7 @@ fn scatter_job<'a>(
             &mut st.pool_charged[d],
             bytes as u64,
             Some(rb_bytes),
-            clock_hz,
+            st.clock_hz,
         )?;
         st.submit_copy(
             d,
@@ -1455,16 +1616,12 @@ fn scatter_job<'a>(
             StreamOpKind::CopyH2D,
             &label,
             bytes as u64,
+            dispatch,
             dispatch + setup,
         );
-        st.engines[d].submit(
-            stream,
-            StreamOpKind::Kernel,
-            &label,
-            sup.run.seconds() + penalty,
-            0,
-        );
-        st.breakers[d].record_success(st.engines[d].stream_ready(stream));
+        st.submit_kernel(d, stream, &label, *approach, sup.run.seconds() + penalty);
+        let kernel_end = st.clocks()[d].stream_ready(stream);
+        st.breakers[d].record_success(kernel_end);
         st.per_dev_batches[d] += 1;
         // Staged like a batch's: held while the kernel runs, so the next
         // job's upload is not parked behind it on the FIFO copy engine.
@@ -1730,7 +1887,7 @@ fn rate(amount: f64, seconds: f64) -> f64 {
 mod tests {
     use super::*;
     use crate::workload::{serve_automaton, synthetic_workload, WorkloadConfig, DEFAULT_PATTERNS};
-    use crate::{serve, ServedBy, DEFAULT_POOL_CAPACITY};
+    use crate::{serve, ServePoolConfig, ServedBy, DEFAULT_POOL_CAPACITY};
     use ac_gpu::KernelParams;
     use gpu_sim::GpuConfig;
 
@@ -1748,6 +1905,139 @@ mod tests {
             seed: 11,
             ..WorkloadConfig::defaults()
         })
+    }
+
+    /// Job 0's 16 KiB upload holds the one copy engine while jobs 1 and
+    /// 2 arrive. Stream 1 is idle, so job 1 opens the next batch, but no
+    /// batch can upload before the engine frees: the batch stays open
+    /// until then and job 2 joins it. Its upload follows job 0's with no
+    /// idle gap, also when a churn pool's driver allocations must run
+    /// before it.
+    #[test]
+    fn jobs_arriving_while_the_copy_engine_is_busy_join_the_pending_batch() {
+        let m = matcher();
+        let text: Vec<u8> = b"the king and her mother were singing a motion "
+            .iter()
+            .cycle()
+            .take(16 << 10)
+            .copied()
+            .collect();
+        let jobs = vec![
+            ScanJob::new(0, text.clone(), 0.0),
+            ScanJob::new(1, text[..100].to_vec(), 1.0e-6),
+            ScanJob::new(2, text[..100].to_vec(), 2.0e-6),
+        ];
+        for pool in [None, Some(ServePoolConfig::churn(DEFAULT_POOL_CAPACITY))] {
+            let mut cfg = ServeConfig::new(2);
+            cfg.pool = pool;
+            let run = serve(&m, jobs.clone(), &cfg).unwrap();
+            let hist: Vec<(usize, u64)> = run
+                .report
+                .batch_histogram
+                .iter()
+                .map(|b| (b.jobs, b.count))
+                .collect();
+            assert_eq!(hist, [(1, 1), (2, 1)], "pool {pool:?}");
+            let upload = |label: &str| {
+                run.timeline
+                    .ops
+                    .iter()
+                    .find(|op| op.kind == StreamOpKind::CopyH2D && op.label == label)
+                    .expect("every batch uploads")
+                    .clone()
+            };
+            let (first, second) = (upload("batch0"), upload("batch1"));
+            assert_eq!(second.stream, 1, "pool {pool:?}");
+            assert!(
+                (second.start - first.end).abs() < 1.0e-12,
+                "pool {pool:?}: upload idles from {} to {}",
+                first.end,
+                second.start
+            );
+            for id in [1, 2] {
+                let o = run.outcomes.iter().find(|o| o.id == id).unwrap();
+                assert_eq!(o.batch_jobs, 2, "pool {pool:?}");
+            }
+        }
+    }
+
+    /// Batching decisions read the schedule without pool driver setup,
+    /// so a pool that allocates and frees every batch's buffers (pinned
+    /// staging, so the link model is unchanged) regroups nothing on an
+    /// overloaded two-device, two-stream fleet: every job lands in a
+    /// batch of the same size on the same stream, no job finishes
+    /// earlier, and the driver cycles do delay some.
+    #[test]
+    fn pool_driver_setup_only_delays() {
+        let m = matcher();
+        let jobs = synthetic_workload(&WorkloadConfig {
+            jobs: 96,
+            seed: 5,
+            ..WorkloadConfig::defaults()
+        });
+        let plain = FleetConfig::new(2, ServeConfig::new(2)).parity();
+        let allocating = ServePoolConfig {
+            reuse: false,
+            ..ServePoolConfig::pooled(DEFAULT_POOL_CAPACITY)
+        };
+        let pooled = FleetConfig::new(2, ServeConfig::new(2).with_pool(allocating)).parity();
+        let a = serve_fleet(&m, jobs.clone(), &plain).unwrap().serve;
+        let b = serve_fleet(&m, jobs, &pooled).unwrap().serve;
+        assert_eq!(a.report.batch_histogram, b.report.batch_histogram);
+        let mut later = 0;
+        for p in &b.outcomes {
+            let q = a.outcomes.iter().find(|q| q.id == p.id).unwrap();
+            assert_eq!(
+                (p.batch_jobs, p.stream),
+                (q.batch_jobs, q.stream),
+                "job {}",
+                p.id
+            );
+            assert_eq!(p.matches, q.matches);
+            assert!(p.completed_seconds >= q.completed_seconds, "job {}", p.id);
+            later += usize::from(p.completed_seconds > q.completed_seconds);
+        }
+        assert!(later > 0, "the pool's driver cycles delayed nothing");
+        assert!(b.report.pool.is_some_and(|p| p.misses == p.acquires));
+    }
+
+    /// The default probes (4 KiB and 64 KiB) straddle the planner's
+    /// switch to PFAC (30,720 B on the GTX 285), so the GPU tier fits one
+    /// line per kernel. Launches on either side are priced within 3% of
+    /// their measured `h2d + kernel + d2h` (16 KiB +0.4%, 48 KiB +1.7%);
+    /// one line through both probes errs by more than 5% on both (+6.1%,
+    /// −6.2%).
+    #[test]
+    fn gpu_cost_model_prices_each_planned_kernel() {
+        let m = matcher();
+        let dcfg = ServeConfig::new(1);
+        let sample = workload(1).remove(0).payload;
+        let service = |bytes: usize| {
+            let payload: Vec<u8> = sample.iter().copied().cycle().take(bytes).collect();
+            let run = m
+                .run(&payload, m.plan_kernel(dcfg.approach, bytes))
+                .unwrap();
+            dcfg.pcie.copy_seconds(bytes)
+                + run.seconds()
+                + dcfg.pcie.copy_seconds(run.readback_bytes as usize)
+        };
+        let router = RouterConfig::default();
+        let models = fit_tier_models(&m, &dcfg, &router, 1, &sample);
+        assert_eq!(m.pfac_limit(dcfg.approach), Some(30_720));
+        assert!(models[0].pfac.is_some() && models[1].pfac.is_none());
+        for bytes in [16 << 10, 48 << 10] {
+            let (predicted, measured) = (models[0].predict(bytes), service(bytes));
+            assert!(
+                (predicted / measured - 1.0).abs() < 0.03,
+                "{bytes} B: predicted {predicted:e} s, measured {measured:e} s"
+            );
+        }
+        let (small, large) = (router.probe_small_bytes, router.probe_large_bytes);
+        let one_line = CostModel::fit(small, service(small), large, service(large));
+        for bytes in [16 << 10, 48 << 10] {
+            let error = one_line.predict(bytes) / service(bytes) - 1.0;
+            assert!(error.abs() > 0.05, "{bytes} B: one line errs {error:+.3}");
+        }
     }
 
     #[test]
@@ -1952,18 +2242,18 @@ mod tests {
             (
                 2,
                 2,
-                &[(23, 25), (23, 39)],
-                0.0006624105772357723,
-                67.88037669376695,
-                84.23088617886182,
+                &[(28, 32), (28, 32)],
+                0.0006318843333333332,
+                34.98300000000001,
+                57.46633333333337,
             ),
             (
                 4,
                 1,
-                &[(13, 19), (13, 16), (13, 15), (12, 14)],
-                0.0006428212222222225,
-                59.919873644986396,
-                71.322798102981,
+                &[(16, 16), (17, 17), (15, 15), (16, 16)],
+                0.0006176420528455283,
+                27.918295392953898,
+                37.52482249322494,
             ),
         ];
         for (devices, streams, per_device, makespan, p50, p99) in pins {
@@ -2014,15 +2304,15 @@ mod tests {
         assert_eq!(
             transitions,
             [
-                (5.1883000000000005e-5, BreakerState::Open),
-                (0.00025991999999999996, BreakerState::HalfOpen),
-                (0.0002701733333333333, BreakerState::Open),
-                (0.0005040499999999999, BreakerState::HalfOpen),
-                (0.000587985598915989, BreakerState::Closed),
+                (6.159366666666667e-5, BreakerState::Open),
+                (0.00028158999999999997, BreakerState::HalfOpen),
+                (0.00029181166666666664, BreakerState::Open),
+                (0.00051423, BreakerState::HalfOpen),
+                (0.0005591854552845529, BreakerState::Closed),
             ]
         );
-        assert_eq!(r.makespan_seconds, 0.0006474899092140922);
-        assert_eq!(r.p99_latency_us, 90.12990921409224);
+        assert_eq!(r.makespan_seconds, 0.0006256622981029811);
+        assert_eq!(r.p99_latency_us, 71.92730303030301);
     }
 
     #[test]

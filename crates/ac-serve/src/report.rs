@@ -2,6 +2,7 @@
 
 use ac_gpu::DevicePoolStats;
 use serde::{Deserialize, Serialize};
+use std::collections::BTreeMap;
 
 /// Device-memory pool activity over one serve run (aggregated across
 /// devices for a fleet). Absent (`None` on [`ServeReport::pool`]) when
@@ -130,6 +131,12 @@ pub struct ServeReport {
     /// `#[serde(default)]`: absent in pre-pool reports).
     #[serde(default)]
     pub pool: Option<PoolStatsReport>,
+    /// GPU batches and scatter segments per kernel that ran them (`pfac`,
+    /// `shared-diagonal`, …), as the launch planner chose
+    /// (`#[serde(default)]`: absent in reports from before kernel
+    /// planning).
+    #[serde(default)]
+    pub kernel_launches: BTreeMap<String, u64>,
 }
 
 impl ServeReport {
@@ -247,6 +254,14 @@ impl ServeReport {
                 p.host_cycles,
             );
         }
+        for (kernel, launches) in &self.kernel_launches {
+            snap.push_labelled(
+                "acsim_serve_kernel_launches",
+                "GPU batches and scatter segments each kernel ran",
+                vec![("kernel".to_string(), kernel.clone())],
+                *launches,
+            );
+        }
         snap
     }
 }
@@ -311,6 +326,10 @@ mod tests {
                 host_cycles: 24_000,
                 hit_rate: 4.0 / 6.0,
             }),
+            kernel_launches: BTreeMap::from([
+                ("pfac".to_string(), 2),
+                ("shared-diagonal".to_string(), 1),
+            ]),
         };
         let back = ServeReport::from_json(&r.to_json()).unwrap();
         assert_eq!(back, r);
@@ -330,6 +349,19 @@ mod tests {
         let back = ServeReport::from_json(&legacy).unwrap();
         assert_eq!(back, r);
         assert!(back.pool.is_none());
+    }
+
+    #[test]
+    fn pre_planning_reports_parse_with_no_kernel_counts() {
+        let r = ServeReport {
+            jobs_completed: 3,
+            ..ServeReport::default()
+        };
+        let json = r.to_json();
+        let legacy = json.replace(",\n  \"kernel_launches\": {}", "");
+        assert!(!legacy.contains("kernel_launches"), "{legacy}");
+        let back = ServeReport::from_json(&legacy).unwrap();
+        assert_eq!(back, r);
     }
 
     #[test]
@@ -390,6 +422,18 @@ mod tests {
         let snap = pooled.to_metrics();
         assert_eq!(get_from(&snap, "acsim_serve_pool_hits"), 6u64.into());
         assert_eq!(get_from(&snap, "acsim_serve_pool_hit_rate"), 0.75.into());
+        let planned = ServeReport {
+            kernel_launches: BTreeMap::from([("pfac".to_string(), 7)]),
+            ..ServeReport::default()
+        };
+        let snap = planned.to_metrics();
+        let launches = snap
+            .get("acsim_serve_kernel_launches", &[("kernel", "pfac")])
+            .expect("one series per kernel");
+        assert_eq!(launches.value, 7u64.into());
+        assert!(snap
+            .to_prometheus()
+            .contains("acsim_serve_kernel_launches{kernel=\"pfac\"} 7"));
     }
 
     fn get_from(snap: &trace::MetricsSnapshot, name: &str) -> trace::MetricValue {
@@ -425,6 +469,7 @@ mod tests {
             compute_utilisation: 0.2,
             batch_histogram: vec![],
             pool: None,
+            kernel_launches: BTreeMap::new(),
         };
         let resilience_keys = [
             "\"jobs_expired\"",

@@ -92,7 +92,10 @@ pub struct ServeConfig {
     pub limits: BatchLimits,
     /// Host↔device link model.
     pub pcie: PcieConfig,
-    /// Kernel approach for every launch.
+    /// The configured kernel. Each launch runs the kernel the planner
+    /// picks for its length ([`GpuAcMatcher::plan_kernel`]): PFAC for
+    /// one-round launches unless the matcher's params are pinned
+    /// ([`ac_gpu::KernelParams::paper`]), this kernel otherwise.
     pub approach: Approach,
     /// Per-batch GPU retry/watchdog policy. With no faults armed the
     /// supervisor is pure bookkeeping: one attempt, zero penalty.
@@ -665,10 +668,11 @@ mod tests {
     /// Jobs cut from a fixed text: `(gap_us, len)` per job, arrivals
     /// accumulating the gaps.
     fn jobs_from(arrivals: &[(u32, usize)]) -> Vec<ScanJob> {
+        let longest = arrivals.iter().map(|&(_, len)| len).max().unwrap_or(0);
         let text: Vec<u8> = b"the king and her mother were singing a motion "
             .iter()
             .cycle()
-            .take(4096)
+            .take(4096.max(longest + 7 * arrivals.len()))
             .copied()
             .collect();
         let mut clock = 0.0;
@@ -768,6 +772,11 @@ mod tests {
         #[test]
         fn every_fleet_layout_answers_every_job_once(
             arrivals in proptest::collection::vec((0u32..40, 1usize..1500), 1..16),
+            // A job one byte either side of PFAC's one-round grid
+            // (30,720 B), so launches run both kernels (not with
+            // dictionary 3, whose 8 KiB overlap makes every lane of a
+            // 30 KiB scan walk 8 KiB).
+            boundary in proptest::sample::select(vec![None, Some(30_719usize), Some(30_721)]),
             devices in 1u32..=3,
             routing in proptest::prelude::any::<bool>(),
             shard_bytes in proptest::sample::select(vec![None, Some(512usize), Some(1024)]),
@@ -778,6 +787,8 @@ mod tests {
             fault_seed in 0u64..16,
         ) {
             let m = fleet_matcher(dictionary);
+            let mut arrivals = arrivals;
+            arrivals.extend(boundary.filter(|_| dictionary < 3).map(|len| (40, len)));
             // Seeds 0..8 arm a generated plan, so readback bit flips cross
             // the frame decoder on the serving path; 8..16 run clean.
             if fault_seed < 8 {

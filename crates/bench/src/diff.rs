@@ -4,7 +4,8 @@
 //! Rows are matched by `(approach, size, patterns)`, falling back to
 //! `(approach, patterns)` when that is unique in both reports (see
 //! [`paired_row`]), and compared under fixed relative thresholds on
-//! throughput, cycles and the stall-reason mix. Every value comes from
+//! throughput, cycles and the stall-reason mix; a serving row also
+//! regresses when it rejects more jobs. Every value comes from
 //! the deterministic simulated clock, so "noise" here is not run-to-run
 //! jitter but *intentional slack*: small modelling changes (a latency
 //! constant, a cache tweak) may legitimately move numbers a little, and
@@ -234,6 +235,15 @@ pub fn diff_reports(old: &BenchReport, new: &BenchReport) -> DiffReport {
                 "stall mix shifted {shift:.1} pts (limit {STALL_SHIFT_PTS:.1})"
             ));
         }
+        // Throughput counts completed work only: turning more jobs away
+        // must not pass as a gain.
+        if let (Some(was), Some(now)) = (o.jobs_rejected, n.jobs_rejected) {
+            if now > was {
+                violations.push(format!(
+                    "jobs rejected rose {was} -> {now} (limit: no rise)"
+                ));
+            }
+        }
         out.entries.push(DiffEntry {
             approach: o.approach.clone(),
             size: o.size,
@@ -365,6 +375,7 @@ mod tests {
             stalls: StallBreakdown::default(),
             p99_latency_us: 0.0,
             jobs_per_sec: 0.0,
+            jobs_rejected: None,
             config_hash: 0,
         }
     }
@@ -443,6 +454,38 @@ mod tests {
         let d = diff_reports(&old, &grown);
         assert!(!d.has_regressions());
         assert_eq!(d.added.len(), 1);
+    }
+
+    #[test]
+    fn serving_rows_regress_when_rejections_rise() {
+        let serving = |gbps: f64, rejected: Option<u64>| BenchRow {
+            jobs_rejected: rejected,
+            ..row("serve-steady-unpooled", gbps, 1000)
+        };
+        let old = report("base", vec![serving(8.0, Some(12))]);
+        // Faster over the work it completed, but it turned more away.
+        let d = diff_reports(&old, &report("cand", vec![serving(8.8, Some(75))]));
+        assert!(d.has_regressions());
+        assert!(
+            d.render().contains("jobs rejected rose 12 -> 75"),
+            "{}",
+            d.render()
+        );
+        for fine in [Some(12), Some(0)] {
+            let d = diff_reports(&old, &report("cand", vec![serving(8.8, fine)]));
+            assert!(!d.has_regressions(), "{}", d.render());
+        }
+        // A baseline written before rows carried rejections gates nothing.
+        let unrecorded = report("base", vec![serving(8.0, None)]);
+        let d = diff_reports(&unrecorded, &report("cand", vec![serving(8.8, Some(75))]));
+        assert!(!d.has_regressions(), "{}", d.render());
+        // Only serving rows carry the field, so kernel rows serialize as
+        // before; a serving row's count round-trips.
+        let kernel_row = serde_json::to_string(&row("pfac", 10.0, 1000)).unwrap();
+        assert!(!kernel_row.contains("jobs_rejected"), "{kernel_row}");
+        let json = serde_json::to_string(&serving(8.0, Some(12))).unwrap();
+        let back: BenchRow = serde_json::from_str(&json).unwrap();
+        assert_eq!(back.jobs_rejected, Some(12));
     }
 
     #[test]

@@ -228,6 +228,7 @@ mod tests {
                 stalls: Default::default(),
                 p99_latency_us: 0.0,
                 jobs_per_sec: 0.0,
+                jobs_rejected: None,
             });
         }
         m

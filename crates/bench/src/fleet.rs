@@ -115,6 +115,7 @@ fn fleet_row(label: &str, run: &FleetRun, clock_hz: f64) -> Measurement {
         stalls: trace::StallBreakdown::default(),
         p99_latency_us: r.p99_latency_us,
         jobs_per_sec: r.jobs_per_sec,
+        jobs_rejected: Some(r.jobs_rejected),
     }
 }
 

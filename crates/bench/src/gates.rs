@@ -56,7 +56,7 @@ pub fn scenarios() -> Vec<Scenario> {
             layout_sweep_measurements,
         ),
         (
-            "launch planning (paper tile vs planned blocks, 1 MiB)".into(),
+            "launch planning (paper launch vs planned launch, 1 MiB and 16 KiB)".into(),
             launch_plan_measurements,
         ),
     ]

@@ -1,13 +1,21 @@
-//! The launch-planning scenario: one multi-round scan, run with the
-//! paper's pinned 128-thread tile and with the planned block size.
+//! The launch-planning scenario: two scans, each run with the paper's
+//! pinned `shared-diagonal` launch and with the launch the planner makes
+//! of a `shared-diagonal` request.
 //!
-//! At [`LAUNCH_PLAN_SIZE`] the paper tile needs five resident rounds on
-//! the busiest SM, one 4-warp block at a time, because an 8 KiB tile plus
-//! its overlap is just over half of the 16 KiB shared memory. The planner
-//! ([`ac_gpu::Plan::shared`]) picks 96-thread blocks, two resident per
-//! SM, and needs three. [`check_launch_planning`] is the gate-table entry
-//! ([`crate::gates`]) that keeps that gain: the planned row must beat the
-//! paper row by [`LAUNCH_PLAN_FLOOR`].
+//! * A multi-round scan ([`LAUNCH_PLAN_SIZE`]): the paper tile needs five
+//!   resident rounds on the busiest SM, one 4-warp block at a time,
+//!   because an 8 KiB tile plus its overlap is just over half of the
+//!   16 KiB shared memory. The planner ([`ac_gpu::Plan::shared`]) picks
+//!   96-thread blocks, two resident per SM, and needs three.
+//! * A one-round scan ([`ONE_ROUND_SIZE`], a serving-sized launch): the
+//!   paper tile runs two blocks on 2 of the 30 SMs, every thread making
+//!   64 + X dependent texture fetches into a 20,000-pattern table. The
+//!   planner ([`ac_gpu::Plan::kernel`]) runs PFAC, whose one-thread-per-
+//!   byte grid spreads the same bytes over every SM.
+//!
+//! [`check_launch_planning`] is the gate-table entry ([`crate::gates`])
+//! that keeps both gains: the planned rows must beat the paper rows by
+//! [`LAUNCH_PLAN_FLOOR`] and [`ONE_ROUND_FLOOR`].
 
 use crate::measure::{Engine, EngineConfig, Measurements};
 use crate::report::BenchReport;
@@ -25,67 +33,105 @@ pub const LAUNCH_PLAN_PATTERNS: usize = 2_000;
 /// twin is the ordinary `shared-diagonal` row at the same point.
 pub const PLANNED_ROW: &str = "shared-diagonal-planned";
 
-/// The least planned/paper throughput ratio the gate accepts.
+/// The least planned/paper throughput ratio the gate accepts at
+/// [`LAUNCH_PLAN_SIZE`].
 pub const LAUNCH_PLAN_FLOOR: f64 = 1.3;
 
-/// Run the scenario: a `shared-diagonal` row with the paper's pinned
-/// tile and a [`PLANNED_ROW`] row with [`KernelParams::defaults_for`],
-/// over the same text and dictionary.
+/// Input size of the one-round point: a serving-sized launch that PFAC's
+/// grid covers in one resident round (30,720 B on the GTX 285).
+pub const ONE_ROUND_SIZE: usize = 16 * 1024;
+
+/// Dictionary size of the one-round point: a table far beyond the
+/// texture caches, so each chunked thread's dependent misses set the
+/// time.
+pub const ONE_ROUND_PATTERNS: usize = 20_000;
+
+/// The least planned/paper throughput ratio the gate accepts at
+/// [`ONE_ROUND_SIZE`].
+pub const ONE_ROUND_FLOOR: f64 = 2.0;
+
+/// Run the scenario: at each point a `shared-diagonal` row with the
+/// paper's pinned launch and a [`PLANNED_ROW`] row with
+/// [`KernelParams::defaults_for`] running the kernel
+/// [`GpuAcMatcher::plan_kernel`] picks, over the same text and
+/// dictionary.
 pub fn launch_plan_measurements(verbose: bool) -> Result<Measurements, String> {
-    let mut cfg = EngineConfig::new(ExperimentGrid {
-        sizes: vec![LAUNCH_PLAN_SIZE],
-        pattern_counts: vec![LAUNCH_PLAN_PATTERNS],
-    });
-    cfg.verbose = verbose;
-    let engine = Engine::new(cfg);
-    let mut out = engine.run(&[Approach::SharedDiagonal.label()])?;
-    let gpu = engine.config().gpu;
-    let planned = GpuAcMatcher::new(
-        gpu,
-        KernelParams::defaults_for(&gpu),
-        engine.workload().automaton(LAUNCH_PLAN_PATTERNS),
-    )?;
-    let mut row = engine.measure_gpu(
-        &planned,
-        engine.workload().input(LAUNCH_PLAN_SIZE),
-        LAUNCH_PLAN_PATTERNS,
-        Approach::SharedDiagonal,
-    )?;
-    row.approach = PLANNED_ROW.into();
-    out.rows.push(row);
+    let mut out = Measurements::default();
+    for (size, patterns) in [
+        (LAUNCH_PLAN_SIZE, LAUNCH_PLAN_PATTERNS),
+        (ONE_ROUND_SIZE, ONE_ROUND_PATTERNS),
+    ] {
+        let mut cfg = EngineConfig::new(ExperimentGrid {
+            sizes: vec![size],
+            pattern_counts: vec![patterns],
+        });
+        cfg.verbose = verbose;
+        let engine = Engine::new(cfg);
+        out.extend(engine.run(&[Approach::SharedDiagonal.label()])?);
+        let gpu = engine.config().gpu;
+        let planned = GpuAcMatcher::new(
+            gpu,
+            KernelParams::defaults_for(&gpu),
+            engine.workload().automaton(patterns),
+        )?;
+        let mut row = engine.measure_gpu(
+            &planned,
+            engine.workload().input(size),
+            patterns,
+            planned.plan_kernel(Approach::SharedDiagonal, size),
+        )?;
+        row.approach = PLANNED_ROW.into();
+        out.rows.push(row);
+    }
     Ok(out)
 }
 
-/// The scenario's claim, checked on a report's rows: the planned launch
-/// reaches at least [`LAUNCH_PLAN_FLOOR`] times the paper tile's Gb/s.
+/// The scenario's claims, checked on a report's rows: the planned launch
+/// reaches at least [`LAUNCH_PLAN_FLOOR`] times the paper tile's Gb/s on
+/// the multi-round scan, and [`ONE_ROUND_FLOOR`] times on the one-round
+/// scan.
 pub fn check_launch_planning(r: &BenchReport) -> Result<String, String> {
-    let (size, patterns) = (LAUNCH_PLAN_SIZE, LAUNCH_PLAN_PATTERNS);
-    let at = |label: &str| {
-        r.rows
-            .iter()
-            .find(|row| row.approach == label && row.size == size && row.patterns == patterns)
-            .ok_or_else(|| format!("missing {label} row at {size}x{patterns}"))
-    };
-    let paper = at(Approach::SharedDiagonal.label())?;
-    let planned = at(PLANNED_ROW)?;
-    if paper.gbps <= 0.0 {
-        return Err(format!(
-            "the paper-tile row at {size}x{patterns} has no throughput"
-        ));
-    }
-    let ratio = planned.gbps / paper.gbps;
-    if ratio < LAUNCH_PLAN_FLOOR {
-        return Err(format!(
-            "planned blocks reach {:.2} Gb/s, {ratio:.2}x the paper tile's {:.2} Gb/s \
-             (floor {LAUNCH_PLAN_FLOOR}x)",
+    let ratio = |size: usize, patterns: usize, floor: f64, what: &str| {
+        let at = |label: &str| {
+            r.rows
+                .iter()
+                .find(|row| row.approach == label && row.size == size && row.patterns == patterns)
+                .ok_or_else(|| format!("missing {label} row at {size}x{patterns}"))
+        };
+        let paper = at(Approach::SharedDiagonal.label())?;
+        let planned = at(PLANNED_ROW)?;
+        if paper.gbps <= 0.0 {
+            return Err(format!(
+                "the paper-tile row at {size}x{patterns} has no throughput"
+            ));
+        }
+        let ratio = planned.gbps / paper.gbps;
+        if ratio < floor {
+            return Err(format!(
+                "{what} at {:.2} Gb/s, only {ratio:.2}x the paper tile's {:.2} Gb/s \
+                 at {size}x{patterns} (floor {floor}x)",
+                planned.gbps, paper.gbps
+            ));
+        }
+        Ok(format!(
+            "{what} at {ratio:.2}x the paper tile's Gb/s ({:.2} vs {:.2}) \
+             at {size}x{patterns}",
             planned.gbps, paper.gbps
-        ));
-    }
-    Ok(format!(
-        "launch planning pays: planned blocks at {ratio:.2}x the paper tile's Gb/s \
-         ({:.2} vs {:.2}) at {patterns} patterns",
-        planned.gbps, paper.gbps
-    ))
+        ))
+    };
+    let blocks = ratio(
+        LAUNCH_PLAN_SIZE,
+        LAUNCH_PLAN_PATTERNS,
+        LAUNCH_PLAN_FLOOR,
+        "planned blocks",
+    )?;
+    let kernel = ratio(
+        ONE_ROUND_SIZE,
+        ONE_ROUND_PATTERNS,
+        ONE_ROUND_FLOOR,
+        "one-round PFAC",
+    )?;
+    Ok(format!("launch planning pays: {blocks}; {kernel}"))
 }
 
 #[cfg(test)]
@@ -104,6 +150,7 @@ mod tests {
             stalls: Default::default(),
             p99_latency_us: 0.0,
             jobs_per_sec: 0.0,
+            jobs_rejected: None,
             config_hash: 0,
         }
     }
@@ -116,17 +163,45 @@ mod tests {
         }
     }
 
+    fn one_round(approach: &str, gbps: f64) -> BenchRow {
+        BenchRow {
+            size: ONE_ROUND_SIZE,
+            patterns: ONE_ROUND_PATTERNS,
+            ..row(approach, gbps)
+        }
+    }
+
+    /// The four rows with the given planned Gb/s at each point, against
+    /// paper rows at 10 Gb/s.
+    fn rows(blocks: f64, kernel: f64) -> Vec<BenchRow> {
+        vec![
+            row("shared-diagonal", 10.0),
+            row(PLANNED_ROW, blocks),
+            one_round("shared-diagonal", 10.0),
+            one_round(PLANNED_ROW, kernel),
+        ]
+    }
+
     #[test]
     fn gate_holds_at_the_floor_and_breaks_below_it() {
-        let held = report(vec![row("shared-diagonal", 10.0), row(PLANNED_ROW, 13.0)]);
-        assert!(check_launch_planning(&held).unwrap().contains("1.30x"));
-        let broken = report(vec![row("shared-diagonal", 10.0), row(PLANNED_ROW, 12.9)]);
-        assert!(check_launch_planning(&broken)
-            .unwrap_err()
-            .contains("1.29x"));
-        let missing = report(vec![row(PLANNED_ROW, 13.0)]);
-        assert!(check_launch_planning(&missing)
-            .unwrap_err()
-            .contains("missing"));
+        let held = check_launch_planning(&report(rows(13.0, 20.0))).unwrap();
+        assert!(held.contains("1.30x") && held.contains("2.00x"), "{held}");
+        let blocks = check_launch_planning(&report(rows(12.9, 20.0))).unwrap_err();
+        assert!(
+            blocks.contains("planned blocks") && blocks.contains("1.29x"),
+            "{blocks}"
+        );
+        let kernel = check_launch_planning(&report(rows(13.0, 19.9))).unwrap_err();
+        assert!(
+            kernel.contains("one-round PFAC") && kernel.contains("1.99x"),
+            "{kernel}"
+        );
+        let mut missing = rows(13.0, 20.0);
+        missing.remove(2);
+        let missing = check_launch_planning(&report(missing)).unwrap_err();
+        assert!(
+            missing.contains("missing shared-diagonal row at 16384x20000"),
+            "{missing}"
+        );
     }
 }

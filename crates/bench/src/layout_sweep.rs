@@ -128,6 +128,7 @@ mod tests {
             },
             p99_latency_us: 0.0,
             jobs_per_sec: 0.0,
+            jobs_rejected: None,
             config_hash: 0,
         }
     }

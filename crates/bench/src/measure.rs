@@ -44,6 +44,9 @@ pub struct Measurement {
     /// Completed jobs per simulated second (serving scenarios only).
     #[serde(default)]
     pub jobs_per_sec: f64,
+    /// Jobs turned away by backpressure (serving scenarios only).
+    #[serde(default)]
+    pub jobs_rejected: Option<u64>,
 }
 
 /// The full record set of one engine run.
@@ -214,6 +217,7 @@ impl Engine {
             stalls: trace::StallBreakdown::default(),
             p99_latency_us: 0.0,
             jobs_per_sec: 0.0,
+            jobs_rejected: None,
         }
     }
 
@@ -242,6 +246,7 @@ impl Engine {
             stalls: trace::StallBreakdown::default(),
             p99_latency_us: 0.0,
             jobs_per_sec: 0.0,
+            jobs_rejected: None,
         }
     }
 
@@ -270,6 +275,7 @@ impl Engine {
             stalls: run.stats.totals.stalls,
             p99_latency_us: 0.0,
             jobs_per_sec: 0.0,
+            jobs_rejected: None,
         })
     }
 }

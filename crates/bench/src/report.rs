@@ -37,6 +37,12 @@ pub struct BenchRow {
     /// Completed jobs per simulated second (serving rows only, else 0).
     #[serde(default)]
     pub jobs_per_sec: f64,
+    /// Jobs the scenario turned away by backpressure (serving rows only;
+    /// absent elsewhere and in reports written before this field). A
+    /// serving row's Gb/s counts completed work only, so `bench diff`
+    /// regresses a row whose rejections rise.
+    #[serde(default, skip_serializing_if = "Option::is_none")]
+    pub jobs_rejected: Option<u64>,
     /// FNV-1a hash of the row's identity fields (approach, size,
     /// patterns). A diff between two reports warns when matched rows
     /// disagree — a hash change means the grid point was re-keyed, so the
@@ -112,6 +118,7 @@ impl BenchReport {
                 stalls: r.stalls,
                 p99_latency_us: r.p99_latency_us,
                 jobs_per_sec: r.jobs_per_sec,
+                jobs_rejected: r.jobs_rejected,
                 config_hash: row_config_hash(&r.approach, r.size, r.patterns),
             })
             .collect();

@@ -89,6 +89,7 @@ pub fn serving_measurements_with(
             stalls: trace::StallBreakdown::default(),
             p99_latency_us: r.p99_latency_us,
             jobs_per_sec: r.jobs_per_sec,
+            jobs_rejected: Some(r.jobs_rejected),
         });
     }
     Ok(out)
@@ -141,6 +142,7 @@ pub fn serve_steady_measurements() -> Result<Measurements, String> {
             stalls: trace::StallBreakdown::default(),
             p99_latency_us: r.p99_latency_us,
             jobs_per_sec: r.jobs_per_sec,
+            jobs_rejected: Some(r.jobs_rejected),
         });
     }
     Ok(out)
@@ -233,6 +235,7 @@ pub fn serve_chaos_measurements() -> Result<Measurements, String> {
         stalls: trace::StallBreakdown::default(),
         p99_latency_us: r.p99_latency_us,
         jobs_per_sec: r.jobs_per_sec,
+        jobs_rejected: Some(r.jobs_rejected),
     };
     let mut out = Measurements::default();
     out.rows

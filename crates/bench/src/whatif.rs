@@ -345,7 +345,7 @@ mod tests {
             threads_per_block: 32,
             global_chunk_bytes: 16,
             shared_chunk_bytes: 64,
-            pin_threads_per_block: false,
+            pin_paper_launch: false,
         };
         let w = Workload::prepare(16 * 1024, 7);
         let ac = w.automaton(20);

@@ -375,6 +375,7 @@ fn serve_sim_text(opts: &Options) -> Result<String, String> {
         "  completed:   {} ({} rejected by backpressure), {} launch(es)",
         r.jobs_completed, r.jobs_rejected, r.batches
     );
+    write_kernel_launches(r, &mut out);
     if r.jobs_expired + r.jobs_shed + r.breaker_opens + r.cpu_fallback_batches + r.gpu_retries > 0 {
         let _ = writeln!(
             out,
@@ -452,6 +453,7 @@ fn fleet_sim_text(opts: &Options) -> Result<String, String> {
         "  completed:   {} ({} rejected by backpressure), {} launch(es)",
         r.jobs_completed, r.jobs_rejected, r.batches
     );
+    write_kernel_launches(r, &mut out);
     if r.jobs_expired + r.jobs_shed + r.breaker_opens + r.cpu_fallback_batches + r.gpu_retries > 0 {
         let _ = writeln!(
             out,
@@ -592,6 +594,20 @@ fn serve_scenario(
         serve_cfg.telemetry = Some(TelemetryConfig::default());
     }
     Ok((matcher, workload, serve_cfg))
+}
+
+/// Render the `kernels:` line: GPU batches and scatter segments per
+/// kernel the launch planner chose. Omitted when nothing ran on a GPU.
+fn write_kernel_launches(report: &ac_serve::ServeReport, out: &mut String) {
+    if report.kernel_launches.is_empty() {
+        return;
+    }
+    let counts: Vec<String> = report
+        .kernel_launches
+        .iter()
+        .map(|(kernel, launches)| format!("{kernel} {launches}"))
+        .collect();
+    let _ = writeln!(out, "  kernels:     {} (launches)", counts.join(", "));
 }
 
 /// The device-pool configuration selected by `--pool`/`--pool-churn`
@@ -1824,6 +1840,7 @@ mod tests {
             stalls: Default::default(),
             p99_latency_us: 0.0,
             jobs_per_sec: 0.0,
+            jobs_rejected: None,
             config_hash: 0,
         };
         let old = BenchReport {

@@ -103,6 +103,10 @@ pub struct ScheduledOp {
     pub end: f64,
     /// Payload bytes (0 for kernels).
     pub bytes: u64,
+    /// The kernel a [`StreamEngine::submit_kernel`] op ran (`pfac`,
+    /// `shared-diagonal`, …); traces carry it as a `kernel` arg.
+    #[serde(default)]
+    pub kernel: Option<String>,
 }
 
 impl ScheduledOp {
@@ -167,6 +171,14 @@ impl StreamEngine {
         best
     }
 
+    /// When `engine` finishes its last issued op.
+    pub fn engine_free(&self, engine: EngineKind) -> f64 {
+        match engine {
+            EngineKind::Copy => self.copy_free,
+            EngineKind::Compute => self.compute_free,
+        }
+    }
+
     /// When an op of `kind` submitted to `stream` with host release time
     /// `not_before` would start, without scheduling anything. This is the
     /// exact start computation of [`StreamEngine::submit_at`] (stream
@@ -179,11 +191,7 @@ impl StreamEngine {
         for &ev in &self.pending_waits[s] {
             ready = ready.max(self.events[ev]);
         }
-        let engine_free = match kind.engine() {
-            EngineKind::Copy => self.copy_free,
-            EngineKind::Compute => self.compute_free,
-        };
-        ready.max(engine_free)
+        ready.max(self.engine_free(kind.engine()))
     }
 
     /// Submit an op released to the device at time 0.
@@ -196,6 +204,21 @@ impl StreamEngine {
         bytes: u64,
     ) -> ScheduledOp {
         self.submit_at(stream, kind, label, seconds, bytes, 0.0)
+    }
+
+    /// Submit a kernel op released at time 0 that records which kernel
+    /// ran ([`ScheduledOp::kernel`]).
+    pub fn submit_kernel(
+        &mut self,
+        stream: u32,
+        label: &str,
+        kernel: &str,
+        seconds: f64,
+    ) -> ScheduledOp {
+        self.submit(stream, StreamOpKind::Kernel, label, seconds, 0);
+        let op = self.ops.last_mut().expect("submit pushed the op");
+        op.kernel = Some(kernel.to_string());
+        op.clone()
     }
 
     /// Submit an op the host releases no earlier than `not_before`
@@ -233,6 +256,7 @@ impl StreamEngine {
             start,
             end,
             bytes,
+            kernel: None,
         };
         self.ops.push(op.clone());
         op
@@ -350,6 +374,9 @@ impl StreamTimeline {
             )];
             if op.bytes > 0 {
                 args.push(("bytes".to_string(), ArgValue::U64(op.bytes)));
+            }
+            if let Some(kernel) = &op.kernel {
+                args.push(("kernel".to_string(), ArgValue::Str(kernel.clone())));
             }
             tb.span(
                 &format!("{}:{}", op.kind.label(), op.label),
@@ -545,5 +572,27 @@ mod tests {
         // Identical cycle quantization as the standalone export.
         let alone = t.to_trace(1.0e6, TraceConfig::default());
         assert_eq!(&tb.events()[1..], alone.events());
+    }
+
+    #[test]
+    fn kernel_ops_name_their_kernel_and_engines_report_free_times() {
+        let mut e = StreamEngine::new(2);
+        e.submit(0, StreamOpKind::CopyH2D, "b0", 2.0, 64);
+        let op = e.submit_kernel(0, "b0", "pfac", 3.0);
+        assert_eq!((op.start, op.end), (2.0, 5.0));
+        assert_eq!(op.kind, StreamOpKind::Kernel);
+        assert_eq!(op.kernel.as_deref(), Some("pfac"));
+        assert_eq!(e.engine_free(EngineKind::Copy), 2.0);
+        assert_eq!(e.engine_free(EngineKind::Compute), 5.0);
+        let tb = e.finish().to_trace(1.0, TraceConfig::default());
+        let kernel_arg = |i: usize| {
+            tb.events()[i]
+                .args
+                .iter()
+                .find(|(k, _)| k == "kernel")
+                .map(|(_, v)| v.clone())
+        };
+        assert_eq!(kernel_arg(0), None);
+        assert_eq!(kernel_arg(1), Some(ArgValue::Str("pfac".into())));
     }
 }

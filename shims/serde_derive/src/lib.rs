@@ -6,7 +6,9 @@
 //! `Value`). It parses the item's token stream by hand — no `syn`/`quote`
 //! — and supports exactly the shapes this repository uses:
 //!
-//! * structs with named fields (honouring `#[serde(default)]` per field)
+//! * structs with named fields (honouring `#[serde(default)]`,
+//!   `#[serde(alias = "old_name")]` and
+//!   `#[serde(skip_serializing_if = "path")]` per field)
 //! * tuple structs (newtype or wider)
 //! * enums whose variants are all unit variants
 //!
@@ -25,6 +27,19 @@ struct Field {
     name: String,
     /// `#[serde(default)]` was present on the field.
     default: bool,
+    /// Extra keys `#[serde(alias = "...")]` accepts when deserializing.
+    aliases: Vec<String>,
+    /// `#[serde(skip_serializing_if = "...")]`: the predicate whose
+    /// `true` leaves the field out when serializing.
+    skip_if: Option<String>,
+}
+
+/// The per-field options one `#[serde(...)]` attribute spells.
+#[derive(Default)]
+struct FieldAttrs {
+    default: bool,
+    aliases: Vec<String>,
+    skip_if: Option<String>,
 }
 
 #[proc_macro_derive(Serialize, attributes(serde))]
@@ -118,15 +133,31 @@ fn skip_attrs_and_vis(toks: &[TokenTree], i: &mut usize) {
     }
 }
 
-/// Does an attribute group's stream spell `serde(default)`?
-fn attr_is_serde_default(stream: TokenStream) -> bool {
+/// Fold the options of one field attribute group into `attrs`: `default`,
+/// `alias = "..."` and `skip_serializing_if = "..."` inside `serde(...)`;
+/// other attributes are ignored.
+fn read_serde_attr(stream: TokenStream, attrs: &mut FieldAttrs) {
     let toks: Vec<TokenTree> = stream.into_iter().collect();
-    match (toks.first(), toks.get(1)) {
-        (Some(TokenTree::Ident(id)), Some(TokenTree::Group(g))) if id.to_string() == "serde" => g
-            .stream()
-            .into_iter()
-            .any(|t| matches!(&t, TokenTree::Ident(w) if w.to_string() == "default")),
-        _ => false,
+    let inner: Vec<TokenTree> = match (toks.first(), toks.get(1)) {
+        (Some(TokenTree::Ident(id)), Some(TokenTree::Group(g))) if id.to_string() == "serde" => {
+            g.stream().into_iter().collect()
+        }
+        _ => return,
+    };
+    for (j, t) in inner.iter().enumerate() {
+        let TokenTree::Ident(w) = t else { continue };
+        let value = match (inner.get(j + 1), inner.get(j + 2)) {
+            (Some(TokenTree::Punct(eq)), Some(TokenTree::Literal(lit))) if eq.as_char() == '=' => {
+                Some(lit.to_string().trim_matches('"').to_string())
+            }
+            _ => None,
+        };
+        match (w.to_string().as_str(), value) {
+            ("default", None) => attrs.default = true,
+            ("alias", Some(v)) => attrs.aliases.push(v),
+            ("skip_serializing_if", Some(v)) => attrs.skip_if = Some(v),
+            _ => {}
+        }
     }
 }
 
@@ -135,13 +166,13 @@ fn parse_named_fields(stream: TokenStream) -> Result<Vec<Field>, String> {
     let mut fields = Vec::new();
     let mut i = 0;
     while i < toks.len() {
-        let mut default = false;
+        let mut attrs = FieldAttrs::default();
         while let Some(TokenTree::Punct(p)) = toks.get(i) {
             if p.as_char() != '#' {
                 break;
             }
             if let Some(TokenTree::Group(g)) = toks.get(i + 1) {
-                default |= attr_is_serde_default(g.stream());
+                read_serde_attr(g.stream(), &mut attrs);
             }
             i += 2;
         }
@@ -180,7 +211,12 @@ fn parse_named_fields(stream: TokenStream) -> Result<Vec<Field>, String> {
             }
             i += 1;
         }
-        fields.push(Field { name, default });
+        fields.push(Field {
+            name,
+            default: attrs.default,
+            aliases: attrs.aliases,
+            skip_if: attrs.skip_if,
+        });
     }
     Ok(fields)
 }
@@ -244,10 +280,14 @@ fn gen_serialize(item: &Item) -> String {
             let pushes: String = fields
                 .iter()
                 .map(|f| {
-                    format!(
+                    let push = format!(
                         "__fields.push(({n:?}.to_string(), ::serde::Serialize::to_value(&self.{n})));\n",
                         n = f.name
-                    )
+                    );
+                    match &f.skip_if {
+                        Some(pred) => format!("if !{pred}(&self.{n}) {{ {push} }}\n", n = f.name),
+                        None => push,
+                    }
                 })
                 .collect();
             format!(
@@ -305,8 +345,12 @@ fn gen_deserialize(item: &Item) -> String {
                             f.name, name
                         )
                     };
+                    let lookup: String = f.aliases.iter().fold(
+                        format!("::serde::obj_get(__obj, {:?})", f.name),
+                        |found, alias| format!("{found}.or_else(|| ::serde::obj_get(__obj, {alias:?}))"),
+                    );
                     format!(
-                        "{n}: match ::serde::obj_get(__obj, {n:?}) {{\n\
+                        "{n}: match {lookup} {{\n\
                              ::std::option::Option::Some(__x) => ::serde::Deserialize::from_value(__x)?,\n\
                              ::std::option::Option::None => {missing},\n\
                          }},\n",

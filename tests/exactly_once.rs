@@ -31,7 +31,7 @@ const PARAMS: KernelParams = KernelParams {
     threads_per_block: 32,
     global_chunk_bytes: 16,
     shared_chunk_bytes: 64,
-    pin_threads_per_block: false,
+    pin_paper_launch: false,
 };
 
 proptest! {

@@ -128,37 +128,37 @@ fn kernel_params_rejected_before_any_launch() {
             threads_per_block: 0,
             global_chunk_bytes: 64,
             shared_chunk_bytes: 64,
-            pin_threads_per_block: false,
+            pin_paper_launch: false,
         },
         KernelParams {
             threads_per_block: 48,
             global_chunk_bytes: 64,
             shared_chunk_bytes: 64,
-            pin_threads_per_block: false,
+            pin_paper_launch: false,
         },
         KernelParams {
             threads_per_block: 32,
             global_chunk_bytes: 0,
             shared_chunk_bytes: 64,
-            pin_threads_per_block: false,
+            pin_paper_launch: false,
         },
         KernelParams {
             threads_per_block: 32,
             global_chunk_bytes: 64,
             shared_chunk_bytes: 62,
-            pin_threads_per_block: false,
+            pin_paper_launch: false,
         },
         KernelParams {
             threads_per_block: 32,
             global_chunk_bytes: 64,
             shared_chunk_bytes: 32,
-            pin_threads_per_block: false,
+            pin_paper_launch: false,
         },
         KernelParams {
             threads_per_block: 256,
             global_chunk_bytes: 64,
             shared_chunk_bytes: 512,
-            pin_threads_per_block: false,
+            pin_paper_launch: false,
         },
     ];
     for params in bad {

@@ -101,7 +101,7 @@ proptest! {
         let cfg = GpuConfig::gtx285();
         let m = GpuAcMatcher::new(
             cfg,
-            KernelParams { threads_per_block: 32, global_chunk_bytes: 64, shared_chunk_bytes: 64, pin_threads_per_block: false },
+            KernelParams { threads_per_block: 32, global_chunk_bytes: 64, shared_chunk_bytes: 64, pin_paper_launch: false },
             AcAutomaton::build(&ps),
         ).unwrap();
         for approach in compressed_approaches() {
