@@ -26,6 +26,9 @@ pub struct PfacAutomaton {
     /// CSR per-state terminal pattern lists.
     term_offsets: Vec<u32>,
     term_data: Vec<PatternId>,
+    /// Per state, its nearest proper ancestor at which a pattern
+    /// terminates, or [`NO_TRANSITION`].
+    term_link: Vec<u32>,
     state_count: usize,
 }
 
@@ -42,10 +45,19 @@ impl PfacAutomaton {
         let mut goto = vec![NO_TRANSITION; n * ALPHABET];
         let mut term_offsets = Vec::with_capacity(n + 1);
         let mut term_data = Vec::new();
+        let mut term_link = vec![NO_TRANSITION; n];
         term_offsets.push(0u32);
+        // Children get larger ids than their parents, so a parent's link
+        // is final before its children read it.
         for s in 0..n as u32 {
+            let link = if trie.terminal_patterns(s).is_empty() {
+                term_link[s as usize]
+            } else {
+                s
+            };
             for (a, c) in trie.children_of(s) {
                 goto[s as usize * ALPHABET + a as usize] = c;
+                term_link[c as usize] = link;
             }
             term_data.extend_from_slice(trie.terminal_patterns(s));
             term_offsets.push(term_data.len() as u32);
@@ -54,6 +66,7 @@ impl PfacAutomaton {
             goto,
             term_offsets,
             term_data,
+            term_link,
             state_count: n,
         }
     }
@@ -69,6 +82,39 @@ impl PfacAutomaton {
     pub fn terminal(&self, state: u32) -> &[PatternId] {
         let s = state as usize;
         &self.term_data[self.term_offsets[s] as usize..self.term_offsets[s + 1] as usize]
+    }
+
+    /// The nearest proper trie ancestor of `state` at which a pattern
+    /// terminates, if any. A walk that ends its matches in `state` passed
+    /// exactly `state` (when terminal) and this chain of ancestors, so a
+    /// walk's deepest match names all of its matches.
+    #[inline]
+    pub fn terminal_ancestor(&self, state: u32) -> Option<u32> {
+        let link = self.term_link[state as usize];
+        (link != NO_TRANSITION).then_some(link)
+    }
+
+    /// Every pattern a walk anchored at `anchor` matched when its deepest
+    /// match is `state`: the terminal patterns of `state` and of each of
+    /// its terminal ancestors, each spanning `anchor..anchor + len`.
+    pub fn walk_matches(
+        &self,
+        patterns: &PatternSet,
+        anchor: usize,
+        state: u32,
+        sink: &mut Vec<Match>,
+    ) {
+        let mut at = Some(state);
+        while let Some(s) = at {
+            for &pid in self.terminal(s) {
+                sink.push(Match {
+                    pattern: pid,
+                    start: anchor,
+                    end: anchor + patterns.len_of(pid),
+                });
+            }
+            at = self.terminal_ancestor(s);
+        }
     }
 
     /// Number of states.
@@ -180,6 +226,24 @@ mod tests {
         assert_eq!(pfac.mean_walk_length(b""), 0.0);
     }
 
+    #[test]
+    fn terminal_ancestors_chain_a_walks_matches() {
+        let ps = pats(&["a", "abc", "abcd", "b"]);
+        let pfac = PfacAutomaton::build(&ps);
+        let walk = |s: &[u8]| s.iter().fold(0, |st, &b| pfac.goto(st, b));
+        let (a, ab, abcd) = (walk(b"a"), walk(b"ab"), walk(b"abcd"));
+        assert_eq!(pfac.terminal_ancestor(a), None);
+        assert_eq!(pfac.terminal_ancestor(ab), Some(a));
+        assert_eq!(pfac.terminal_ancestor(abcd), Some(walk(b"abc")));
+        let mut sink = Vec::new();
+        pfac.walk_matches(&ps, 5, abcd, &mut sink);
+        sink.sort();
+        let mut want = Vec::new();
+        pfac.scan_from(b".....abcdx", 5, &mut want);
+        want.sort();
+        assert_eq!(sink, want);
+    }
+
     proptest! {
         /// PFAC ≡ classic AC on arbitrary inputs.
         #[test]
@@ -191,7 +255,28 @@ mod tests {
             let ps = PatternSet::from_strs(&refs).unwrap();
             let pfac = PfacAutomaton::build(&ps);
             let want = naive::find_all(&ps, text.as_bytes());
-            prop_assert_eq!(pfac.find_all(text.as_bytes()), want);
+            prop_assert_eq!(pfac.find_all(text.as_bytes()), want.clone());
+            // Each walk's deepest match alone names all of its matches.
+            let text = text.as_bytes();
+            let mut walks = Vec::new();
+            for anchor in 0..text.len() {
+                let mut deepest = None;
+                let mut state = 0;
+                for &b in &text[anchor..] {
+                    state = pfac.goto(state, b);
+                    if state == NO_TRANSITION {
+                        break;
+                    }
+                    if !pfac.terminal(state).is_empty() {
+                        deepest = Some(state);
+                    }
+                }
+                if let Some(s) = deepest {
+                    pfac.walk_matches(&ps, anchor, s, &mut walks);
+                }
+            }
+            walks.sort();
+            prop_assert_eq!(walks, want);
         }
     }
 }

@@ -1,6 +1,7 @@
 //! The warp-program kernels: the paper's two approaches (§IV.B.3), the two
 //! degraded staging variants that Fig. 23 compares against, the PFAC
-//! related-work baseline, and the failure-banded layout extension.
+//! related-work baseline and its staged mode, and the failure-banded
+//! layout extension.
 
 pub mod banded;
 pub mod global_only;
@@ -9,13 +10,13 @@ pub mod shared;
 
 pub use banded::{BandedKernel, DeviceBandedStt};
 pub use global_only::GlobalOnlyKernel;
-pub use pfac::PfacKernel;
+pub use pfac::{PfacKernel, PfacMode};
 pub use shared::{SharedKernel, SharedVariant};
 
 use crate::layout::Plan;
 use crate::readback::{ThreadTally, WordCoding};
 use crate::upload::{longest_output_len, DENSE_STATE_MASK, LEN_SATURATED, MATCH_BIT};
-use gpu_sim::{LaneAttr, WarpGeometry};
+use gpu_sim::{LaneAttr, WarpCtx, WarpGeometry};
 use serde::{Deserialize, Serialize};
 
 /// Arithmetic cycles charged per byte-load iteration of the matching loop
@@ -33,12 +34,13 @@ pub(crate) const TRANSITION_OVERHEAD: u32 = 6;
 /// match and post-process on the host, an event names a position and a
 /// state, not a pattern: every pattern in the state's output set ends at
 /// `end`, so its start is `end - len(pattern)`. On the device each event
-/// is one delta-coded 32-bit word in its thread's run of the readback
-/// frame (see [`crate::readback`]); the host decodes it back to this
+/// of a chunked kernel is one delta-coded 32-bit word in its thread's run
+/// of the readback frame (see [`crate::readback`]; a PFAC thread's events
+/// collapse into one word for its walk); the host decodes it back to this
 /// pair. The dense-table kernels report only events with at least one
 /// output their thread owns; the host expands events into concrete
 /// occurrences and collapses the copies that overlapping scan windows
-/// still report (see `GpuAcMatcher::expand_events`).
+/// still report (see `GpuAcMatcher::expand`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct MatchEvent {
     /// Exclusive end offset of the match in the input. Texts are capped
@@ -319,6 +321,94 @@ impl MatchLanes {
         self.byte = Vec::new();
         self.matched = Vec::new();
         self.reports.retire(geom);
+    }
+}
+
+/// A warp's share of its block's staging loop: the block copies its input
+/// tile from global into shared memory one 32-bit word per lane per
+/// iteration, each iteration a load step and a store step, and then
+/// meets a barrier (paper Figs. 9–11). The kernels choose which tile
+/// word a lane moves in each iteration and where it is stored.
+#[derive(Debug)]
+pub(crate) struct Staging {
+    /// Absolute input offset of the block's tile.
+    pub start: u64,
+    /// Words the whole block stages (`ceil(tile_len / 4)`).
+    words: u64,
+    /// Current iteration.
+    k: u64,
+    /// Iterations this warp runs.
+    k_max: u64,
+    /// Words in flight between the load and the store step.
+    staged: Vec<u32>,
+    staged_addr: Vec<Option<u64>>,
+}
+
+impl Staging {
+    /// The staging of the tile `start..end` (clamped to `start`), run in
+    /// `iterations(words)` iterations.
+    pub fn new(warp_size: u32, start: u64, end: u64, iterations: impl FnOnce(u64) -> u64) -> Self {
+        let n = warp_size as usize;
+        let words = end.saturating_sub(start).div_ceil(4);
+        Staging {
+            start,
+            words,
+            k: 0,
+            k_max: iterations(words),
+            staged: vec![0; n],
+            staged_addr: vec![None; n],
+        }
+    }
+
+    /// The load step: each lane reads tile word `word(k, lane)` (skipped
+    /// past the tile) from the input at `text_base`. Returns `false`,
+    /// issuing nothing, once every iteration has run: the caller then
+    /// signals the barrier. Word loads may read up to 3 bytes past the
+    /// text; the runner's allocation carries guard bytes for that.
+    pub fn load(
+        &mut self,
+        ctx: &mut WarpCtx<'_>,
+        addrs: &mut [Option<u64>],
+        text_base: u64,
+        word: impl Fn(u64, u32) -> Option<u64>,
+    ) -> bool {
+        if self.k >= self.k_max {
+            return false;
+        }
+        for (lane, addr) in addrs.iter_mut().enumerate() {
+            let w = word(self.k, lane as u32).filter(|&w| w < self.words);
+            self.staged_addr[lane] = w;
+            *addr = w.map(|w| text_base + self.start + w * 4);
+        }
+        ctx.global_read_u32(addrs, &mut self.staged);
+        true
+    }
+
+    /// The coalesced word rule (paper Figs. 9–10): in iteration `k`,
+    /// consecutive threads of the block take consecutive tile words.
+    pub fn coalesced(geom: &WarpGeometry, k: u64, lane: u32) -> u64 {
+        k * geom.threads_per_block as u64 + geom.block_thread(lane) as u64
+    }
+
+    /// The store step: each lane writes its loaded word to shared word
+    /// `dst(word)`, and the iteration ends.
+    pub fn store(
+        &mut self,
+        ctx: &mut WarpCtx<'_>,
+        writes: &mut [Option<(u64, u32)>],
+        dst: impl Fn(u64) -> u64,
+    ) {
+        for (lane, write) in writes.iter_mut().enumerate() {
+            *write = self.staged_addr[lane].map(|w| (dst(w) * 4, self.staged[lane]));
+        }
+        ctx.shared_write_u32(writes);
+        self.k += 1;
+    }
+
+    /// Release the in-flight buffers once the warp retires.
+    pub fn shrink(&mut self) {
+        self.staged = Vec::new();
+        self.staged_addr = Vec::new();
     }
 }
 

@@ -20,7 +20,7 @@
 //!   conflict-free. This is the paper's proposed kernel; Fig. 23 measures
 //!   its speedup over the conflicting variants.
 
-use crate::kernels::{MatchLanes, Scratch, WarpReadback};
+use crate::kernels::{MatchLanes, Scratch, Staging, WarpReadback};
 use crate::layout::{DiagonalMap, Plan};
 use gpu_sim::{StepOutcome, TexId, WarpCtx, WarpGeometry, WarpProgram};
 use serde::{Deserialize, Serialize};
@@ -74,21 +74,12 @@ pub struct SharedKernel {
     text_base: u64,
     out_base: u64,
     tex: TexId,
-    /// Absolute input offset of this block's tile.
-    tile_start: u64,
-    /// Words the whole block must stage (`ceil(tile_len / 4)`).
-    tile_words: u64,
-    /// Current staging iteration.
-    k: u64,
-    /// Staging iterations this warp participates in.
-    k_max: u64,
+    /// The block's tile: its owned chunks plus the overlap tail.
+    stage: Staging,
     map: Option<DiagonalMap>,
     phase: Phase,
     lanes: MatchLanes,
     scratch: Scratch,
-    /// Staged words in flight between StageLoad and StageStore.
-    staged: Vec<u32>,
-    staged_addr: Vec<Option<u64>>,
 }
 
 impl SharedKernel {
@@ -103,26 +94,25 @@ impl SharedKernel {
         tex: TexId,
         record_events: bool,
     ) -> Self {
-        let n = geom.warp_size as usize;
         let tile_owned = geom.threads_per_block as u64 * plan.chunk_bytes as u64;
         let tile_start = geom.block_id as u64 * tile_owned;
         let tile_end = (tile_start + tile_owned + plan.overlap as u64).min(plan.text_len);
-        let tile_len = tile_end.saturating_sub(tile_start);
-        let tile_words = tile_len.div_ceil(4);
         // Iterations: the block stages T words per iteration (naive: each
         // thread stages word k of its own chunk, plus tail iterations).
         let t = geom.threads_per_block as u64;
-        let k_max = match variant {
-            // Cooperative: ceil(tile_words / T) iterations of T words.
-            SharedVariant::CoalescedOnly | SharedVariant::Diagonal => tile_words.div_ceil(t),
-            // Naive: words-per-chunk iterations (own chunk), then the
-            // overlap tail cooperatively.
-            SharedVariant::Naive => {
-                let wpc = plan.chunk_bytes as u64 / 4;
-                let tail_words = tile_words.saturating_sub(t * wpc);
-                wpc + tail_words.div_ceil(t)
+        let stage = Staging::new(geom.warp_size, tile_start, tile_end, |tile_words| {
+            match variant {
+                // Cooperative: ceil(tile_words / T) iterations of T words.
+                SharedVariant::CoalescedOnly | SharedVariant::Diagonal => tile_words.div_ceil(t),
+                // Naive: words-per-chunk iterations (own chunk), then the
+                // overlap tail cooperatively.
+                SharedVariant::Naive => {
+                    let wpc = plan.chunk_bytes as u64 / 4;
+                    let tail_words = tile_words.saturating_sub(t * wpc);
+                    wpc + tail_words.div_ceil(t)
+                }
             }
-        };
+        });
         let map = match variant {
             SharedVariant::Diagonal => {
                 Some(DiagonalMap::new(geom.threads_per_block, plan.chunk_bytes))
@@ -136,16 +126,11 @@ impl SharedKernel {
             text_base,
             out_base,
             tex,
-            tile_start,
-            tile_words,
-            k: 0,
-            k_max,
+            stage,
             map,
             phase: Phase::StageLoad,
             lanes: MatchLanes::new(&geom, &plan, record_events),
             scratch: Scratch::new(geom.warp_size),
-            staged: vec![0; n],
-            staged_addr: vec![None; n],
         }
     }
 
@@ -164,38 +149,31 @@ impl SharedKernel {
         }
     }
 
-    /// The linear tile word index lane `l` handles in staging iteration
-    /// `k`, or `None` when out of range.
-    fn staging_word(&self, k: u64, lane: u32) -> Option<u64> {
-        let t = self.geom.threads_per_block as u64;
-        let wpc = self.plan.chunk_bytes as u64 / 4;
-        let w = match self.variant {
-            SharedVariant::CoalescedOnly | SharedVariant::Diagonal => {
-                // Consecutive threads take consecutive words: coalesced.
-                k * t + self.geom.block_thread(lane) as u64
-            }
-            SharedVariant::Naive => {
-                if k < wpc {
-                    // Word k of the thread's own chunk: a `wpc`-word
-                    // stride between lanes — uncoalesced loads and
-                    // same-bank stores.
-                    self.geom.block_thread(lane) as u64 * wpc + k
-                } else {
-                    // Cooperative tail staging of the overlap region.
-                    t * wpc + (k - wpc) * t + self.geom.block_thread(lane) as u64
-                }
-            }
-        };
-        (w < self.tile_words).then_some(w)
-    }
-
     fn finish(&mut self) -> StepOutcome {
         self.phase = Phase::Done;
         self.lanes.shrink(&self.geom);
         self.scratch.shrink();
-        self.staged = Vec::new();
-        self.staged_addr = Vec::new();
+        self.stage.shrink();
         StepOutcome::Finished
+    }
+}
+
+/// The linear tile word index lane `lane` of `geom` handles in staging
+/// iteration `k` under `variant`, for chunks of `wpc` words.
+fn staging_word(variant: SharedVariant, geom: &WarpGeometry, wpc: u64, k: u64, lane: u32) -> u64 {
+    let t = geom.threads_per_block as u64;
+    match variant {
+        SharedVariant::CoalescedOnly | SharedVariant::Diagonal => Staging::coalesced(geom, k, lane),
+        SharedVariant::Naive => {
+            if k < wpc {
+                // Word k of the thread's own chunk: a `wpc`-word stride
+                // between lanes — uncoalesced loads and same-bank stores.
+                geom.block_thread(lane) as u64 * wpc + k
+            } else {
+                // Cooperative tail staging of the overlap region.
+                t * wpc + (k - wpc) * t + geom.block_thread(lane) as u64
+            }
+        }
     }
 }
 
@@ -204,35 +182,23 @@ impl WarpProgram for SharedKernel {
         let n = self.geom.warp_size as usize;
         match self.phase {
             Phase::StageLoad => {
-                if self.k >= self.k_max {
+                let (variant, geom) = (self.variant, self.geom);
+                let wpc = self.plan.chunk_bytes as u64 / 4;
+                let word = |k, lane| Some(staging_word(variant, &geom, wpc, k, lane));
+                if !self
+                    .stage
+                    .load(ctx, &mut self.scratch.addrs, self.text_base, word)
+                {
                     self.phase = Phase::Sync;
                     return StepOutcome::Barrier;
                 }
-                for lane in 0..n {
-                    self.staged_addr[lane] = self.staging_word(self.k, lane as u32);
-                    self.scratch.addrs[lane] =
-                        self.staged_addr[lane].map(|w| self.text_base + self.tile_start + w * 4);
-                }
-                // NOTE: word loads may read up to 3 bytes past the tile
-                // when tile_len is not word-aligned; the device allocation
-                // rounds the input region up so this stays in bounds (see
-                // runner::run).
-                ctx.global_read_u32(&self.scratch.addrs, &mut self.staged);
                 self.phase = Phase::StageStore;
                 StepOutcome::Continue
             }
             Phase::StageStore => {
-                for lane in 0..n {
-                    self.scratch.writes[lane] = self.staged_addr[lane].map(|w| {
-                        let dst = match self.map {
-                            Some(m) => m.map_word(w),
-                            None => w,
-                        };
-                        (dst * 4, self.staged[lane])
-                    });
-                }
-                ctx.shared_write_u32(&self.scratch.writes);
-                self.k += 1;
+                let map = self.map;
+                let dst = |w| map.map_or(w, |m| m.map_word(w));
+                self.stage.store(ctx, &mut self.scratch.writes, dst);
                 self.phase = Phase::StageLoad;
                 StepOutcome::Continue
             }
@@ -249,7 +215,7 @@ impl WarpProgram for SharedKernel {
                 }
                 for lane in 0..n {
                     self.scratch.addrs[lane] = if self.lanes.active(lane) {
-                        let rel = self.lanes.pos[lane] - self.tile_start;
+                        let rel = self.lanes.pos[lane] - self.stage.start;
                         Some(self.shared_addr(rel))
                     } else {
                         None

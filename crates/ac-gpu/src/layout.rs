@@ -2,6 +2,7 @@
 //! grid geometry, and the shared staging layout (including the paper's
 //! diagonal bank mapping).
 
+use crate::kernels::PfacMode;
 use crate::readback::WordCoding;
 use crate::runner::Approach;
 use ac_core::AcAutomaton;
@@ -39,7 +40,7 @@ pub struct KernelParams {
 impl KernelParams {
     /// Paper-flavoured defaults for a device: blocks of up to 128
     /// threads; shared tile ≈ 8 KB at 128 threads × 64-byte chunks; 4 KB
-    /// global chunks. The planner runs PFAC for launches whose
+    /// global chunks. The planner runs staged PFAC for launches whose
     /// one-thread-per-byte grid fits one resident round ([`Plan::kernel`]),
     /// keeps 128 threads for every shared launch that fits one round, and
     /// shrinks the block only for larger scans ([`Plan::shared`]).
@@ -133,10 +134,9 @@ pub struct Plan {
 
 impl Plan {
     /// The kernel a launch of `text_len` bytes runs when the caller
-    /// configured `configured`: PFAC when its one-thread-per-byte grid
-    /// fits one resident round, that is when `text_len ≤ num_sms ×
-    /// resident_blocks_per_sm × threads_per_block` (30,720 B on the
-    /// GTX 285), else `configured`. Pinned params never switch.
+    /// configured `configured`: staged PFAC when its one-thread-per-byte
+    /// grid fits one resident round ([`Plan::pfac_limit`]), else
+    /// `configured`. Pinned params never switch.
     ///
     /// A one-round launch leaves most SMs idle under the chunked kernels:
     /// 16 KiB is two 128-thread tiles on 2 of the 30 SMs, each thread
@@ -145,56 +145,78 @@ impl Plan {
     pub fn kernel(
         params: &KernelParams,
         cfg: &GpuConfig,
+        ac: &AcAutomaton,
         configured: Approach,
         text_len: u64,
     ) -> Approach {
-        match Self::pfac_limit(params, cfg) {
-            Some(limit) if text_len <= limit => Approach::Pfac,
+        match Self::pfac_limit(params, cfg, ac) {
+            Some(limit) if text_len <= limit => Approach::PfacStaged,
             _ => configured,
         }
     }
 
-    /// The longest launch [`Plan::kernel`] runs as PFAC: one resident
-    /// round of PFAC's one-thread-per-byte grid, or `None` for pinned
-    /// params, which never switch.
-    pub fn pfac_limit(params: &KernelParams, cfg: &GpuConfig) -> Option<u64> {
+    /// The longest launch [`Plan::kernel`] runs as staged PFAC: one
+    /// resident round of its grid, `num_sms × resident_blocks_per_sm ×
+    /// threads_per_block`, where residency counts the staged tile of
+    /// `threads + longest − 1` bytes. On the GTX 285 that is 30,720 B
+    /// while 8 tiles fit an SM's shared memory (up to 2,048 bytes each)
+    /// and 3,840 B at the longest pattern the defaults accept (8,193
+    /// bytes, one tile per SM). `None` for pinned params, which never
+    /// switch, and when the tile fits no SM.
+    pub fn pfac_limit(params: &KernelParams, cfg: &GpuConfig, ac: &AcAutomaton) -> Option<u64> {
         if params.pin_paper_launch {
             return None;
         }
-        let per_block = Self::pfac_launch(params, 0);
+        let launch = Self::pfac_launch(params, ac, PfacMode::Staged, 0);
+        launch.validate(cfg).ok()?;
         Some(
             cfg.num_sms as u64
-                * per_block.resident_blocks_per_sm(cfg) as u64
+                * launch.resident_blocks_per_sm(cfg) as u64
                 * params.threads_per_block as u64,
         )
     }
 
-    /// PFAC's grid: one thread per byte in `threads_per_block` blocks.
-    fn pfac_launch(params: &KernelParams, text_len: u64) -> LaunchConfig {
+    /// PFAC's grid: one thread per byte in `threads_per_block` blocks,
+    /// each staging `threads + longest − 1` bytes in the staged mode.
+    fn pfac_launch(
+        params: &KernelParams,
+        ac: &AcAutomaton,
+        mode: PfacMode,
+        text_len: u64,
+    ) -> LaunchConfig {
+        let threads = params.threads_per_block;
         LaunchConfig {
-            grid_blocks: text_len.div_ceil(params.threads_per_block as u64).max(1) as u32,
-            threads_per_block: params.threads_per_block,
-            shared_bytes_per_block: 0,
+            grid_blocks: text_len.div_ceil(threads as u64).max(1) as u32,
+            threads_per_block: threads,
+            shared_bytes_per_block: match mode {
+                PfacMode::Global => 0,
+                PfacMode::Staged => (threads + ac.required_overlap() as u32).next_multiple_of(4),
+            },
             resident_blocks_cap: None,
         }
     }
 
-    /// Plan the PFAC kernel: one thread per byte, each walking the
-    /// failureless trie from its anchor (no chunk, no overlap).
+    /// Plan a PFAC kernel: one thread per byte, each walking the
+    /// failureless trie from its anchor (no chunk). The staged mode's
+    /// overlap is the tile's tail past the block's anchors.
     pub fn pfac(
         params: &KernelParams,
         cfg: &GpuConfig,
         ac: &AcAutomaton,
+        mode: PfacMode,
         text_len: u64,
     ) -> Result<Plan, String> {
-        let launch = Self::pfac_launch(params, text_len);
+        let launch = Self::pfac_launch(params, ac, mode, text_len);
         launch.validate(cfg)?;
         Ok(Plan {
             launch,
             chunk_bytes: 1,
-            overlap: 0,
+            overlap: match mode {
+                PfacMode::Global => 0,
+                PfacMode::Staged => ac.required_overlap() as u32,
+            },
             text_len,
-            coding: WordCoding::new(1, ac.state_count()),
+            coding: WordCoding::walks(ac.state_count()),
         })
     }
 
@@ -485,27 +507,76 @@ mod tests {
 
     #[test]
     fn pfac_runs_exactly_the_launches_that_fit_one_round() {
-        // One round of 128-thread PFAC blocks: 30 SMs × 8 resident on the
-        // GTX 285, 14 SMs × 8 on the C2050 (its 48 warps would hold 12,
-        // the 8-block limit binds first).
+        // One round of 128-thread staged PFAC blocks: 30 SMs × 8 resident
+        // on the GTX 285, 14 SMs × 8 on the C2050 (its 48 warps would
+        // hold 12, the 8-block limit binds first).
         for (cfg, round) in [
             (GpuConfig::gtx285(), 30_720),
             (GpuConfig::fermi_c2050(), 14_336),
         ] {
             let planned = KernelParams::defaults_for(&cfg);
             let pinned = KernelParams::paper(&cfg);
-            assert_eq!(Plan::pfac_limit(&planned, &cfg), Some(round));
-            assert_eq!(Plan::pfac_limit(&pinned, &cfg), None);
-            for approach in [Approach::SharedDiagonal, Approach::SharedBanded] {
-                for len in [0, 1, round - 1, round] {
-                    assert_eq!(Plan::kernel(&planned, &cfg, approach, len), Approach::Pfac);
-                }
-                assert_eq!(Plan::kernel(&planned, &cfg, approach, round + 1), approach);
-                for len in [0, round - 1, round, round + 1] {
-                    assert_eq!(Plan::kernel(&pinned, &cfg, approach, len), approach);
-                }
+            assert_eq!(Plan::pfac_limit(&planned, &cfg, &ac()), Some(round));
+            assert_eq!(Plan::pfac_limit(&pinned, &cfg, &ac()), None);
+            assert_round_boundary(&planned, &pinned, &cfg, &ac(), round);
+        }
+    }
+
+    /// The planner runs staged PFAC up to `round` bytes and the
+    /// configured kernel from `round + 1`; pinned params never switch.
+    fn assert_round_boundary(
+        planned: &KernelParams,
+        pinned: &KernelParams,
+        cfg: &GpuConfig,
+        ac: &AcAutomaton,
+        round: u64,
+    ) {
+        for approach in [Approach::SharedDiagonal, Approach::SharedBanded] {
+            for len in [0, 1, round - 1, round] {
+                let kernel = Plan::kernel(planned, cfg, ac, approach, len);
+                assert_eq!(kernel, Approach::PfacStaged, "{len} bytes");
+            }
+            assert_eq!(
+                Plan::kernel(planned, cfg, ac, approach, round + 1),
+                approach
+            );
+            for len in [0, round - 1, round, round + 1] {
+                assert_eq!(Plan::kernel(pinned, cfg, ac, approach, len), approach);
             }
         }
+    }
+
+    #[test]
+    fn the_staged_tile_sets_the_pfac_limit() {
+        // The tile is `128 + longest − 1` bytes, rounded to words, on a
+        // 16 KiB SM: 8 tiles fit up to a 2,048-byte tile, then residency
+        // falls with the tile until one tile of the longest pattern the
+        // defaults accept (8,193 bytes) leaves one block per SM.
+        let cfg = cfg();
+        let planned = KernelParams::defaults_for(&cfg);
+        let pinned = KernelParams::paper(&cfg);
+        for (longest, tile, round) in [
+            (16, 144, 30_720),
+            (1_921, 2_048, 30_720),
+            (1_922, 2_052, 26_880),
+            (8_193, 8_320, 3_840),
+        ] {
+            let ac = AcAutomaton::build(
+                &PatternSet::new(vec![b"he".to_vec(), vec![b'q'; longest]]).unwrap(),
+            );
+            let plan = Plan::pfac(&planned, &cfg, &ac, PfacMode::Staged, round).unwrap();
+            assert_eq!(
+                plan.launch.shared_bytes_per_block, tile,
+                "longest {longest}"
+            );
+            assert_eq!(plan.overlap as usize, longest - 1);
+            assert_eq!(plan.launch.grid_blocks as u64, round / 128);
+            assert_eq!(Plan::pfac_limit(&planned, &cfg, &ac), Some(round));
+            assert_round_boundary(&planned, &pinned, &cfg, &ac, round);
+        }
+        // The baseline mode stages nothing.
+        let plan = Plan::pfac(&planned, &cfg, &ac(), PfacMode::Global, 100).unwrap();
+        assert_eq!((plan.launch.shared_bytes_per_block, plan.overlap), (0, 0));
     }
 
     #[test]
@@ -574,7 +645,7 @@ mod tests {
             let p = KernelParams::paper(&cfg());
             let plan = Plan::shared(&p, &cfg(), &ac(), len).unwrap();
             proptest::prop_assert_eq!(plan.launch.threads_per_block, 128);
-            let kernel = Plan::kernel(&p, &cfg(), Approach::SharedDiagonal, len);
+            let kernel = Plan::kernel(&p, &cfg(), &ac(), Approach::SharedDiagonal, len);
             proptest::prop_assert_eq!(kernel, Approach::SharedDiagonal);
         }
     }

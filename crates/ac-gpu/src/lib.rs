@@ -45,8 +45,8 @@ pub mod upload;
 
 pub use error::{ErrorClass, GpuError, PcieError, UploadError};
 pub use kernels::{
-    BandedKernel, DeviceBandedStt, GlobalOnlyKernel, MatchEvent, PfacKernel, SharedKernel,
-    SharedVariant,
+    BandedKernel, DeviceBandedStt, GlobalOnlyKernel, MatchEvent, PfacKernel, PfacMode,
+    SharedKernel, SharedVariant,
 };
 pub use layout::{DiagonalMap, KernelParams, LinearMap, Plan};
 pub use pool::{DevicePool, DevicePoolConfig, DevicePoolStats, PooledBuffer, MIN_CLASS_BYTES};

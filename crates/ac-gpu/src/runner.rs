@@ -8,11 +8,11 @@
 
 use crate::error::GpuError;
 use crate::kernels::{
-    BandedKernel, DeviceBandedStt, GlobalOnlyKernel, MatchEvent, PfacKernel, SharedKernel,
-    SharedVariant, WarpReadback,
+    BandedKernel, DeviceBandedStt, GlobalOnlyKernel, MatchEvent, PfacKernel, PfacMode,
+    SharedKernel, SharedVariant, WarpReadback,
 };
 use crate::layout::{KernelParams, Plan};
-use crate::readback::{self, FrameTally, WordCoding};
+use crate::readback::{self, Decoded, FrameTally, WordCoding};
 use crate::upload::{DevicePfac, DeviceStt};
 use ac_core::{AcAutomaton, Match, PfacAutomaton};
 use gpu_sim::{
@@ -40,6 +40,10 @@ pub enum Approach {
     SharedDiagonal,
     /// The failureless related-work baseline (Lin et al.).
     Pfac,
+    /// PFAC with each block's bytes staged in shared memory first
+    /// ([`PfacMode::Staged`]): the kernel the planner runs for one-round
+    /// launches ([`Plan::kernel`]).
+    PfacStaged,
     /// Extension: the shared-memory kernel over a failure-banded STT
     /// flattened into trie-preorder fat-pointer records — per state, a
     /// failure word plus the padded band of symbols deviating from its
@@ -59,21 +63,32 @@ impl Approach {
             Approach::SharedNaive => SharedVariant::Naive.label(),
             Approach::SharedCoalescedOnly => SharedVariant::CoalescedOnly.label(),
             Approach::SharedDiagonal => SharedVariant::Diagonal.label(),
-            Approach::Pfac => "pfac",
+            Approach::Pfac => PfacMode::Global.label(),
+            Approach::PfacStaged => PfacMode::Staged.label(),
             Approach::SharedBanded => "shared-banded",
         }
     }
 
     /// All approaches, in report order.
-    pub fn all() -> [Approach; 6] {
+    pub fn all() -> [Approach; 7] {
         [
             Approach::GlobalOnly,
             Approach::SharedNaive,
             Approach::SharedCoalescedOnly,
             Approach::SharedDiagonal,
             Approach::Pfac,
+            Approach::PfacStaged,
             Approach::SharedBanded,
         ]
+    }
+
+    /// The PFAC mode this approach runs, if it is a PFAC kernel.
+    pub fn pfac_mode(&self) -> Option<PfacMode> {
+        match self {
+            Approach::Pfac => Some(PfacMode::Global),
+            Approach::PfacStaged => Some(PfacMode::Staged),
+            _ => None,
+        }
     }
 }
 
@@ -137,12 +152,14 @@ pub struct GpuRun {
     /// Expanded, de-duplicated, sorted matches. Empty when the run was
     /// launched in counting mode.
     pub matches: Vec<Match>,
-    /// Number of `(end, state)` match events the kernels reported — the
-    /// event words a readback carries (counted even in counting mode).
-    /// The dense-table kernels report only events with an owned output;
-    /// the banded kernel reports every match state it enters. It is no
-    /// bound on `matches.len()` either way: one event can expand to
-    /// several patterns, and overlap copies still collapse on the host.
+    /// Number of `(end, state)` match events the kernels reported
+    /// (counted even in counting mode): the event words an event frame
+    /// carries. The dense-table kernels report only events with an owned
+    /// output; the banded kernel reports every match state it enters; a
+    /// PFAC walk reports each terminal state it passes, and its frame
+    /// carries one word per walk. It is no bound on `matches.len()`
+    /// either way: one event can expand to several patterns, and overlap
+    /// copies still collapse on the host.
     pub match_events: u64,
     /// Exact length in bytes of the delta-coded readback frame of those
     /// events (see [`crate::readback`]): `36 + 4w` for `w` words, tallied
@@ -326,19 +343,19 @@ impl GpuAcMatcher {
     /// friends run exactly the approach they are given.
     pub fn plan_kernel(&self, configured: Approach, len: usize) -> Approach {
         match self.pfac_limit(configured) {
-            Some(limit) if len <= limit => Approach::Pfac,
+            Some(limit) if len <= limit => Approach::PfacStaged,
             _ => configured,
         }
     }
 
-    /// The longest launch [`GpuAcMatcher::plan_kernel`] runs as PFAC
-    /// instead of `configured`, or `None` when it never switches (pinned
-    /// params, `configured` already PFAC, or no PFAC tables).
+    /// The longest launch [`GpuAcMatcher::plan_kernel`] runs as staged
+    /// PFAC instead of `configured`, or `None` when it never switches
+    /// (pinned params, `configured` already PFAC, or no PFAC tables).
     pub fn pfac_limit(&self, configured: Approach) -> Option<usize> {
-        if configured == Approach::Pfac || self.pfac_tables().is_err() {
+        if configured.pfac_mode().is_some() || self.pfac_tables().is_err() {
             return None;
         }
-        Plan::pfac_limit(&self.params, &self.cfg).map(|l| l as usize)
+        Plan::pfac_limit(&self.params, &self.cfg, &self.ac).map(|l| l as usize)
     }
 
     /// Run `approach` over `text`, materializing matches.
@@ -573,11 +590,12 @@ impl GpuAcMatcher {
                 })?;
                 collect(launched, plan.coding, SharedKernel::take_results)
             }
-            Approach::Pfac => {
+            Approach::Pfac | Approach::PfacStaged => {
+                let mode = approach.pfac_mode().expect("a PFAC approach");
                 let (_, dev_pfac) = self.pfac_tables()?;
                 let goto = dev_pfac.table.bind(dev)?;
                 let launched = dev.launch(launch, |geom| {
-                    PfacKernel::new(geom, plan, text_base, out_base, goto.tex, record)
+                    PfacKernel::new(mode, geom, plan, text_base, out_base, goto.tex, record)
                 })?;
                 collect(launched, plan.coding, PfacKernel::take_results)
             }
@@ -610,7 +628,7 @@ impl GpuAcMatcher {
         // as a typed corruption error — never as silently wrong matches.
         // Unarmed runs skip this entirely (zero-cost hook): their copy is
         // priced from the tally alone.
-        let (events, event_count) = if dev.faults_armed() {
+        let (frame, event_count) = if dev.faults_armed() {
             let mut buf = readback::encode(plan.coding, &thread_events, event_count);
             debug_assert!(
                 !record || buf.len() as u64 == readback_bytes,
@@ -619,12 +637,11 @@ impl GpuAcMatcher {
             dev.dma_to_host(&mut buf);
             readback::decode(&buf)?
         } else {
-            let events = thread_events.into_iter().flat_map(|(_, evs)| evs).collect();
-            (events, event_count)
+            (Decoded::unframed(plan.coding, thread_events), event_count)
         };
 
         let matches = if record {
-            self.expand_events(&events, approach)?
+            self.expand(frame)?
         } else {
             Vec::new()
         };
@@ -654,20 +671,25 @@ impl GpuAcMatcher {
         }
         let plan = match approach {
             Approach::GlobalOnly => Plan::global_only(&self.params, &self.cfg, &self.ac, len),
-            Approach::Pfac => Plan::pfac(&self.params, &self.cfg, &self.ac, len),
+            Approach::Pfac | Approach::PfacStaged => {
+                let mode = approach.pfac_mode().expect("a PFAC approach");
+                Plan::pfac(&self.params, &self.cfg, &self.ac, mode, len)
+            }
             _ => Plan::shared(&self.params, &self.cfg, &self.ac, len),
         };
         plan.map_err(GpuError::InvalidParams)
     }
 
-    /// Expand match events into sorted, de-duplicated matches. Each
-    /// matching state contributes its output patterns (for PFAC, the trie
-    /// state's terminal patterns), each starting `len(pattern)` bytes
-    /// before the event's end. Sorting and de-duplicating makes reporting
-    /// exactly-once, because:
+    /// Expand a readback into sorted, de-duplicated matches. Each event's
+    /// matching state contributes its output patterns, each starting
+    /// `len(pattern)` bytes before the event's end; each PFAC walk
+    /// contributes its deepest state's terminal patterns and those of its
+    /// terminal trie ancestors, each starting at the anchor
+    /// ([`PfacAutomaton::walk_matches`]). Sorting and de-duplicating makes
+    /// reporting exactly-once, because:
     /// - every chunked-kernel thread starts at its owned start in the root
     ///   state, so every output it reports is a real occurrence inside its
-    ///   window (a PFAC thread reports only occurrences at its anchor);
+    ///   window (a PFAC walk names only occurrences at its anchor);
     /// - windows reach `overlap` bytes past their owned end, so every
     ///   occurrence is reported by the thread owning its start;
     /// - the dense-table kernels drop, in place, events whose outputs all
@@ -676,29 +698,28 @@ impl GpuAcMatcher {
     ///   banded kernel filters nothing. Those copies are the same
     ///   `(pattern, start, end)` triple the owning thread reports, which
     ///   `dedup` collapses.
-    fn expand_events(
-        &self,
-        events: &[MatchEvent],
-        approach: Approach,
-    ) -> Result<Vec<Match>, GpuError> {
-        let pfac = match approach {
-            Approach::Pfac => Some(&self.pfac_tables()?.0),
-            _ => None,
-        };
+    fn expand(&self, frame: Decoded) -> Result<Vec<Match>, GpuError> {
         let patterns = self.ac.patterns();
-        let mut out = Vec::with_capacity(events.len());
-        for ev in events {
-            let outputs = match pfac {
-                Some(pfac) => pfac.terminal(ev.state),
-                None => self.ac.outputs().patterns_at(ev.state),
-            };
-            let end = ev.end as usize;
-            for &pid in outputs {
-                out.push(Match {
-                    pattern: pid,
-                    start: end - patterns.len_of(pid),
-                    end,
-                });
+        let mut out = Vec::new();
+        match frame {
+            Decoded::Events(events) => {
+                out.reserve(events.len());
+                for ev in events {
+                    let end = ev.end as usize;
+                    for &pid in self.ac.outputs().patterns_at(ev.state) {
+                        out.push(Match {
+                            pattern: pid,
+                            start: end - patterns.len_of(pid),
+                            end,
+                        });
+                    }
+                }
+            }
+            Decoded::Walks(walks) => {
+                let (pfac, _) = self.pfac_tables()?;
+                for w in walks {
+                    pfac.walk_matches(patterns, w.anchor as usize, w.state, &mut out);
+                }
             }
         }
         out.sort_unstable();
@@ -850,10 +871,11 @@ mod tests {
         let text = b"she ushers her heirs";
         assert_eq!(
             m.plan_kernel(Approach::SharedDiagonal, text.len()),
-            Approach::Pfac
+            Approach::PfacStaged
         );
         assert!(m.pfac_limit(Approach::SharedDiagonal).is_some());
         assert_eq!(m.pfac_limit(Approach::Pfac), None);
+        assert_eq!(m.pfac_limit(Approach::PfacStaged), None);
         let m = matcher(&["he", "she", "hers"]);
         let unbuildable = UploadError {
             states: 9,
@@ -867,10 +889,9 @@ mod tests {
             assert!(m.run(text, a).is_ok(), "{a:?}");
         }
         // A named PFAC run gets the typed error, never a panic.
-        assert_eq!(
-            m.run(text, Approach::Pfac).unwrap_err(),
-            GpuError::Upload(unbuildable)
-        );
+        for a in [Approach::Pfac, Approach::PfacStaged] {
+            assert_eq!(m.run(text, a).unwrap_err(), GpuError::Upload(unbuildable));
+        }
     }
 
     #[test]
@@ -1075,7 +1096,8 @@ mod tests {
         assert_eq!(Approach::GlobalOnly.label(), "global-only");
         assert_eq!(Approach::SharedDiagonal.label(), "shared-diagonal");
         assert_eq!(Approach::Pfac.label(), "pfac");
-        assert_eq!(Approach::all().len(), 6);
+        assert_eq!(Approach::PfacStaged.label(), "pfac-staged");
+        assert_eq!(Approach::all().len(), 7);
         assert_eq!(Approach::SharedBanded.label(), "shared-banded");
     }
 

@@ -27,10 +27,10 @@
 //! backpressure. It then coalesces the queue's head run up to the batch
 //! limits into a batch, which leaves the queue at once. A GPU batch stays
 //! open until the device's copy engine has drained the transfers queued
-//! before the turn (its upload could not start earlier), and jobs
-//! arriving until then join it while the limits allow. A one-stream
-//! server's copy engine is idle whenever its stream frees, so its
-//! batches seal at once. The pool's driver calls for a batch run from
+//! before its upload, the readbacks the turn itself releases included
+//! (the upload could not start earlier), and jobs arriving until then
+//! join it while the limits allow. On a one-stream server those are the
+//! previous batch's readback. The pool's driver calls for a batch run from
 //! the moment it opened, so they overlap the copy engine's queue. The
 //! loop then dispatches the batch's `h2d → kernel → d2h` chain on the
 //! server's stream. Batch size therefore adapts to backlog — an idle
@@ -85,8 +85,9 @@
 //! window to drain the backlog faster. With no faults armed, no deadlines
 //! and no SLO config, every one of these paths is quiescent.
 //!
-//! Rejections carry a `retry_after_us` hint from the aggregate drain rate:
-//! completions across every device divided by elapsed time.
+//! Rejections carry a `retry_after_us` hint from the aggregate drain rate
+//! the job saw on arrival: completions landed across every device by its
+//! arrival, divided by that time (no hint before the first landing).
 //!
 //! # Scaling out
 //!
@@ -725,12 +726,12 @@ impl FleetState {
         }
     }
 
-    /// Admit one arrival at `now`: shed it under SLO pressure, queue it,
+    /// Admit one arrival: shed it under SLO pressure, queue it,
     /// or bounce it off a full queue with a retry hint from the aggregate
-    /// fleet drain rate. Parity queues everything on queue 0. Routed
+    /// fleet drain rate at its arrival (none before the first landing). Parity queues everything on queue 0. Routed
     /// stages scatter-eligible jobs on queue 0 and sends the rest to the
     /// tier predicting the earliest completion given its backlog.
-    fn admit(&mut self, job: ScanJob, now: f64) {
+    fn admit(&mut self, job: ScanJob) {
         let bytes = job.payload.len();
         let q = match &self.router {
             Some(r) if self.scatter_min.is_none_or(|m| bytes < m) => {
@@ -764,13 +765,16 @@ impl FleetState {
                 }
             }
             Err(mut e) => {
-                let drain_rate = if now > 0.0 {
-                    self.outcomes.len() as f64 / now
-                } else {
-                    0.0
-                };
-                if drain_rate > 0.0 {
-                    e.retry_after_us = e.capacity as f64 / drain_rate * 1.0e6;
+                // The drain rate the job saw on arrival: completions
+                // landed by then (an outcome is recorded when its
+                // readback is issued, so later landings are excluded).
+                let landed = self
+                    .outcomes
+                    .iter()
+                    .filter(|o| o.completed_seconds <= arrival)
+                    .count();
+                if landed > 0 {
+                    e.retry_after_us = e.capacity as f64 * arrival / landed as f64 * 1.0e6;
                 }
                 if let Some(t) = self.tel.as_mut() {
                     t.job_rejected(&e, priority, arrival);
@@ -1002,7 +1006,7 @@ pub fn serve_fleet(
         .map(|c| c.batch_jobs())
         .unwrap_or(base_max_jobs);
     let telemetry = st.tel.take().map(|mut t| {
-        t.tick(makespan, 0, batch_window, worst_state);
+        t.close(makespan, 0, batch_window, worst_state);
         let per_device: Vec<(&[BreakerTransition], &StreamTimeline)> = st
             .breakers
             .iter()
@@ -1213,7 +1217,7 @@ fn run_queues<'a>(
             // Every queue is empty: admit the next arrival, or finish.
             let Some(job) = jobs.get(next) else { break };
             next += 1;
-            st.admit(job.clone(), job.arrival_seconds);
+            st.admit(job.clone());
             continue;
         };
 
@@ -1221,10 +1225,6 @@ fn run_queues<'a>(
         // batch over to the shared CPU executor, which also runs every
         // batch of the CPU queue.
         let gpu = server.filter(|&(dev, _)| st.breakers[dev].route_at(dispatch) == Route::Gpu);
-        // A GPU batch stays open until the device's copy engine has
-        // drained the transfers queued before this turn.
-        let seal_at =
-            gpu.map(|(dev, _)| dispatch.max(st.clocks()[dev].engine_free(EngineKind::Copy)));
         match gpu {
             Some((dev, stream)) => {
                 // Before the new upload, flush every device's finished
@@ -1234,12 +1234,17 @@ fn run_queues<'a>(
             }
             None => dispatch = st.cpu_free.max(head),
         }
+        // A GPU batch stays open until the device's copy engine has
+        // drained the transfers queued before its upload, the readbacks
+        // just released included.
+        let seal_at =
+            gpu.map(|(dev, _)| dispatch.max(st.clocks()[dev].engine_free(EngineKind::Copy)));
 
         // Everything that arrived while the server was busy is admitted
         // now.
         while let Some(job) = jobs.get(next).filter(|j| j.arrival_seconds <= dispatch) {
             next += 1;
-            st.admit(job.clone(), dispatch);
+            st.admit(job.clone());
         }
         // Overdue jobs get a typed expiry instead of a batch slot. Any
         // expiry may have changed a head, so re-plan from the top.
@@ -1311,7 +1316,7 @@ fn run_queues<'a>(
                 break;
             };
             next += 1;
-            st.admit(job.clone(), sealed);
+            st.admit(job.clone());
             let queue = &mut st.queues[q].jobs;
             match queue.head_payload_len() {
                 Some(len)
@@ -2242,18 +2247,18 @@ mod tests {
             (
                 2,
                 2,
-                &[(28, 32), (28, 32)],
-                0.0006318843333333332,
-                34.98300000000001,
-                57.46633333333337,
+                &[(28, 35), (27, 29)],
+                0.0006120667940379404,
+                34.032833333333336,
+                48.70520867208679,
             ),
             (
                 4,
                 1,
-                &[(16, 16), (17, 17), (15, 15), (16, 16)],
-                0.0006176420528455283,
-                27.918295392953898,
-                37.52482249322494,
+                &[(16, 16), (16, 16), (17, 17), (15, 15)],
+                0.0006120792777777776,
+                24.44934146341464,
+                31.320752032520286,
             ),
         ];
         for (devices, streams, per_device, makespan, p50, p99) in pins {
@@ -2305,14 +2310,14 @@ mod tests {
             transitions,
             [
                 (6.159366666666667e-5, BreakerState::Open),
-                (0.00028158999999999997, BreakerState::HalfOpen),
-                (0.00029181166666666664, BreakerState::Open),
-                (0.00051423, BreakerState::HalfOpen),
-                (0.0005591854552845529, BreakerState::Closed),
+                (0.00027238999999999996, BreakerState::HalfOpen),
+                (0.00028276099999999997, BreakerState::Open),
+                (0.0005040499999999999, BreakerState::HalfOpen),
+                (0.0005425968143631436, BreakerState::Closed),
             ]
         );
-        assert_eq!(r.makespan_seconds, 0.0006256622981029811);
-        assert_eq!(r.p99_latency_us, 71.92730303030301);
+        assert_eq!(r.makespan_seconds, 0.0006114329766260161);
+        assert_eq!(r.p99_latency_us, 69.47593939393943);
     }
 
     #[test]
@@ -2577,8 +2582,6 @@ mod tests {
 
     #[test]
     fn retry_hints_derive_from_aggregate_fleet_drain_rate() {
-        use crate::telemetry::TelemetryConfig;
-
         let m = matcher();
         // Calibrate one job's service time, then arrive 4× faster than a
         // single device drains so the queue overflows for the whole run
@@ -2599,10 +2602,6 @@ mod tests {
         };
         let mut scfg = ServeConfig::new(1).per_job();
         scfg.queue_capacity = 2;
-        scfg.telemetry = Some(TelemetryConfig {
-            sample_interval_seconds: t_service / 2.0,
-            ..TelemetryConfig::default()
-        });
 
         let d1 = serve_fleet(&m, burst(40), &FleetConfig::new(1, scfg).parity()).unwrap();
         let d2 = serve_fleet(&m, burst(40), &FleetConfig::new(2, scfg).parity()).unwrap();
@@ -2625,28 +2624,21 @@ mod tests {
             h1.retry_after_us
         );
 
-        // Pin the hint against the telemetry registry's sampled rate:
-        // capacity / hint must agree with the cumulative completion rate
-        // at the nearest sample (the loop derives both from the same
-        // outcomes-over-time aggregate).
-        let tel = d2.serve.telemetry.as_ref().expect("telemetry armed");
+        // Pin the hint to the drain rate the job saw on arrival: the
+        // completions landed across both devices by then.
         let arrival = h2.job_id as f64 * spacing;
-        let sample = tel
-            .samples
+        let landed = d2
+            .serve
+            .outcomes
             .iter()
-            .filter(|s| s.t_seconds > 0.0 && s.completed > 0)
-            .min_by(|a, b| {
-                (a.t_seconds - arrival)
-                    .abs()
-                    .partial_cmp(&(b.t_seconds - arrival).abs())
-                    .unwrap()
-            })
-            .expect("registry produced samples");
-        let sampled_rate = sample.completed as f64 / sample.t_seconds;
+            .filter(|o| o.completed_seconds <= arrival)
+            .count();
+        assert!(landed > 0);
         let implied_rate = h2.capacity as f64 / h2.retry_after_us * 1.0e6;
+        let landed_rate = landed as f64 / arrival;
         assert!(
-            implied_rate > 0.5 * sampled_rate && implied_rate < 2.0 * sampled_rate,
-            "hint-implied rate {implied_rate} disagrees with sampled rate {sampled_rate}"
+            (implied_rate - landed_rate).abs() <= 1e-9 * landed_rate,
+            "hint-implied rate {implied_rate} is not the landed rate {landed_rate}"
         );
     }
 

@@ -308,10 +308,15 @@ mod tests {
     fn tiny_queue_rejects_under_burst_with_retry_hint() {
         let m = matcher();
         // Near-simultaneous arrivals of slow jobs; capacity 2 must bounce
-        // most of the backlog once the server is busy.
-        let jobs: Vec<ScanJob> = (0..10)
-            .map(|id| ScanJob::new(id, vec![b't'; 32 * 1024], id as f64 * 1.0e-6))
+        // most of the backlog once the server is busy. A second burst
+        // arrives after the first completions have landed.
+        let jobs: Vec<ScanJob> = (0..20)
+            .map(|id| {
+                let at = if id < 10 { 0.0 } else { 400.0e-6 };
+                ScanJob::new(id, vec![b't'; 32 * 1024], at + id as f64 * 1.0e-6)
+            })
             .collect();
+        let arrival: Vec<f64> = jobs.iter().map(|j| j.arrival_seconds).collect();
         let mut cfg = ServeConfig::new(1).per_job();
         cfg.queue_capacity = 2;
         let run = serve(&m, jobs, &cfg).unwrap();
@@ -321,8 +326,34 @@ mod tests {
             run.report.jobs_submitted
         );
         assert!(run.rejections.iter().all(|r| r.capacity == 2));
-        // Rejections issued after the first completion carry a positive
-        // drain-rate hint.
+        // Each hint quotes the completions landed by the job's arrival:
+        // `capacity × arrival / landed`, and none before the first
+        // landing, so the first burst's rejections carry no hint.
+        let first_landing = run
+            .outcomes
+            .iter()
+            .map(|o| o.completed_seconds)
+            .fold(f64::INFINITY, f64::min);
+        for r in &run.rejections {
+            let at = arrival[r.job_id as usize];
+            let landed = run
+                .outcomes
+                .iter()
+                .filter(|o| o.completed_seconds <= at)
+                .count();
+            let want = if landed > 0 {
+                r.capacity as f64 * at / landed as f64 * 1.0e6
+            } else {
+                0.0
+            };
+            assert_eq!(r.retry_after_us, want, "job {}", r.job_id);
+            assert_eq!(want > 0.0, at >= first_landing, "job {}", r.job_id);
+        }
+        assert!(run
+            .rejections
+            .iter()
+            .filter(|r| r.job_id < 10)
+            .all(|r| r.retry_after_us == 0.0));
         assert!(run.rejections.iter().any(|r| r.retry_after_us > 0.0));
     }
 

@@ -160,32 +160,43 @@ impl MetricsRegistry {
 
     /// Emit every sample due at or before `now`. The cadence is
     /// simulated-time driven, so an idle stretch emits its (flat)
-    /// samples rather than silently skipping them.
+    /// samples rather than silently skipping them. A `closing` call adds
+    /// one more sample at `now` itself, unless one is already there, so
+    /// the series ends on the run's totals.
     fn sample_until(
         &mut self,
         now: f64,
         queue_depth: usize,
         batch_window: usize,
         breaker: BreakerState,
+        closing: bool,
     ) {
-        while self.next_sample <= now {
-            let t = self.next_sample;
-            let drained = self.completed - self.completed_at_last_sample;
-            self.samples.push(MetricsSample {
+        let push = |reg: &mut Self, t: f64, span: f64| {
+            let drained = reg.completed - reg.completed_at_last_sample;
+            reg.samples.push(MetricsSample {
                 t_seconds: t,
-                p50_us: self.window.quantile(0.50) * 1.0e6,
-                p99_us: self.window.quantile(0.99) * 1.0e6,
+                p50_us: reg.window.quantile(0.50) * 1.0e6,
+                p99_us: reg.window.quantile(0.99) * 1.0e6,
                 queue_depth,
                 batch_window,
                 breaker,
-                completed: self.completed,
-                rejected: self.rejected,
-                expired: self.expired,
-                shed: self.shed,
-                drain_rate_per_sec: drained as f64 / self.interval,
+                completed: reg.completed,
+                rejected: reg.rejected,
+                expired: reg.expired,
+                shed: reg.shed,
+                drain_rate_per_sec: drained as f64 / span,
             });
-            self.completed_at_last_sample = self.completed;
-            self.next_sample = t + self.interval;
+            reg.completed_at_last_sample = reg.completed;
+        };
+        let interval = self.interval;
+        while self.next_sample <= now {
+            let t = self.next_sample;
+            push(self, t, interval);
+            self.next_sample = t + interval;
+        }
+        let last = self.samples.last().map_or(0.0, |s| s.t_seconds);
+        if closing && now > last {
+            push(self, now, now - last);
         }
     }
 
@@ -500,9 +511,33 @@ impl ServeTelemetry {
         batch_window: usize,
         breaker: BreakerState,
     ) {
+        self.sample(now, queue_depth, batch_window, breaker, false);
+    }
+
+    /// The closing tick, at the end of the run: [`ServeTelemetry::tick`]
+    /// plus a last sample at `now`, so jobs that completed in the final
+    /// drain appear in a sample.
+    pub(crate) fn close(
+        &mut self,
+        now: f64,
+        queue_depth: usize,
+        batch_window: usize,
+        breaker: BreakerState,
+    ) {
+        self.sample(now, queue_depth, batch_window, breaker, true);
+    }
+
+    fn sample(
+        &mut self,
+        now: f64,
+        queue_depth: usize,
+        batch_window: usize,
+        breaker: BreakerState,
+        closing: bool,
+    ) {
         let before = self.registry.samples.len();
         self.registry
-            .sample_until(now, queue_depth, batch_window, breaker);
+            .sample_until(now, queue_depth, batch_window, breaker, closing);
         for i in before..self.registry.samples.len() {
             let s = self.registry.samples[i];
             let ts = self.cycles(s.t_seconds);
@@ -1141,7 +1176,7 @@ mod tests {
         let mut r = MetricsRegistry::new(&cfg());
         r.observe_completion(0, 0.5);
         r.observe_completion(1, 1.5);
-        r.sample_until(2.0, 3, 4, BreakerState::Closed);
+        r.sample_until(2.0, 3, 4, BreakerState::Closed, false);
         // Samples due at t=1 and t=2.
         assert_eq!(r.samples().len(), 2);
         let first = r.samples()[0];
@@ -1153,6 +1188,19 @@ mod tests {
         assert_eq!(r.samples()[1].drain_rate_per_sec, 0.0);
         // p99 over {0.5, 1.5} seconds → 1.5e6 us.
         assert_eq!(first.p99_us, 1.5e6);
+        // A closing call at a sample time adds nothing; past it, one
+        // sample at `now` over the partial interval.
+        r.sample_until(2.0, 0, 4, BreakerState::Closed, true);
+        assert_eq!(r.samples().len(), 2);
+        r.observe_completion(0, 0.1);
+        r.sample_until(2.5, 0, 4, BreakerState::Closed, true);
+        assert_eq!(r.samples().len(), 3);
+        let last = r.samples()[2];
+        assert_eq!((last.t_seconds, last.completed), (2.5, 3));
+        assert_eq!(last.drain_rate_per_sec, 2.0);
+        // The cadence carries on from where it was.
+        r.sample_until(3.0, 0, 4, BreakerState::Closed, false);
+        assert_eq!(r.samples()[3].t_seconds, 3.0);
     }
 
     #[test]

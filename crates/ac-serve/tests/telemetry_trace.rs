@@ -6,7 +6,8 @@
 //! [`trace::PID_SERVE_SLO`], and the stream ops they sit above on pids
 //! `>= gpu_sim::PID_STREAM_BASE` — with per-job span nesting intact.
 //! Also pins the backpressure contract: every `Overloaded.retry_after_us`
-//! hint is consistent with the drain rate the metrics registry observed.
+//! hint quotes the drain rate the job saw on arrival, and the registry's
+//! closing sample carries the report's totals.
 
 use std::collections::HashSet;
 
@@ -182,52 +183,46 @@ fn retry_after_hints_are_consistent_with_the_observed_drain_rate() {
         job_bytes: 4096,
         ..WorkloadConfig::defaults()
     });
+    let arrival: Vec<f64> = jobs.iter().map(|j| j.arrival_seconds).collect();
     let mut cfg = ServeConfig::new(1);
     cfg.queue_capacity = 4;
     cfg.telemetry = Some(TelemetryConfig::default());
     let run = serve(&m, jobs, &cfg).unwrap();
     assert!(run.report.jobs_rejected > 0, "overload must reject");
 
-    // Hints quote `capacity / drain_rate`; zero-hint rejections happened
-    // before the first completion (no rate to quote yet).
-    let hints: Vec<f64> = run
-        .rejections
-        .iter()
-        .map(|r| r.retry_after_us)
-        .filter(|h| *h > 0.0)
-        .collect();
-    assert!(!hints.is_empty(), "no rejection carried a drain-rate hint");
-
-    // Reconstruct the cumulative drain rate the serve loop quoted from
-    // the registry's samples (cumulative completions at sampled times).
-    let tel = run.telemetry.expect("armed");
-    let rates: Vec<f64> = tel
-        .samples
-        .iter()
-        .filter(|s| s.t_seconds > 0.0 && s.completed > 0)
-        .map(|s| s.completed as f64 / s.t_seconds)
-        .collect();
-    assert!(!rates.is_empty(), "registry sampled no completions");
-    let min_rate = rates.iter().cloned().fold(f64::INFINITY, f64::min);
-    let max_rate = rates.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
+    // Each hint quotes `capacity / drain_rate`, the rate being the
+    // completions landed by the job's arrival over that time; rejections
+    // before the first landing carry none (no rate to quote yet).
     let capacity = cfg.queue_capacity as f64;
-    // The hint's basis is the cumulative rate *at rejection time*, which
-    // the cadence samples only bracket — so the envelope allows a 4x
-    // band around the sampled extremes. That is still tight enough to
-    // catch a wrong unit (µs vs s) or a wrong numerator (queue length vs
-    // capacity), which is what this pin is for.
-    for hint in &hints {
-        let implied_rate = capacity * 1.0e6 / hint;
-        assert!(
-            implied_rate >= 0.25 * min_rate && implied_rate <= 4.0 * max_rate,
-            "hint {hint} µs implies {implied_rate:.0} jobs/s, outside \
-             [{:.0}, {:.0}] from the sampled registry",
-            0.25 * min_rate,
-            4.0 * max_rate
-        );
+    let mut hinted = 0;
+    for r in &run.rejections {
+        let at = arrival[r.job_id as usize];
+        let landed = run
+            .outcomes
+            .iter()
+            .filter(|o| o.completed_seconds <= at)
+            .count();
+        let want = if landed > 0 {
+            capacity * at / landed as f64 * 1.0e6
+        } else {
+            0.0
+        };
+        assert_eq!(r.retry_after_us, want, "job {} at {at} s", r.job_id);
+        hinted += (landed > 0) as usize;
     }
-    // The final sample's cumulative counters agree with the report.
+    assert!(hinted > 0, "no rejection carried a drain-rate hint");
+
+    let tel = run.telemetry.expect("armed");
+    // The closing sample's cumulative counters are the report's totals.
     let last = tel.samples.last().unwrap();
-    assert_eq!(last.completed, run.report.jobs_completed);
-    assert_eq!(last.rejected, run.report.jobs_rejected);
+    assert_eq!(last.t_seconds, run.report.makespan_seconds);
+    assert_eq!(
+        (last.completed, last.rejected, last.expired, last.shed),
+        (
+            run.report.jobs_completed,
+            run.report.jobs_rejected,
+            run.report.jobs_expired,
+            run.report.jobs_shed
+        )
+    );
 }

@@ -1,4 +1,4 @@
-//! The launch-planning scenario: two scans, each run with the paper's
+//! The launch-planning scenario: three scans, each run with the paper's
 //! pinned `shared-diagonal` launch and with the launch the planner makes
 //! of a `shared-diagonal` request.
 //!
@@ -7,15 +7,19 @@
 //!   because an 8 KiB tile plus its overlap is just over half of the
 //!   16 KiB shared memory. The planner ([`ac_gpu::Plan::shared`]) picks
 //!   96-thread blocks, two resident per SM, and needs three.
-//! * A one-round scan ([`ONE_ROUND_SIZE`], a serving-sized launch): the
+//! * Two one-round scans ([`ONE_ROUND_SIZE`], a serving-sized launch)
+//!   against a 20,000-pattern table and serve-small's 50 patterns: the
 //!   paper tile runs two blocks on 2 of the 30 SMs, every thread making
-//!   64 + X dependent texture fetches into a 20,000-pattern table. The
-//!   planner ([`ac_gpu::Plan::kernel`]) runs PFAC, whose one-thread-per-
-//!   byte grid spreads the same bytes over every SM.
+//!   64 + X dependent texture fetches. The planner
+//!   ([`ac_gpu::Plan::kernel`]) runs staged PFAC, whose one-thread-per-
+//!   byte grid spreads the same bytes over every SM and whose walks read
+//!   the block's bytes from shared memory. Each one-round point also
+//!   carries a baseline `pfac` row, whose walks read global memory.
 //!
 //! [`check_launch_planning`] is the gate-table entry ([`crate::gates`])
-//! that keeps both gains: the planned rows must beat the paper rows by
-//! [`LAUNCH_PLAN_FLOOR`] and [`ONE_ROUND_FLOOR`].
+//! that keeps the gains: the planned rows must beat the paper rows by
+//! [`LAUNCH_PLAN_FLOOR`] and [`ONE_ROUND_FLOOR`], and the baseline PFAC
+//! rows by [`STAGED_PFAC_FLOOR`].
 
 use crate::measure::{Engine, EngineConfig, Measurements};
 use crate::report::BenchReport;
@@ -37,37 +41,54 @@ pub const PLANNED_ROW: &str = "shared-diagonal-planned";
 /// [`LAUNCH_PLAN_SIZE`].
 pub const LAUNCH_PLAN_FLOOR: f64 = 1.3;
 
-/// Input size of the one-round point: a serving-sized launch that PFAC's
-/// grid covers in one resident round (30,720 B on the GTX 285).
+/// Input size of the one-round points: a serving-sized launch that staged
+/// PFAC's grid covers in one resident round (30,720 B on the GTX 285).
 pub const ONE_ROUND_SIZE: usize = 16 * 1024;
 
-/// Dictionary size of the one-round point: a table far beyond the
+/// Dictionary size of the first one-round point: a table far beyond the
 /// texture caches, so each chunked thread's dependent misses set the
 /// time.
 pub const ONE_ROUND_PATTERNS: usize = 20_000;
 
-/// The least planned/paper throughput ratio the gate accepts at
-/// [`ONE_ROUND_SIZE`].
+/// Dictionary size of the second one-round point: serve-small's, whose
+/// table fits the texture caches, so PFAC's byte loads weigh most.
+pub const SERVE_PATTERNS: usize = 50;
+
+/// The least planned/paper throughput ratio the gate accepts at both
+/// one-round points.
 pub const ONE_ROUND_FLOOR: f64 = 2.0;
 
+/// The least planned/baseline-PFAC throughput ratio the gate accepts at
+/// both one-round points: staging must pay for its barrier.
+pub const STAGED_PFAC_FLOOR: f64 = 1.2;
+
+/// The scenario's `(size, patterns)` points, the multi-round one first.
+const POINTS: [(usize, usize); 3] = [
+    (LAUNCH_PLAN_SIZE, LAUNCH_PLAN_PATTERNS),
+    (ONE_ROUND_SIZE, ONE_ROUND_PATTERNS),
+    (ONE_ROUND_SIZE, SERVE_PATTERNS),
+];
+
 /// Run the scenario: at each point a `shared-diagonal` row with the
-/// paper's pinned launch and a [`PLANNED_ROW`] row with
-/// [`KernelParams::defaults_for`] running the kernel
-/// [`GpuAcMatcher::plan_kernel`] picks, over the same text and
-/// dictionary.
+/// paper's pinned launch (and at the one-round points a baseline `pfac`
+/// row) and a [`PLANNED_ROW`] row with [`KernelParams::defaults_for`]
+/// running the kernel [`GpuAcMatcher::plan_kernel`] picks, over the same
+/// text and dictionary.
 pub fn launch_plan_measurements(verbose: bool) -> Result<Measurements, String> {
     let mut out = Measurements::default();
-    for (size, patterns) in [
-        (LAUNCH_PLAN_SIZE, LAUNCH_PLAN_PATTERNS),
-        (ONE_ROUND_SIZE, ONE_ROUND_PATTERNS),
-    ] {
+    for (size, patterns) in POINTS {
         let mut cfg = EngineConfig::new(ExperimentGrid {
             sizes: vec![size],
             pattern_counts: vec![patterns],
         });
         cfg.verbose = verbose;
         let engine = Engine::new(cfg);
-        out.extend(engine.run(&[Approach::SharedDiagonal.label()])?);
+        let paper: &[&str] = if size == ONE_ROUND_SIZE {
+            &[Approach::SharedDiagonal.label(), Approach::Pfac.label()]
+        } else {
+            &[Approach::SharedDiagonal.label()]
+        };
+        out.extend(engine.run(paper)?);
         let gpu = engine.config().gpu;
         let planned = GpuAcMatcher::new(
             gpu,
@@ -88,50 +109,62 @@ pub fn launch_plan_measurements(verbose: bool) -> Result<Measurements, String> {
 
 /// The scenario's claims, checked on a report's rows: the planned launch
 /// reaches at least [`LAUNCH_PLAN_FLOOR`] times the paper tile's Gb/s on
-/// the multi-round scan, and [`ONE_ROUND_FLOOR`] times on the one-round
-/// scan.
+/// the multi-round scan, and on each one-round scan [`ONE_ROUND_FLOOR`]
+/// times the paper tile's and [`STAGED_PFAC_FLOOR`] times baseline
+/// PFAC's.
 pub fn check_launch_planning(r: &BenchReport) -> Result<String, String> {
-    let ratio = |size: usize, patterns: usize, floor: f64, what: &str| {
+    let ratio = |size: usize, patterns: usize, baseline: &str, floor: f64, what: &str| {
         let at = |label: &str| {
             r.rows
                 .iter()
                 .find(|row| row.approach == label && row.size == size && row.patterns == patterns)
                 .ok_or_else(|| format!("missing {label} row at {size}x{patterns}"))
         };
-        let paper = at(Approach::SharedDiagonal.label())?;
+        let base = at(baseline)?;
         let planned = at(PLANNED_ROW)?;
-        if paper.gbps <= 0.0 {
+        if base.gbps <= 0.0 {
             return Err(format!(
-                "the paper-tile row at {size}x{patterns} has no throughput"
+                "the {baseline} row at {size}x{patterns} has no throughput"
             ));
         }
-        let ratio = planned.gbps / paper.gbps;
+        let ratio = planned.gbps / base.gbps;
         if ratio < floor {
             return Err(format!(
-                "{what} at {:.2} Gb/s, only {ratio:.2}x the paper tile's {:.2} Gb/s \
+                "{what} at {:.2} Gb/s, only {ratio:.2}x {baseline}'s {:.2} Gb/s \
                  at {size}x{patterns} (floor {floor}x)",
-                planned.gbps, paper.gbps
+                planned.gbps, base.gbps
             ));
         }
         Ok(format!(
-            "{what} at {ratio:.2}x the paper tile's Gb/s ({:.2} vs {:.2}) \
-             at {size}x{patterns}",
-            planned.gbps, paper.gbps
+            "{what} at {ratio:.2}x {baseline}'s Gb/s ({:.2} vs {:.2}) at {size}x{patterns}",
+            planned.gbps, base.gbps
         ))
     };
-    let blocks = ratio(
+    let paper = Approach::SharedDiagonal.label();
+    let mut held = vec![ratio(
         LAUNCH_PLAN_SIZE,
         LAUNCH_PLAN_PATTERNS,
+        paper,
         LAUNCH_PLAN_FLOOR,
         "planned blocks",
-    )?;
-    let kernel = ratio(
-        ONE_ROUND_SIZE,
-        ONE_ROUND_PATTERNS,
-        ONE_ROUND_FLOOR,
-        "one-round PFAC",
-    )?;
-    Ok(format!("launch planning pays: {blocks}; {kernel}"))
+    )?];
+    for (size, patterns) in &POINTS[1..] {
+        held.push(ratio(
+            *size,
+            *patterns,
+            paper,
+            ONE_ROUND_FLOOR,
+            "one-round PFAC",
+        )?);
+        held.push(ratio(
+            *size,
+            *patterns,
+            Approach::Pfac.label(),
+            STAGED_PFAC_FLOOR,
+            "staged PFAC",
+        )?);
+    }
+    Ok(format!("launch planning pays: {}", held.join("; ")))
 }
 
 #[cfg(test)]
@@ -163,44 +196,73 @@ mod tests {
         }
     }
 
-    fn one_round(approach: &str, gbps: f64) -> BenchRow {
+    fn one_round(patterns: usize, approach: &str, gbps: f64) -> BenchRow {
         BenchRow {
             size: ONE_ROUND_SIZE,
-            patterns: ONE_ROUND_PATTERNS,
+            patterns,
             ..row(approach, gbps)
         }
     }
 
-    /// The four rows with the given planned Gb/s at each point, against
-    /// paper rows at 10 Gb/s.
-    fn rows(blocks: f64, kernel: f64) -> Vec<BenchRow> {
-        vec![
-            row("shared-diagonal", 10.0),
-            row(PLANNED_ROW, blocks),
-            one_round("shared-diagonal", 10.0),
-            one_round(PLANNED_ROW, kernel),
-        ]
+    /// The eight rows with the given planned Gb/s at each point, against
+    /// paper rows at 10 Gb/s and baseline PFAC rows at 15 Gb/s.
+    fn rows(blocks: f64, kernel: f64, serve: f64) -> Vec<BenchRow> {
+        let mut rows = vec![row("shared-diagonal", 10.0), row(PLANNED_ROW, blocks)];
+        for (patterns, planned) in [(ONE_ROUND_PATTERNS, kernel), (SERVE_PATTERNS, serve)] {
+            rows.push(one_round(patterns, "shared-diagonal", 10.0));
+            rows.push(one_round(patterns, "pfac", 15.0));
+            rows.push(one_round(patterns, PLANNED_ROW, planned));
+        }
+        rows
     }
 
     #[test]
     fn gate_holds_at_the_floor_and_breaks_below_it() {
-        let held = check_launch_planning(&report(rows(13.0, 20.0))).unwrap();
+        let held = check_launch_planning(&report(rows(13.0, 20.0, 20.0))).unwrap();
         assert!(held.contains("1.30x") && held.contains("2.00x"), "{held}");
-        let blocks = check_launch_planning(&report(rows(12.9, 20.0))).unwrap_err();
+        let held = check_launch_planning(&report(rows(13.0, 20.0, 18.0))).unwrap_err();
+        assert!(
+            held.contains("one-round PFAC") && held.contains("1.80x") && held.contains("16384x50"),
+            "{held}"
+        );
+        let held = check_launch_planning(&report(rows(13.0, 30.0, 20.0))).unwrap();
+        assert!(
+            held.contains("2.00x pfac's Gb/s") && held.contains("1.33x pfac's"),
+            "{held}"
+        );
+        let blocks = check_launch_planning(&report(rows(12.9, 20.0, 20.0))).unwrap_err();
         assert!(
             blocks.contains("planned blocks") && blocks.contains("1.29x"),
             "{blocks}"
         );
-        let kernel = check_launch_planning(&report(rows(13.0, 19.9))).unwrap_err();
+        let kernel = check_launch_planning(&report(rows(13.0, 19.9, 20.0))).unwrap_err();
         assert!(
             kernel.contains("one-round PFAC") && kernel.contains("1.99x"),
             "{kernel}"
         );
-        let mut missing = rows(13.0, 20.0);
+        // Staged PFAC below 1.2x the baseline breaks the gate even where
+        // it clears the paper tile's floor.
+        let mut slow = rows(13.0, 20.0, 20.0);
+        for r in slow.iter_mut().filter(|r| r.approach == "pfac") {
+            r.gbps = 16.8;
+        }
+        let staged = check_launch_planning(&report(slow)).unwrap_err();
+        assert!(
+            staged.contains("staged PFAC") && staged.contains("1.19x pfac's"),
+            "{staged}"
+        );
+        let mut missing = rows(13.0, 20.0, 20.0);
         missing.remove(2);
         let missing = check_launch_planning(&report(missing)).unwrap_err();
         assert!(
             missing.contains("missing shared-diagonal row at 16384x20000"),
+            "{missing}"
+        );
+        let mut missing = rows(13.0, 20.0, 20.0);
+        missing.retain(|r| !(r.approach == "pfac" && r.patterns == SERVE_PATTERNS));
+        let missing = check_launch_planning(&report(missing)).unwrap_err();
+        assert!(
+            missing.contains("missing pfac row at 16384x50"),
             "{missing}"
         );
     }

@@ -14,10 +14,12 @@
 //! kernels' event stream itself against a host walk of the same plan. A
 //! third runs the shared-tile kernels at the block sizes the launch
 //! planner picks on a two-SM device, where a few tens of KiB already span
-//! several resident rounds. A last test bounds the readback frame on
-//! corpus text.
+//! several resident rounds. Two last tests run both PFAC modes against
+//! the oracle on corpus dictionaries, up to the longest pattern the
+//! default launch accepts, and bound the readback frame on corpus text:
+//! one word per walk for PFAC, at most two per event otherwise.
 
-use ac_core::{naive, AcAutomaton, PatternSet};
+use ac_core::{naive, AcAutomaton, Match, PatternSet};
 use ac_gpu::{Approach, GpuAcMatcher, KernelParams, Plan};
 use corpus::{extract_patterns, ExtractConfig, TextGenerator};
 use gpu_sim::{FaultPlan, GpuConfig};
@@ -263,10 +265,119 @@ proptest! {
     }
 }
 
+/// The exact walk-frame length of a PFAC run whose matches are `found`
+/// (sorted): one word per anchor that matched, plus a zero word for each
+/// full delta field a gap between anchors overflows.
+fn walk_frame_bytes(ac: &AcAutomaton, found: &[Match]) -> u64 {
+    let bits = (usize::BITS - (ac.state_count() - 1).leading_zeros()).max(16);
+    let max_delta = (1u64 << (32 - bits)) - 1;
+    let mut anchors: Vec<u64> = found.iter().map(|m| m.start as u64).collect();
+    anchors.dedup();
+    let mut next = 0;
+    let mut words = 0;
+    for a in anchors {
+        words += 1 + (a + 1 - next - 1) / max_delta;
+        next = a + 1;
+    }
+    36 + 4 * words
+}
+
+/// The match events a PFAC run reports for `found`: one per terminal
+/// state a walk passes, that is per distinct `(start, end)` (duplicate
+/// patterns share their state).
+fn pfac_events(found: &[Match]) -> u64 {
+    let mut spans: Vec<(usize, usize)> = found.iter().map(|m| (m.start, m.end)).collect();
+    spans.sort_unstable();
+    spans.dedup();
+    spans.len() as u64
+}
+
+/// Both PFAC modes equal the oracle in recording mode (framing off and
+/// on) and count the same events and walk frame in counting mode, on the
+/// sparse, tiny and never-matching corpus dictionaries, a one-byte
+/// pattern with terminal ancestors above it, and the longest pattern the
+/// default launch accepts: 8,193 bytes, whose staged tile leaves one
+/// block per SM. The longest pattern and the 6-byte "edge" patterns
+/// start at a block's last anchor, so their walks read the last byte of
+/// the staged tile (the edge tile, 133 bytes, ends one byte into its
+/// last word).
+#[test]
+fn staged_pfac_equals_the_oracle_on_every_dictionary() {
+    let text = TextGenerator::new(5).generate(48 << 10);
+    let elsewhere = TextGenerator::new(11).generate(64 << 10);
+    let sparse = extract_patterns(
+        &elsewhere,
+        &ExtractConfig {
+            min_len: 8,
+            ..ExtractConfig::paper_default(200, 5)
+        },
+    );
+    // The last anchor of a 128-thread block.
+    let last_anchor = |block: usize| block * 128 + 127;
+    let at = |anchor: usize, len: usize| text[anchor..anchor + len].to_vec();
+    let longest = at(last_anchor(70), 8_193);
+    let edge = [3, 50, 200].map(|block| at(last_anchor(block), 6));
+    let dictionaries = [
+        ("sparse", sparse),
+        ("tiny", PatternSet::from_strs(&["the", "of"]).unwrap()),
+        ("never", PatternSet::from_strs(&["\u{7f}"]).unwrap()),
+        (
+            "one-byte",
+            PatternSet::from_strs(&["e", "he", "the"]).unwrap(),
+        ),
+        ("edge", PatternSet::new(edge).unwrap()),
+        (
+            "longest",
+            PatternSet::new([longest, b"the".to_vec(), b"t".to_vec()]).unwrap(),
+        ),
+    ];
+    let cfg = GpuConfig::gtx285();
+    let params = KernelParams::defaults_for(&cfg);
+    for (name, ps) in dictionaries {
+        let want = naive::find_all(&ps, &text);
+        let ac = AcAutomaton::build(&ps);
+        let m = GpuAcMatcher::new(cfg, params, ac.clone()).unwrap();
+        if name == "longest" {
+            assert_eq!(ac.required_overlap(), 8_192);
+            assert_eq!(m.pfac_limit(Approach::SharedDiagonal), Some(3_840));
+            assert!(want.iter().any(|w| w.end - w.start == 8_193));
+        }
+        assert_eq!(want.is_empty(), name == "never", "{name}");
+        for approach in [Approach::Pfac, Approach::PfacStaged] {
+            for armed in [false, true] {
+                if armed {
+                    m.set_fault_plan(FaultPlan::none());
+                }
+                let run = m.run(&text, approach).unwrap();
+                if armed {
+                    m.clear_fault_plan();
+                }
+                assert_eq!(
+                    run.matches, want,
+                    "{name} {approach:?}, faults armed: {armed}"
+                );
+            }
+            let counted = m.run_counting(&text, approach).unwrap();
+            assert!(counted.matches.is_empty());
+            assert_eq!(
+                counted.match_events,
+                pfac_events(&want),
+                "{name} {approach:?}"
+            );
+            assert_eq!(
+                counted.readback_bytes,
+                walk_frame_bytes(&ac, &want),
+                "{name} {approach:?}"
+            );
+        }
+    }
+}
+
 /// The delta-coded frame costs at most two words per event (a thread word
 /// and an event word) on sparse and tiny dictionaries over corpus text:
 /// never more than `36 + 8 × match_events` bytes, the budget of one
-/// 8-byte record per event plus the frame.
+/// 8-byte record per event plus the frame. Both PFAC modes read back
+/// exactly one word per walk that matched.
 #[test]
 fn readback_frames_stay_within_two_words_per_event() {
     let text = TextGenerator::new(3).generate(256 << 10);
@@ -283,12 +394,10 @@ fn readback_frames_stay_within_two_words_per_event() {
     let never = PatternSet::from_strs(&["\u{7f}"]).unwrap();
     let cfg = GpuConfig::gtx285();
     for (name, ps) in [("sparse", sparse), ("tiny", tiny), ("never", never)] {
-        let m = GpuAcMatcher::new(
-            cfg,
-            KernelParams::defaults_for(&cfg),
-            AcAutomaton::build(&ps),
-        )
-        .unwrap();
+        let ac = AcAutomaton::build(&ps);
+        let m = GpuAcMatcher::new(cfg, KernelParams::defaults_for(&cfg), ac.clone()).unwrap();
+        let mut found = ac.find_all(&text);
+        found.sort_unstable();
         for approach in Approach::all() {
             let run = m.run_counting(&text, approach).unwrap();
             let bound = 36 + 8 * run.match_events;
@@ -298,6 +407,13 @@ fn readback_frames_stay_within_two_words_per_event() {
                 run.readback_bytes,
                 run.match_events
             );
+            if approach.pfac_mode().is_some() {
+                assert_eq!(
+                    run.readback_bytes,
+                    walk_frame_bytes(&ac, &found),
+                    "{name} {approach:?}: not one word per walk"
+                );
+            }
             if name == "never" {
                 assert_eq!(
                     (run.match_events, run.readback_bytes),
