@@ -142,6 +142,9 @@ impl Plan {
     /// 16 KiB is two 128-thread tiles on 2 of the 30 SMs, each thread
     /// making 64 + X dependent texture fetches. PFAC spreads the same
     /// bytes over every SM with one short walk per thread (DESIGN.md §4l).
+    /// This rule prices the kernel alone. Serving prices kernel and
+    /// readback and runs staged PFAC from here up to where its line
+    /// crosses the configured kernel's (`ac_serve::kernel_choice`).
     pub fn kernel(
         params: &KernelParams,
         cfg: &GpuConfig,

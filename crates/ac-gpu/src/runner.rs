@@ -339,8 +339,9 @@ impl GpuAcMatcher {
     /// The kernel a launch of `len` bytes runs when `configured` is the
     /// caller's kernel: [`Plan::kernel`]'s choice, except that a matcher
     /// whose PFAC tables cannot be built keeps `configured`. The serve
-    /// loop plans every launch through this; [`GpuAcMatcher::run`] and
-    /// friends run exactly the approach they are given.
+    /// loop switches past this floor where pricing says so
+    /// (`ac_serve::kernel_choice`); [`GpuAcMatcher::run`] and friends run
+    /// exactly the approach they are given.
     pub fn plan_kernel(&self, configured: Approach, len: usize) -> Approach {
         match self.pfac_limit(configured) {
             Some(limit) if len <= limit => Approach::PfacStaged,

@@ -108,9 +108,11 @@
 //!   `t(bytes) = setup + bytes / bandwidth`, learned from a two-point
 //!   warmup probe of the first offered job's bytes run off the simulated
 //!   clock and refined online from
-//!   observed service times (EWMA on the setup term). A GPU whose planner
-//!   switches to PFAC between the two probes gets one such line per
-//!   kernel, each probed on its own side of the switch. Arrivals are routed
+//!   observed service times (EWMA on the setup term). Each GPU probe runs
+//!   the kernel the serve call's priced choice picks for its length
+//!   ([`crate::kernel_choice`]), and a GPU whose switch point lies between
+//!   the two probes gets one such line per kernel, each probed on its own
+//!   side of the switch. Arrivals are routed
 //!   to the tier with the earliest predicted completion given its queued
 //!   backlog: small jobs land on the CPU (no PCIe or launch setup), large
 //!   jobs on the least-loaded GPU.
@@ -136,6 +138,7 @@
 use crate::batch::{assemble_batch, demux_matches, AssembledBatch};
 use crate::breaker::{BreakerState, BreakerTransition, CircuitBreaker, Route};
 use crate::job::{JobExpiry, JobOutcome, ScanJob, ServedBy};
+use crate::kernel_choice::KernelChoice;
 use crate::queue::{BoundedQueue, Overloaded};
 use crate::report::{percentile, BatchBucket, PoolStatsReport, ServeReport};
 use crate::sim::{ServeConfig, ServeRun};
@@ -454,10 +457,11 @@ struct Router {
     tiers: Vec<TierCounts>,
 }
 
-/// A tier's fitted cost. A GPU whose planner runs PFAC up to `limit`
-/// bytes and the configured kernel beyond ([`GpuAcMatcher::pfac_limit`])
-/// has a second line, `pfac`, for launches up to that limit; each line
-/// predicts and refines only the launches its kernel runs.
+/// A tier's fitted cost. A GPU whose serve call runs staged PFAC up to
+/// `limit` bytes and the configured kernel beyond, with the switch point
+/// between the two probes ([`KernelChoice::limit`]), has a second line,
+/// `pfac`, for launches up to that limit; each line predicts and refines
+/// only the launches its kernel runs.
 #[derive(Debug, Clone, Copy)]
 struct TierModel {
     line: CostModel,
@@ -498,7 +502,9 @@ struct Unpooled {
 }
 
 /// Mutable per-fleet state of the serve loop.
-struct FleetState {
+struct FleetState<'a> {
+    /// The kernel every GPU launch runs, by its length.
+    choice: KernelChoice<'a>,
     /// The link model every copy is priced with
     /// ([`ServeConfig::effective_pcie`]).
     pcie: PcieConfig,
@@ -550,7 +556,7 @@ struct FleetState {
     scatters: BTreeMap<u64, HeldScatter>,
 }
 
-impl FleetState {
+impl FleetState<'_> {
     /// The stream engines batching decisions read: the unpooled schedule
     /// when pools are armed, else the realised one.
     fn clocks(&self) -> &[StreamEngine] {
@@ -863,9 +869,10 @@ pub fn serve_fleet(
         .map(|j| j.payload.as_slice())
         .find(|p| !p.is_empty())
         .unwrap_or(b"a");
+    let choice = KernelChoice::new(matcher, dcfg, sample);
     let router = cfg.routing.map(|r| Router {
         refine_alpha: r.refine_alpha,
-        models: fit_tier_models(matcher, dcfg, &r, devices, sample),
+        models: fit_tier_models(matcher, dcfg, &r, devices, sample, &choice),
         tiers: (0..=devices)
             .map(|t| TierCounts {
                 tier: if t == devices {
@@ -899,6 +906,7 @@ pub fn serve_fleet(
             .collect(),
     };
     let mut st = FleetState {
+        choice,
         pcie,
         engines: (0..devices)
             .map(|_| StreamEngine::new(dcfg.streams))
@@ -1014,7 +1022,7 @@ pub fn serve_fleet(
             .zip(&timelines)
             .collect();
         let mut run = t.finish(&per_device);
-        let replay = matcher.plan_kernel(dcfg.approach, run.payload_sample.len());
+        let replay = st.choice.kernel(run.payload_sample.len());
         run.attribute_pattern_costs(matcher, replay, makespan);
         if let Some(ps) = pool_report {
             run.record_pool_stats(&ps, makespan);
@@ -1077,6 +1085,7 @@ pub fn serve_fleet(
             .collect(),
         pool: pool_report,
         kernel_launches: std::mem::take(&mut st.kernel_launches),
+        pfac_limit_bytes: st.choice.priced().map(|l| l as u64),
     };
 
     let per_device: Vec<DeviceReport> = (0..devices)
@@ -1126,18 +1135,20 @@ pub fn serve_fleet(
 
 /// Warmup calibration: probe each tier with two payload sizes *off the
 /// simulated clock* and fit one [`CostModel`] per tier (each GPU starts
-/// from the same fit; online refinement then specialises them). A GPU
-/// whose planner switches to PFAC between the probes gets one line per
-/// kernel ([`TierModel`]), probed at the switch point's neighbours too. Probes
-/// scan `sample` (the first offered job's payload) cycled to the probe
-/// size, so the fit prices the readback of the workload's real match
-/// density, not that of a text that matches nothing.
+/// from the same fit; online refinement then specialises them). Each GPU
+/// probe runs the kernel the serve call's `choice` picks for its length,
+/// and a GPU whose switch point lies between the probes gets one line
+/// per kernel ([`TierModel`]), probed at the switch point's neighbours
+/// too. Probes scan `sample` (the first offered job's payload) cycled to
+/// the probe size, so the fit prices the readback of the workload's real
+/// match density, not that of a text that matches nothing.
 fn fit_tier_models(
     matcher: &GpuAcMatcher,
     dcfg: &ServeConfig,
     router: &RouterConfig,
     devices: usize,
     sample: &[u8],
+    choice: &KernelChoice,
 ) -> Vec<TierModel> {
     let small = router.probe_small_bytes.max(1);
     let large = router.probe_large_bytes.max(small + 1);
@@ -1146,7 +1157,7 @@ fn fit_tier_models(
         |bytes: usize| -> Vec<u8> { sample.iter().copied().cycle().take(bytes).collect() };
     let gpu_probe = |bytes: usize| -> Option<f64> {
         let payload = probe_payload(bytes);
-        let approach = matcher.plan_kernel(dcfg.approach, bytes);
+        let approach = choice.kernel(bytes);
         let sup = run_supervised(matcher, &payload, approach, &dcfg.supervise).ok()?;
         let h2d = pcie.copy_seconds(bytes);
         let d2h = pcie.copy_seconds(sup.run.readback_bytes as usize);
@@ -1164,7 +1175,7 @@ fn fit_tier_models(
     // When the planner switches kernels between the probes, fit each
     // kernel from its own side of the switch: the probes and the switch
     // point's two neighbours.
-    let gpu_model = match matcher.pfac_limit(dcfg.approach) {
+    let gpu_model = match choice.limit(large) {
         Some(limit) if small < limit && limit < large => TierModel {
             line: gpu_line(limit + 1, large),
             pfac: Some((limit, gpu_line(small, limit))),
@@ -1382,10 +1393,10 @@ fn run_queues<'a>(
 }
 
 /// Dispatch one assembled batch on `dev`'s GPU under supervision, through
-/// the kernel the planner picks for its length
-/// ([`GpuAcMatcher::plan_kernel`]): charge the `h2d` through the bus,
-/// charge the kernel (plus retry penalty), stage the readback, or fail
-/// over to the shared CPU executor. The batch opened at `opened` and was
+/// the kernel the serve call picks for its length ([`KernelChoice`]):
+/// charge the `h2d` through the bus, charge the kernel (plus retry
+/// penalty), stage the readback, or fail over to the shared CPU
+/// executor. The batch opened at `opened` and was
 /// sealed at `sealed`; its pool driver setup runs from `opened`, so the
 /// upload is released at the later of `sealed` and the setup's end. In
 /// routed mode the device's cost model observes the realised service
@@ -1407,7 +1418,7 @@ fn dispatch_gpu_batch(
     st.per_dev_batches[dev] += 1;
     let corpus_bytes = assembled.data.len() as u64;
     let clock_hz = st.clock_hz;
-    let approach = matcher.plan_kernel(dcfg.approach, assembled.data.len());
+    let approach = st.choice.kernel(assembled.data.len());
     match run_supervised(matcher, &assembled.data, approach, &dcfg.supervise) {
         Ok(sup) => {
             tally(&sup.report, &mut st.gpu_retries, &mut st.faults_fired);
@@ -1545,7 +1556,7 @@ fn scatter_job<'a>(
     for seg in &segments {
         let window = &job.payload[seg.scan_start..seg.scan_end];
         let matcher = matcher_for(seg.device as usize);
-        let approach = matcher.plan_kernel(dcfg.approach, window.len());
+        let approach = st.choice.kernel(window.len());
         match run_supervised(matcher, window, approach, &dcfg.supervise) {
             Ok(sup) => {
                 tally(&sup.report, &mut st.gpu_retries, &mut st.faults_fired);
@@ -1891,6 +1902,7 @@ fn rate(amount: f64, seconds: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernel_choice::priced_pfac_limit;
     use crate::workload::{serve_automaton, synthetic_workload, WorkloadConfig, DEFAULT_PATTERNS};
     use crate::{serve, ServePoolConfig, ServedBy, DEFAULT_POOL_CAPACITY};
     use ac_gpu::KernelParams;
@@ -2006,42 +2018,59 @@ mod tests {
         assert!(b.report.pool.is_some_and(|p| p.misses == p.acquires));
     }
 
-    /// The default probes (4 KiB and 64 KiB) straddle the planner's
-    /// switch to PFAC (30,720 B on the GTX 285), so the GPU tier fits one
-    /// line per kernel. Launches on either side are priced within 3% of
-    /// their measured `h2d + kernel + d2h` (16 KiB +0.4%, 48 KiB +1.7%);
-    /// one line through both probes errs by more than 5% on both (+6.1%,
-    /// −6.2%).
+    /// Each GPU probe runs the kernel the serve call picks for its
+    /// length. Priced on this workload, staged PFAC is the cheaper launch
+    /// up to 230,752 B, so the default probes (4 KiB and 64 KiB) both run
+    /// it and the GPU tier fits one line, which prices 16 KiB and 48 KiB
+    /// launches within 5% of their measured `h2d + kernel + d2h` (+3.6%,
+    /// +1.5%). A call
+    /// whose batches cannot outgrow one round keeps the floor, 30,720 B
+    /// on the GTX 285, between the probes and fits one line per kernel:
+    /// within 3% on either side (+1.1%, +1.7%), where one line through
+    /// both probes errs by more than 5% (+10.9%, −8.1%).
     #[test]
     fn gpu_cost_model_prices_each_planned_kernel() {
         let m = matcher();
-        let dcfg = ServeConfig::new(1);
         let sample = workload(1).remove(0).payload;
-        let service = |bytes: usize| {
-            let payload: Vec<u8> = sample.iter().copied().cycle().take(bytes).collect();
-            let run = m
-                .run(&payload, m.plan_kernel(dcfg.approach, bytes))
-                .unwrap();
-            dcfg.pcie.copy_seconds(bytes)
-                + run.seconds()
-                + dcfg.pcie.copy_seconds(run.readback_bytes as usize)
-        };
         let router = RouterConfig::default();
-        let models = fit_tier_models(&m, &dcfg, &router, 1, &sample);
-        assert_eq!(m.pfac_limit(dcfg.approach), Some(30_720));
-        assert!(models[0].pfac.is_some() && models[1].pfac.is_none());
-        for bytes in [16 << 10, 48 << 10] {
-            let (predicted, measured) = (models[0].predict(bytes), service(bytes));
-            assert!(
-                (predicted / measured - 1.0).abs() < 0.03,
-                "{bytes} B: predicted {predicted:e} s, measured {measured:e} s"
-            );
-        }
         let (small, large) = (router.probe_small_bytes, router.probe_large_bytes);
-        let one_line = CostModel::fit(small, service(small), large, service(large));
-        for bytes in [16 << 10, 48 << 10] {
-            let error = one_line.predict(bytes) / service(bytes) - 1.0;
-            assert!(error.abs() > 0.05, "{bytes} B: one line errs {error:+.3}");
+        let mut one_round = ServeConfig::new(1);
+        one_round.limits.max_bytes = 30_720;
+        for (dcfg, split) in [(ServeConfig::new(1), false), (one_round, true)] {
+            let choice = KernelChoice::new(&m, &dcfg, &sample);
+            let service = |bytes: usize| {
+                let payload: Vec<u8> = sample.iter().copied().cycle().take(bytes).collect();
+                let run = m.run(&payload, choice.kernel(bytes)).unwrap();
+                dcfg.pcie.copy_seconds(bytes)
+                    + run.seconds()
+                    + dcfg.pcie.copy_seconds(run.readback_bytes as usize)
+            };
+            let models = fit_tier_models(&m, &dcfg, &router, 1, &sample, &choice);
+            let tolerance = if split {
+                assert_eq!(choice.limit(large), Some(30_720));
+                0.03
+            } else {
+                assert!(choice.limit(large).is_some_and(|l| l > large));
+                let whole = priced_pfac_limit(&m, dcfg.approach, &sample, 1 << 20, &dcfg.pcie);
+                assert_eq!(whole, Some(230_752));
+                0.05
+            };
+            assert_eq!(models[0].pfac.is_some(), split);
+            assert!(models[1].pfac.is_none());
+            for bytes in [16 << 10, 48 << 10] {
+                let (predicted, measured) = (models[0].predict(bytes), service(bytes));
+                assert!(
+                    (predicted / measured - 1.0).abs() < tolerance,
+                    "{bytes} B: predicted {predicted:e} s, measured {measured:e} s"
+                );
+            }
+            if split {
+                let one_line = CostModel::fit(small, service(small), large, service(large));
+                for bytes in [16 << 10, 48 << 10] {
+                    let error = one_line.predict(bytes) / service(bytes) - 1.0;
+                    assert!(error.abs() > 0.05, "{bytes} B: one line errs {error:+.3}");
+                }
+            }
         }
     }
 

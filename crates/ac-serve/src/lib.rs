@@ -58,6 +58,7 @@ pub mod breaker;
 pub mod chaos;
 pub mod fleet;
 pub mod job;
+pub mod kernel_choice;
 pub mod queue;
 pub mod report;
 pub mod sim;
@@ -73,6 +74,7 @@ pub use fleet::{
     DeviceReport, FleetConfig, FleetReport, FleetRun, RouterConfig, ShardSegment, TierCounts,
 };
 pub use job::{JobExpiry, JobOutcome, ScanJob, ServedBy};
+pub use kernel_choice::{priced_pfac_limit, PRICE_PROBE_MAX_BYTES};
 pub use queue::{BoundedQueue, Overloaded};
 pub use report::{BatchBucket, PoolStatsReport, ServeReport};
 pub use sim::ServeRun;

@@ -137,6 +137,14 @@ pub struct ServeReport {
     /// planning).
     #[serde(default)]
     pub kernel_launches: BTreeMap<String, u64>,
+    /// The priced switch point: launches up to this many bytes ran staged
+    /// PFAC and longer ones the configured kernel (`u64::MAX`: staged
+    /// PFAC priced cheaper at every length). `None` when no launch
+    /// outgrew one resident round, so nothing was priced, and when the
+    /// run never switches kernels (`#[serde(default)]`: absent in reports
+    /// from before priced kernel choice).
+    #[serde(default)]
+    pub pfac_limit_bytes: Option<u64>,
 }
 
 impl ServeReport {
@@ -254,6 +262,13 @@ impl ServeReport {
                 p.host_cycles,
             );
         }
+        if let Some(limit) = self.pfac_limit_bytes {
+            snap.push(
+                "acsim_serve_pfac_limit_bytes",
+                "longest launch priced to run as staged PFAC",
+                limit,
+            );
+        }
         for (kernel, launches) in &self.kernel_launches {
             snap.push_labelled(
                 "acsim_serve_kernel_launches",
@@ -330,6 +345,7 @@ mod tests {
                 ("pfac".to_string(), 2),
                 ("shared-diagonal".to_string(), 1),
             ]),
+            pfac_limit_bytes: Some(u64::MAX),
         };
         let back = ServeReport::from_json(&r.to_json()).unwrap();
         assert_eq!(back, r);
@@ -358,8 +374,12 @@ mod tests {
             ..ServeReport::default()
         };
         let json = r.to_json();
-        let legacy = json.replace(",\n  \"kernel_launches\": {}", "");
+        let legacy = json.replace(
+            ",\n  \"kernel_launches\": {},\n  \"pfac_limit_bytes\": null",
+            "",
+        );
         assert!(!legacy.contains("kernel_launches"), "{legacy}");
+        assert!(!legacy.contains("pfac_limit_bytes"), "{legacy}");
         let back = ServeReport::from_json(&legacy).unwrap();
         assert_eq!(back, r);
     }
@@ -434,6 +454,17 @@ mod tests {
         assert!(snap
             .to_prometheus()
             .contains("acsim_serve_kernel_launches{kernel=\"pfac\"} 7"));
+        // Nothing priced → no switch-point gauge.
+        assert!(snap.get("acsim_serve_pfac_limit_bytes", &[]).is_none());
+        let priced = ServeReport {
+            pfac_limit_bytes: Some(541_234),
+            ..ServeReport::default()
+        };
+        let snap = priced.to_metrics();
+        assert_eq!(
+            get_from(&snap, "acsim_serve_pfac_limit_bytes"),
+            541_234u64.into()
+        );
     }
 
     fn get_from(snap: &trace::MetricsSnapshot, name: &str) -> trace::MetricValue {
@@ -470,6 +501,7 @@ mod tests {
             batch_histogram: vec![],
             pool: None,
             kernel_launches: BTreeMap::new(),
+            pfac_limit_bytes: None,
         };
         let resilience_keys = [
             "\"jobs_expired\"",

@@ -92,10 +92,12 @@ pub struct ServeConfig {
     pub limits: BatchLimits,
     /// Host↔device link model.
     pub pcie: PcieConfig,
-    /// The configured kernel. Each launch runs the kernel the planner
-    /// picks for its length ([`GpuAcMatcher::plan_kernel`]): PFAC for
-    /// one-round launches unless the matcher's params are pinned
-    /// ([`ac_gpu::KernelParams::paper`]), this kernel otherwise.
+    /// The configured kernel. Each launch runs the kernel the serve call
+    /// prices for its length ([`crate::kernel_choice`]): staged PFAC up
+    /// to the length where its `h2d + kernel + d2h` line crosses this
+    /// kernel's (never below one resident round), this kernel beyond it.
+    /// Pinned params ([`ac_gpu::KernelParams::paper`]) and a matcher
+    /// without PFAC tables always run this kernel.
     pub approach: Approach,
     /// Per-batch GPU retry/watchdog policy. With no faults armed the
     /// supervisor is pure bookkeeping: one attempt, zero penalty.

@@ -12,7 +12,7 @@
 //! [`crate::diff::diff_reports`]) and counts a broken gate as a
 //! regression. Adding a claim is one table entry.
 
-use crate::fleet::{check_fleet_scaling, fleet_measurements};
+use crate::fleet::{check_fleet_scaling, check_fleet_tail, fleet_measurements};
 use crate::launch_planning::{check_launch_planning, launch_plan_measurements, PLANNED_ROW};
 use crate::layout_sweep::{
     check_layout_crossover, layout_sweep_approaches, layout_sweep_measurements, CROSSOVER_PATTERNS,
@@ -74,7 +74,7 @@ pub(crate) struct Gate {
 }
 
 /// Every gate, in the order their lines print.
-pub(crate) const GATES: [Gate; 5] = [
+pub(crate) const GATES: [Gate; 6] = [
     Gate {
         name: "layout crossover",
         marker: |r| {
@@ -86,8 +86,13 @@ pub(crate) const GATES: [Gate; 5] = [
     },
     Gate {
         name: "fleet scaling",
-        marker: |r| r.approach == "serve-fleet-d1",
+        marker: |r| r.approach == "serve-fleet-burst-d1",
         check: check_fleet_scaling,
+    },
+    Gate {
+        name: "fleet tail latency",
+        marker: |r| r.approach == "serve-fleet-d4",
+        check: check_fleet_tail,
     },
     Gate {
         name: "steady-state pool",

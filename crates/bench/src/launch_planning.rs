@@ -1,4 +1,4 @@
-//! The launch-planning scenario: three scans, each run with the paper's
+//! The launch-planning scenario: five scans, each run with the paper's
 //! pinned `shared-diagonal` launch and with the launch the planner makes
 //! of a `shared-diagonal` request.
 //!
@@ -15,15 +15,20 @@
 //!   byte grid spreads the same bytes over every SM and whose walks read
 //!   the block's bytes from shared memory. Each one-round point also
 //!   carries a baseline `pfac` row, whose walks read global memory.
+//! * Two multi-round scans ([`PRICED_SIZE`]) at the same two
+//!   dictionaries, past staged PFAC's one round. The planned row runs the
+//!   kernel a serve call would choose for the launch, priced on the row's
+//!   own input ([`ac_serve::priced_pfac_limit`]): staged PFAC at both.
 //!
 //! [`check_launch_planning`] is the gate-table entry ([`crate::gates`])
 //! that keeps the gains: the planned rows must beat the paper rows by
-//! [`LAUNCH_PLAN_FLOOR`] and [`ONE_ROUND_FLOOR`], and the baseline PFAC
-//! rows by [`STAGED_PFAC_FLOOR`].
+//! [`LAUNCH_PLAN_FLOOR`], [`ONE_ROUND_FLOOR`] and [`PRICED_FLOORS`], and
+//! the baseline PFAC rows by [`STAGED_PFAC_FLOOR`].
 
 use crate::measure::{Engine, EngineConfig, Measurements};
 use crate::report::BenchReport;
 use ac_gpu::{Approach, GpuAcMatcher, KernelParams};
+use ac_serve::{priced_pfac_limit, ServeConfig};
 use corpus::ExperimentGrid;
 
 /// Input size of the scenario: several resident rounds at 128 threads.
@@ -62,18 +67,30 @@ pub const ONE_ROUND_FLOOR: f64 = 2.0;
 /// both one-round points: staging must pay for its barrier.
 pub const STAGED_PFAC_FLOOR: f64 = 1.2;
 
+/// Input size of the priced points: past one resident round of staged
+/// PFAC's grid, where [`ac_gpu::Plan::kernel`] alone would run the
+/// configured kernel.
+pub const PRICED_SIZE: usize = 64 * 1024;
+
+/// The least planned/paper throughput ratio the gate accepts at each
+/// priced point, as `(patterns, floor)`.
+pub const PRICED_FLOORS: [(usize, f64); 2] = [(ONE_ROUND_PATTERNS, 1.5), (SERVE_PATTERNS, 2.7)];
+
 /// The scenario's `(size, patterns)` points, the multi-round one first.
-const POINTS: [(usize, usize); 3] = [
+const POINTS: [(usize, usize); 5] = [
     (LAUNCH_PLAN_SIZE, LAUNCH_PLAN_PATTERNS),
     (ONE_ROUND_SIZE, ONE_ROUND_PATTERNS),
     (ONE_ROUND_SIZE, SERVE_PATTERNS),
+    (PRICED_SIZE, ONE_ROUND_PATTERNS),
+    (PRICED_SIZE, SERVE_PATTERNS),
 ];
 
 /// Run the scenario: at each point a `shared-diagonal` row with the
 /// paper's pinned launch (and at the one-round points a baseline `pfac`
-/// row) and a [`PLANNED_ROW`] row with [`KernelParams::defaults_for`]
-/// running the kernel [`GpuAcMatcher::plan_kernel`] picks, over the same
-/// text and dictionary.
+/// row) and a [`PLANNED_ROW`] row with [`KernelParams::defaults_for`],
+/// over the same text and dictionary. The planned row runs the kernel
+/// [`GpuAcMatcher::plan_kernel`] picks, and at the priced points the one
+/// a serve call picks, priced on the row's input.
 pub fn launch_plan_measurements(verbose: bool) -> Result<Measurements, String> {
     let mut out = Measurements::default();
     for (size, patterns) in POINTS {
@@ -95,12 +112,24 @@ pub fn launch_plan_measurements(verbose: bool) -> Result<Measurements, String> {
             KernelParams::defaults_for(&gpu),
             engine.workload().automaton(patterns),
         )?;
-        let mut row = engine.measure_gpu(
-            &planned,
-            engine.workload().input(size),
-            patterns,
-            planned.plan_kernel(Approach::SharedDiagonal, size),
-        )?;
+        let input = engine.workload().input(size);
+        let approach = if size == PRICED_SIZE {
+            let serve = ServeConfig::new(1);
+            let limit = priced_pfac_limit(
+                &planned,
+                Approach::SharedDiagonal,
+                input,
+                serve.limits.max_bytes,
+                &serve.pcie,
+            );
+            match limit {
+                Some(limit) if size <= limit => Approach::PfacStaged,
+                _ => Approach::SharedDiagonal,
+            }
+        } else {
+            planned.plan_kernel(Approach::SharedDiagonal, size)
+        };
+        let mut row = engine.measure_gpu(&planned, input, patterns, approach)?;
         row.approach = PLANNED_ROW.into();
         out.rows.push(row);
     }
@@ -109,9 +138,10 @@ pub fn launch_plan_measurements(verbose: bool) -> Result<Measurements, String> {
 
 /// The scenario's claims, checked on a report's rows: the planned launch
 /// reaches at least [`LAUNCH_PLAN_FLOOR`] times the paper tile's Gb/s on
-/// the multi-round scan, and on each one-round scan [`ONE_ROUND_FLOOR`]
+/// the multi-round scan, on each one-round scan [`ONE_ROUND_FLOOR`]
 /// times the paper tile's and [`STAGED_PFAC_FLOOR`] times baseline
-/// PFAC's.
+/// PFAC's, and on each priced scan its [`PRICED_FLOORS`] entry times the
+/// paper tile's.
 pub fn check_launch_planning(r: &BenchReport) -> Result<String, String> {
     let ratio = |size: usize, patterns: usize, baseline: &str, floor: f64, what: &str| {
         let at = |label: &str| {
@@ -148,7 +178,7 @@ pub fn check_launch_planning(r: &BenchReport) -> Result<String, String> {
         LAUNCH_PLAN_FLOOR,
         "planned blocks",
     )?];
-    for (size, patterns) in &POINTS[1..] {
+    for (size, patterns) in &POINTS[1..3] {
         held.push(ratio(
             *size,
             *patterns,
@@ -164,6 +194,9 @@ pub fn check_launch_planning(r: &BenchReport) -> Result<String, String> {
             "staged PFAC",
         )?);
     }
+    for (patterns, floor) in PRICED_FLOORS {
+        held.push(ratio(PRICED_SIZE, patterns, paper, floor, "priced PFAC")?);
+    }
     Ok(format!("launch planning pays: {}", held.join("; ")))
 }
 
@@ -171,6 +204,57 @@ pub fn check_launch_planning(r: &BenchReport) -> Result<String, String> {
 mod tests {
     use super::*;
     use crate::report::BenchRow;
+    use gpu_sim::GpuConfig;
+
+    /// The priced switch point on the figure corpus's dictionaries, with
+    /// the 64 KiB input as the sample and the serve defaults (1 MiB cap):
+    /// at 50 patterns it lies between 256 and 768 KiB (515,554 B); at
+    /// 2,000 patterns staged PFAC stays the cheaper launch past 1 MiB
+    /// (18,489,826 B, a forecast past the last probe); at 20,000 (release
+    /// builds only: the probes take seconds) at every length. Pinned
+    /// params never switch, and the limit is never below the one-round
+    /// floor.
+    #[test]
+    fn priced_limit_on_the_bench_dictionaries() {
+        let engine = Engine::new(EngineConfig::new(ExperimentGrid {
+            sizes: vec![PRICED_SIZE],
+            pattern_counts: vec![SERVE_PATTERNS],
+        }));
+        let workload = engine.workload();
+        let gpu = GpuConfig::gtx285();
+        let serve = ServeConfig::new(1);
+        let mut counts = vec![SERVE_PATTERNS, LAUNCH_PLAN_PATTERNS];
+        if !cfg!(debug_assertions) {
+            counts.push(ONE_ROUND_PATTERNS);
+        }
+        for patterns in counts {
+            let ac = workload.automaton(patterns);
+            let priced = |params: KernelParams| {
+                let m = GpuAcMatcher::new(gpu, params, ac.clone()).unwrap();
+                let limit = priced_pfac_limit(
+                    &m,
+                    Approach::SharedDiagonal,
+                    workload.input(PRICED_SIZE),
+                    serve.limits.max_bytes,
+                    &serve.pcie,
+                );
+                (limit, m.pfac_limit(Approach::SharedDiagonal))
+            };
+            assert_eq!(priced(KernelParams::paper(&gpu)), (None, None));
+            let (Some(limit), Some(floor)) = priced(KernelParams::defaults_for(&gpu)) else {
+                panic!("{patterns} patterns: planned params never switch");
+            };
+            assert!(limit >= floor, "{patterns} patterns: {limit} < {floor}");
+            match patterns {
+                SERVE_PATTERNS => assert!(
+                    (256 << 10) < limit && limit < (768 << 10),
+                    "{patterns} patterns: {limit}"
+                ),
+                LAUNCH_PLAN_PATTERNS => assert!(limit >= 1 << 20, "{patterns} patterns: {limit}"),
+                _ => assert_eq!(limit, usize::MAX, "{patterns} patterns"),
+            }
+        }
+    }
 
     fn row(approach: &str, gbps: f64) -> BenchRow {
         BenchRow {
@@ -204,14 +288,24 @@ mod tests {
         }
     }
 
-    /// The eight rows with the given planned Gb/s at each point, against
-    /// paper rows at 10 Gb/s and baseline PFAC rows at 15 Gb/s.
+    /// The twelve rows with the given planned Gb/s at each point, against
+    /// paper rows at 10 Gb/s and baseline PFAC rows at 15 Gb/s; the
+    /// planned rows at the priced points sit exactly at their floors.
     fn rows(blocks: f64, kernel: f64, serve: f64) -> Vec<BenchRow> {
         let mut rows = vec![row("shared-diagonal", 10.0), row(PLANNED_ROW, blocks)];
         for (patterns, planned) in [(ONE_ROUND_PATTERNS, kernel), (SERVE_PATTERNS, serve)] {
             rows.push(one_round(patterns, "shared-diagonal", 10.0));
             rows.push(one_round(patterns, "pfac", 15.0));
             rows.push(one_round(patterns, PLANNED_ROW, planned));
+        }
+        for (patterns, floor) in PRICED_FLOORS {
+            for (approach, gbps) in [("shared-diagonal", 10.0), (PLANNED_ROW, 10.0 * floor)] {
+                rows.push(BenchRow {
+                    size: PRICED_SIZE,
+                    patterns,
+                    ..row(approach, gbps)
+                });
+            }
         }
         rows
     }
@@ -251,6 +345,22 @@ mod tests {
             staged.contains("staged PFAC") && staged.contains("1.19x pfac's"),
             "{staged}"
         );
+        // A priced point's planned row below its floor breaks the gate.
+        for (patterns, floor) in PRICED_FLOORS {
+            let mut slow = rows(13.0, 20.0, 20.0);
+            for r in slow
+                .iter_mut()
+                .filter(|r| r.size == PRICED_SIZE && r.patterns == patterns)
+                .filter(|r| r.approach == PLANNED_ROW)
+            {
+                r.gbps = 10.0 * floor - 0.1;
+            }
+            let priced = check_launch_planning(&report(slow)).unwrap_err();
+            assert!(
+                priced.contains("priced PFAC") && priced.contains(&format!("65536x{patterns}")),
+                "{priced}"
+            );
+        }
         let mut missing = rows(13.0, 20.0, 20.0);
         missing.remove(2);
         let missing = check_launch_planning(&report(missing)).unwrap_err();

@@ -35,7 +35,9 @@ pub mod workload;
 
 pub use diff::{diff_reports, DiffEntry, DiffReport};
 pub use figures::{Figure, FigureSet};
-pub use fleet::{fleet_measurements, FLEET_SCALING_FLOOR, FLEET_SCENARIOS};
+pub use fleet::{
+    fleet_measurements, FLEET_BURST_RATE, FLEET_D4_P99_US, FLEET_SCALING_FLOOR, FLEET_SCENARIOS,
+};
 pub use gates::{evaluate_gates, scenarios, GateOutcome};
 pub use layout_sweep::{
     layout_sweep_approaches, layout_sweep_measurements, tex_miss_share, LAYOUT_SWEEP_PATTERNS,

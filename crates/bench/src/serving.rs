@@ -265,12 +265,39 @@ mod tests {
             batched.p99_latency_us,
             perjob.p99_latency_us
         );
-        assert!(
-            streamed.jobs_per_sec >= 1.5 * batched.jobs_per_sec,
-            "streams=4 {} jobs/s !>= 1.5x streams=1 {} jobs/s",
-            streamed.jobs_per_sec,
-            batched.jobs_per_sec
-        );
+        // Streams pay by overlapping one batch's copies with another's
+        // kernel, so they pay as much as the kernels weigh. The paper's
+        // kernel (pinned params) takes about half of the one-stream
+        // server's time, and 4 streams beat 1 by at least 1.5x. The
+        // planned server runs staged PFAC, whose kernels take about a
+        // fifth of it: 4 streams saturate the copy engine and reach the
+        // ceiling that leaves, the one-stream jobs/sec over its copy
+        // share.
+        let gpu = GpuConfig::gtx285();
+        let workload = WorkloadConfig::defaults();
+        let ac = serve_automaton(ac_serve::DEFAULT_PATTERNS, workload.seed);
+        for params in [KernelParams::paper(&gpu), KernelParams::defaults_for(&gpu)] {
+            let m = GpuAcMatcher::new(gpu, params, ac.clone()).unwrap();
+            let [one, four] = [1, 4].map(|streams| {
+                let jobs = synthetic_workload(&workload);
+                serve(&m, jobs, &ServeConfig::new(streams)).unwrap().report
+            });
+            let floor = if params.pin_paper_launch {
+                1.5 * one.jobs_per_sec
+            } else {
+                assert_eq!(one.jobs_per_sec, batched.jobs_per_sec);
+                assert_eq!(four.jobs_per_sec, streamed.jobs_per_sec);
+                assert!(four.copy_utilisation > 0.99, "{}", four.copy_utilisation);
+                0.95 * one.jobs_per_sec / one.copy_utilisation
+            };
+            assert!(
+                four.jobs_per_sec >= floor,
+                "streams=4 {} jobs/s !>= {floor} (streams=1 {} jobs/s, copy {:.2})",
+                four.jobs_per_sec,
+                one.jobs_per_sec,
+                one.copy_utilisation
+            );
+        }
     }
 
     #[test]

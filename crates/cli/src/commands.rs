@@ -597,7 +597,8 @@ fn serve_scenario(
 }
 
 /// Render the `kernels:` line: GPU batches and scatter segments per
-/// kernel the launch planner chose. Omitted when nothing ran on a GPU.
+/// kernel the serve call chose, and the priced switch point when a launch
+/// needed one. Omitted when nothing ran on a GPU.
 fn write_kernel_launches(report: &ac_serve::ServeReport, out: &mut String) {
     if report.kernel_launches.is_empty() {
         return;
@@ -607,7 +608,16 @@ fn write_kernel_launches(report: &ac_serve::ServeReport, out: &mut String) {
         .iter()
         .map(|(kernel, launches)| format!("{kernel} {launches}"))
         .collect();
-    let _ = writeln!(out, "  kernels:     {} (launches)", counts.join(", "));
+    let switch = match report.pfac_limit_bytes {
+        Some(u64::MAX) => "; staged PFAC at any length".to_string(),
+        Some(limit) => format!("; staged PFAC up to {limit} B"),
+        None => String::new(),
+    };
+    let _ = writeln!(
+        out,
+        "  kernels:     {} (launches{switch})",
+        counts.join(", ")
+    );
 }
 
 /// The device-pool configuration selected by `--pool`/`--pool-churn`
@@ -1897,15 +1907,16 @@ mod tests {
 
     #[test]
     fn bench_diff_verdict_and_artifact_carry_a_broken_gate() {
-        // A candidate whose d4 fleet row only matches d1 on jobs/s moves
-        // no gated row column, so only the fleet-scaling gate breaks.
+        // A candidate whose burst d4 fleet row only matches burst d1 on
+        // jobs/s moves no gated row column, so only the fleet-scaling
+        // gate breaks.
         let committed = include_str!("../../../BENCH_smoke.json");
         let mut flat = BenchReport::from_json(committed).unwrap();
-        let d1 = flat.row("serve-fleet-d1").unwrap().jobs_per_sec;
+        let d1 = flat.row("serve-fleet-burst-d1").unwrap().jobs_per_sec;
         for r in flat
             .rows
             .iter_mut()
-            .filter(|r| r.approach == "serve-fleet-d4")
+            .filter(|r| r.approach == "serve-fleet-burst-d4")
         {
             r.jobs_per_sec = d1;
         }
