@@ -110,9 +110,9 @@
 //!   clock and refined online from
 //!   observed service times (EWMA on the setup term). Each GPU probe runs
 //!   the kernel the serve call's priced choice picks for its length
-//!   ([`crate::kernel_choice`]), and a GPU whose switch point lies between
-//!   the two probes gets one such line per kernel, each probed on its own
-//!   side of the switch. Arrivals are routed
+//!   ([`crate::kernel_choice`]), and a GPU whose one-round floor lies
+//!   between the two probes gets one such line on each side of it, each
+//!   probed on its own side. Arrivals are routed
 //!   to the tier with the earliest predicted completion given its queued
 //!   backlog: small jobs land on the CPU (no PCIe or launch setup), large
 //!   jobs on the least-loaded GPU.
@@ -457,11 +457,15 @@ struct Router {
     tiers: Vec<TierCounts>,
 }
 
-/// A tier's fitted cost. A GPU whose serve call runs staged PFAC up to
-/// `limit` bytes and the configured kernel beyond, with the switch point
-/// between the two probes ([`KernelChoice::limit`]), has a second line,
-/// `pfac`, for launches up to that limit; each line predicts and refines
-/// only the launches its kernel runs.
+/// A tier's fitted cost. A GPU that runs staged PFAC for every launch
+/// of up to one resident round of its grid (the floor,
+/// [`GpuAcMatcher::pfac_limit`]) has a second line, `pfac`, for launches
+/// up to that limit, when the floor lies between the two probes: a
+/// launch that fits one round costs about one round whatever its length,
+/// so the price bends there. Past the floor one line prices both sides
+/// of the serve call's priced switch, where the two kernels' prices meet
+/// ([`KernelChoice`]). Each line predicts and refines only the launches
+/// in its range.
 #[derive(Debug, Clone, Copy)]
 struct TierModel {
     line: CostModel,
@@ -1137,9 +1141,9 @@ pub fn serve_fleet(
 /// simulated clock* and fit one [`CostModel`] per tier (each GPU starts
 /// from the same fit; online refinement then specialises them). Each GPU
 /// probe runs the kernel the serve call's `choice` picks for its length,
-/// and a GPU whose switch point lies between the probes gets one line
-/// per kernel ([`TierModel`]), probed at the switch point's neighbours
-/// too. Probes scan `sample` (the first offered job's payload) cycled to
+/// and a GPU whose floor lies between the probes gets one line on each
+/// side of it ([`TierModel`]), probed at the floor's neighbours too.
+/// Probes scan `sample` (the first offered job's payload) cycled to
 /// the probe size, so the fit prices the readback of the workload's real
 /// match density, not that of a text that matches nothing.
 fn fit_tier_models(
@@ -1172,10 +1176,9 @@ fn fit_tier_models(
             bytes_per_sec: 1.0e9,
         },
     };
-    // When the planner switches kernels between the probes, fit each
-    // kernel from its own side of the switch: the probes and the switch
-    // point's two neighbours.
-    let gpu_model = match choice.limit(large) {
+    // When the floor lies between the probes, fit each side of it from
+    // its own probes: the probes and the floor's two neighbours.
+    let gpu_model = match matcher.pfac_limit(dcfg.approach) {
         Some(limit) if small < limit && limit < large => TierModel {
             line: gpu_line(limit + 1, large),
             pfac: Some((limit, gpu_line(small, limit))),
@@ -1320,9 +1323,18 @@ fn run_queues<'a>(
             }
         }
         // Arrivals until the seal join the open batch while the limits
-        // allow and the queue holds nothing ahead of them.
+        // allow and the queue holds nothing ahead of them. A batch whose
+        // upload waits behind the copy engine takes them past the job cap
+        // until its bytes outweigh the setup of its two transfers: they
+        // could not upload sooner in a batch of their own, and a batch
+        // that small spends most of its copy time on setup. Per-job
+        // launches (a cap of one job) never batch.
         let sealed = seal_at.unwrap_or(dispatch);
-        while batch.len() < max_jobs_now && st.queues[q].jobs.is_empty() {
+        let setup_bytes = 2.0 * st.pcie.latency_sec * st.pcie.bandwidth_bytes_per_sec;
+        let past_cap = max_jobs_now > 1 && sealed > dispatch;
+        while (batch.len() < max_jobs_now || past_cap && (batch_bytes as f64) < setup_bytes)
+            && st.queues[q].jobs.is_empty()
+        {
             let Some(job) = jobs.get(next).filter(|j| j.arrival_seconds <= sealed) else {
                 break;
             };
@@ -2019,15 +2031,15 @@ mod tests {
     }
 
     /// Each GPU probe runs the kernel the serve call picks for its
-    /// length. Priced on this workload, staged PFAC is the cheaper launch
-    /// up to 230,752 B, so the default probes (4 KiB and 64 KiB) both run
-    /// it and the GPU tier fits one line, which prices 16 KiB and 48 KiB
-    /// launches within 5% of their measured `h2d + kernel + d2h` (+3.6%,
-    /// +1.5%). A call
-    /// whose batches cannot outgrow one round keeps the floor, 30,720 B
-    /// on the GTX 285, between the probes and fits one line per kernel:
-    /// within 3% on either side (+1.1%, +1.7%), where one line through
-    /// both probes errs by more than 5% (+10.9%, −8.1%).
+    /// length, and the default probes (4 KiB and 64 KiB) straddle the
+    /// floor (30,720 B on the GTX 285), so the GPU tier fits one line on
+    /// each side of it. Priced on this workload, staged PFAC is the
+    /// cheaper launch up to 230,752 B, so both lines price staged PFAC;
+    /// 16 KiB and 48 KiB launches land within 3% of their measured
+    /// `h2d + kernel + d2h` (+1.1%, −0.4%). A call whose batches cannot
+    /// outgrow one round switches kernels at the floor, and each kernel's
+    /// line prices its own side within 3% (+1.1%, +1.7%), where one line
+    /// through both probes errs by more than 5% (+10.9%, −8.1%).
     #[test]
     fn gpu_cost_model_prices_each_planned_kernel() {
         let m = matcher();
@@ -2036,7 +2048,7 @@ mod tests {
         let (small, large) = (router.probe_small_bytes, router.probe_large_bytes);
         let mut one_round = ServeConfig::new(1);
         one_round.limits.max_bytes = 30_720;
-        for (dcfg, split) in [(ServeConfig::new(1), false), (one_round, true)] {
+        for (dcfg, switch) in [(ServeConfig::new(1), 230_752), (one_round, 30_720)] {
             let choice = KernelChoice::new(&m, &dcfg, &sample);
             let service = |bytes: usize| {
                 let payload: Vec<u8> = sample.iter().copied().cycle().take(bytes).collect();
@@ -2045,26 +2057,19 @@ mod tests {
                     + run.seconds()
                     + dcfg.pcie.copy_seconds(run.readback_bytes as usize)
             };
+            let priced = priced_pfac_limit(&m, &dcfg, &sample);
+            assert_eq!(priced, Some(switch));
             let models = fit_tier_models(&m, &dcfg, &router, 1, &sample, &choice);
-            let tolerance = if split {
-                assert_eq!(choice.limit(large), Some(30_720));
-                0.03
-            } else {
-                assert!(choice.limit(large).is_some_and(|l| l > large));
-                let whole = priced_pfac_limit(&m, dcfg.approach, &sample, 1 << 20, &dcfg.pcie);
-                assert_eq!(whole, Some(230_752));
-                0.05
-            };
-            assert_eq!(models[0].pfac.is_some(), split);
+            assert_eq!(models[0].pfac.map(|p| p.0), Some(30_720));
             assert!(models[1].pfac.is_none());
             for bytes in [16 << 10, 48 << 10] {
                 let (predicted, measured) = (models[0].predict(bytes), service(bytes));
                 assert!(
-                    (predicted / measured - 1.0).abs() < tolerance,
+                    (predicted / measured - 1.0).abs() < 0.03,
                     "{bytes} B: predicted {predicted:e} s, measured {measured:e} s"
                 );
             }
-            if split {
+            if switch < large {
                 let one_line = CostModel::fit(small, service(small), large, service(large));
                 for bytes in [16 << 10, 48 << 10] {
                     let error = one_line.predict(bytes) / service(bytes) - 1.0;

@@ -7,7 +7,9 @@
 //! the kernel, and PFAC's walk frame is the smaller one, so staged PFAC
 //! stays the cheaper launch well past one round. A serve call therefore
 //! prices both kernels on its own workload ([`priced_pfac_limit`]) and
-//! switches where their `h2d + kernel + d2h` lines cross (DESIGN.md §4l).
+//! switches where their price lines cross (DESIGN.md §4l). On one stream
+//! a launch's price is `h2d + kernel + d2h`; on more, one launch's copies
+//! overlap another's kernel, and the busier engine sets the price.
 
 use crate::sim::ServeConfig;
 use ac_gpu::{Approach, GpuAcMatcher, PcieConfig, RunOptions};
@@ -16,23 +18,34 @@ use std::cell::RefCell;
 /// The longest price probe: probes run up to `min(max_bytes, this)`.
 pub const PRICE_PROBE_MAX_BYTES: usize = 1 << 20;
 
-/// The longest launch a serve call runs as staged PFAC instead of
-/// `configured`, priced on `sample` (the first job's payload) by the
-/// whole walk of [`PriceWalk`] up to `min(max_bytes,
-/// PRICE_PROBE_MAX_BYTES)`. `Some(usize::MAX)` when staged PFAC stays
-/// the cheaper launch at every length; `None` when the matcher never
-/// switches: pinned params, `configured` already PFAC, or no PFAC
-/// tables.
+/// The longest launch a server configured as `cfg` runs as staged PFAC
+/// instead of `cfg.approach`, priced on `sample` (the first job's
+/// payload) by the whole walk of [`PriceWalk`] up to
+/// `min(cfg.limits.max_bytes, PRICE_PROBE_MAX_BYTES)`. Past the last
+/// probe it is a forecast, where the last two probes' lines cross.
+/// `Some(usize::MAX)` when staged PFAC stays the cheaper launch at every
+/// length; `None` when the matcher never switches: pinned params,
+/// `cfg.approach` already PFAC, or no PFAC tables.
 pub fn priced_pfac_limit(
     matcher: &GpuAcMatcher,
-    configured: Approach,
+    cfg: &ServeConfig,
     sample: &[u8],
-    max_bytes: usize,
-    pcie: &PcieConfig,
 ) -> Option<usize> {
-    let mut walk = PriceWalk::new(matcher, configured, sample, max_bytes, *pcie)?;
+    let mut walk = PriceWalk::new(matcher, cfg, sample)?;
     walk.cover(usize::MAX);
     Some(walk.limit())
+}
+
+/// The kernel a server configured as `cfg` runs for a `len`-byte
+/// launch, priced on `sample`: what a serve call whose longest launch is
+/// `len` bytes decides.
+pub fn priced_kernel(
+    matcher: &GpuAcMatcher,
+    cfg: &ServeConfig,
+    sample: &[u8],
+    len: usize,
+) -> Approach {
+    KernelChoice::new(matcher, cfg, sample).kernel(len)
 }
 
 /// Prices staged PFAC against the configured kernel at growing launch
@@ -40,7 +53,7 @@ pub fn priced_pfac_limit(
 ///
 /// Each probe runs both kernels off the simulated clock over `sample`
 /// cycled to size, with any armed fault plan set aside, and prices each
-/// launch as `h2d + kernel + d2h`. The first probe is at the floor
+/// launch ([`PriceWalk::price`]). The first probe is at the floor
 /// ([`GpuAcMatcher::pfac_limit`]); the others double up to `far =
 /// min(max_bytes, PRICE_PROBE_MAX_BYTES)` (`far / 2^k` from the first at
 /// least twice the floor, then `far`). The walk stops at the first probe
@@ -63,6 +76,8 @@ pub(crate) struct PriceWalk<'a> {
     configured: Approach,
     sample: &'a [u8],
     pcie: PcieConfig,
+    /// More than one stream: copies overlap kernels.
+    overlapped: bool,
     floor: usize,
     /// Probe lengths, ascending, the floor first.
     lengths: Vec<usize>,
@@ -78,13 +93,11 @@ impl<'a> PriceWalk<'a> {
     /// switches kernels.
     pub(crate) fn new(
         matcher: &'a GpuAcMatcher,
-        configured: Approach,
+        cfg: &ServeConfig,
         sample: &'a [u8],
-        max_bytes: usize,
-        pcie: PcieConfig,
     ) -> Option<Self> {
-        let floor = matcher.pfac_limit(configured)?;
-        let far = max_bytes.min(PRICE_PROBE_MAX_BYTES);
+        let floor = matcher.pfac_limit(cfg.approach)?;
+        let far = cfg.limits.max_bytes.min(PRICE_PROBE_MAX_BYTES);
         let mut lengths = vec![floor];
         if !sample.is_empty() {
             lengths.extend(
@@ -97,9 +110,10 @@ impl<'a> PriceWalk<'a> {
         }
         Some(PriceWalk {
             matcher,
-            configured,
+            configured: cfg.approach,
             sample,
-            pcie,
+            pcie: cfg.effective_pcie(),
+            overlapped: cfg.streams > 1,
             floor,
             lengths,
             leads: Vec::new(),
@@ -147,14 +161,23 @@ impl<'a> PriceWalk<'a> {
         ((last.0 - last.1 / closing) as usize).max(self.floor)
     }
 
+    /// A `bytes`-long launch's price: `h2d + kernel + d2h` on one stream,
+    /// where each launch waits for the last. On more streams the copy
+    /// engine moves one launch's bytes while another's kernel runs, so
+    /// the busier engine sets the price: `max(h2d + d2h, kernel)`.
     fn price(&self, approach: Approach, bytes: usize) -> Option<f64> {
         let payload: Vec<u8> = self.sample.iter().copied().cycle().take(bytes).collect();
         let run = self
             .matcher
             .without_faults(|m| m.run_opts(&payload, approach, RunOptions::default()))
             .ok()?;
-        let d2h = self.pcie.copy_seconds(run.readback_bytes as usize);
-        Some(self.pcie.copy_seconds(bytes) + run.seconds() + d2h)
+        let copies =
+            self.pcie.copy_seconds(bytes) + self.pcie.copy_seconds(run.readback_bytes as usize);
+        Some(if self.overlapped {
+            copies.max(run.seconds())
+        } else {
+            copies + run.seconds()
+        })
     }
 }
 
@@ -171,13 +194,7 @@ pub(crate) struct KernelChoice<'a> {
 
 impl<'a> KernelChoice<'a> {
     pub(crate) fn new(matcher: &'a GpuAcMatcher, dcfg: &ServeConfig, sample: &'a [u8]) -> Self {
-        let walk = PriceWalk::new(
-            matcher,
-            dcfg.approach,
-            sample,
-            dcfg.limits.max_bytes,
-            dcfg.effective_pcie(),
-        );
+        let walk = PriceWalk::new(matcher, dcfg, sample);
         KernelChoice {
             configured: dcfg.approach,
             walk: walk.map(RefCell::new),
@@ -204,7 +221,8 @@ impl<'a> KernelChoice<'a> {
         }
     }
 
-    /// The switch point the call priced, once a launch has needed one.
+    /// The switch point the call priced, once a launch has needed one:
+    /// as far as its walk probed, so past the last probe a forecast.
     pub(crate) fn priced(&self) -> Option<usize> {
         let walk = self.walk.as_ref()?.borrow();
         (!walk.leads.is_empty()).then(|| walk.limit())

@@ -74,7 +74,7 @@ pub use fleet::{
     DeviceReport, FleetConfig, FleetReport, FleetRun, RouterConfig, ShardSegment, TierCounts,
 };
 pub use job::{JobExpiry, JobOutcome, ScanJob, ServedBy};
-pub use kernel_choice::{priced_pfac_limit, PRICE_PROBE_MAX_BYTES};
+pub use kernel_choice::{priced_kernel, priced_pfac_limit, PRICE_PROBE_MAX_BYTES};
 pub use queue::{BoundedQueue, Overloaded};
 pub use report::{BatchBucket, PoolStatsReport, ServeReport};
 pub use sim::ServeRun;

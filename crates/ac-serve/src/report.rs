@@ -137,12 +137,16 @@ pub struct ServeReport {
     /// planning).
     #[serde(default)]
     pub kernel_launches: BTreeMap<String, u64>,
-    /// The priced switch point: launches up to this many bytes ran staged
-    /// PFAC and longer ones the configured kernel (`u64::MAX`: staged
-    /// PFAC priced cheaper at every length). `None` when no launch
-    /// outgrew one resident round, so nothing was priced, and when the
-    /// run never switches kernels (`#[serde(default)]`: absent in reports
-    /// from before priced kernel choice).
+    /// The priced switch point as far as the run probed: where the
+    /// kernels' price lines cross through the last two probes, so a
+    /// forecast when it lies past the last one, and it moves with the
+    /// longest launch the run priced ([`crate::kernel_choice`]). Every
+    /// launch the run made up to it ran staged PFAC, and every longer one
+    /// the configured kernel (`u64::MAX`: staged PFAC priced cheaper at
+    /// every length). `None` when no launch outgrew one resident round,
+    /// so nothing was priced, and when the run never switches kernels
+    /// (`#[serde(default)]`: absent in reports from before priced kernel
+    /// choice).
     #[serde(default)]
     pub pfac_limit_bytes: Option<u64>,
 }
@@ -265,7 +269,7 @@ impl ServeReport {
         if let Some(limit) = self.pfac_limit_bytes {
             snap.push(
                 "acsim_serve_pfac_limit_bytes",
-                "longest launch priced to run as staged PFAC",
+                "priced switch point from staged PFAC to the configured kernel, as far as probed",
                 limit,
             );
         }

@@ -94,8 +94,10 @@ pub struct ServeConfig {
     pub pcie: PcieConfig,
     /// The configured kernel. Each launch runs the kernel the serve call
     /// prices for its length ([`crate::kernel_choice`]): staged PFAC up
-    /// to the length where its `h2d + kernel + d2h` line crosses this
-    /// kernel's (never below one resident round), this kernel beyond it.
+    /// to the length where its price line crosses this kernel's (never
+    /// below one resident round), this kernel beyond it. The price is
+    /// `h2d + kernel + d2h` on one stream and `max(h2d + d2h, kernel)`
+    /// on more.
     /// Pinned params ([`ac_gpu::KernelParams::paper`]) and a matcher
     /// without PFAC tables always run this kernel.
     pub approach: Approach,

@@ -1,6 +1,6 @@
 //! The ride-along scenarios and the gate table over their rows.
 //!
-//! Every `repro` run measures the same six scenarios next to its figure
+//! Every `repro` run measures the same seven scenarios next to its figure
 //! grid ([`scenarios`]), so every `BENCH_<grid>.json` carries their rows.
 //! A row-by-row diff catches a row that moved; it cannot catch a claim
 //! *between* rows breaking while each row moves less than its threshold
@@ -21,8 +21,9 @@ use crate::layout_sweep::{
 use crate::measure::Measurements;
 use crate::report::{BenchReport, BenchRow};
 use crate::serving::{
-    check_light_load, check_steady_pool, serve_chaos_measurements, serve_steady_measurements,
-    serving_measurements, CHAOS_SEED, LIGHT_LOAD_ROW,
+    check_kernel_choice, check_light_load, check_steady_pool, large_job_measurements,
+    serve_chaos_measurements, serve_steady_measurements, serving_measurements, CHAOS_SEED,
+    LARGE_JOB_SCENARIOS, LIGHT_LOAD_ROW,
 };
 use serde::{Deserialize, Serialize};
 
@@ -52,6 +53,10 @@ pub fn scenarios() -> Vec<Scenario> {
             |_| serve_steady_measurements(),
         ),
         (
+            "large-job scenarios (priced kernel choice vs always staged PFAC)".into(),
+            |_| large_job_measurements(),
+        ),
+        (
             "STT layout sweep (dictionaries up to 20k patterns)".into(),
             layout_sweep_measurements,
         ),
@@ -74,7 +79,7 @@ pub(crate) struct Gate {
 }
 
 /// Every gate, in the order their lines print.
-pub(crate) const GATES: [Gate; 6] = [
+pub(crate) const GATES: [Gate; 7] = [
     Gate {
         name: "layout crossover",
         marker: |r| {
@@ -103,6 +108,11 @@ pub(crate) const GATES: [Gate; 6] = [
         name: "light-load latency",
         marker: |r| r.approach == LIGHT_LOAD_ROW,
         check: check_light_load,
+    },
+    Gate {
+        name: "kernel choice",
+        marker: |r| r.approach == LARGE_JOB_SCENARIOS[1].0,
+        check: check_kernel_choice,
     },
     Gate {
         name: "launch planning",

@@ -18,7 +18,7 @@
 //! * Two multi-round scans ([`PRICED_SIZE`]) at the same two
 //!   dictionaries, past staged PFAC's one round. The planned row runs the
 //!   kernel a serve call would choose for the launch, priced on the row's
-//!   own input ([`ac_serve::priced_pfac_limit`]): staged PFAC at both.
+//!   own input ([`ac_serve::priced_kernel`]): staged PFAC at both.
 //!
 //! [`check_launch_planning`] is the gate-table entry ([`crate::gates`])
 //! that keeps the gains: the planned rows must beat the paper rows by
@@ -28,7 +28,7 @@
 use crate::measure::{Engine, EngineConfig, Measurements};
 use crate::report::BenchReport;
 use ac_gpu::{Approach, GpuAcMatcher, KernelParams};
-use ac_serve::{priced_pfac_limit, ServeConfig};
+use ac_serve::{priced_kernel, ServeConfig};
 use corpus::ExperimentGrid;
 
 /// Input size of the scenario: several resident rounds at 128 threads.
@@ -114,18 +114,7 @@ pub fn launch_plan_measurements(verbose: bool) -> Result<Measurements, String> {
         )?;
         let input = engine.workload().input(size);
         let approach = if size == PRICED_SIZE {
-            let serve = ServeConfig::new(1);
-            let limit = priced_pfac_limit(
-                &planned,
-                Approach::SharedDiagonal,
-                input,
-                serve.limits.max_bytes,
-                &serve.pcie,
-            );
-            match limit {
-                Some(limit) if size <= limit => Approach::PfacStaged,
-                _ => Approach::SharedDiagonal,
-            }
+            priced_kernel(&planned, &ServeConfig::new(1), input, size)
         } else {
             planned.plan_kernel(Approach::SharedDiagonal, size)
         };
@@ -204,6 +193,7 @@ pub fn check_launch_planning(r: &BenchReport) -> Result<String, String> {
 mod tests {
     use super::*;
     use crate::report::BenchRow;
+    use ac_serve::priced_pfac_limit;
     use gpu_sim::GpuConfig;
 
     /// The priced switch point on the figure corpus's dictionaries, with
@@ -231,13 +221,7 @@ mod tests {
             let ac = workload.automaton(patterns);
             let priced = |params: KernelParams| {
                 let m = GpuAcMatcher::new(gpu, params, ac.clone()).unwrap();
-                let limit = priced_pfac_limit(
-                    &m,
-                    Approach::SharedDiagonal,
-                    workload.input(PRICED_SIZE),
-                    serve.limits.max_bytes,
-                    &serve.pcie,
-                );
+                let limit = priced_pfac_limit(&m, &serve, workload.input(PRICED_SIZE));
                 (limit, m.pfac_limit(Approach::SharedDiagonal))
             };
             assert_eq!(priced(KernelParams::paper(&gpu)), (None, None));

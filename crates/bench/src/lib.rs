@@ -46,8 +46,9 @@ pub use layout_sweep::{
 pub use measure::{Engine, EngineConfig, Measurement, Measurements};
 pub use report::{row_config_hash, BenchReport, BenchRow, Provenance};
 pub use serving::{
-    serve_chaos_measurements, serve_steady_measurements, serving_measurements,
-    serving_measurements_with, CHAOS_SEED, LIGHT_LOAD_RATE, LIGHT_LOAD_ROW, SERVING_SCENARIOS,
+    large_job_measurements, serve_chaos_measurements, serve_steady_measurements,
+    serving_measurements, serving_measurements_with, CHAOS_SEED, LARGE_JOB_SCENARIOS,
+    LIGHT_LOAD_RATE, LIGHT_LOAD_ROW, SERVING_SCENARIOS,
 };
 pub use verdict::{evaluate, render, Outcome, Verdict};
 pub use whatif::{explain, Knob, WhatIfReport, WhatIfRow};

@@ -16,7 +16,7 @@
 
 use crate::measure::{Measurement, Measurements};
 use crate::report::BenchReport;
-use ac_gpu::{GpuAcMatcher, KernelParams};
+use ac_gpu::{Approach, GpuAcMatcher, KernelParams};
 use ac_serve::{
     chaos_soak, serve, serve_automaton, synthetic_workload, ChaosConfig, ServeConfig,
     ServePoolConfig, ServeReport, TelemetryConfig, WorkloadConfig, DEFAULT_POOL_CAPACITY,
@@ -73,24 +73,8 @@ pub fn serving_measurements_with(
             ..workload
         });
         let run = serve(&matcher, jobs, &cfg).map_err(|e| e.to_string())?;
-        let r = &run.report;
-        out.rows.push(Measurement {
-            size: r.payload_bytes as usize,
-            patterns: ac_serve::DEFAULT_PATTERNS,
-            approach: label.into(),
-            seconds: r.makespan_seconds,
-            gbps: r.effective_gbps,
-            cycles: (r.makespan_seconds * gpu.clock_hz).round() as u64,
-            cache_hit_rate: 0.0,
-            shared_conflicts: 0,
-            coalescing_ratio: 0.0,
-            match_events: run.outcomes.iter().map(|o| o.matches.len() as u64).sum(),
-            idle_cycles: 0,
-            stalls: trace::StallBreakdown::default(),
-            p99_latency_us: r.p99_latency_us,
-            jobs_per_sec: r.jobs_per_sec,
-            jobs_rejected: Some(r.jobs_rejected),
-        });
+        let events = run.outcomes.iter().map(|o| o.matches.len() as u64).sum();
+        out.rows.push(serve_row(label, &gpu, &run.report, events));
     }
     Ok(out)
 }
@@ -126,24 +110,8 @@ pub fn serve_steady_measurements() -> Result<Measurements, String> {
     for (label, pool) in scenarios {
         let cfg = ServeConfig::new(4).with_pool(pool);
         let run = serve(&matcher, jobs.clone(), &cfg).map_err(|e| e.to_string())?;
-        let r = &run.report;
-        out.rows.push(Measurement {
-            size: r.payload_bytes as usize,
-            patterns: ac_serve::DEFAULT_PATTERNS,
-            approach: label.into(),
-            seconds: r.makespan_seconds,
-            gbps: r.effective_gbps,
-            cycles: (r.makespan_seconds * gpu.clock_hz).round() as u64,
-            cache_hit_rate: 0.0,
-            shared_conflicts: 0,
-            coalescing_ratio: 0.0,
-            match_events: run.outcomes.iter().map(|o| o.matches.len() as u64).sum(),
-            idle_cycles: 0,
-            stalls: trace::StallBreakdown::default(),
-            p99_latency_us: r.p99_latency_us,
-            jobs_per_sec: r.jobs_per_sec,
-            jobs_rejected: Some(r.jobs_rejected),
-        });
+        let events = run.outcomes.iter().map(|o| o.matches.len() as u64).sum();
+        out.rows.push(serve_row(label, &gpu, &run.report, events));
     }
     Ok(out)
 }
@@ -194,6 +162,102 @@ pub fn check_light_load(r: &BenchReport) -> Result<String, String> {
     }
 }
 
+/// The large-job rows, as `(row label, streams, configured kernel)`.
+/// Each label without `-pfac` runs the default server, whose serve call
+/// prices staged PFAC against `shared-diagonal` ([`ac_serve::kernel_choice`]);
+/// its `-pfac` twin configures staged PFAC, so every launch runs it.
+pub const LARGE_JOB_SCENARIOS: [(&str, u32, Approach); 4] = [
+    ("serve-large-s1", 1, Approach::SharedDiagonal),
+    ("serve-large-pfac-s1", 1, Approach::PfacStaged),
+    ("serve-large-s4", 4, Approach::SharedDiagonal),
+    ("serve-large-pfac-s4", 4, Approach::PfacStaged),
+];
+
+/// Jobs offered in the large-job scenario, all at once (100,000 jobs/s
+/// against a service time near 300 µs).
+pub const LARGE_JOBS: u64 = 8;
+
+/// Mean job size of the large-job scenario: launches of 512 KiB to
+/// 1.5 MiB, past the serving dictionary's priced switch on one stream.
+pub const LARGE_JOB_BYTES: usize = 1 << 20;
+
+/// Run the large-job scenario: [`LARGE_JOBS`] jobs of about
+/// [`LARGE_JOB_BYTES`] against the default dictionary, through each of
+/// [`LARGE_JOB_SCENARIOS`]. On one stream a launch's price is its
+/// `h2d + kernel + d2h`, and past the switch `shared-diagonal`'s
+/// kernel is the cheaper; on four the copy engine is the bottleneck and
+/// PFAC's smaller readback decides.
+pub fn large_job_measurements() -> Result<Measurements, String> {
+    let gpu = GpuConfig::gtx285();
+    let workload = WorkloadConfig {
+        jobs: LARGE_JOBS,
+        arrival_rate_per_sec: 100_000,
+        job_bytes: LARGE_JOB_BYTES,
+        ..WorkloadConfig::defaults()
+    };
+    let ac = serve_automaton(ac_serve::DEFAULT_PATTERNS, workload.seed);
+    let matcher =
+        GpuAcMatcher::new(gpu, KernelParams::defaults_for(&gpu), ac).map_err(|e| e.to_string())?;
+    let jobs = synthetic_workload(&workload);
+    let mut out = Measurements::default();
+    for (label, streams, approach) in LARGE_JOB_SCENARIOS {
+        let mut cfg = ServeConfig::new(streams);
+        cfg.approach = approach;
+        let run = serve(&matcher, jobs.clone(), &cfg).map_err(|e| e.to_string())?;
+        let events = run.outcomes.iter().map(|o| o.matches.len() as u64).sum();
+        out.rows.push(serve_row(label, &gpu, &run.report, events));
+    }
+    Ok(out)
+}
+
+/// The kernel-choice criterion over a report's rows: at each stream
+/// count the priced server serves the large jobs at least as fast as the
+/// server that always runs staged PFAC.
+pub fn check_kernel_choice(r: &BenchReport) -> Result<String, String> {
+    let mut held = Vec::new();
+    for pair in LARGE_JOB_SCENARIOS.chunks(2) {
+        let priced = r.row(pair[0].0)?;
+        let pfac = r.row(pair[1].0)?;
+        if pfac.jobs_per_sec <= 0.0 {
+            return Err(format!("{} completed no jobs", pair[1].0));
+        }
+        let ratio = priced.jobs_per_sec / pfac.jobs_per_sec;
+        if ratio < 1.0 {
+            return Err(format!(
+                "{} at {:.0} jobs/s, only {ratio:.3}x {}'s {:.0}",
+                pair[0].0, priced.jobs_per_sec, pair[1].0, pfac.jobs_per_sec
+            ));
+        }
+        held.push(format!("{ratio:.2}x on {} stream(s)", pair[0].1));
+    }
+    Ok(format!(
+        "kernel choice pays: priced/always-staged-PFAC large-job jobs/s {}",
+        held.join(", ")
+    ))
+}
+
+/// One serving row from a serve report; `match_events` is the matches
+/// the run delivered.
+fn serve_row(label: &str, gpu: &GpuConfig, r: &ServeReport, match_events: u64) -> Measurement {
+    Measurement {
+        size: r.payload_bytes as usize,
+        patterns: ac_serve::DEFAULT_PATTERNS,
+        approach: label.into(),
+        seconds: r.makespan_seconds,
+        gbps: r.effective_gbps,
+        cycles: (r.makespan_seconds * gpu.clock_hz).round() as u64,
+        cache_hit_rate: 0.0,
+        shared_conflicts: 0,
+        coalescing_ratio: 0.0,
+        match_events,
+        idle_cycles: 0,
+        stalls: trace::StallBreakdown::default(),
+        p99_latency_us: r.p99_latency_us,
+        jobs_per_sec: r.jobs_per_sec,
+        jobs_rejected: Some(r.jobs_rejected),
+    }
+}
+
 /// The fixed seed of the committed chaos rows (and the CI smoke soak):
 /// one storm, replayed bit-identically everywhere.
 pub const CHAOS_SEED: u64 = 42;
@@ -220,27 +284,15 @@ pub fn serve_chaos_measurements() -> Result<Measurements, String> {
             verdict.violations.join("; ")
         ));
     }
-    let row = |label: &str, r: &ServeReport| Measurement {
-        size: r.payload_bytes as usize,
-        patterns: ac_serve::DEFAULT_PATTERNS,
-        approach: label.into(),
-        seconds: r.makespan_seconds,
-        gbps: r.effective_gbps,
-        cycles: (r.makespan_seconds * gpu.clock_hz).round() as u64,
-        cache_hit_rate: 0.0,
-        shared_conflicts: 0,
-        coalescing_ratio: 0.0,
-        match_events: 0,
-        idle_cycles: 0,
-        stalls: trace::StallBreakdown::default(),
-        p99_latency_us: r.p99_latency_us,
-        jobs_per_sec: r.jobs_per_sec,
-        jobs_rejected: Some(r.jobs_rejected),
-    };
     let mut out = Measurements::default();
+    out.rows.push(serve_row(
+        "serve-chaos-baseline",
+        &gpu,
+        &verdict.baseline,
+        0,
+    ));
     out.rows
-        .push(row("serve-chaos-baseline", &verdict.baseline));
-    out.rows.push(row("serve-chaos-faulted", &verdict.faulted));
+        .push(serve_row("serve-chaos-faulted", &gpu, &verdict.faulted, 0));
     Ok(out)
 }
 
@@ -265,39 +317,12 @@ mod tests {
             batched.p99_latency_us,
             perjob.p99_latency_us
         );
-        // Streams pay by overlapping one batch's copies with another's
-        // kernel, so they pay as much as the kernels weigh. The paper's
-        // kernel (pinned params) takes about half of the one-stream
-        // server's time, and 4 streams beat 1 by at least 1.5x. The
-        // planned server runs staged PFAC, whose kernels take about a
-        // fifth of it: 4 streams saturate the copy engine and reach the
-        // ceiling that leaves, the one-stream jobs/sec over its copy
-        // share.
-        let gpu = GpuConfig::gtx285();
-        let workload = WorkloadConfig::defaults();
-        let ac = serve_automaton(ac_serve::DEFAULT_PATTERNS, workload.seed);
-        for params in [KernelParams::paper(&gpu), KernelParams::defaults_for(&gpu)] {
-            let m = GpuAcMatcher::new(gpu, params, ac.clone()).unwrap();
-            let [one, four] = [1, 4].map(|streams| {
-                let jobs = synthetic_workload(&workload);
-                serve(&m, jobs, &ServeConfig::new(streams)).unwrap().report
-            });
-            let floor = if params.pin_paper_launch {
-                1.5 * one.jobs_per_sec
-            } else {
-                assert_eq!(one.jobs_per_sec, batched.jobs_per_sec);
-                assert_eq!(four.jobs_per_sec, streamed.jobs_per_sec);
-                assert!(four.copy_utilisation > 0.99, "{}", four.copy_utilisation);
-                0.95 * one.jobs_per_sec / one.copy_utilisation
-            };
-            assert!(
-                four.jobs_per_sec >= floor,
-                "streams=4 {} jobs/s !>= {floor} (streams=1 {} jobs/s, copy {:.2})",
-                four.jobs_per_sec,
-                one.jobs_per_sec,
-                one.copy_utilisation
-            );
-        }
+        assert!(
+            streamed.jobs_per_sec >= 1.5 * batched.jobs_per_sec,
+            "streams=4 {} jobs/s !>= 1.5x streams=1 {} jobs/s",
+            streamed.jobs_per_sec,
+            batched.jobs_per_sec
+        );
     }
 
     #[test]
@@ -321,6 +346,36 @@ mod tests {
         assert!(check_light_load(&held).is_err());
         let legacy = BenchReport::from_measurements("old", &Measurements::default());
         assert!(evaluate_gates(&legacy).is_empty());
+    }
+
+    #[test]
+    fn kernel_choice_check_holds_at_parity_and_breaks_below_it() {
+        let row = |label: &str, jobs_per_sec: f64| crate::report::BenchRow {
+            approach: label.into(),
+            size: 1 << 23,
+            patterns: ac_serve::DEFAULT_PATTERNS,
+            gbps: 1.0,
+            cycles: 100,
+            idle_cycles: 0,
+            stalls: Default::default(),
+            p99_latency_us: 0.0,
+            jobs_per_sec,
+            jobs_rejected: Some(0),
+            config_hash: 0,
+        };
+        let report = |rates: [f64; 4]| BenchReport {
+            name: "large".into(),
+            rows: LARGE_JOB_SCENARIOS
+                .iter()
+                .zip(rates)
+                .map(|((label, ..), rate)| row(label, rate))
+                .collect(),
+            provenance: None,
+        };
+        let held = check_kernel_choice(&report([3_300.0, 3_000.0, 4_300.0, 4_300.0])).unwrap();
+        assert!(held.contains("1.10x on 1 stream(s), 1.00x on 4"), "{held}");
+        assert!(check_kernel_choice(&report([3_300.0, 3_000.0, 4_200.0, 4_300.0])).is_err());
+        assert!(check_kernel_choice(&report([2_900.0, 3_000.0, 4_300.0, 4_300.0])).is_err());
     }
 
     #[test]

@@ -609,8 +609,8 @@ fn write_kernel_launches(report: &ac_serve::ServeReport, out: &mut String) {
         .map(|(kernel, launches)| format!("{kernel} {launches}"))
         .collect();
     let switch = match report.pfac_limit_bytes {
-        Some(u64::MAX) => "; staged PFAC at any length".to_string(),
-        Some(limit) => format!("; staged PFAC up to {limit} B"),
+        Some(u64::MAX) => "; staged PFAC priced cheaper at any length".to_string(),
+        Some(limit) => format!("; priced switch at {limit} B"),
         None => String::new(),
     };
     let _ = writeln!(
