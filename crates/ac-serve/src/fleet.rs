@@ -146,7 +146,7 @@ use crate::slo::{AdmissionController, SheddedJob};
 use crate::telemetry::ServeTelemetry;
 use ac_core::{AcAutomaton, Match};
 use ac_cpu::{par_find_all, ParallelConfig};
-use ac_gpu::supervise::SuperviseReport;
+use ac_gpu::supervise::{SuperviseReport, Supervised};
 use ac_gpu::{
     run_supervised, Approach, DevicePool, GpuAcMatcher, GpuError, PcieConfig, PooledBuffer,
 };
@@ -1434,53 +1434,26 @@ fn dispatch_gpu_batch(
     match run_supervised(matcher, &assembled.data, approach, &dcfg.supervise) {
         Ok(sup) => {
             tally(&sup.report, &mut st.gpu_retries, &mut st.faults_fired);
-            let penalty =
-                sup.report.penalty_cycles(dcfg.supervise.watchdog_cycles) as f64 / clock_hz;
             let per_job = demux_matches(&sup.run.matches, &assembled.spans);
-            let rb_bytes = sup.run.readback_bytes;
-            st.readback_bytes += rb_bytes;
-            let (lease, setup) = lease_batch_buffers(
-                st.pools[dev].as_ref(),
-                &mut st.pool_charged[dev],
-                corpus_bytes,
-                Some(rb_bytes),
-                clock_hz,
-            )?;
-            st.submit_copy(
+            let landing = Landing::Batch {
+                batch,
+                per_job,
+                dispatch_seconds: sealed,
+                retries: sup.report.retries as u64,
+            };
+            launch(
+                st,
                 dev,
                 stream,
-                StreamOpKind::CopyH2D,
-                &label,
                 corpus_bytes,
-                sealed,
-                opened + setup,
-            );
-            // Retry penalty (backoff + watchdog-burned budgets) is charged
-            // to the stream: faults cost real time.
-            st.submit_kernel(dev, stream, &label, approach, sup.run.seconds() + penalty);
-            let kernel_end = st.clocks()[dev].stream_ready(stream);
-            st.breakers[dev].record_success(kernel_end);
-            if let Some(r) = st.router.as_mut() {
-                let h2d = st.pcie.copy_seconds(assembled.data.len());
-                let d2h = st.pcie.copy_seconds(rb_bytes as usize);
-                r.models[dev].observe(
-                    assembled.data.len(),
-                    h2d + sup.run.seconds() + penalty + d2h,
-                    r.refine_alpha,
-                );
-            }
-            st.pendings[dev][stream as usize] = Some(PendingReadback {
-                stream,
+                approach,
+                &sup,
+                dcfg,
                 label,
-                rb_bytes,
-                lands: Landing::Batch {
-                    batch,
-                    per_job,
-                    dispatch_seconds: sealed,
-                    retries: sup.report.retries as u64,
-                },
-                _lease: lease,
-            });
+                opened,
+                sealed,
+                landing,
+            )?;
         }
         Err((err, rep)) => {
             tally(&rep, &mut st.gpu_retries, &mut st.faults_fired);
@@ -1528,6 +1501,72 @@ fn dispatch_gpu_batch(
             st.cpu_fallback_batches += 1;
         }
     }
+    Ok(())
+}
+
+/// The success leg of every GPU launch, a batch's or a scatter
+/// segment's: lease the launch's pool buffers (their driver setup runs
+/// from `opened`), upload its `bytes` released at `release`, run its
+/// kernel plus the supervisor's retry penalty, record breaker success at
+/// kernel end, and hold its readback under the staged-issue rule until
+/// it lands as `landing`. A batch also refines its device's cost model
+/// with the launch's service time; a scatter segment does not.
+#[allow(clippy::too_many_arguments)]
+fn launch(
+    st: &mut FleetState,
+    dev: usize,
+    stream: u32,
+    bytes: u64,
+    approach: Approach,
+    sup: &Supervised,
+    dcfg: &ServeConfig,
+    label: String,
+    opened: f64,
+    release: f64,
+    landing: Landing,
+) -> Result<(), GpuError> {
+    let penalty = sup.report.penalty_cycles(dcfg.supervise.watchdog_cycles) as f64 / st.clock_hz;
+    let rb_bytes = sup.run.readback_bytes;
+    st.readback_bytes += rb_bytes;
+    let (lease, setup) = lease_batch_buffers(
+        st.pools[dev].as_ref(),
+        &mut st.pool_charged[dev],
+        bytes,
+        Some(rb_bytes),
+        st.clock_hz,
+    )?;
+    st.submit_copy(
+        dev,
+        stream,
+        StreamOpKind::CopyH2D,
+        &label,
+        bytes,
+        release,
+        opened + setup,
+    );
+    // Retry penalty (backoff + watchdog-burned budgets) is charged to the
+    // stream: faults cost real time.
+    st.submit_kernel(dev, stream, &label, approach, sup.run.seconds() + penalty);
+    let kernel_end = st.clocks()[dev].stream_ready(stream);
+    st.breakers[dev].record_success(kernel_end);
+    if let (Some(r), Landing::Batch { .. }) = (st.router.as_mut(), &landing) {
+        let h2d = st.pcie.copy_seconds(bytes as usize);
+        let d2h = st.pcie.copy_seconds(rb_bytes as usize);
+        r.models[dev].observe(
+            bytes as usize,
+            h2d + sup.run.seconds() + penalty + d2h,
+            r.refine_alpha,
+        );
+    }
+    // Held while the kernel runs, so the next upload is not parked
+    // behind it on the FIFO copy engine.
+    st.pendings[dev][stream as usize] = Some(PendingReadback {
+        stream,
+        label,
+        rb_bytes,
+        lands: landing,
+        _lease: lease,
+    });
     Ok(())
 }
 
@@ -1626,40 +1665,21 @@ fn scatter_job<'a>(
         }
         st.tag_device(Some(d));
         let label = format!("{label_base}-d{d}");
-        let bytes = seg.scan_end - seg.scan_start;
-        let penalty =
-            sup.report.penalty_cycles(dcfg.supervise.watchdog_cycles) as f64 / st.clock_hz;
-        let rb_bytes = sup.run.readback_bytes;
-        st.readback_bytes += rb_bytes;
-        let (lease, setup) = lease_batch_buffers(
-            st.pools[d].as_ref(),
-            &mut st.pool_charged[d],
-            bytes as u64,
-            Some(rb_bytes),
-            st.clock_hz,
-        )?;
-        st.submit_copy(
+        let bytes = (seg.scan_end - seg.scan_start) as u64;
+        launch(
+            st,
             d,
             stream,
-            StreamOpKind::CopyH2D,
-            &label,
-            bytes as u64,
-            dispatch,
-            dispatch + setup,
-        );
-        st.submit_kernel(d, stream, &label, *approach, sup.run.seconds() + penalty);
-        let kernel_end = st.clocks()[d].stream_ready(stream);
-        st.breakers[d].record_success(kernel_end);
-        st.per_dev_batches[d] += 1;
-        // Staged like a batch's: held while the kernel runs, so the next
-        // job's upload is not parked behind it on the FIFO copy engine.
-        st.pendings[d][stream as usize] = Some(PendingReadback {
-            stream,
+            bytes,
+            *approach,
+            sup,
+            dcfg,
             label,
-            rb_bytes,
-            lands: Landing::Shard(key),
-            _lease: lease,
-        });
+            dispatch,
+            dispatch,
+            Landing::Shard(key),
+        )?;
+        st.per_dev_batches[d] += 1;
     }
 
     st.tag_device(None);
