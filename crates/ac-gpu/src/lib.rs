@@ -51,7 +51,7 @@ pub use kernels::{
 pub use layout::{DiagonalMap, KernelParams, LinearMap, Plan};
 pub use pool::{DevicePool, DevicePoolConfig, DevicePoolStats, PooledBuffer, MIN_CLASS_BYTES};
 pub use readback::ReadbackCorruption;
-pub use runner::{Approach, GpuAcMatcher, GpuRun, RunOptions, WorkloadAttribution};
+pub use runner::{Approach, GpuAcMatcher, GpuRun, ProbeCost, RunOptions, WorkloadAttribution};
 pub use stream::{run_streamed, PcieConfig, StreamedRun};
 pub use stt_layout::{
     layout_footprints, pick_layout, LayoutChoice, LayoutFootprint, LayoutProbe, SttLayout,

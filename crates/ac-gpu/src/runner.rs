@@ -20,6 +20,7 @@ use gpu_sim::{
     IntrospectConfig, Introspection, LaunchConfig, LaunchStats, Launched, Observer,
 };
 use serde::{Deserialize, Serialize};
+use std::collections::HashMap;
 use std::sync::{Mutex, OnceLock};
 use trace::{ArgValue, TraceBuffer, TraceConfig, PID_HOST};
 
@@ -224,6 +225,19 @@ pub struct RunOptions {
     pub attribution: Option<AttributionConfig>,
 }
 
+/// What one price probe measured ([`GpuAcMatcher::probe`]): the launch's
+/// simulated kernel time and the length of its readback frame.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ProbeCost {
+    /// Simulated kernel seconds ([`GpuRun::seconds`]).
+    pub seconds: f64,
+    /// Readback frame bytes ([`GpuRun::readback_bytes`]).
+    pub readback_bytes: u64,
+}
+
+/// A memoized probe: kernel, launch length, and the sample it cycles.
+type ProbeKey = (Approach, usize, Vec<u8>);
+
 /// The host-side matcher: an automaton prepared for a device.
 #[derive(Debug)]
 pub struct GpuAcMatcher {
@@ -242,6 +256,9 @@ pub struct GpuAcMatcher {
     /// per-run device) so operation counters persist across retries: a
     /// retried launch has a fresh index and is not re-scheduled to fail.
     fault: Mutex<Option<FaultState>>,
+    /// Price probes run so far ([`GpuAcMatcher::probe`]); `None` records
+    /// a probe whose launch failed.
+    probes: Mutex<HashMap<ProbeKey, Option<ProbeCost>>>,
 }
 
 impl GpuAcMatcher {
@@ -260,6 +277,7 @@ impl GpuAcMatcher {
             pfac: OnceLock::new(),
             banded: OnceLock::new(),
             fault: Mutex::new(None),
+            probes: Mutex::new(HashMap::new()),
         })
     }
 
@@ -285,6 +303,7 @@ impl GpuAcMatcher {
             pfac: clone_cell(&self.pfac),
             banded: clone_cell(&self.banded),
             fault: Mutex::new(None),
+            probes: Mutex::new(self.probes.lock().unwrap().clone()),
         }
     }
 
@@ -319,6 +338,29 @@ impl GpuAcMatcher {
         let out = f(self);
         *self.fault.lock().unwrap() = saved;
         out
+    }
+
+    /// One `len`-byte launch of `approach` over `sample` cycled to
+    /// length, run off the simulated clock with any armed fault plan set
+    /// aside: its kernel time and readback length, or `None` when the
+    /// launch fails. Memoized per (kernel, length, sample) like the lazily
+    /// built tables, so pricing the same workload again re-simulates
+    /// nothing.
+    pub fn probe(&self, approach: Approach, sample: &[u8], len: usize) -> Option<ProbeCost> {
+        let key = (approach, len, sample.to_vec());
+        if let Some(&cost) = self.probes.lock().unwrap().get(&key) {
+            return cost;
+        }
+        let payload: Vec<u8> = sample.iter().copied().cycle().take(len).collect();
+        let cost = self
+            .without_faults(|m| m.run_opts(&payload, approach, RunOptions::default()))
+            .ok()
+            .map(|run| ProbeCost {
+                seconds: run.seconds(),
+                readback_bytes: run.readback_bytes,
+            });
+        self.probes.lock().unwrap().insert(key, cost);
+        cost
     }
 
     /// The underlying automaton.

@@ -67,6 +67,15 @@ impl PcieConfig {
             .transfer_seconds(bytes, self.bandwidth_bytes_per_sec, self.latency_sec)
     }
 
+    /// Seconds a kernel spends writing `bytes` straight into mapped pinned
+    /// host memory: the link's bandwidth with no transfer setup, since no
+    /// DMA is issued. `None` for pageable memory, which cannot be mapped.
+    pub fn mapped_seconds(&self, bytes: usize) -> Option<f64> {
+        self.host_memory
+            .is_pinned()
+            .then(|| bytes as f64 / self.bandwidth_bytes_per_sec)
+    }
+
     /// Bytes the shared host bus observes for a transfer of `bytes`
     /// (doubled for pageable memory: bounce-in + DMA-out).
     pub fn bus_bytes(&self, bytes: u64) -> u64 {

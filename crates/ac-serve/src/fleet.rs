@@ -32,8 +32,10 @@
 //! join it while the limits allow. On a one-stream server those are the
 //! previous batch's readback. The pool's driver calls for a batch run from
 //! the moment it opened, so they overlap the copy engine's queue. The
-//! loop then dispatches the batch's `h2d → kernel → d2h` chain on the
-//! server's stream. Batch size therefore adapts to backlog — an idle
+//! loop then dispatches the batch's `h2d → kernel → readback` chain on
+//! the server's stream, where the readback is a `d2h` copy or, as the
+//! launch's plan decides ([`crate::kernel_choice`]), the kernel's own
+//! write-out into mapped pinned host memory. Batch size therefore adapts to backlog — an idle
 //! server launches singleton batches immediately, a busy one amortises
 //! launches over whatever queued up or arrived while the copy engine
 //! was busy — which is the whole p99 argument for batching.
@@ -42,6 +44,11 @@
 //! setup (`Unpooled`, kept only when pools are armed), so arming a pool
 //! never regroups jobs: its driver cycles only delay the realised
 //! schedule.
+//!
+//! A mapped launch's frame is in host memory when its kernel op ends: the
+//! op runs the kernel, then writes the frame at the link's bandwidth with
+//! no transfer setup once the shared bus grants it, holding the compute
+//! engine throughout, and it issues no `d2h`.
 //!
 //! Issue order matters on a single-DMA-engine device: the copy engine is
 //! a FIFO, so enqueueing a batch's `d2h` right behind its kernel would
@@ -125,9 +132,12 @@
 //!   or after its ready time, so an upload issued after another device's
 //!   readback but ready before it is not held behind it. The arbiter is
 //!   charged the bus traffic (twice the copy under pageable staging);
-//!   the stream op records the logical bytes. With one device the arbiter
-//!   never delays anything (its aggregate bandwidth covers the link and it
-//!   charges no setup), so the single-device server pays nothing for it.
+//!   the stream op records the logical bytes. A mapped write-out crosses
+//!   the arbiter too, reserved with its kernel. With one device the
+//!   arbiter never delays a copy behind another (its aggregate bandwidth
+//!   covers the link and it charges no setup), but an upload can wait
+//!   behind a write-out reserved earlier, or a write-out behind an
+//!   upload, since the two run on different engines.
 //!
 //! Telemetry tags job, control and breaker events with a `device=` arg
 //! only when the fleet has more than one device: a one-device trace is
@@ -138,7 +148,7 @@
 use crate::batch::{assemble_batch, demux_matches, AssembledBatch};
 use crate::breaker::{BreakerState, BreakerTransition, CircuitBreaker, Route};
 use crate::job::{JobExpiry, JobOutcome, ScanJob, ServedBy};
-use crate::kernel_choice::KernelChoice;
+use crate::kernel_choice::{KernelChoice, LaunchPlan};
 use crate::queue::{BoundedQueue, Overloaded};
 use crate::report::{percentile, BatchBucket, PoolStatsReport, ServeReport};
 use crate::sim::{ServeConfig, ServeRun};
@@ -147,9 +157,7 @@ use crate::telemetry::ServeTelemetry;
 use ac_core::{AcAutomaton, Match};
 use ac_cpu::{par_find_all, ParallelConfig};
 use ac_gpu::supervise::{SuperviseReport, Supervised};
-use ac_gpu::{
-    run_supervised, Approach, DevicePool, GpuAcMatcher, GpuError, PcieConfig, PooledBuffer,
-};
+use ac_gpu::{run_supervised, DevicePool, GpuAcMatcher, GpuError, PcieConfig, PooledBuffer};
 use cpu_sim::simulate_multicore;
 use gpu_sim::{
     BusConfig, BusStats, EngineKind, PcieBusArbiter, StreamEngine, StreamOpKind, StreamTimeline,
@@ -554,6 +562,10 @@ struct FleetState<'a> {
     per_dev_jobs: Vec<u64>,
     /// GPU batches and scatter segments per planned kernel label.
     kernel_launches: BTreeMap<String, u64>,
+    /// GPU launches whose kernel wrote its frame into mapped host memory.
+    mapped_readbacks: u64,
+    /// GPU launches whose frame came back by a `d2h` copy.
+    dma_readbacks: u64,
     scattered_jobs: u64,
     /// Scattered jobs with segment readbacks still held, by scatter
     /// number.
@@ -573,10 +585,9 @@ impl FleetState<'_> {
     /// when the pool's driver setup for it ends (pass `not_before` when
     /// there is none). The arbiter is charged the bus traffic
     /// ([`PcieConfig::bus_bytes`]); the stream op records the logical
-    /// bytes. With one device the grant is always the engine's own
-    /// earliest start (the arbiter's aggregate bandwidth covers the link
-    /// and it charges no setup), so the bus never moves a single-device
-    /// schedule.
+    /// bytes. With one device a copy never waits on the bus behind
+    /// another (the arbiter's aggregate bandwidth covers the link and it
+    /// charges no setup), only behind a mapped write-out.
     #[allow(clippy::too_many_arguments)]
     fn submit_copy(
         &mut self,
@@ -602,23 +613,36 @@ impl FleetState<'_> {
     }
 
     /// Issue a batch's or segment's kernel op on `device`'s `stream`,
-    /// naming the kernel that ran, and count the launch.
+    /// naming the kernel that ran, and count the launch and its readback
+    /// path. A mapped launch's op also writes its `rb_bytes` frame into
+    /// pinned host memory ([`submit_mapped_kernel`]).
     fn submit_kernel(
         &mut self,
         device: usize,
         stream: u32,
         label: &str,
-        approach: Approach,
+        plan: LaunchPlan,
         seconds: f64,
+        rb_bytes: u64,
     ) {
-        self.engines[device].submit_kernel(stream, label, approach.label(), seconds);
+        let write = plan.mapped.then(|| MappedWrite {
+            bytes: rb_bytes,
+            seconds: readback_seconds(&self.pcie, plan, rb_bytes),
+            bus_bytes: self.pcie.bus_bytes(rb_bytes),
+        });
+        let kernel = plan.kernel.label();
+        let (engine, bus) = (&mut self.engines[device], &mut self.arbiter);
+        submit_mapped_kernel(engine, bus, stream, label, kernel, seconds, write);
         if let Some(u) = self.unpooled.as_mut() {
-            u.engines[device].submit_kernel(stream, label, approach.label(), seconds);
+            let (engine, bus) = (&mut u.engines[device], &mut u.arbiter);
+            submit_mapped_kernel(engine, bus, stream, label, kernel, seconds, write);
         }
-        *self
-            .kernel_launches
-            .entry(approach.label().to_string())
-            .or_insert(0) += 1;
+        *self.kernel_launches.entry(kernel.to_string()).or_insert(0) += 1;
+        if plan.mapped {
+            self.mapped_readbacks += 1;
+        } else {
+            self.dma_readbacks += 1;
+        }
     }
 
     /// Charge a failed batch's retry penalty to `device`'s `stream`.
@@ -645,15 +669,18 @@ impl FleetState<'_> {
     fn flush_pending(&mut self, device: usize, streams_per_device: u32, p: PendingReadback) {
         self.tag_device(Some(device));
         let local = p.stream;
-        self.submit_copy(
-            device,
-            local,
-            StreamOpKind::CopyD2H,
-            &p.label,
-            p.rb_bytes,
-            0.0,
-            0.0,
-        );
+        // A mapped frame is already in host memory when its kernel ends.
+        if !p.mapped {
+            self.submit_copy(
+                device,
+                local,
+                StreamOpKind::CopyD2H,
+                &p.label,
+                p.rb_bytes,
+                0.0,
+                0.0,
+            );
+        }
         let done = self.engines[device].stream_ready(local);
         match p.lands {
             Landing::Batch {
@@ -961,6 +988,8 @@ pub fn serve_fleet(
         per_dev_batches: vec![0; devices],
         per_dev_jobs: vec![0; devices],
         kernel_launches: BTreeMap::new(),
+        mapped_readbacks: 0,
+        dma_readbacks: 0,
         scattered_jobs: 0,
         scatters: BTreeMap::new(),
     };
@@ -1026,7 +1055,7 @@ pub fn serve_fleet(
             .zip(&timelines)
             .collect();
         let mut run = t.finish(&per_device);
-        let replay = st.choice.kernel(run.payload_sample.len());
+        let replay = st.choice.plan(run.payload_sample.len(), false).kernel;
         run.attribute_pattern_costs(matcher, replay, makespan);
         if let Some(ps) = pool_report {
             run.record_pool_stats(&ps, makespan);
@@ -1090,6 +1119,8 @@ pub fn serve_fleet(
         pool: pool_report,
         kernel_launches: std::mem::take(&mut st.kernel_launches),
         pfac_limit_bytes: st.choice.priced().map(|l| l as u64),
+        mapped_readbacks: st.mapped_readbacks,
+        dma_readbacks: st.dma_readbacks,
     };
 
     let per_device: Vec<DeviceReport> = (0..devices)
@@ -1161,11 +1192,11 @@ fn fit_tier_models(
         |bytes: usize| -> Vec<u8> { sample.iter().copied().cycle().take(bytes).collect() };
     let gpu_probe = |bytes: usize| -> Option<f64> {
         let payload = probe_payload(bytes);
-        let approach = choice.kernel(bytes);
-        let sup = run_supervised(matcher, &payload, approach, &dcfg.supervise).ok()?;
+        let plan = choice.plan(bytes, false);
+        let sup = run_supervised(matcher, &payload, plan.kernel, &dcfg.supervise).ok()?;
         let h2d = pcie.copy_seconds(bytes);
-        let d2h = pcie.copy_seconds(sup.run.readback_bytes as usize);
-        Some(h2d + sup.run.seconds() + d2h)
+        let readback = readback_seconds(&pcie, plan, sup.run.readback_bytes);
+        Some(h2d + sup.run.seconds() + readback)
     };
     let gpu_line = |b1: usize, b2: usize| match (gpu_probe(b1), gpu_probe(b2)) {
         (Some(t1), Some(t2)) => CostModel::fit(b1, t1, b2, t2),
@@ -1430,8 +1461,10 @@ fn dispatch_gpu_batch(
     st.per_dev_batches[dev] += 1;
     let corpus_bytes = assembled.data.len() as u64;
     let clock_hz = st.clock_hz;
-    let approach = st.choice.kernel(assembled.data.len());
-    match run_supervised(matcher, &assembled.data, approach, &dcfg.supervise) {
+    let plan = st
+        .choice
+        .plan(assembled.data.len(), idle(&st.clocks()[dev], sealed));
+    match run_supervised(matcher, &assembled.data, plan.kernel, &dcfg.supervise) {
         Ok(sup) => {
             tally(&sup.report, &mut st.gpu_retries, &mut st.faults_fired);
             let per_job = demux_matches(&sup.run.matches, &assembled.spans);
@@ -1446,7 +1479,7 @@ fn dispatch_gpu_batch(
                 dev,
                 stream,
                 corpus_bytes,
-                approach,
+                plan,
                 &sup,
                 dcfg,
                 label,
@@ -1517,7 +1550,7 @@ fn launch(
     dev: usize,
     stream: u32,
     bytes: u64,
-    approach: Approach,
+    plan: LaunchPlan,
     sup: &Supervised,
     dcfg: &ServeConfig,
     label: String,
@@ -1546,17 +1579,14 @@ fn launch(
     );
     // Retry penalty (backoff + watchdog-burned budgets) is charged to the
     // stream: faults cost real time.
-    st.submit_kernel(dev, stream, &label, approach, sup.run.seconds() + penalty);
+    let seconds = sup.run.seconds() + penalty;
+    st.submit_kernel(dev, stream, &label, plan, seconds, rb_bytes);
     let kernel_end = st.clocks()[dev].stream_ready(stream);
     st.breakers[dev].record_success(kernel_end);
     if let (Some(r), Landing::Batch { .. }) = (st.router.as_mut(), &landing) {
         let h2d = st.pcie.copy_seconds(bytes as usize);
-        let d2h = st.pcie.copy_seconds(rb_bytes as usize);
-        r.models[dev].observe(
-            bytes as usize,
-            h2d + sup.run.seconds() + penalty + d2h,
-            r.refine_alpha,
-        );
+        let readback = readback_seconds(&st.pcie, plan, rb_bytes);
+        r.models[dev].observe(bytes as usize, h2d + seconds + readback, r.refine_alpha);
     }
     // Held while the kernel runs, so the next upload is not parked
     // behind it on the FIFO copy engine.
@@ -1564,6 +1594,7 @@ fn launch(
         stream,
         label,
         rb_bytes,
+        mapped: plan.mapped,
         lands: landing,
         _lease: lease,
     });
@@ -1607,11 +1638,12 @@ fn scatter_job<'a>(
     for seg in &segments {
         let window = &job.payload[seg.scan_start..seg.scan_end];
         let matcher = matcher_for(seg.device as usize);
-        let approach = st.choice.kernel(window.len());
-        match run_supervised(matcher, window, approach, &dcfg.supervise) {
+        let alone = idle(&st.clocks()[seg.device as usize], dispatch);
+        let plan = st.choice.plan(window.len(), alone);
+        match run_supervised(matcher, window, plan.kernel, &dcfg.supervise) {
             Ok(sup) => {
                 tally(&sup.report, &mut st.gpu_retries, &mut st.faults_fired);
-                runs.push((approach, sup));
+                runs.push((plan, sup));
             }
             Err((err, rep)) => {
                 tally(&rep, &mut st.gpu_retries, &mut st.faults_fired);
@@ -1657,7 +1689,7 @@ fn scatter_job<'a>(
             job,
         },
     );
-    for (seg, (approach, sup)) in segments.iter().zip(&runs) {
+    for (seg, (plan, sup)) in segments.iter().zip(&runs) {
         let d = seg.device as usize;
         let (stream, _) = st.clocks()[d].next_free_stream();
         if let Some(p) = st.pendings[d][stream as usize].take() {
@@ -1671,7 +1703,7 @@ fn scatter_job<'a>(
             d,
             stream,
             bytes,
-            *approach,
+            *plan,
             sup,
             dcfg,
             label,
@@ -1685,6 +1717,55 @@ fn scatter_job<'a>(
     st.tag_device(None);
     st.scattered_jobs += 1;
     Ok(())
+}
+
+/// A mapped launch's write-out: its frame bytes, the seconds they take at
+/// the link's bandwidth, and the traffic the shared bus carries.
+#[derive(Debug, Clone, Copy)]
+struct MappedWrite {
+    bytes: u64,
+    seconds: f64,
+    bus_bytes: u64,
+}
+
+/// Issue a kernel op on `engine` that runs `seconds` and then, for a
+/// mapped launch, writes its frame into pinned host memory: after the
+/// kernel's last cycle, once `bus` grants the write, at the link's
+/// bandwidth with no transfer setup. The op holds the compute engine
+/// until the write ends and records its bytes
+/// ([`gpu_sim::ScheduledOp::mapped_bytes`]).
+fn submit_mapped_kernel(
+    engine: &mut StreamEngine,
+    bus: &mut PcieBusArbiter,
+    stream: u32,
+    label: &str,
+    kernel: &str,
+    seconds: f64,
+    write: Option<MappedWrite>,
+) {
+    let Some(w) = write else {
+        engine.submit_kernel(stream, label, kernel, seconds, 0);
+        return;
+    };
+    let start = engine.earliest_start(stream, StreamOpKind::Kernel, 0.0);
+    let granted = bus.acquire(start + seconds, w.bus_bytes);
+    let held = granted - start + w.seconds;
+    engine.submit_kernel(stream, label, kernel, held, w.bytes);
+}
+
+/// Whether `engine`'s device has nothing in flight at `at`: both engines
+/// have drained, so a launch released then runs alone.
+fn idle(engine: &StreamEngine, at: f64) -> bool {
+    engine.engine_free(EngineKind::Copy) <= at && engine.engine_free(EngineKind::Compute) <= at
+}
+
+/// What a launch's readback adds to its service time: the `d2h` copy,
+/// or the kernel's mapped write-out.
+fn readback_seconds(pcie: &PcieConfig, plan: LaunchPlan, rb_bytes: u64) -> f64 {
+    match plan.mapped {
+        true => pcie.mapped_seconds(rb_bytes as usize).unwrap_or(0.0),
+        false => pcie.copy_seconds(rb_bytes as usize),
+    }
 }
 
 /// Ask the admission controller about an arrival; `Some` = turned away.
@@ -1771,6 +1852,9 @@ struct PendingReadback {
     /// Logical readback bytes (the `d2h` is priced and recorded at this
     /// size; the bus arbiter derives its own traffic from it).
     rb_bytes: u64,
+    /// The kernel wrote the frame into mapped host memory: it lands at
+    /// the kernel's end, with no `d2h`.
+    mapped: bool,
     /// What the readback answers when it lands.
     lands: Landing,
     /// The pooled device buffers, held only to keep the blocks leased;
@@ -2056,10 +2140,11 @@ mod tests {
     /// each side of it. Priced on this workload, staged PFAC is the
     /// cheaper launch up to 230,752 B, so both lines price staged PFAC;
     /// 16 KiB and 48 KiB launches land within 3% of their measured
-    /// `h2d + kernel + d2h` (+1.1%, −0.4%). A call whose batches cannot
-    /// outgrow one round switches kernels at the floor, and each kernel's
-    /// line prices its own side within 3% (+1.1%, +1.7%), where one line
-    /// through both probes errs by more than 5% (+10.9%, −8.1%).
+    /// `h2d + kernel + readback` (+1.7%, −0.6%; on one stream every
+    /// pinned launch maps its frame). A call whose batches cannot outgrow
+    /// one round switches kernels at the floor, and each kernel's line
+    /// prices its own side within 3% (+1.7%, +2.1%), where one line
+    /// through both probes errs by more than 5% (+17.3%, −10.2%).
     #[test]
     fn gpu_cost_model_prices_each_planned_kernel() {
         let m = matcher();
@@ -2072,10 +2157,12 @@ mod tests {
             let choice = KernelChoice::new(&m, &dcfg, &sample);
             let service = |bytes: usize| {
                 let payload: Vec<u8> = sample.iter().copied().cycle().take(bytes).collect();
-                let run = m.run(&payload, choice.kernel(bytes)).unwrap();
+                let plan = choice.plan(bytes, false);
+                assert!(plan.mapped, "one stream maps every pinned launch");
+                let run = m.run(&payload, plan.kernel).unwrap();
                 dcfg.pcie.copy_seconds(bytes)
                     + run.seconds()
-                    + dcfg.pcie.copy_seconds(run.readback_bytes as usize)
+                    + readback_seconds(&dcfg.pcie, plan, run.readback_bytes)
             };
             let priced = priced_pfac_limit(&m, &dcfg, &sample);
             assert_eq!(priced, Some(switch));
@@ -2301,18 +2388,18 @@ mod tests {
             (
                 2,
                 2,
-                &[(28, 35), (27, 29)],
-                0.0006120667940379404,
-                34.032833333333336,
-                48.70520867208679,
+                &[(32, 32), (32, 32)],
+                0.000602078731707317,
+                14.724322493224918,
+                19.56835772357708,
             ),
             (
                 4,
                 1,
-                &[(16, 16), (16, 16), (17, 17), (15, 15)],
-                0.0006120792777777776,
-                24.44934146341464,
-                31.320752032520286,
+                &[(16, 16), (16, 16), (16, 16), (16, 16)],
+                0.0005982209227642276,
+                14.412560975609766,
+                15.518474254742555,
             ),
         ];
         for (devices, streams, per_device, makespan, p50, p99) in pins {
@@ -2367,10 +2454,10 @@ mod tests {
                 (0.00027238999999999996, BreakerState::HalfOpen),
                 (0.00028276099999999997, BreakerState::Open),
                 (0.0005040499999999999, BreakerState::HalfOpen),
-                (0.0005425968143631436, BreakerState::Closed),
+                (0.0005386317913279132, BreakerState::Closed),
             ]
         );
-        assert_eq!(r.makespan_seconds, 0.0006114329766260161);
+        assert_eq!(r.makespan_seconds, 0.000600348493224932);
         assert_eq!(r.p99_latency_us, 69.47593939393943);
     }
 
@@ -2458,7 +2545,9 @@ mod tests {
         // Each segment's readback is held while its kernel runs, so every
         // device's upload is acquired before any readback and none has to
         // backfill ahead of one. The segments must overlap instead of
-        // running one after another.
+        // running one after another, whether their kernels write the
+        // frames into mapped host memory (pinned) or a `d2h` copies them
+        // back (pageable).
         let m = matcher();
         let payload: Vec<u8> = b"the king and her mother were singing a motion "
             .iter()
@@ -2466,36 +2555,58 @@ mod tests {
             .take(512 * 1024)
             .copied()
             .collect();
-        let mut fcfg = FleetConfig::new(4, ServeConfig::new(1));
-        fcfg.shard_bytes = Some(128 * 1024);
-        let fleet = serve_fleet(&m, vec![ScanJob::new(0, payload, 0.0)], &fcfg).unwrap();
-        assert_eq!(fleet.report.scattered_jobs, 1);
-        let first = |t: &StreamTimeline, kind: StreamOpKind| {
-            t.ops.iter().find(|op| op.kind == kind).unwrap().clone()
-        };
-        let first_d2h = fleet
-            .timelines
-            .iter()
-            .map(|t| first(t, StreamOpKind::CopyD2H).start)
-            .fold(f64::INFINITY, f64::min);
-        for (d, t) in fleet.timelines.iter().enumerate() {
-            let h2d = first(t, StreamOpKind::CopyH2D);
+        for pcie in [PcieConfig::gen2_x16(), PcieConfig::gen2_x16_pageable()] {
+            let mut dev = ServeConfig::new(1);
+            dev.pcie = pcie;
+            let mut fcfg = FleetConfig::new(4, dev);
+            fcfg.shard_bytes = Some(128 * 1024);
+            let job = ScanJob::new(0, payload.clone(), 0.0);
+            let fleet = serve_fleet(&m, vec![job], &fcfg).unwrap();
+            assert_eq!(fleet.report.scattered_jobs, 1);
+            let first = |t: &StreamTimeline, kind: StreamOpKind| {
+                t.ops.iter().find(|op| op.kind == kind).unwrap().clone()
+            };
+            // A readback starts when its `d2h` does, or for a mapped frame
+            // at its kernel's end.
+            let first_readback = fleet
+                .timelines
+                .iter()
+                .map(
+                    |t| match t.ops.iter().find(|op| op.kind == StreamOpKind::CopyD2H) {
+                        Some(d2h) => d2h.start,
+                        None => {
+                            let kernel = first(t, StreamOpKind::Kernel);
+                            assert!(kernel.mapped_bytes > 0, "{pcie:?}");
+                            kernel.end - pcie.mapped_seconds(kernel.mapped_bytes as usize).unwrap()
+                        }
+                    },
+                )
+                .fold(f64::INFINITY, f64::min);
+            for (d, t) in fleet.timelines.iter().enumerate() {
+                let h2d = first(t, StreamOpKind::CopyH2D);
+                assert!(
+                    h2d.start < first_readback,
+                    "device {d}'s upload starts at {}s, behind a readback at {first_readback}s",
+                    h2d.start
+                );
+            }
+            // Held `d2h`s are acquired after every upload; a mapped
+            // write-out is reserved with its kernel, and later uploads that
+            // are ready sooner take the gap ahead of it.
+            if !pcie.host_memory.is_pinned() {
+                assert_eq!(fleet.report.bus.backfilled, 0);
+            }
+            // Uploads still share the bus, but the job takes well under
+            // two segments' chains, where serialised shards would take
+            // four.
+            let d0 = &fleet.timelines[0];
+            let chain = d0.total_seconds() - d0.ops[0].start;
+            let latency = fleet.serve.outcomes[0].latency_seconds;
             assert!(
-                h2d.start < first_d2h,
-                "device {d}'s upload starts at {}s, behind a readback at {first_d2h}s",
-                h2d.start
+                latency < 2.0 * chain,
+                "latency {latency}s is not below two segment chains of {chain}s"
             );
         }
-        assert_eq!(fleet.report.bus.backfilled, 0);
-        // Uploads still share the bus, but the job takes well under two
-        // segments' chains, where serialised shards would take four.
-        let d0 = &fleet.timelines[0];
-        let chain = d0.total_seconds() - d0.ops[0].start;
-        let latency = fleet.serve.outcomes[0].latency_seconds;
-        assert!(
-            latency < 2.0 * chain,
-            "latency {latency}s is not below two segment chains of {chain}s"
-        );
     }
 
     #[test]
@@ -2503,6 +2614,9 @@ mod tests {
         // Two sharded jobs at once on two streams per device: the second
         // job's upload must run while the first job's kernel does, not
         // wait on the FIFO copy engine behind the first job's readback.
+        // Pageable memory copies the frames back; with pinned memory the
+        // kernels write them into mapped host memory and the copy engine
+        // carries uploads only.
         let m = matcher();
         let payload: Vec<u8> = b"the king and her mother were singing a motion "
             .iter()
@@ -2514,27 +2628,36 @@ mod tests {
             ScanJob::new(0, payload.clone(), 0.0),
             ScanJob::new(1, payload, 1.0e-6),
         ];
-        let mut fcfg = FleetConfig::new(4, ServeConfig::new(2));
-        fcfg.shard_bytes = Some(64 * 1024);
-        let fleet = serve_fleet(&m, jobs, &fcfg).unwrap();
-        assert_eq!(fleet.report.scattered_jobs, 2);
-        assert_eq!(fleet.serve.report.jobs_completed, 2);
-        for (d, t) in fleet.timelines.iter().enumerate() {
-            let op = |label: &str, kind: StreamOpKind| {
-                t.ops
-                    .iter()
-                    .find(|op| op.label == label && op.kind == kind)
-                    .unwrap()
-                    .clone()
-            };
-            let first_d2h = op(&format!("scatter0-d{d}"), StreamOpKind::CopyD2H);
-            let second_h2d = op(&format!("scatter1-d{d}"), StreamOpKind::CopyH2D);
-            assert!(
-                second_h2d.end <= first_d2h.start,
-                "device {d}: the second upload ends at {}s, after the first readback starts at {}s",
-                second_h2d.end,
-                first_d2h.start
-            );
+        for pcie in [PcieConfig::gen2_x16_pageable(), PcieConfig::gen2_x16()] {
+            let mut dev = ServeConfig::new(2);
+            dev.pcie = pcie;
+            let mut fcfg = FleetConfig::new(4, dev);
+            fcfg.shard_bytes = Some(64 * 1024);
+            let fleet = serve_fleet(&m, jobs.clone(), &fcfg).unwrap();
+            assert_eq!(fleet.report.scattered_jobs, 2);
+            assert_eq!(fleet.serve.report.jobs_completed, 2);
+            let mapped = pcie.host_memory.is_pinned();
+            assert_eq!(fleet.serve.report.mapped_readbacks > 0, mapped);
+            for (d, t) in fleet.timelines.iter().enumerate() {
+                let op = |label: &str, kind: StreamOpKind| {
+                    t.ops
+                        .iter()
+                        .find(|op| op.label == label && op.kind == kind)
+                        .cloned()
+                };
+                let first_d2h = op(&format!("scatter0-d{d}"), StreamOpKind::CopyD2H);
+                let second_h2d = op(&format!("scatter1-d{d}"), StreamOpKind::CopyH2D).unwrap();
+                let Some(first_d2h) = first_d2h else {
+                    assert!(mapped, "device {d}: no readback for the first job");
+                    continue;
+                };
+                assert!(
+                    second_h2d.end <= first_d2h.start,
+                    "device {d}: the second upload ends at {}s, after the first readback starts at {}s",
+                    second_h2d.end,
+                    first_d2h.start
+                );
+            }
         }
     }
 

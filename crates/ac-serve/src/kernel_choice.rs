@@ -1,5 +1,6 @@
-//! The serve call's kernel choice: staged PFAC up to a priced switch
-//! point, the configured kernel beyond it.
+//! The serve call's launch plan: which kernel each launch runs (staged
+//! PFAC up to a priced switch point, the configured kernel beyond it) and
+//! how its match frame comes back to the host.
 //!
 //! [`ac_gpu::Plan::kernel`] switches at one resident round of staged
 //! PFAC's grid, the floor ([`GpuAcMatcher::pfac_limit`]). That rule looks
@@ -7,12 +8,31 @@
 //! the kernel, and PFAC's walk frame is the smaller one, so staged PFAC
 //! stays the cheaper launch well past one round. A serve call therefore
 //! prices both kernels on its own workload ([`priced_pfac_limit`]) and
-//! switches where their price lines cross (DESIGN.md §4l). On one stream
-//! a launch's price is `h2d + kernel + d2h`; on more, one launch's copies
-//! overlap another's kernel, and the busier engine sets the price.
+//! switches where their price lines cross (DESIGN.md §4l).
+//!
+//! A frame comes back one of two ways. By DMA, a `d2h` copy on the copy
+//! engine after the kernel, which pays the link's transfer setup. Mapped,
+//! the kernel writes it straight into the pinned host buffer the launch
+//! leases (CUDA's mapped pinned memory) at the link's bandwidth with no
+//! setup, on the compute engine after its last cycle (DESIGN.md §3b).
+//! Pageable host memory cannot be mapped. A launch that runs alone, on
+//! one stream or on an idle device, is priced by its latency: `h2d +
+//! kernel + d2h` by DMA and `h2d + kernel + frame / bw` mapped, so it
+//! always maps and saves the copy's setup. On more streams one launch's
+//! copies overlap another's kernel and the busier engine sets the price:
+//! `max(h2d + d2h, kernel)` by DMA. Such a launch maps only while its
+//! kernel and write-out fit under its upload, so the copy engine still
+//! sets its price (`h2d`). Where the write-out would make the compute
+//! engine the busier one, the launch keeps DMA: that trade looks cheaper
+//! in steady state (`kernel + frame / bw` against `h2d + d2h`), but in a
+//! short burst the compute engine also waits for the first upload, and on
+//! scan-2k's 64-job overload burst the plain comparison cost 8.7% of
+//! capacity. Each kernel is priced by its path, and each launch's plan
+//! ([`LaunchPlan`]) is decided before it runs from the walk's probes,
+//! never from its own frame.
 
 use crate::sim::ServeConfig;
-use ac_gpu::{Approach, GpuAcMatcher, PcieConfig, RunOptions};
+use ac_gpu::{Approach, GpuAcMatcher, PcieConfig, Plan, ProbeCost};
 use std::cell::RefCell;
 
 /// The longest price probe: probes run up to `min(max_bytes, this)`.
@@ -31,37 +51,74 @@ pub fn priced_pfac_limit(
     cfg: &ServeConfig,
     sample: &[u8],
 ) -> Option<usize> {
-    let mut walk = PriceWalk::new(matcher, cfg, sample)?;
+    let mut walk = PriceWalk::new(matcher, cfg, sample).filter(|w| w.switches)?;
     walk.cover(usize::MAX);
     Some(walk.limit())
 }
 
-/// The kernel a server configured as `cfg` runs for a `len`-byte
-/// launch, priced on `sample`: what a serve call whose longest launch is
-/// `len` bytes decides.
-pub fn priced_kernel(
+/// How a server configured as `cfg` runs a `len`-byte launch that
+/// overlaps others on its device, priced on `sample`: what a serve call
+/// whose longest launch is `len` bytes decides.
+pub fn priced_launch(
     matcher: &GpuAcMatcher,
     cfg: &ServeConfig,
     sample: &[u8],
     len: usize,
-) -> Approach {
-    KernelChoice::new(matcher, cfg, sample).kernel(len)
+) -> LaunchPlan {
+    KernelChoice::new(matcher, cfg, sample).plan(len, false)
 }
 
-/// Prices staged PFAC against the configured kernel at growing launch
-/// lengths, as far as the launches it is asked about need.
+/// How one launch runs: its kernel, and whether the kernel writes its
+/// frame into mapped host memory instead of a `d2h` copy reading it back.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct LaunchPlan {
+    /// The kernel the launch runs.
+    pub kernel: Approach,
+    /// The kernel writes its frame straight into mapped pinned host
+    /// memory (no `d2h`).
+    pub mapped: bool,
+}
+
+/// A launch's price by each readback path (see the module docs); no
+/// mapped price for pageable host memory.
+#[derive(Debug, Clone, Copy)]
+struct Price {
+    dma: f64,
+    mapped: Option<f64>,
+}
+
+impl Price {
+    fn maps(self) -> bool {
+        self.mapped.is_some_and(|m| m < self.dma)
+    }
+
+    /// The price by the cheaper path.
+    fn best(self) -> f64 {
+        if self.maps() {
+            self.mapped.unwrap_or(self.dma)
+        } else {
+            self.dma
+        }
+    }
+}
+
+/// Prices launches at growing lengths, as far as the launches it is
+/// asked about need: staged PFAC against the configured kernel for the
+/// switch point, and each kernel's readback paths.
 ///
-/// Each probe runs both kernels off the simulated clock over `sample`
-/// cycled to size, with any armed fault plan set aside, and prices each
-/// launch ([`PriceWalk::price`]). The first probe is at the floor
-/// ([`GpuAcMatcher::pfac_limit`]); the others double up to `far =
-/// min(max_bytes, PRICE_PROBE_MAX_BYTES)` (`far / 2^k` from the first at
-/// least twice the floor, then `far`). The walk stops at the first probe
-/// where staged PFAC is not the cheaper launch. Between two probes each
-/// kernel's price is the line through them, so the switch point is where
-/// the lines of the last two probes cross: inside the segment where PFAC
-/// lost, or a forecast past the last probe when it has not lost yet
-/// (`usize::MAX` when those lines never cross).
+/// Each probe runs a kernel off the simulated clock over `sample` cycled
+/// to size, with any armed fault plan set aside
+/// ([`GpuAcMatcher::probe`], memoized on the matcher), and prices the
+/// launch ([`PriceWalk::price`]). The first probe is at the floor, one
+/// resident round of staged PFAC's grid ([`Plan::pfac_limit`]); the
+/// others double up to `far = min(max_bytes, PRICE_PROBE_MAX_BYTES)`
+/// (`far / 2^k` from the first at least twice the floor, then `far`).
+/// The switch walk stops at the first probe where staged PFAC is not the
+/// cheaper launch. Between two probes each kernel's price is the line
+/// through them, so the switch point is where the lines of the last two
+/// probes cross: inside the segment where PFAC lost, or a forecast past
+/// the last probe when it has not lost yet (`usize::MAX` when those lines
+/// never cross).
 ///
 /// A kernel's host cost grows with the work it simulates, so the walk
 /// probes no further than it must. It stops at the switch point, and
@@ -78,6 +135,9 @@ pub(crate) struct PriceWalk<'a> {
     pcie: PcieConfig,
     /// More than one stream: copies overlap kernels.
     overlapped: bool,
+    /// Whether the call switches kernels at all: not when `configured` is
+    /// already PFAC or the matcher has no PFAC tables.
+    switches: bool,
     floor: usize,
     /// Probe lengths, ascending, the floor first.
     lengths: Vec<usize>,
@@ -89,14 +149,15 @@ pub(crate) struct PriceWalk<'a> {
 }
 
 impl<'a> PriceWalk<'a> {
-    /// A walk that has probed nothing yet; `None` when the matcher never
-    /// switches kernels.
+    /// A walk that has probed nothing yet; `None` with pinned launch
+    /// params, which plan no rounds.
     pub(crate) fn new(
         matcher: &'a GpuAcMatcher,
         cfg: &ServeConfig,
         sample: &'a [u8],
     ) -> Option<Self> {
-        let floor = matcher.pfac_limit(cfg.approach)?;
+        let floor =
+            Plan::pfac_limit(matcher.params(), matcher.config(), matcher.automaton())? as usize;
         let far = cfg.limits.max_bytes.min(PRICE_PROBE_MAX_BYTES);
         let mut lengths = vec![floor];
         if !sample.is_empty() {
@@ -114,6 +175,7 @@ impl<'a> PriceWalk<'a> {
             sample,
             pcie: cfg.effective_pcie(),
             overlapped: cfg.streams > 1,
+            switches: matcher.pfac_limit(cfg.approach).is_some(),
             floor,
             lengths,
             leads: Vec::new(),
@@ -128,15 +190,16 @@ impl<'a> PriceWalk<'a> {
             && self
                 .leads
                 .last()
-                .is_none_or(|l| l.1 < 0.0 && (l.0 as usize) < len)
+                .is_none_or(|l| l.1 <= 0.0 && (l.0 as usize) < len)
         {
             let Some(&bytes) = self.lengths.get(self.leads.len()) else {
                 return;
             };
-            match (
-                self.price(Approach::PfacStaged, bytes),
-                self.price(self.configured, bytes),
-            ) {
+            let best = |approach| {
+                let cost = self.matcher.probe(approach, self.sample, bytes)?;
+                Some(self.price(bytes, cost).best())
+            };
+            match (best(Approach::PfacStaged), best(self.configured)) {
                 (Some(pfac), Some(other)) => self.leads.push((bytes as f64, pfac - other)),
                 _ => self.failed = true,
             }
@@ -154,41 +217,93 @@ impl<'a> PriceWalk<'a> {
             _ => return self.floor,
         };
         let closing = (last.1 - before.1) / (last.0 - before.0);
-        if last.1 < 0.0 && closing <= 0.0 {
+        if last.1 <= 0.0 && closing <= 0.0 {
             return usize::MAX;
         }
         // `as` saturates, so a crossing past `usize::MAX` stays unbounded.
         ((last.0 - last.1 / closing) as usize).max(self.floor)
     }
 
-    /// A `bytes`-long launch's price: `h2d + kernel + d2h` on one stream,
-    /// where each launch waits for the last. On more streams the copy
-    /// engine moves one launch's bytes while another's kernel runs, so
-    /// the busier engine sets the price: `max(h2d + d2h, kernel)`.
-    fn price(&self, approach: Approach, bytes: usize) -> Option<f64> {
-        let payload: Vec<u8> = self.sample.iter().copied().cycle().take(bytes).collect();
-        let run = self
-            .matcher
-            .without_faults(|m| m.run_opts(&payload, approach, RunOptions::default()))
-            .ok()?;
-        let copies =
-            self.pcie.copy_seconds(bytes) + self.pcie.copy_seconds(run.readback_bytes as usize);
-        Some(if self.overlapped {
-            copies.max(run.seconds())
+    /// A `bytes`-long launch's price by each readback path (see the
+    /// module docs), from its kernel time and frame length. Overlapped,
+    /// the mapped path is priced only where the kernel and its write-out
+    /// fit under the upload.
+    fn price(&self, bytes: usize, cost: ProbeCost) -> Price {
+        let h2d = self.pcie.copy_seconds(bytes);
+        let copies = h2d + self.pcie.copy_seconds(cost.readback_bytes as usize);
+        let written = self.pcie.mapped_seconds(cost.readback_bytes as usize);
+        if self.overlapped {
+            Price {
+                dma: copies.max(cost.seconds),
+                mapped: written.filter(|w| cost.seconds + w <= h2d).map(|_| h2d),
+            }
         } else {
-            copies + run.seconds()
+            Price {
+                dma: copies + cost.seconds,
+                mapped: written.map(|w| h2d + cost.seconds + w),
+            }
+        }
+    }
+
+    /// Whether a `len`-byte launch of `kernel` maps its frame: priced at
+    /// its length from the kernel's own probes ([`PriceWalk::cost_at`]).
+    /// A launch that runs `alone`, or on one stream, is priced by its
+    /// latency, where the mapped price is the DMA price less the copy's
+    /// setup whatever the launch costs, so no probe is needed; pageable
+    /// memory never maps. A failed probe keeps DMA.
+    fn maps(&self, kernel: Approach, len: usize, alone: bool) -> bool {
+        if self.pcie.mapped_seconds(0).is_none() {
+            return false;
+        }
+        if alone || !self.overlapped {
+            return true;
+        }
+        self.cost_at(kernel, len)
+            .is_some_and(|cost| self.price(len, cost).maps())
+    }
+
+    /// What a `len`-byte launch of `kernel` costs by the walk's probe
+    /// lengths. A launch that fits one round costs about one round
+    /// whatever its length: the floor probe's kernel time, with its frame
+    /// scaled to the launch. A longer one takes the line through the
+    /// probes on either side of it (past the last, through the last two;
+    /// with no other length, the floor probe scaled).
+    fn cost_at(&self, kernel: Approach, len: usize) -> Option<ProbeCost> {
+        let probe = |l: usize| self.matcher.probe(kernel, self.sample, l);
+        let scale = len as f64 / self.floor.max(1) as f64;
+        if len <= self.floor || self.lengths.len() < 2 {
+            let c = probe(self.floor)?;
+            return Some(ProbeCost {
+                seconds: c.seconds * scale.max(1.0),
+                readback_bytes: (c.readback_bytes as f64 * scale).round() as u64,
+            });
+        }
+        let i = self
+            .lengths
+            .partition_point(|&l| l < len)
+            .min(self.lengths.len() - 1);
+        let (l0, l1) = (self.lengths[i - 1], self.lengths[i]);
+        let (c0, c1) = (probe(l0)?, probe(l1)?);
+        let t = (len - l0) as f64 / (l1 - l0) as f64;
+        let along = |a: f64, b: f64| a + t * (b - a);
+        Some(ProbeCost {
+            seconds: along(c0.seconds, c1.seconds),
+            readback_bytes: along(c0.readback_bytes as f64, c1.readback_bytes as f64).round()
+                as u64,
         })
     }
 }
 
-/// One serve call's kernel choice: staged PFAC up to the floor from the
+/// One serve call's launch plans: staged PFAC up to the floor from the
 /// start, and past it as far as the call's [`PriceWalk`] finds staged
-/// PFAC the cheaper launch. The walk starts on first need, when a launch
-/// (or a cost-model probe) outgrows the floor, so a call whose launches
-/// all fit one round never pays for it.
+/// PFAC the cheaper launch, each launch reading back by its cheaper
+/// path. The switch walk starts on first need, when a launch (or a
+/// cost-model probe) outgrows the floor, so a call whose launches all fit
+/// one round never pays for it.
 pub(crate) struct KernelChoice<'a> {
     configured: Approach,
-    /// `None` when the call never switches kernels.
+    /// `None` with pinned launch params: every launch runs the configured
+    /// kernel and reads back by DMA.
     walk: Option<RefCell<PriceWalk<'a>>>,
 }
 
@@ -205,27 +320,37 @@ impl<'a> KernelChoice<'a> {
     /// extended to cover `len` when `len` outgrows the floor (the floor
     /// itself until the walk starts); `None` when the call never
     /// switches.
-    pub(crate) fn limit(&self, len: usize) -> Option<usize> {
+    fn limit(&self, len: usize) -> Option<usize> {
         let mut walk = self.walk.as_ref()?.borrow_mut();
+        if !walk.switches {
+            return None;
+        }
         if len > walk.floor {
             walk.cover(len);
         }
         Some(walk.limit())
     }
 
-    /// The kernel a `len`-byte launch runs.
-    pub(crate) fn kernel(&self, len: usize) -> Approach {
-        match self.limit(len) {
+    /// How a `len`-byte launch runs; `alone` when it finds its device
+    /// idle, so that no other launch overlaps it and its latency is its
+    /// price.
+    pub(crate) fn plan(&self, len: usize, alone: bool) -> LaunchPlan {
+        let kernel = match self.limit(len) {
             Some(limit) if len <= limit => Approach::PfacStaged,
             _ => self.configured,
-        }
+        };
+        let mapped = self
+            .walk
+            .as_ref()
+            .is_some_and(|w| w.borrow().maps(kernel, len, alone));
+        LaunchPlan { kernel, mapped }
     }
 
     /// The switch point the call priced, once a launch has needed one:
     /// as far as its walk probed, so past the last probe a forecast.
     pub(crate) fn priced(&self) -> Option<usize> {
         let walk = self.walk.as_ref()?.borrow();
-        (!walk.leads.is_empty()).then(|| walk.limit())
+        (walk.switches && !walk.leads.is_empty()).then(|| walk.limit())
     }
 }
 

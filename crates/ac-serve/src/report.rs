@@ -149,6 +149,16 @@ pub struct ServeReport {
     /// choice).
     #[serde(default)]
     pub pfac_limit_bytes: Option<u64>,
+    /// GPU batches and scatter segments whose kernel wrote its readback
+    /// frame straight into mapped pinned host memory, with no `d2h` copy
+    /// (`#[serde(default)]`: absent in reports from before mapped
+    /// readback).
+    #[serde(default)]
+    pub mapped_readbacks: u64,
+    /// GPU batches and scatter segments whose frame a `d2h` copy read
+    /// back (`#[serde(default)]`, like `mapped_readbacks`).
+    #[serde(default)]
+    pub dma_readbacks: u64,
 }
 
 impl ServeReport {
@@ -273,6 +283,19 @@ impl ServeReport {
                 limit,
             );
         }
+        if self.mapped_readbacks + self.dma_readbacks > 0 {
+            for (path, launches) in [
+                ("mapped", self.mapped_readbacks),
+                ("dma", self.dma_readbacks),
+            ] {
+                snap.push_labelled(
+                    "acsim_serve_readbacks",
+                    "GPU batches and scatter segments by readback path",
+                    vec![("path".to_string(), path.to_string())],
+                    launches,
+                );
+            }
+        }
         for (kernel, launches) in &self.kernel_launches {
             snap.push_labelled(
                 "acsim_serve_kernel_launches",
@@ -350,6 +373,8 @@ mod tests {
                 ("shared-diagonal".to_string(), 1),
             ]),
             pfac_limit_bytes: Some(u64::MAX),
+            mapped_readbacks: 2,
+            dma_readbacks: 1,
         };
         let back = ServeReport::from_json(&r.to_json()).unwrap();
         assert_eq!(back, r);
@@ -458,6 +483,22 @@ mod tests {
         assert!(snap
             .to_prometheus()
             .contains("acsim_serve_kernel_launches{kernel=\"pfac\"} 7"));
+        // No launch → no readback-path series; a launch → both paths.
+        assert!(snap
+            .get("acsim_serve_readbacks", &[("path", "dma")])
+            .is_none());
+        let mapped = ServeReport {
+            mapped_readbacks: 5,
+            ..ServeReport::default()
+        };
+        let snap = mapped.to_metrics();
+        let path = |p: &str| {
+            snap.get("acsim_serve_readbacks", &[("path", p)])
+                .unwrap()
+                .value
+        };
+        assert_eq!(path("mapped"), 5u64.into());
+        assert_eq!(path("dma"), 0u64.into());
         // Nothing priced → no switch-point gauge.
         assert!(snap.get("acsim_serve_pfac_limit_bytes", &[]).is_none());
         let priced = ServeReport {
@@ -506,6 +547,8 @@ mod tests {
             pool: None,
             kernel_launches: BTreeMap::new(),
             pfac_limit_bytes: None,
+            mapped_readbacks: 0,
+            dma_readbacks: 0,
         };
         let resilience_keys = [
             "\"jobs_expired\"",

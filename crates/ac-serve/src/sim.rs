@@ -96,8 +96,9 @@ pub struct ServeConfig {
     /// prices for its length ([`crate::kernel_choice`]): staged PFAC up
     /// to the length where its price line crosses this kernel's (never
     /// below one resident round), this kernel beyond it. The price is
-    /// `h2d + kernel + d2h` on one stream and `max(h2d + d2h, kernel)`
-    /// on more.
+    /// `h2d + kernel + readback` on one stream and the busier engine's
+    /// load on more, each launch reading back by `d2h` or by its kernel's
+    /// mapped write-out, whichever its plan prices cheaper.
     /// Pinned params ([`ac_gpu::KernelParams::paper`]) and a matcher
     /// without PFAC tables always run this kernel.
     pub approach: Approach,
@@ -273,16 +274,21 @@ mod tests {
         assert!(run.outcomes.iter().all(|o| o.latency_seconds > 0.0));
         let hist_total: u64 = run.report.batch_histogram.iter().map(|b| b.count).sum();
         assert_eq!(hist_total, run.report.batches);
-        // The report's readback total is what the `d2h` ops copied.
-        let d2h_bytes: u64 = run
+        // The report's readback total is what the `d2h` ops copied plus
+        // what mapped kernels wrote, one frame of at least 36 B per batch.
+        let read_back: u64 = run
             .timeline
             .ops
             .iter()
-            .filter(|op| op.kind == StreamOpKind::CopyD2H)
-            .map(|op| op.bytes)
+            .map(|op| match op.kind {
+                StreamOpKind::CopyD2H => op.bytes,
+                _ => op.mapped_bytes,
+            })
             .sum();
-        assert_eq!(run.report.readback_bytes, d2h_bytes);
-        assert!(d2h_bytes >= 36 * run.report.batches);
+        assert_eq!(run.report.readback_bytes, read_back);
+        assert!(read_back >= 36 * run.report.batches);
+        let r = &run.report;
+        assert_eq!(r.mapped_readbacks + r.dma_readbacks, r.batches);
     }
 
     #[test]
@@ -388,6 +394,43 @@ mod tests {
     }
 
     #[test]
+    fn corrupted_mapped_frames_are_caught_retried_and_charged() {
+        let m = matcher();
+        let jobs = tiny_workload();
+        let cfg = ServeConfig::new(1);
+        let clean = serve(&m, jobs.clone(), &cfg).unwrap();
+        // A bit flip in the first frame the first kernel writes into
+        // mapped host memory: the frame's CRC catches it, the supervisor
+        // relaunches the batch, and the retry's backoff is on the clock.
+        m.set_fault_plan(FaultPlan::none().with_readback_flip(0, 77));
+        let faulted = serve(&m, jobs.clone(), &cfg).unwrap();
+        let fired = m.fault_log();
+        m.clear_fault_plan();
+        assert_eq!(fired.len(), 1);
+        assert_eq!(fired[0].kind, gpu_sim::FaultKind::ReadbackBitFlip);
+        for run in [&clean, &faulted] {
+            let r = &run.report;
+            assert_eq!((r.mapped_readbacks, r.dma_readbacks), (r.batches, 0));
+        }
+        let r = &faulted.report;
+        assert_eq!(
+            (r.faults_fired, r.gpu_retries, r.cpu_fallback_batches),
+            (1, 1, 0)
+        );
+        assert_eq!(r.jobs_completed, r.jobs_submitted);
+        let done = |run: &ServeRun| {
+            let o = run
+                .outcomes
+                .iter()
+                .find(|o| o.id == 0)
+                .expect("job 0 served");
+            o.completed_seconds
+        };
+        assert!(done(&faulted) > done(&clean));
+        assert_oracle_matches(&m, &jobs, &faulted);
+    }
+
+    #[test]
     fn exhausted_retries_fail_over_and_trip_the_breaker() {
         let m = matcher();
         // Every launch fails: with a zero retry budget each GPU batch
@@ -419,9 +462,9 @@ mod tests {
     #[test]
     fn overdue_jobs_expire_as_typed_outcomes() {
         let m = matcher();
-        // A burst at t=0 with deadlines only one job can meet on a
-        // per-job single-stream server.
-        let jobs: Vec<ScanJob> = (0..6)
+        // A burst at t=0 with deadlines only the first few jobs can meet
+        // on a per-job single-stream server.
+        let jobs: Vec<ScanJob> = (0..12)
             .map(|id| ScanJob::new(id, vec![b'x'; 32 * 1024], 0.0).with_deadline(100.0e-6))
             .collect();
         let cfg = ServeConfig::new(1).per_job();
@@ -657,47 +700,60 @@ mod tests {
     #[test]
     fn finished_readbacks_issue_at_kernel_end_under_sparse_arrivals() {
         let m = matcher();
-        let cfg = ServeConfig::new(2);
-        let light = serve(&m, workload_at(4_000), &cfg).unwrap();
-        assert!(light.outcomes.iter().all(|o| o.batch_jobs == 1));
-        // Arrivals are far apart, so no later upload may sit between a
-        // kernel and its readback: every `d2h` starts as its kernel ends,
-        // and the job completes when that `d2h` does.
-        let op = |label: &str, kind: StreamOpKind| {
-            light
-                .timeline
-                .ops
-                .iter()
-                .find(|o| o.label == label && o.kind == kind)
-                .unwrap_or_else(|| panic!("{label} has no {kind:?}"))
-                .clone()
-        };
-        for b in 0..light.report.batches {
-            let label = format!("batch{b}");
-            let kernel = op(&label, StreamOpKind::Kernel);
-            let d2h = op(&label, StreamOpKind::CopyD2H);
-            assert_eq!(d2h.start, kernel.end, "{label} readback waited");
+        // Pinned memory maps every frame; pageable memory copies it back.
+        for pcie in [PcieConfig::gen2_x16(), PcieConfig::gen2_x16_pageable()] {
+            let mut cfg = ServeConfig::new(2);
+            cfg.pcie = pcie;
+            let mapped = pcie.host_memory.is_pinned();
+            let light = serve(&m, workload_at(4_000), &cfg).unwrap();
+            assert!(light.outcomes.iter().all(|o| o.batch_jobs == 1));
+            // Arrivals are far apart, so no later upload may sit between
+            // a kernel and its readback: every `d2h` starts as its kernel
+            // ends, and the job completes when that `d2h` does. A mapped
+            // frame is in host memory when its kernel op ends.
+            let op = |label: &str, kind: StreamOpKind| {
+                light
+                    .timeline
+                    .ops
+                    .iter()
+                    .find(|o| o.label == label && o.kind == kind)
+                    .cloned()
+            };
+            for b in 0..light.report.batches {
+                let label = format!("batch{b}");
+                let kernel = op(&label, StreamOpKind::Kernel).expect("every batch runs");
+                assert_eq!(kernel.mapped_bytes > 0, mapped, "{label}");
+                match op(&label, StreamOpKind::CopyD2H) {
+                    Some(d2h) => assert_eq!(d2h.start, kernel.end, "{label} readback waited"),
+                    None => assert!(mapped, "{label} has no readback"),
+                }
+            }
+            let landing = if mapped {
+                StreamOpKind::Kernel
+            } else {
+                StreamOpKind::CopyD2H
+            };
+            for o in &light.outcomes {
+                let lands = light
+                    .timeline
+                    .ops
+                    .iter()
+                    .filter(|op| op.kind == landing)
+                    .find(|op| op.end == o.completed_seconds);
+                assert!(lands.is_some(), "job {} completed off a readback", o.id);
+            }
+            // Fewer arrivals must not make a job wait longer: the same
+            // payloads at a third of the rate see no higher latency.
+            let busier = serve(&m, workload_at(12_000), &cfg).unwrap();
+            assert!(
+                light.report.p50_latency_us <= busier.report.p50_latency_us + 1e-9,
+                "p50 {}us at 4k jobs/s vs {}us at 12k",
+                light.report.p50_latency_us,
+                busier.report.p50_latency_us
+            );
+            assert!(light.report.mean_latency_us <= busier.report.mean_latency_us + 1e-9);
+            assert_oracle_matches(&m, &workload_at(4_000), &light);
         }
-        for o in &light.outcomes {
-            let d2h = light
-                .timeline
-                .ops
-                .iter()
-                .filter(|op| op.kind == StreamOpKind::CopyD2H)
-                .find(|op| op.end == o.completed_seconds);
-            assert!(d2h.is_some(), "job {} completed off a readback", o.id);
-        }
-        // Fewer arrivals must not make a job wait longer: the same
-        // payloads at a third of the rate see no higher latency.
-        let busier = serve(&m, workload_at(12_000), &cfg).unwrap();
-        assert!(
-            light.report.p50_latency_us <= busier.report.p50_latency_us + 1e-9,
-            "p50 {}us at 4k jobs/s vs {}us at 12k",
-            light.report.p50_latency_us,
-            busier.report.p50_latency_us
-        );
-        assert!(light.report.mean_latency_us <= busier.report.mean_latency_us + 1e-9);
-        assert_oracle_matches(&m, &workload_at(4_000), &light);
     }
 
     /// Jobs cut from a fixed text: `(gap_us, len)` per job, arrivals
@@ -770,6 +826,55 @@ mod tests {
             } else {
                 proptest::prop_assert!(!pooled);
             }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(16))]
+
+        /// Pinned pooled memory maps frames and pageable (churn) memory
+        /// copies them back; either way, faults armed or not, every job
+        /// gets one terminal event with the oracle's matches, every GPU
+        /// launch reads back exactly one way, and the frames the report
+        /// counts are the `d2h` copies plus the mapped writes.
+        #[test]
+        fn both_readback_paths_answer_every_job_once(
+            arrivals in proptest::collection::vec((0u32..400, 1usize..1500), 1..8),
+            streams in proptest::sample::select(vec![1u32, 2, 4]),
+            pinned in proptest::prelude::any::<bool>(),
+            fault_seed in 0u64..16,
+        ) {
+            let m = matcher();
+            let jobs = jobs_from(&arrivals);
+            let pool = if pinned {
+                ServePoolConfig::pooled(DEFAULT_POOL_CAPACITY)
+            } else {
+                ServePoolConfig::churn(DEFAULT_POOL_CAPACITY)
+            };
+            // Seeds 0..8 arm a generated plan; 8..16 run clean.
+            if fault_seed < 8 {
+                m.set_fault_plan(FaultPlan::generate(fault_seed));
+            }
+            let run = serve(&m, jobs.clone(), &ServeConfig::new(streams).with_pool(pool));
+            m.clear_fault_plan();
+            let run = run.unwrap();
+            assert_one_terminal_event_each(&m, &jobs, &run);
+            let r = &run.report;
+            let launches: u64 = r.kernel_launches.values().sum();
+            proptest::prop_assert_eq!(r.mapped_readbacks + r.dma_readbacks, launches);
+            if !pinned {
+                proptest::prop_assert_eq!(r.mapped_readbacks, 0);
+            }
+            let read_back: u64 = run
+                .timeline
+                .ops
+                .iter()
+                .map(|op| match op.kind {
+                    StreamOpKind::CopyD2H => op.bytes,
+                    _ => op.mapped_bytes,
+                })
+                .sum();
+            proptest::prop_assert_eq!(read_back, r.readback_bytes);
         }
     }
 

@@ -18,7 +18,7 @@
 //! * Two multi-round scans ([`PRICED_SIZE`]) at the same two
 //!   dictionaries, past staged PFAC's one round. The planned row runs the
 //!   kernel a serve call would choose for the launch, priced on the row's
-//!   own input ([`ac_serve::priced_kernel`]): staged PFAC at both.
+//!   own input ([`ac_serve::priced_launch`]): staged PFAC at both.
 //!
 //! [`check_launch_planning`] is the gate-table entry ([`crate::gates`])
 //! that keeps the gains: the planned rows must beat the paper rows by
@@ -28,7 +28,7 @@
 use crate::measure::{Engine, EngineConfig, Measurements};
 use crate::report::BenchReport;
 use ac_gpu::{Approach, GpuAcMatcher, KernelParams};
-use ac_serve::{priced_kernel, ServeConfig};
+use ac_serve::{priced_launch, ServeConfig};
 use corpus::ExperimentGrid;
 
 /// Input size of the scenario: several resident rounds at 128 threads.
@@ -114,7 +114,7 @@ pub fn launch_plan_measurements(verbose: bool) -> Result<Measurements, String> {
         )?;
         let input = engine.workload().input(size);
         let approach = if size == PRICED_SIZE {
-            priced_kernel(&planned, &ServeConfig::new(1), input, size)
+            priced_launch(&planned, &ServeConfig::new(1), input, size).kernel
         } else {
             planned.plan_kernel(Approach::SharedDiagonal, size)
         };
@@ -238,6 +238,45 @@ mod tests {
                 _ => assert_eq!(limit, usize::MAX, "{patterns} patterns"),
             }
         }
+    }
+
+    /// The launch plan at three points on the figure corpus, for a
+    /// launch that overlaps others. A 2 KiB batch on the four-stream
+    /// server maps its frame: its kernel and write-out fit under its
+    /// upload. Pageable host memory never maps. A 256 KiB staged PFAC
+    /// launch at 20,000 patterns on the scan workloads' two streams keeps
+    /// DMA: its kernel alone outlasts its upload (92.7 µs against
+    /// 53.7 µs), so a mapped write-out would lengthen the busier engine.
+    #[test]
+    fn launch_plans_map_small_batches_and_keep_dma_where_compute_binds() {
+        let engine = Engine::new(EngineConfig::new(ExperimentGrid {
+            sizes: vec![256 << 10],
+            pattern_counts: vec![SERVE_PATTERNS],
+        }));
+        let workload = engine.workload();
+        let gpu = GpuConfig::gtx285();
+        let matcher = |patterns| {
+            let ac = workload.automaton(patterns);
+            GpuAcMatcher::new(gpu, KernelParams::defaults_for(&gpu), ac).unwrap()
+        };
+        let small = matcher(SERVE_PATTERNS);
+        let batch = workload.input(2 << 10);
+        let plan = priced_launch(&small, &ServeConfig::new(4), batch, batch.len());
+        assert_eq!((plan.kernel, plan.mapped), (Approach::PfacStaged, true));
+        let mut pageable = ServeConfig::new(4);
+        pageable.pcie = ac_gpu::PcieConfig::gen2_x16_pageable();
+        for streams in [1, 4] {
+            pageable.streams = streams;
+            let plan = priced_launch(&small, &pageable, batch, batch.len());
+            assert!(!plan.mapped, "{streams} stream(s)");
+        }
+        let scan = matcher(ONE_ROUND_PATTERNS);
+        let mut cfg = ServeConfig::new(2);
+        cfg.approach = Approach::PfacStaged;
+        cfg.limits.max_bytes = 256 << 10;
+        let launch = workload.input(256 << 10);
+        let plan = priced_launch(&scan, &cfg, launch, launch.len());
+        assert_eq!((plan.kernel, plan.mapped), (Approach::PfacStaged, false));
     }
 
     fn row(approach: &str, gbps: f64) -> BenchRow {

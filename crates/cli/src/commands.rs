@@ -597,8 +597,9 @@ fn serve_scenario(
 }
 
 /// Render the `kernels:` line: GPU batches and scatter segments per
-/// kernel the serve call chose, and the priced switch point when a launch
-/// needed one. Omitted when nothing ran on a GPU.
+/// kernel the serve call chose, the priced switch point when a launch
+/// needed one, and the launches per readback path (mapped or `d2h`).
+/// Omitted when nothing ran on a GPU.
 fn write_kernel_launches(report: &ac_serve::ServeReport, out: &mut String) {
     if report.kernel_launches.is_empty() {
         return;
@@ -615,8 +616,10 @@ fn write_kernel_launches(report: &ac_serve::ServeReport, out: &mut String) {
     };
     let _ = writeln!(
         out,
-        "  kernels:     {} (launches{switch})",
-        counts.join(", ")
+        "  kernels:     {} (launches{switch}); readbacks mapped {}, dma {}",
+        counts.join(", "),
+        report.mapped_readbacks,
+        report.dma_readbacks
     );
 }
 

@@ -107,6 +107,16 @@ pub struct ScheduledOp {
     /// `shared-diagonal`, …); traces carry it as a `kernel` arg.
     #[serde(default)]
     pub kernel: Option<String>,
+    /// Bytes a kernel op wrote straight into mapped pinned host memory
+    /// after its last cycle, within the op (0 for a kernel whose frame a
+    /// `d2h` copies back, and for copies); traces carry it as a
+    /// `mapped_bytes` arg.
+    #[serde(default, skip_serializing_if = "is_zero")]
+    pub mapped_bytes: u64,
+}
+
+fn is_zero(bytes: &u64) -> bool {
+    *bytes == 0
 }
 
 impl ScheduledOp {
@@ -207,17 +217,20 @@ impl StreamEngine {
     }
 
     /// Submit a kernel op released at time 0 that records which kernel
-    /// ran ([`ScheduledOp::kernel`]).
+    /// ran ([`ScheduledOp::kernel`]) and the bytes it wrote into mapped
+    /// host memory within its `seconds` ([`ScheduledOp::mapped_bytes`]).
     pub fn submit_kernel(
         &mut self,
         stream: u32,
         label: &str,
         kernel: &str,
         seconds: f64,
+        mapped_bytes: u64,
     ) -> ScheduledOp {
         self.submit(stream, StreamOpKind::Kernel, label, seconds, 0);
         let op = self.ops.last_mut().expect("submit pushed the op");
         op.kernel = Some(kernel.to_string());
+        op.mapped_bytes = mapped_bytes;
         op.clone()
     }
 
@@ -257,6 +270,7 @@ impl StreamEngine {
             end,
             bytes,
             kernel: None,
+            mapped_bytes: 0,
         };
         self.ops.push(op.clone());
         op
@@ -377,6 +391,9 @@ impl StreamTimeline {
             }
             if let Some(kernel) = &op.kernel {
                 args.push(("kernel".to_string(), ArgValue::Str(kernel.clone())));
+            }
+            if op.mapped_bytes > 0 {
+                args.push(("mapped_bytes".to_string(), ArgValue::U64(op.mapped_bytes)));
             }
             tb.span(
                 &format!("{}:{}", op.kind.label(), op.label),
@@ -578,7 +595,7 @@ mod tests {
     fn kernel_ops_name_their_kernel_and_engines_report_free_times() {
         let mut e = StreamEngine::new(2);
         e.submit(0, StreamOpKind::CopyH2D, "b0", 2.0, 64);
-        let op = e.submit_kernel(0, "b0", "pfac", 3.0);
+        let op = e.submit_kernel(0, "b0", "pfac", 3.0, 0);
         assert_eq!((op.start, op.end), (2.0, 5.0));
         assert_eq!(op.kind, StreamOpKind::Kernel);
         assert_eq!(op.kernel.as_deref(), Some("pfac"));
