@@ -303,7 +303,7 @@ impl GpuAcMatcher {
             pfac: clone_cell(&self.pfac),
             banded: clone_cell(&self.banded),
             fault: Mutex::new(None),
-            probes: Mutex::new(self.probes.lock().unwrap().clone()),
+            probes: Mutex::default(),
         }
     }
 

@@ -1588,8 +1588,9 @@ fn launch(
         let readback = readback_seconds(&st.pcie, plan, rb_bytes);
         r.models[dev].observe(bytes as usize, h2d + seconds + readback, r.refine_alpha);
     }
-    // Held while the kernel runs, so the next upload is not parked
-    // behind it on the FIFO copy engine.
+    // Held while the kernel runs: a `d2h` issued now would park the next
+    // upload behind it on the FIFO copy engine. A mapped frame lands at
+    // the flush too, at its kernel op's end.
     st.pendings[dev][stream as usize] = Some(PendingReadback {
         stream,
         label,
@@ -1602,7 +1603,7 @@ fn launch(
 }
 
 /// Serve one oversized job by sharding it across every device: each
-/// segment's `h2d`/kernel/`d2h` chain runs on its device's next free
+/// segment's `h2d`/kernel/readback chain runs on its device's next free
 /// stream, and the job completes when the slowest segment does. Each
 /// segment's `d2h` is held under the staged-issue rule, exactly like a
 /// batch's, so the next job's uploads are not parked behind it on a

@@ -80,7 +80,8 @@ pub struct LaunchPlan {
 }
 
 /// A launch's price by each readback path (see the module docs); no
-/// mapped price for pageable host memory.
+/// mapped price where the launch cannot map: pageable host memory, or
+/// an overlapped launch whose write-out would not fit under its upload.
 #[derive(Debug, Clone, Copy)]
 struct Price {
     dma: f64,
@@ -88,17 +89,14 @@ struct Price {
 }
 
 impl Price {
-    fn maps(self) -> bool {
-        self.mapped.is_some_and(|m| m < self.dma)
+    /// The mapped price, where it is the cheaper one.
+    fn mapped_wins(self) -> Option<f64> {
+        self.mapped.filter(|&m| m < self.dma)
     }
 
-    /// The price by the cheaper path.
+    /// The price by the path the launch takes.
     fn best(self) -> f64 {
-        if self.maps() {
-            self.mapped.unwrap_or(self.dma)
-        } else {
-            self.dma
-        }
+        self.mapped_wins().unwrap_or(self.dma)
     }
 }
 
@@ -259,7 +257,7 @@ impl<'a> PriceWalk<'a> {
             return true;
         }
         self.cost_at(kernel, len)
-            .is_some_and(|cost| self.price(len, cost).maps())
+            .is_some_and(|cost| self.price(len, cost).mapped_wins().is_some())
     }
 
     /// What a `len`-byte launch of `kernel` costs by the walk's probe

@@ -611,5 +611,12 @@ mod tests {
         };
         assert_eq!(kernel_arg(0), None);
         assert_eq!(kernel_arg(1), Some(ArgValue::Str("pfac".into())));
+        // A kernel that wrote its frame into mapped host memory says so.
+        let mut e = StreamEngine::new(1);
+        let op = e.submit_kernel(0, "b1", "pfac-staged", 4.0, 2_048);
+        assert_eq!(op.mapped_bytes, 2_048);
+        let tb = e.finish().to_trace(1.0, TraceConfig::default());
+        let args = &tb.events()[0].args;
+        assert!(args.contains(&("mapped_bytes".to_string(), ArgValue::U64(2_048))));
     }
 }
