@@ -111,12 +111,8 @@ pub struct ScheduledOp {
     /// after its last cycle, within the op (0 for a kernel whose frame a
     /// `d2h` copies back, and for copies); traces carry it as a
     /// `mapped_bytes` arg.
-    #[serde(default, skip_serializing_if = "is_zero")]
+    #[serde(default)]
     pub mapped_bytes: u64,
-}
-
-fn is_zero(bytes: &u64) -> bool {
-    *bytes == 0
 }
 
 impl ScheduledOp {
